@@ -14,7 +14,7 @@ from .analysis import (LandscapeStats, SuccessorMap, basins, export_search_tree,
 from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec,
                         load_landscape, load_tabular, sample_markov_truncnorm,
                         sample_truncnorm, sample_uniform, save_landscape,
-                        truncnorm_pdf)
+                        truncnorm_pdf, truncnorm_sf)
 from .search import (RunHistory, SearchConfig, SearchTrace, local_search,
                      random_search, run_budgeted, run_trials)
 from .seeding import mix64, spawn_rng

@@ -319,7 +319,8 @@ def cmd_theory(args) -> int:
         curve = theory.uniform_closed_form_curve(params.n, params.s, params.b, eps)
     else:
         frac = theory.expected_minima_fraction(pdf_n, pdf_e, params.s, grid_points)
-        curve = theory.success_curve(pdf_n, pdf_e, params, eps, max_k, grid_points)
+        xs, table = theory._preimage_table(pdf_e, params, max_k, grid_points)
+        curve = theory._success_from_table(pdf_n, pdf_e, params, eps, xs, table)
     _write_csv(os.path.join(outdir, "theory_summary.csv"), ["metric", "value"], [
         ("n", params.n),
         ("s", params.s),
@@ -343,7 +344,6 @@ def cmd_theory(args) -> int:
                    [(x, g_, lo, hi) for x, g_, (lo, hi)
                     in zip(loss_grid, gv, bounds)])
     else:
-        xs, table = theory._preimage_table(pdf_e, params, max_k, grid_points)
         for k in range(1, max_k + 1):
             sizes = np.interp(loss_grid, xs, table[k - 1])
             pre_rows.extend((x, k, v) for x, v in zip(loss_grid, sizes))

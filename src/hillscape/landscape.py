@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .seeding import spawn_rng
 from .topology import Topology
@@ -28,6 +27,7 @@ __all__ = [
     "sample_uniform",
     "sample_markov_truncnorm",
     "truncnorm_pdf",
+    "truncnorm_sf",
     "sample_truncnorm",
     "load_tabular",
     "save_landscape",
@@ -44,6 +44,10 @@ class LandscapeError(ValueError):
 
 
 # -- truncated normal on [0, 1] --------------------------------------------
+#
+# scipy.special is imported inside these functions only, so importing the
+# package (and every CLI command that never evaluates a normal CDF) loads
+# no scipy module.
 
 
 def truncnorm_pdf(u, center, sigma):
@@ -51,6 +55,8 @@ def truncnorm_pdf(u, center, sigma):
 
     Zero outside [0, 1].  Vectorized over ``u``.
     """
+    from scipy.special import ndtr
+
     if sigma <= 0:
         raise LandscapeError("sigma must be positive")
     u = np.asarray(u, dtype=float)
@@ -61,7 +67,25 @@ def truncnorm_pdf(u, center, sigma):
     return dens if dens.ndim else float(dens)
 
 
+def truncnorm_sf(x, center, sigma):
+    """P(X > x) for X ~ normal(center, sigma) renormalized to [0, 1].
+
+    ``x`` is clipped to [0, 1], so the result is 1 below 0 and 0 above 1.
+    Broadcasts over ``x`` and ``center``.
+    """
+    from scipy.special import ndtr
+
+    if sigma <= 0:
+        raise LandscapeError("sigma must be positive")
+    xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    z = ndtr((1.0 - center) / sigma) - ndtr((0.0 - center) / sigma)
+    out = (ndtr((1.0 - center) / sigma) - ndtr((xc - center) / sigma)) / z
+    return np.clip(out, 0.0, 1.0)
+
+
 def _truncnorm_ppf(q, center, sigma):
+    from scipy.special import ndtr, ndtri
+
     a = ndtr((0.0 - center) / sigma)
     b = ndtr((1.0 - center) / sigma)
     x = center + sigma * ndtri(a + q * (b - a))

@@ -6,12 +6,21 @@ loss (``LocalPdfSpec``), together with the graph parameters (degree ``s``
 and branching fractions ``b_k``, with ``b_0 = 1`` by convention).
 
 All integrals run on a shared uniform grid (default 2049 points).  Plain
-integrals use composite Simpson; cumulative ones use an endpoint-corrected
-trapezoid (the Euler-Maclaurin h^2/12 term with second-order numerical
-derivatives), which matches Simpson-class accuracy while vectorizing
-cheaply over matrices.  The preimage recursion is memoized on the grid, so
-evaluating depth ``max_k`` costs O(max_k * grid^2) for center-dependent
-local pdfs and O(max_k * grid) for center-independent ones.
+integrals use composite Simpson, written in numpy on the uniform grid
+(with scipy's last-interval correction for an even point count);
+cumulative ones use an endpoint-corrected trapezoid (the Euler-Maclaurin
+h^2/12 term with second-order numerical derivatives), which matches
+Simpson-class accuracy while vectorizing cheaply over matrices.
+
+The preimage recursion is memoized on the grid.  For center-independent
+local pdfs each depth costs O(grid).  For center-dependent ones the
+integral from x_i to 1 of a row of samples is a fixed linear functional
+of that row, so its weights are built once (O(grid^2) set-up, together
+with the pdf and tail matrices) and each further depth is one O(grid^2)
+matrix-vector product.
+
+No scipy module is imported here; the truncated-normal functions of
+``landscape`` import ``scipy.special`` when first called.
 """
 
 from __future__ import annotations
@@ -21,12 +30,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import ndtr
 
 from . import analysis
 from .landscape import (LandscapeView, NoiseSpec, sample_markov_truncnorm,
-                        truncnorm_pdf)
+                        truncnorm_pdf, truncnorm_sf)
 from .seeding import mix64
 from .topology import Topology, _clique_power_branching, branching_fractions
 
@@ -59,6 +66,22 @@ def _grid(points: int) -> np.ndarray:
     if points < 9:
         raise ValueError("grid needs at least 9 points")
     return np.linspace(0.0, 1.0, points)
+
+
+def _simpson(y, x) -> float:
+    """Composite Simpson integral of samples ``y`` on the uniform grid ``x``.
+
+    An even point count integrates all but the last interval by Simpson and
+    adds scipy's correction for the last one (weights 5h/12, 2h/3, -h/12 on
+    the last three samples).
+    """
+    y = np.asarray(y, dtype=float)
+    h = float(x[1] - x[0])
+    if len(y) % 2:
+        return float(np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (h / 3.0))
+    head = np.sum(y[0:-3:2] + 4.0 * y[1:-2:2] + y[2:-1:2]) * (h / 3.0)
+    return float(head + 5.0 * h / 12.0 * y[-1] + 2.0 * h / 3.0 * y[-2]
+                 - h / 12.0 * y[-3])
 
 
 def _prefix(y, x, axis=-1):
@@ -134,10 +157,7 @@ class PdfSpec:
         if self.kind == "uniform":
             out = 1.0 - xc
         elif self.kind == "truncnorm":
-            z = ndtr((1.0 - self.center) / self.sigma) - ndtr((0.0 - self.center) / self.sigma)
-            out = (ndtr((1.0 - self.center) / self.sigma)
-                   - ndtr((xc - self.center) / self.sigma)) / z
-            out = np.clip(out, 0.0, 1.0)
+            out = truncnorm_sf(xc, self.center, self.sigma)
         else:
             cum = np.concatenate([[0.0], np.cumsum(
                 0.5 * (self.ys[1:] + self.ys[:-1]) * np.diff(self.xs))])
@@ -181,7 +201,7 @@ class LocalPdfSpec:
         spec = cls("truncnorm_centered", sigma=float(sigma))
         xs = _grid(513)
         for c in (0.0, 0.25, 0.5, 0.75, 1.0):
-            total = simpson(spec.density(c, xs), x=xs)
+            total = _simpson(spec.density(c, xs), xs)
             if abs(total - 1.0) > _PDF_TOL:  # pragma: no cover - analytic form
                 raise ValueError(f"row at center {c} integrates to {total}")
         return spec
@@ -205,10 +225,7 @@ class LocalPdfSpec:
             out = np.asarray(self.g.survival(lower))
             out = np.broadcast_to(out, np.broadcast_shapes(center.shape, lower.shape))
             return out if out.ndim else float(out)
-        lo = np.clip(lower, 0.0, 1.0)
-        z = ndtr((1.0 - center) / self.sigma) - ndtr((0.0 - center) / self.sigma)
-        out = (ndtr((1.0 - center) / self.sigma) - ndtr((lo - center) / self.sigma)) / z
-        out = np.clip(out, 0.0, 1.0)
+        out = truncnorm_sf(lower, center, self.sigma)
         return out if out.ndim else float(out)
 
     def describe(self) -> str:
@@ -277,7 +294,7 @@ def expected_minima_fraction(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
         raise ValueError("s must be >= 1")
     xs = _grid(grid_points)
     integrand = pdf_n.density(xs) * pdf_e.survival(xs, xs) ** s
-    out = float(simpson(integrand, x=xs))
+    out = _simpson(integrand, xs)
     if not np.isfinite(out):
         raise ValueError("quadrature failed (non-finite integrand)")
     return out
@@ -311,22 +328,20 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
             E[k - 1] = b * E[0] * ratio
         return xs, E
 
-    # center-dependent local pdf: full grid-by-grid quadrature
-    P = pdf_e.density(xs[:, None], xs[None, :])       # P[i, j] = pdf_e(x_i, y_j)
+    # center-dependent local pdf.  _prefix is linear in its samples, so the
+    # integral of row i from x_i to 1 is W[i] @ row with W built once from
+    # the prefixes of the unit vectors; PW[i, j] = pdf_e(x_i, y_j) * W[i, j].
+    A = _prefix(np.eye(n_pts), xs)                     # A[j, i]: weight of y_j in prefix i
+    PW = pdf_e.density(xs[:, None], xs[None, :]) * (A[:, -1][:, None] - A).T
+    del A
     tail = pdf_e.survival(xs[None, :], xs[:, None])   # tail[i, j] = int_{x_i}^1 pdf_e(y_j, .)
-    integrand = P * tail ** (s - 1)
-    pre = _prefix(integrand, xs, axis=1)
-    suffix = pre[:, -1][:, None] - pre
-    E[0] = s * np.diagonal(suffix).copy()
+    E[0] = s * (PW * tail ** (s - 1)).sum(axis=1)
     denom = pdf_e.survival(xs, xs)
     for k in range(2, max_k + 1):
         b = params.b_at(k - 1)
         if b == 0.0:
             break
-        numer_int = P * E[k - 2][None, :]
-        pre = _prefix(numer_int, xs, axis=1)
-        suffix = pre[:, -1][:, None] - pre
-        numer = np.diagonal(suffix).copy()
+        numer = PW @ E[k - 2]
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(denom > 1e-300, numer / denom, 0.0)
         E[k - 1] = b * E[0] * ratio
@@ -401,6 +416,14 @@ def full_preimage_bounds(G_val: float, s: int) -> tuple[float, float]:
 # -- within-eps success curve ----------------------------------------------------
 
 
+def _eps_array(eps_grid) -> np.ndarray:
+    eps = np.asarray(eps_grid, dtype=float)
+    if (eps.ndim != 1 or len(eps) == 0 or not np.isfinite(eps).all()
+            or (eps < 0).any() or (np.diff(eps) < 0).any()):
+        raise ValueError("eps grid must be ascending, finite and non-negative")
+    return eps
+
+
 def success_curve(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParams,
                   eps_grid, max_k: int = 5,
                   grid_points: int = DEFAULT_GRID_POINTS) -> list[tuple[float, float]]:
@@ -410,10 +433,16 @@ def success_curve(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParams,
     pdf_n(x) * survival(x)^s * (1 + sum_k E[|LS^-k|](x)) dx,
     with preimage depth capped at ``max_k``.
     """
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or len(eps) == 0 or (np.diff(eps) < 0).any() or (eps < 0).any():
-        raise ValueError("eps grid must be ascending and non-negative")
+    _eps_array(eps_grid)  # reject a bad grid before building the table
     xs, E = _preimage_table(pdf_e, params, max_k, grid_points)
+    return _success_from_table(pdf_n, pdf_e, params, eps_grid, xs, E)
+
+
+def _success_from_table(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParams,
+                        eps_grid, xs: np.ndarray,
+                        E: np.ndarray) -> list[tuple[float, float]]:
+    """``success_curve`` from a preimage table ``_preimage_table`` returned."""
+    eps = _eps_array(eps_grid)
     weight = 1.0 + E.sum(axis=0)
     integrand = pdf_n.density(xs) * pdf_e.survival(xs, xs) ** params.s * weight
     integrand = np.where(xs >= params.ell_star, integrand, 0.0)
@@ -471,12 +500,11 @@ def uniform_closed_form_curve(n: int, s: int, b, eps_grid,
     treats neighbor losses as independent given a node's loss, so its total
     basin mass falls short of 1 on dense graphs (0.897 on (K_5)^6); see
     ``clique_power_uniform_curve`` for the expected fraction on (K_m)^d.
+    Losses lie in [0, 1], so an eps above 1 gives the value at eps = 1.
     """
     params = TheoryParams(n=n, s=s, b=np.asarray(b, dtype=float))
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or (eps < 0).any():
-        raise ValueError("eps grid must be non-negative")
-    total, _, _ = _uniform_series(params, eps, rel_tol)
+    eps = _eps_array(eps_grid)
+    total, _, _ = _uniform_series(params, np.minimum(eps, 1.0), rel_tol)
     return [(float(e), float(v)) for e, v in zip(eps, total)]
 
 
@@ -522,10 +550,7 @@ def clique_power_uniform_curve(m: int, d: int, eps_grid) -> list[tuple[float, fl
         raise ValueError("clique power needs m >= 2")
     if d < 1:
         raise ValueError("clique power needs d >= 1")
-    eps = np.asarray(eps_grid, dtype=float)
-    if (eps.ndim != 1 or not np.isfinite(eps).all() or (eps < 0).any()
-            or (np.diff(eps) < 0).any()):
-        raise ValueError("eps grid must be ascending, finite and non-negative")
+    eps = _eps_array(eps_grid)
     clipped = np.minimum(eps, 1.0)
     depths = _clique_power_depths(m, d)
     total = np.zeros_like(eps)

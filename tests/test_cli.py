@@ -260,6 +260,27 @@ class TestTheoryCommand:
         metrics = {r[0]: float(r[1]) for r in rows}
         assert metrics["expected_minima_count"] == pytest.approx(1.0)
 
+    def test_eps_max_above_one_clipped(self, tmp_path):
+        res = run_cli("theory", "--pdf-n", "uniform", "--pdf-e", "uniform",
+                      "--n", "25", "--s", "24", "--closed-form", "uniform",
+                      "--eps-max", "2", "--eps-points", "3", "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        _, rows = read_csv(tmp_path / "theory_curve.csv")
+        at_one = hs.uniform_closed_form_curve(25, 24, [1.0], [1.0])[0][1]
+        assert [float(r[1]) for r in rows[1:]] == [at_one, at_one]
+
+    @pytest.mark.parametrize("flags", [
+        ("--pdf-e", "uniform", "--closed-form", "uniform"),
+        ("--pdf-e", "truncnorm-local:0.35", "--grid-points", "33"),
+    ])
+    def test_nan_eps_max_exits_3(self, tmp_path, flags):
+        res = run_cli("theory", "--pdf-n", "uniform", *flags,
+                      "--topo", "clique-power:3,2", "--eps-max", "nan",
+                      "--out", str(tmp_path))
+        assert res.returncode == 3
+        assert "eps grid" in res.stderr
+        assert not (tmp_path / "theory_curve.csv").exists()
+
     def test_missing_params(self, tmp_path):
         res = run_cli("theory", "--pdf-n", "uniform", "--pdf-e", "uniform",
                       "--out", str(tmp_path))
@@ -344,6 +365,31 @@ class TestCompare:
         assert res.returncode == 3
         assert "do not match" in res.stderr
         assert not (tmp_path / "c" / "compared.csv").exists()
+
+
+def _scipy_imports(*args, cwd=None):
+    """Modules named scipy or scipy.* that a fresh interpreter imports."""
+    res = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True, cwd=cwd)
+    assert res.returncode == 0, res.stderr
+    names = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert "hillscape" in names
+    return [n for n in names if n == "scipy" or n.startswith("scipy.")]
+
+
+class TestImportFloor:
+    def test_package_import_loads_no_scipy(self):
+        assert _scipy_imports("-c", "import hillscape") == []
+
+    def test_compare_loads_no_scipy(self, tmp_path):
+        sim = tmp_path / "sim.csv"
+        sim.write_text("epsilon,fraction\n0.0,0.0\n0.1,0.5\n")
+        theo = tmp_path / "theory.csv"
+        theo.write_text("epsilon,fraction_theory\n0.0,0.0\n0.1,0.4\n")
+        assert _scipy_imports("-m", "hillscape", "compare", "--sim", str(sim),
+                              "--theory", str(theo), "--out", str(tmp_path / "c")) == []
+        assert (tmp_path / "c" / "compared.csv").exists()
 
 
 def test_version_flag():

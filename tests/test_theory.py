@@ -6,7 +6,8 @@ from scipy.special import erf
 
 import hillscape as hs
 from hillscape.analysis import _fixed_points_and_depth
-from hillscape.theory import _clique_power_depths, _preimage_table
+from hillscape.theory import (_clique_power_depths, _preimage_table, _prefix,
+                              _simpson)
 
 from conftest import frozen_view
 
@@ -27,6 +28,44 @@ def k56_module():
 
 UNIFORM = hs.PdfSpec.uniform01()
 UNIFORM_LOCAL = hs.LocalPdfSpec.independent(UNIFORM)
+
+
+def dense_preimage_table(pdf_e, params, max_k, grid_points):
+    """Reference for the center-dependent preimage table.
+
+    Takes the full cumulative integral of every row of the grid-by-grid
+    integrand at every depth and keeps only its diagonal: O(grid^2) work
+    per depth with no precomputed weights.
+    """
+    xs = np.linspace(0.0, 1.0, grid_points)
+    s = params.s
+    E = np.zeros((max_k, grid_points))
+    P = pdf_e.density(xs[:, None], xs[None, :])
+    tail = pdf_e.survival(xs[None, :], xs[:, None])
+    pre = _prefix(P * tail ** (s - 1), xs, axis=1)
+    E[0] = s * np.diagonal(pre[:, -1][:, None] - pre)
+    denom = pdf_e.survival(xs, xs)
+    for k in range(2, max_k + 1):
+        pre = _prefix(P * E[k - 2][None, :], xs, axis=1)
+        numer = np.diagonal(pre[:, -1][:, None] - pre)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(denom > 1e-300, numer / denom, 0.0)
+        E[k - 1] = params.b_at(k - 1) * E[0] * ratio
+    return xs, E
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("points", [2049, 2048, 10, 9])
+    def test_matches_scipy(self, points):
+        from scipy.integrate import simpson
+
+        xs = np.linspace(0.0, 1.0, points)
+        pdf_n = hs.PdfSpec.truncnorm(0.25, 0.18)
+        pdf_e = hs.LocalPdfSpec.truncnorm_centered(0.35)
+        for y in (np.exp(-3.0 * xs) * (2.0 + np.cos(7.0 * xs)),
+                  pdf_n.density(xs) * pdf_e.survival(xs, xs) ** 24):
+            assert _simpson(y, xs) == pytest.approx(float(simpson(y, x=xs)),
+                                                    rel=1e-15, abs=0.0)
 
 
 class TestPdfSpec:
@@ -143,6 +182,14 @@ class TestPreimageRecursion:
             cf = hs.independent_closed_form(g, k56_params, xs, k)
             assert np.max(np.abs(E[k - 1] - cf)) < 1e-5
 
+    @pytest.mark.parametrize("points", [2049, 2048, 257])
+    def test_center_dependent_matches_dense_reference(self, k56_params, points):
+        pdf_e = hs.LocalPdfSpec.truncnorm_centered(0.35)
+        xs, E = _preimage_table(pdf_e, k56_params, 5, points)
+        ref_xs, ref = dense_preimage_table(pdf_e, k56_params, 5, points)
+        assert np.array_equal(xs, ref_xs)
+        assert np.max(np.abs(E - ref)) < 1e-11
+
     def test_k_exceeding_max_rejected(self, k56_params):
         with pytest.raises(ValueError, match="exceeds"):
             hs.preimage_recursion(UNIFORM_LOCAL, k56_params, 0.5, k=6)
@@ -217,6 +264,11 @@ class TestSuccessCurve:
         curve = hs.success_curve(UNIFORM, UNIFORM_LOCAL, k56_params, [0.0])
         assert curve[0][1] == 0.0
 
+    def test_rejects_non_finite_eps(self, k56_params):
+        for eps in ([0.1, np.nan], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                hs.success_curve(UNIFORM, UNIFORM_LOCAL, k56_params, eps)
+
     def test_fitted_pipeline_vs_simulation(self, k56_module):
         # fitted-pdf pipeline on a synthetic correlated landscape:
         # theory tracks the simulated curve closely at small eps and
@@ -265,6 +317,19 @@ class TestUniformClosedForms:
             25, 24, [1.0], eps)])
         assert (np.diff(clique) >= 0).all()
         assert clique[-1] <= 1.0
+
+    def test_eps_above_one_gives_value_at_one(self):
+        # losses lie in [0, 1]; unclipped, (1 - eps) is a negative base and
+        # eps = 2 gave 1.69 on K_25
+        at_one = hs.uniform_closed_form_curve(25, 24, [1.0], [1.0])[0][1]
+        curve = hs.uniform_closed_form_curve(25, 24, [1.0], [0.1, 0.5, 1.0, 2.0])
+        assert curve[-1] == (2.0, at_one)
+        assert at_one <= 1.0
+
+    def test_rejects_bad_eps(self):
+        for eps in ([0.5, 0.1, 2.0], [0.1, np.nan], [0.1, np.inf], [-0.1], [[0.1]]):
+            with pytest.raises(ValueError, match="eps grid"):
+                hs.uniform_closed_form_curve(25, 24, [1.0], eps)
 
     def test_complete3_exactness_caveat(self):
         # the theory is approximate on small dense graphs: at eps = 1 it
