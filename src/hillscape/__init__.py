@@ -10,7 +10,7 @@ be compared side by side.
 
 from .analysis import (LandscapeStats, SuccessorMap, basins, export_search_tree,
                        find_local_minima, preimage_sizes, rwa, successor_map,
-                       tree_to_dot, within_epsilon_curve)
+                       tree_to_dot, tree_to_json, within_epsilon_curve)
 from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec,
                         load_landscape, load_tabular, sample_markov_truncnorm,
                         sample_truncnorm, sample_uniform, save_landscape,
@@ -28,6 +28,6 @@ from .theory import (DEFAULT_GRID_POINTS, GlobalFit, LocalPdfSpec, PdfSpec,
                      uniform_closed_form_curve, uniform_closed_form_minima)
 from .topology import (Topology, TopologyError, branching_fraction,
                        branching_fractions, load_adjacency, make_clique_power,
-                       make_complete, make_regular_tree, neighbors, shell_sizes)
+                       make_complete, make_regular_tree, shell_sizes)
 
 __version__ = "0.1.0"

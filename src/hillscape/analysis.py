@@ -9,6 +9,7 @@ Fresh-noise views are rejected: their successor is not well-defined.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ __all__ = [
     "rwa",
     "export_search_tree",
     "tree_to_dot",
+    "tree_to_json",
 ]
 
 _WALK_STREAM = 0xC1
@@ -246,31 +248,58 @@ def export_search_tree(view: LandscapeView, top_k: int) -> list[dict]:
     ranked = minima[np.argsort(smap.values[minima], kind="stable")][:top_k]
     order, starts, ends = _predecessor_lists(smap.succ)
 
-    def build(node: int, depth: int) -> dict:
-        preds = order[starts[node]:ends[node]]
-        preds = preds[preds != node]
-        return {
-            "min_id": int(node),
-            "loss": float(smap.values[node]),
-            "depth": depth,
-            "children": [build(int(u), depth + 1) for u in preds],
-        }
+    def tree_node(v: int, depth: int) -> dict:
+        return {"min_id": v, "loss": float(smap.values[v]), "depth": depth, "children": []}
 
-    return [build(int(v), 0) for v in ranked]
+    trees = [tree_node(int(v), 0) for v in ranked]
+    stack = list(trees)  # explicit stack: preimage chains can be n deep
+    while stack:
+        node = stack.pop()
+        v = node["min_id"]
+        preds = order[starts[v]:ends[v]]
+        for u in preds[preds != v]:
+            child = tree_node(int(u), node["depth"] + 1)
+            node["children"].append(child)
+            stack.append(child)
+    return trees
 
 
 def tree_to_dot(tree: dict) -> str:
     """Graphviz DOT for one exported preimage tree (edges child -> parent)."""
     lines = [f"digraph preimage_tree_{tree['min_id']} {{"]
-
-    def walk(node):
-        lines.append(
-            f'  n{node["min_id"]} [label="{node["min_id"]}\\n{node["loss"]:.6f}"];'
-        )
-        for child in node["children"]:
-            lines.append(f'  n{child["min_id"]} -> n{node["min_id"]};')
-            walk(child)
-
-    walk(tree)
+    stack = [(tree, None)]  # depth-first, children in order, without recursion
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            lines.append(f'  n{node["min_id"]} -> n{parent["min_id"]};')
+        lines.append(f'  n{node["min_id"]} [label="{node["min_id"]}\\n{node["loss"]:.6f}"];')
+        stack.extend((child, node) for child in reversed(node["children"]))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def tree_to_json(tree: dict) -> str:
+    """``json.dumps(tree, indent=2, sort_keys=True)`` for one exported tree.
+
+    Written out with an explicit stack: ``json`` recurses once per nesting
+    level and fails on chains a few hundred nodes deep.
+    """
+    out = []
+    stack = [(tree, 0)]  # items: text to emit, or (node, indent level) to expand
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        pad, inner, kid_pad = "  " * level, "  " * (level + 1), "  " * (level + 2)
+        kids = node["children"]
+        out.append(f'{{\n{inner}"children": ' + ("[\n" if kids else "[]"))
+        stack.append(f',\n{inner}"depth": {node["depth"]},\n{inner}"loss": '
+                     f'{json.dumps(node["loss"])},\n{inner}"min_id": {node["min_id"]}\n{pad}}}')
+        if kids:
+            stack.append(f"\n{inner}]")
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], level + 2))
+                stack.append(kid_pad if i == 0 else ",\n" + kid_pad)
+    return "".join(out)

@@ -1,11 +1,12 @@
 """Command-line orchestration.
 
 Subcommands: ``gen``, ``search``, ``analyze``, ``rwa``, ``theory``, ``fit``,
-``compare``.  Global flags: ``--seed``, ``--out``, ``--config``, ``--jobs``.
-Flag values override config-file values override defaults; every run writes
-a ``manifest.json`` with the fully resolved configuration before any result
-file.  Outputs are plot-ready CSV/JSON and byte-identical across reruns
-with the same seed.
+``compare``, each with one flag table in ``COMMANDS`` whose rows are its
+flags, its config-file keys and its resolved configuration.  Flag values
+override config-file values override defaults; both go through the same
+parser.  Every run writes a ``manifest.json`` with the fully resolved
+configuration before any result file.  Outputs are plot-ready CSV/JSON and
+byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error.
 """
@@ -16,6 +17,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import zip_longest
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,9 +29,6 @@ from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec,
 from .search import run_trials
 from .theory import LocalPdfSpec, PdfSpec, TheoryParams
 from .topology import Topology, TopologyError, load_adjacency
-
-_EPS_POINTS_DEFAULT = 101
-_EPS_MAX_DEFAULT = 0.1
 
 
 # -- small helpers -------------------------------------------------------------
@@ -55,43 +55,11 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _to_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise ValueError(f"expected true/false, got {value!r}")
-
-
-def _resolve(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        for key, value in file_cfg.items():
-            norm = key.replace("-", "_")
-            if norm not in cfg:
-                raise ValueError(f"unknown config key {key!r}")
-            cfg[norm] = value
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
 def _prepare_out(cfg, command) -> str:
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
-    manifest = {
-        "tool": "hillscape",
-        "version": __version__,
-        "command": command,
-        "config": dict(cfg),
-    }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_json(os.path.join(outdir, "manifest.json"), {
+        "tool": "hillscape", "version": __version__, "command": command, "config": cfg})
     return outdir
 
 
@@ -135,55 +103,44 @@ def _parse_pdf_e(spec: str) -> LocalPdfSpec:
     raise ValueError(f"unknown local pdf {spec!r}")
 
 
-def _load_landscape_arg(path: str, topo_spec: str | None) -> Landscape:
-    if topo_spec:
-        return load_landscape(path, _parse_topo(topo_spec))
-    return load_landscape(path)
+def _load_landscape_arg(cfg, command: str) -> Landscape:
+    if not cfg["landscape"]:
+        raise ValueError(f"{command} requires --landscape")
+    return load_landscape(cfg["landscape"], _parse_topo(cfg["topo"]) if cfg["topo"] else None)
 
 
 def _eps_grid(cfg) -> np.ndarray:
-    points = int(cfg["eps_points"])
-    if points < 2:
+    if cfg["eps_points"] < 2:
         raise ValueError("eps-points must be >= 2")
-    return np.linspace(0.0, float(cfg["eps_max"]), points)
+    return np.linspace(0.0, cfg["eps_max"], cfg["eps_points"])
 
 
 # -- commands -------------------------------------------------------------------
+# Each receives the resolved configuration: one typed value per row of its
+# flag table.
 
 
-def cmd_gen(args) -> int:
-    cfg = _resolve(args, {
-        "topo": None, "model": "uniform", "seed": 0, "out": "out", "jobs": 1,
-    })
+def cmd_gen(cfg) -> int:
     if not cfg["topo"]:
         raise ValueError("gen requires --topo")
     topo = _parse_topo(cfg["topo"])
     model, kw = _parse_model(cfg["model"])
     outdir = _prepare_out(cfg, "gen")
     if model == "uniform":
-        scape = sample_uniform(topo, int(cfg["seed"]))
+        scape = sample_uniform(topo, cfg["seed"])
     else:
-        scape = sample_markov_truncnorm(topo, seed=int(cfg["seed"]), **kw)
+        scape = sample_markov_truncnorm(topo, seed=cfg["seed"], **kw)
     save_landscape(scape, os.path.join(outdir, "landscape.csv"))
     return 0
 
 
-def cmd_search(args) -> int:
-    cfg = _resolve(args, {
-        "landscape": None, "topo": None, "noise": "none", "algo": "local",
-        "budget": 300, "trials": 200, "num_initial": 1, "restart": "true",
-        "seed": 0, "out": "out", "jobs": 1,
-    })
-    if not cfg["landscape"]:
-        raise ValueError("search requires --landscape")
-    restart = _to_bool(cfg["restart"])
-    scape = _load_landscape_arg(cfg["landscape"], cfg["topo"])
+def cmd_search(cfg) -> int:
+    scape = _load_landscape_arg(cfg, "search")
     noise = NoiseSpec.parse(cfg["noise"])
     outdir = _prepare_out(cfg, "search")
     histories = run_trials(
-        scape, noise, cfg["algo"], int(cfg["budget"]), int(cfg["trials"]),
-        int(cfg["seed"]), num_initial=int(cfg["num_initial"]), restart=restart,
-        jobs=int(cfg["jobs"]),
+        scape, noise, cfg["algo"], cfg["budget"], cfg["trials"], cfg["seed"],
+        num_initial=cfg["num_initial"], restart=cfg["restart"], jobs=cfg["jobs"],
     )
     rows = []
     for trial, hist in enumerate(histories):
@@ -196,49 +153,35 @@ def cmd_search(args) -> int:
     _write_csv(os.path.join(outdir, "runs.csv"),
                ["trial", "query", "node", "val_loss", "best_val", "best_test"], rows)
 
-    max_len = max(len(h) for h in histories)
-    mean_best, std_best, counts, mean_test = [], [], [], []
+    # the trials still running at each query: without restarts a trial ends at convergence
+    live = [[h for h in histories if len(h) > q] for q in range(max(map(len, histories)))]
+    best = [np.asarray([h.best_val[q] for h in hs]) for q, hs in enumerate(live)]
     any_test = all(h.best_test is not None for h in histories)
-    for q in range(max_len):
-        vals = np.asarray([h.best_val[q] for h in histories if len(h) > q])
-        mean_best.append(float(vals.mean()))
-        std_best.append(float(vals.std()))
-        counts.append(int(len(vals)))
-        if any_test:
-            tv = np.asarray([h.best_test[q] for h in histories if len(h) > q])
-            mean_test.append(float(tv.mean()))
     summary = {
         "algo": cfg["algo"],
-        "trials": int(cfg["trials"]),
-        "budget": int(cfg["budget"]),
-        "queries": max_len,
-        "trials_at_query": counts,
-        "mean_best_val": mean_best,
-        "std_best_val": std_best,
-        "mean_best_test": mean_test if any_test else None,
-        "final_mean_best_val": mean_best[-1],
+        "trials": cfg["trials"],
+        "budget": cfg["budget"],
+        "queries": len(live),
+        "trials_at_query": [len(hs) for hs in live],
+        "mean_best_val": [float(v.mean()) for v in best],
+        "std_best_val": [float(v.std()) for v in best],
+        "mean_best_test": [float(np.asarray([h.best_test[q] for h in hs]).mean())
+                           for q, hs in enumerate(live)] if any_test else None,
+        "final_mean_best_val": float(best[-1].mean()),
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
     return 0
 
 
-def cmd_analyze(args) -> int:
-    cfg = _resolve(args, {
-        "landscape": None, "topo": None, "noise": "none",
-        "eps_max": _EPS_MAX_DEFAULT, "eps_points": _EPS_POINTS_DEFAULT,
-        "export_tree": 0, "global_from_base": "false",
-        "seed": 0, "out": "out", "jobs": 1,
-    })
-    if not cfg["landscape"]:
-        raise ValueError("analyze requires --landscape")
-    scape = _load_landscape_arg(cfg["landscape"], cfg["topo"])
+def cmd_analyze(cfg) -> int:
+    scape = _load_landscape_arg(cfg, "analyze")
     noise = NoiseSpec.parse(cfg["noise"])
     if not noise.frozen:
         raise LandscapeError("analyze requires a frozen noise mode")
     eps = _eps_grid(cfg)
     outdir = _prepare_out(cfg, "analyze")
-    view = LandscapeView(scape, noise, seed=int(cfg["seed"]))
-    _, stats = analysis.basins(view, use_base_loss_for_global=_to_bool(cfg["global_from_base"]))
+    view = LandscapeView(scape, noise, seed=cfg["seed"])
+    _, stats = analysis.basins(view, use_base_loss_for_global=cfg["global_from_base"])
     curve = analysis.within_epsilon_curve(view, eps)
     smap = analysis.successor_map(view)
 
@@ -248,70 +191,52 @@ def cmd_analyze(args) -> int:
         ("avg_iterations", stats.avg_iterations),
         ("pct_global_basin", 100.0 * stats.fraction_reaching_global_min),
     ])
-    _write_csv(os.path.join(outdir, "within_eps.csv"), ["epsilon", "fraction"],
-               [(e, f) for e, f in curve])
+    _write_csv(os.path.join(outdir, "within_eps.csv"), ["epsilon", "fraction"], curve)
     order = np.argsort(smap.values[stats.basin_minima], kind="stable")
     _write_csv(os.path.join(outdir, "basin_sizes.csv"), ["min_id", "loss", "size"],
                [(int(stats.basin_minima[i]), smap.values[stats.basin_minima[i]],
                  int(stats.basin_sizes[i])) for i in order])
 
-    top_k = int(cfg["export_tree"])
-    if top_k > 0:
-        trees = analysis.export_search_tree(view, top_k)
+    if cfg["export_tree"] > 0:
+        trees = analysis.export_search_tree(view, cfg["export_tree"])
         tree_dir = os.path.join(outdir, "trees")
         os.makedirs(tree_dir, exist_ok=True)
         for rank, tree in enumerate(trees, start=1):
-            _write_json(os.path.join(tree_dir, f"tree_{rank}.json"), tree)
-            with open(os.path.join(tree_dir, f"tree_{rank}.dot"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(analysis.tree_to_dot(tree))
+            for ext, text in (("json", analysis.tree_to_json(tree) + "\n"),
+                              ("dot", analysis.tree_to_dot(tree))):
+                with open(os.path.join(tree_dir, f"tree_{rank}.{ext}"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(text)
     return 0
 
 
-def cmd_rwa(args) -> int:
-    cfg = _resolve(args, {
-        "landscape": None, "topo": None, "noise": "none",
-        "walk_len": 100_000, "max_lag": 36, "seed": 0, "out": "out", "jobs": 1,
-    })
-    if not cfg["landscape"]:
-        raise ValueError("rwa requires --landscape")
-    scape = _load_landscape_arg(cfg["landscape"], cfg["topo"])
+def cmd_rwa(cfg) -> int:
+    scape = _load_landscape_arg(cfg, "rwa")
     noise = NoiseSpec.parse(cfg["noise"])
     outdir = _prepare_out(cfg, "rwa")
-    view = LandscapeView(scape, noise, seed=int(cfg["seed"]))
-    rows = analysis.rwa(view, int(cfg["walk_len"]), int(cfg["max_lag"]),
-                        seed=int(cfg["seed"]))
+    view = LandscapeView(scape, noise, seed=cfg["seed"])
+    rows = analysis.rwa(view, cfg["walk_len"], cfg["max_lag"], seed=cfg["seed"])
     _write_csv(os.path.join(outdir, "rwa.csv"), ["lag", "sqrt_lag", "rho"], rows)
     return 0
 
 
-def cmd_theory(args) -> int:
-    cfg = _resolve(args, {
-        "pdf_n": "uniform", "pdf_e": "uniform", "topo": None,
-        "n": None, "s": None, "b": None, "ell_star": 0.0,
-        "eps_max": _EPS_MAX_DEFAULT, "eps_points": _EPS_POINTS_DEFAULT,
-        "max_k": 5, "grid_points": theory.DEFAULT_GRID_POINTS,
-        "closed_form": None, "noise_sigma": None, "delta": 1e-3,
-        "seed": 0, "out": "out", "jobs": 1,
-    })
+def cmd_theory(cfg) -> int:
     pdf_n = _parse_pdf_n(cfg["pdf_n"])
     pdf_e = _parse_pdf_e(cfg["pdf_e"])
     if cfg["topo"]:
-        topo = _parse_topo(cfg["topo"])
-        params = TheoryParams.from_topology(topo, ell_star=float(cfg["ell_star"]))
+        params = TheoryParams.from_topology(_parse_topo(cfg["topo"]),
+                                            ell_star=cfg["ell_star"])
     else:
         if cfg["n"] is None or cfg["s"] is None:
             raise ValueError("theory requires --topo or both --n and --s")
-        b = ([float(p) for p in str(cfg["b"]).split(",")]
-             if cfg["b"] is not None else [1.0])
-        params = TheoryParams(n=int(cfg["n"]), s=int(cfg["s"]), b=b,
-                              ell_star=float(cfg["ell_star"]))
+        params = TheoryParams(n=cfg["n"], s=cfg["s"], b=cfg["b"],
+                              ell_star=cfg["ell_star"])
     eps = _eps_grid(cfg)
-    max_k = int(cfg["max_k"])
-    grid_points = int(cfg["grid_points"])
-    closed = cfg["closed_form"]
-    if closed not in (None, "uniform"):
-        raise ValueError("--closed-form supports only 'uniform'")
+    max_k, grid_points, closed = cfg["max_k"], cfg["grid_points"], cfg["closed_form"]
+    sigma, delta = cfg["noise_sigma"], cfg["delta"]
+    if sigma is not None:
+        bound = theory.chebyshev_minima_bound(pdf_n, pdf_e, params.s, sigma,
+                                              params.n, delta, grid_points)
     outdir = _prepare_out(cfg, "theory")
 
     if closed == "uniform":
@@ -322,13 +247,9 @@ def cmd_theory(args) -> int:
         xs, table = theory._preimage_table(pdf_e, params, max_k, grid_points)
         curve = theory._success_from_table(pdf_n, pdf_e, params, eps, xs, table)
     _write_csv(os.path.join(outdir, "theory_summary.csv"), ["metric", "value"], [
-        ("n", params.n),
-        ("s", params.s),
-        ("expected_minima_fraction", frac),
-        ("expected_minima_count", frac * params.n),
-    ])
-    _write_csv(os.path.join(outdir, "theory_curve.csv"),
-               ["epsilon", "fraction_theory"], [(e, f) for e, f in curve])
+        ("n", params.n), ("s", params.s), ("expected_minima_fraction", frac),
+        ("expected_minima_count", frac * params.n)])
+    _write_csv(os.path.join(outdir, "theory_curve.csv"), ["epsilon", "fraction_theory"], curve)
 
     loss_grid = np.linspace(0.0, 1.0, 101)
     pre_rows = []
@@ -341,8 +262,7 @@ def cmd_theory(args) -> int:
         bounds = [theory.full_preimage_bounds(float(x), params.s) for x in gv]
         _write_csv(os.path.join(outdir, "theory_bounds.csv"),
                    ["loss", "survival", "lower", "upper"],
-                   [(x, g_, lo, hi) for x, g_, (lo, hi)
-                    in zip(loss_grid, gv, bounds)])
+                   [(x, g_, *b) for x, g_, b in zip(loss_grid, gv, bounds)])
     else:
         for k in range(1, max_k + 1):
             sizes = np.interp(loss_grid, xs, table[k - 1])
@@ -350,11 +270,7 @@ def cmd_theory(args) -> int:
     _write_csv(os.path.join(outdir, "theory_preimages.csv"),
                ["loss", "k", "expected_size"], pre_rows)
 
-    if cfg["noise_sigma"] is not None:
-        sigma = float(cfg["noise_sigma"])
-        delta = float(cfg["delta"])
-        bound = theory.chebyshev_minima_bound(pdf_n, pdf_e, params.s, sigma,
-                                              params.n, delta, grid_points)
+    if sigma is not None:
         _write_csv(os.path.join(outdir, "theory_chebyshev.csv"),
                    ["sigma", "delta", "bound"], [(sigma, delta, bound)])
         if not np.isfinite(bound):
@@ -362,37 +278,24 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    cfg = _resolve(args, {
-        "mode": "global", "landscape": None, "topo": None, "rwa": None,
-        "candidates": "0.2,0.35,0.5", "walk_len": 100_000,
-        "root_center": 0.25, "root_sigma": 0.18,
-        "seed": 0, "out": "out", "jobs": 1,
-    })
-    mode = cfg["mode"]
-    if mode == "global":
-        if not cfg["landscape"]:
-            raise ValueError("fit --mode global requires --landscape")
-        scape = _load_landscape_arg(cfg["landscape"], cfg["topo"])
+def cmd_fit(cfg) -> int:
+    if cfg["mode"] == "global":
+        scape = _load_landscape_arg(cfg, "fit --mode global")
         outdir = _prepare_out(cfg, "fit")
         fit = theory.fit_global_truncnorm(scape.val_loss)
         payload = {"mode": "global", "sigma": fit.sigma, "center": fit.center,
                    "objective": fit.objective}
-    elif mode == "local-rwa":
+    else:
         if not cfg["rwa"] or not cfg["topo"]:
             raise ValueError("fit --mode local-rwa requires --rwa and --topo")
         rows = np.genfromtxt(cfg["rwa"], delimiter=",", skip_header=1)
         topo = _parse_topo(cfg["topo"])
-        candidates = [float(p) for p in str(cfg["candidates"]).split(",")]
         outdir = _prepare_out(cfg, "fit")
         fit = theory.fit_local_sigma_via_rwa(
-            rows, topo, candidates, seed=int(cfg["seed"]),
-            walk_len=int(cfg["walk_len"]), root_center=float(cfg["root_center"]),
-            root_sigma=float(cfg["root_sigma"]))
+            rows, topo, cfg["candidates"], seed=cfg["seed"], walk_len=cfg["walk_len"],
+            root_center=cfg["root_center"], root_sigma=cfg["root_sigma"])
         payload = {"mode": "local-rwa", "sigma_local": fit.sigma,
                    "objective": fit.objective}
-    else:
-        raise ValueError(f"unknown fit mode {mode!r}")
     _write_json(os.path.join(outdir, "fit.json"), payload)
     return 0
 
@@ -404,50 +307,137 @@ def _read_curve(path, value_column):
     if header[0] != "epsilon" or value_column not in header:
         raise ValueError(f"{path}: expected columns epsilon,{value_column}")
     col = header.index(value_column)
-    eps, vals = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        eps.append(float(parts[0]))
-        vals.append(float(parts[col]))
-    return np.asarray(eps), np.asarray(vals)
+    rows = [ln.split(",") for ln in lines[1:]]
+    return (np.asarray([float(r[0]) for r in rows]),
+            np.asarray([float(r[col]) for r in rows]))
 
 
-def cmd_compare(args) -> int:
-    cfg = _resolve(args, {
-        "sim": None, "theory": None, "seed": 0, "out": "out", "jobs": 1,
-    })
+def cmd_compare(cfg) -> int:
     if not cfg["sim"] or not cfg["theory"]:
         raise ValueError("compare requires --sim and --theory")
     outdir = _prepare_out(cfg, "compare")
     eps_s, sim = _read_curve(cfg["sim"], "fraction")
     eps_t, the = _read_curve(cfg["theory"], "fraction_theory")
     if len(eps_s) != len(eps_t) or not np.allclose(eps_s, eps_t, atol=1e-12, rtol=0.0):
-        bad = []
-        for i in range(max(len(eps_s), len(eps_t))):
-            a = eps_s[i] if i < len(eps_s) else None
-            b = eps_t[i] if i < len(eps_t) else None
-            if a is None or b is None or abs(a - b) > 1e-12:
-                bad.append(f"row {i}: sim={a} theory={b}")
+        bad = [f"row {i}: sim={a} theory={b}"
+               for i, (a, b) in enumerate(zip_longest(eps_s, eps_t))
+               if a is None or b is None or abs(a - b) > 1e-12]
         raise ValueError("epsilon grids do not match:\n  " + "\n  ".join(bad[:20]))
     gap = sim - the
     _write_csv(os.path.join(outdir, "compared.csv"),
-               ["epsilon", "fraction_sim", "fraction_theory", "gap"],
-               [(e, a, b, g) for e, a, b, g in zip(eps_s, sim, the, gap)])
+               ["epsilon", "fraction_sim", "fraction_theory", "gap"], zip(eps_s, sim, the, gap))
     _write_json(os.path.join(outdir, "compare_summary.json"), {
-        "rows": int(len(eps_s)),
-        "max_abs_gap": float(np.max(np.abs(gap))) if len(gap) else 0.0,
-    })
+        "rows": len(eps_s), "max_abs_gap": float(np.max(np.abs(gap))) if len(gap) else 0.0})
     return 0
+
+
+# -- flag tables -----------------------------------------------------------------
+
+
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+def _floats(text: str) -> list[float]:
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+
+
+class Flag(NamedTuple):
+    """``--name`` on the command line, key ``name`` in a config file.  ``type``
+    converts text (a string default too) or is the tuple of allowed strings."""
+
+    name: str
+    type: object
+    default: object
+    help: str
+
+
+class Command(NamedTuple):
+    func: Callable
+    help: str
+    flags: tuple
+
+
+_OUT = Flag("out", str, "out", "output directory")
+_SEED = Flag("seed", int, 0, "root seed (u64)")
+_LANDSCAPE = Flag("landscape", str, None, "landscape CSV")
+_TOPO = Flag("topo", str, None, "clique-power:m,d | complete:n | tree:a,h | custom:FILE")
+_NOISE = Flag("noise", str, "none", "noise spec, e.g. gaussian:0.1")
+_EPS_MAX = Flag("eps_max", float, 0.1, "largest epsilon of the within-eps curve")
+_EPS_POINTS = Flag("eps_points", int, 101, "points of the epsilon grid (>= 2)")
+_WALK_LEN = Flag("walk_len", int, 100_000, "random-walk steps")
+
+COMMANDS = {
+    "gen": Command(cmd_gen, "generate a landscape file", (
+        _TOPO,
+        Flag("model", str, "uniform", "uniform | markov-tn:sigma[,center,root_sigma]"),
+        _SEED, _OUT)),
+    "search": Command(cmd_search, "run seeded search trials", (
+        _LANDSCAPE, _TOPO, _NOISE,
+        Flag("algo", ("local", "local-qul", "local-cam", "random"), "local", "search algorithm"),
+        Flag("budget", int, 300, "distinct nodes charged per trial"),
+        Flag("trials", int, 200, "independent seeded trials"),
+        Flag("num_initial", int, 1, "random starts drawn before each descent"),
+        Flag("restart", _bool, "true", "restart at a local minimum: true | false"),
+        _SEED,
+        Flag("jobs", int, 1, "worker processes for the trials (outputs do not change)"),
+        _OUT)),
+    "analyze": Command(cmd_analyze, "exhaustive landscape statistics", (
+        _LANDSCAPE, _TOPO, _NOISE, _EPS_MAX, _EPS_POINTS,
+        Flag("export_tree", int, 0, "export the preimage trees of the k best minima"),
+        Flag("global_from_base", _bool, "false",
+             "find the global minimum on base losses: true | false"),
+        _SEED, _OUT)),
+    "rwa": Command(cmd_rwa, "random-walk autocorrelation", (
+        _LANDSCAPE, _TOPO, _NOISE, _WALK_LEN,
+        Flag("max_lag", int, 36, "largest lag"),
+        _SEED, _OUT)),
+    "theory": Command(cmd_theory, "evaluate closed-form predictions", (
+        Flag("pdf_n", str, "uniform", "uniform | truncnorm:center,sigma"),
+        Flag("pdf_e", str, "uniform", "uniform | truncnorm-local:sigma"),
+        _TOPO,
+        Flag("n", int, None, "node count (without --topo)"),
+        Flag("s", int, None, "degree (without --topo)"),
+        Flag("b", _floats, "1", "comma-separated branching fractions b_1..b_D "
+                                "(without --topo)"),
+        Flag("ell_star", float, 0.0, "loss floor"),
+        _EPS_MAX, _EPS_POINTS,
+        Flag("max_k", int, 5, "deepest preimage level"),
+        Flag("grid_points", int, theory.DEFAULT_GRID_POINTS, "quadrature grid points"),
+        Flag("closed_form", ("uniform",), None, "use the closed form for uniform losses"),
+        Flag("noise_sigma", float, None, "noise sigma of the Chebyshev minima bound"),
+        Flag("delta", float, 1e-3, "diagonal band the Chebyshev bound leaves out"),
+        _OUT)),
+    "fit": Command(cmd_fit, "fit pdf parameters from data", (
+        Flag("mode", ("global", "local-rwa"), "global", "what to fit"),
+        _LANDSCAPE, _TOPO,
+        Flag("rwa", str, None, "rwa.csv from the rwa command"),
+        Flag("candidates", _floats, "0.2,0.35,0.5", "comma-separated sigma candidates"),
+        _WALK_LEN,
+        Flag("root_center", float, 0.25, "root center of the simulated landscapes"),
+        Flag("root_sigma", float, 0.18, "root sigma of the simulated landscapes"),
+        _SEED, _OUT)),
+    "compare": Command(cmd_compare, "join a simulated and a predicted curve", (
+        Flag("sim", str, None, "within_eps.csv from analyze"),
+        Flag("theory", str, None, "theory_curve.csv from theory"),
+        _OUT)),
+}
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None, help="root seed (u64)")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--config", default=None, help="JSON config file mirroring flag names")
-    sp.add_argument("--jobs", type=int, default=None, help="trial parallelism degree")
+def _add_flags(parser, flags):
+    for f in flags:
+        kind = "choices" if isinstance(f.type, tuple) else "type"
+        parser.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                            help=f.help, **{kind: f.type})
+    parser.add_argument("--config", help="JSON object of settings keyed by flag name")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,90 +447,54 @@ def build_parser() -> argparse.ArgumentParser:
                     "search, analytics, and closed-form predictions.")
     parser.add_argument("--version", action="version", version=f"hillscape {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gen", help="generate a landscape file")
-    sp.add_argument("--topo", help="clique-power:m,d | complete:n | tree:a,h | custom:FILE")
-    sp.add_argument("--model", help="uniform | markov-tn:sigma[,center,root_sigma]")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gen)
-
-    sp = sub.add_parser("search", help="run seeded search trials")
-    sp.add_argument("--landscape", help="landscape CSV")
-    sp.add_argument("--topo", help="override topology (custom landscapes)")
-    sp.add_argument("--noise", help="noise spec, e.g. gaussian:0.1")
-    sp.add_argument("--algo", choices=["local", "local-qul", "local-cam", "random"])
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--num-initial", dest="num_initial", type=int)
-    sp.add_argument("--restart", choices=["true", "false"])
-    _add_common(sp)
-    sp.set_defaults(func=cmd_search)
-
-    sp = sub.add_parser("analyze", help="exhaustive landscape statistics")
-    sp.add_argument("--landscape")
-    sp.add_argument("--topo")
-    sp.add_argument("--noise")
-    sp.add_argument("--eps-max", dest="eps_max", type=float)
-    sp.add_argument("--eps-points", dest="eps_points", type=int)
-    sp.add_argument("--export-tree", dest="export_tree", type=int)
-    sp.add_argument("--global-from-base", dest="global_from_base",
-                    choices=["true", "false"])
-    _add_common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("rwa", help="random-walk autocorrelation")
-    sp.add_argument("--landscape")
-    sp.add_argument("--topo")
-    sp.add_argument("--noise")
-    sp.add_argument("--walk-len", dest="walk_len", type=int)
-    sp.add_argument("--max-lag", dest="max_lag", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_rwa)
-
-    sp = sub.add_parser("theory", help="evaluate closed-form predictions")
-    sp.add_argument("--pdf-n", dest="pdf_n", help="uniform | truncnorm:center,sigma")
-    sp.add_argument("--pdf-e", dest="pdf_e", help="uniform | truncnorm-local:sigma")
-    sp.add_argument("--topo")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--b", help="comma-separated branching fractions b_1..b_D")
-    sp.add_argument("--ell-star", dest="ell_star", type=float)
-    sp.add_argument("--eps-max", dest="eps_max", type=float)
-    sp.add_argument("--eps-points", dest="eps_points", type=int)
-    sp.add_argument("--max-k", dest="max_k", type=int)
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--closed-form", dest="closed_form", choices=["uniform"])
-    sp.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    sp.add_argument("--delta", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_theory)
-
-    sp = sub.add_parser("fit", help="fit pdf parameters from data")
-    sp.add_argument("--mode", choices=["global", "local-rwa"])
-    sp.add_argument("--landscape")
-    sp.add_argument("--topo")
-    sp.add_argument("--rwa", help="rwa.csv from the rwa command")
-    sp.add_argument("--candidates", help="comma-separated sigma candidates")
-    sp.add_argument("--walk-len", dest="walk_len", type=int)
-    sp.add_argument("--root-center", dest="root_center", type=float)
-    sp.add_argument("--root-sigma", dest="root_sigma", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fit)
-
-    sp = sub.add_parser("compare", help="join a simulated and a predicted curve")
-    sp.add_argument("--sim", help="within_eps.csv from analyze")
-    sp.add_argument("--theory", help="theory_curve.csv from theory")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_compare)
-
+    for name, command in COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=command.help,
+                                  formatter_class=argparse.ArgumentDefaultsHelpFormatter),
+                   command.flags)
     return parser
 
 
+def _resolve(command: str, config_path: str | None, flag_args: list[str]) -> dict:
+    """defaults < config file < explicit flags, all through one parser.
+
+    Each config entry becomes a ``--name=value`` token parsed on its own, so
+    a rejected value names its key; ``flag_args``, already accepted by
+    :func:`build_parser`, are parsed last and win.
+    """
+    flags = COMMANDS[command].flags
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    _add_flags(parser, flags)
+    resolved = argparse.Namespace()
+    entries = {}
+    if config_path is not None:
+        with open(config_path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise ValueError(f"{config_path}: config must be a JSON object")
+    names = {f.name for f in flags}
+    for key, value in entries.items():
+        name = key.replace("-", "_")
+        if name not in names:
+            raise ValueError(f"unknown config key {key!r}")
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r}: expected a string, number or "
+                             f"boolean, got {value!r}")
+        try:
+            parser.parse_args([f"--{name.replace('_', '-')}={value}"], resolved)
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    parser.parse_args(flag_args, resolved)
+    return {f.name: getattr(resolved, f.name) for f in flags}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args.command, args.config, argv[argv.index(args.command) + 1:])
+        return COMMANDS[args.command].func(cfg)
     except (LandscapeError, TopologyError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

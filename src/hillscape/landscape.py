@@ -158,12 +158,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise LandscapeError(f"unknown noise mode {self.mode!r}")
-        if self.sigma < 0:
-            raise LandscapeError("sigma must be >= 0")
+        if not np.isfinite(self.sigma) or self.sigma < 0:
+            raise LandscapeError("sigma must be finite and >= 0")
         if self.k < 1:
             raise LandscapeError("seed-average k must be >= 1")
-        if self.x < 0:
-            raise LandscapeError("scale factor x must be >= 0")
+        if not np.isfinite(self.x) or self.x < 0:
+            raise LandscapeError("scale factor x must be finite and >= 0")
 
     @classmethod
     def none(cls):

@@ -121,6 +121,8 @@ class PdfSpec:
 
     @classmethod
     def truncnorm(cls, center: float, sigma: float):
+        if not (np.isfinite(center) and np.isfinite(sigma)):
+            raise ValueError("center and sigma must be finite")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         return cls("truncnorm", center=float(center), sigma=float(sigma))
@@ -196,8 +198,8 @@ class LocalPdfSpec:
 
     @classmethod
     def truncnorm_centered(cls, sigma: float):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not np.isfinite(sigma) or sigma <= 0:
+            raise ValueError("sigma must be finite and positive")
         spec = cls("truncnorm_centered", sigma=float(sigma))
         xs = _grid(513)
         for c in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -247,6 +249,8 @@ class TheoryParams:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         if self.n < 1 or self.s < 1:
             raise ValueError("n and s must be >= 1")
+        if not np.isfinite(self.b).all():
+            raise ValueError("branching fractions must be finite")
         if self.b.size and not np.isclose(self.b[0], 1.0):
             raise ValueError("b_1 must be 1")
         if ((self.b < 0) | (self.b > 1.0 + 1e-12)).any():
@@ -578,8 +582,10 @@ def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
     spacing cannot be resolved more finely than one cell.  Returns ``inf``
     when the integral overflows float range (bound vacuous).
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not np.isfinite(sigma) or sigma < 0:
+        raise ValueError("sigma must be finite and >= 0")
+    if not np.isfinite(delta):
+        raise ValueError("delta must be finite")
     if sigma == 0.0:
         return 0.0
     xs = _grid(grid_points)

@@ -34,7 +34,6 @@ __all__ = [
     "make_complete",
     "make_regular_tree",
     "load_adjacency",
-    "neighbors",
     "shell_sizes",
     "branching_fraction",
     "branching_fractions",
@@ -399,16 +398,14 @@ def load_adjacency(source) -> Topology:
     counts = np.bincount(us, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     indices = vs.copy()  # np.unique sorted by (u, v): per-u runs are ascending
+    indptr.setflags(write=False)  # neighbors(v) returns views into indices
+    indices.setflags(write=False)
     degs = indptr[1:] - indptr[:-1]
     degree = int(degs[0]) if n > 0 and (degs == degs[0]).all() else None
     return Topology("custom", n, degree, indptr=indptr, indices=indices)
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def neighbors(t: Topology, v: int) -> np.ndarray:
-    return t.neighbors(v)
 
 
 def shell_sizes(t: Topology, v: int) -> list[int]:
@@ -432,7 +429,8 @@ def shell_sizes(t: Topology, v: int) -> list[int]:
 def branching_fraction(t: Topology, k: int, reference: int = 0) -> float:
     """b_k = |N_k(v)| / (|N_{k-1}(v)| * |N(v)|) from a reference node.
 
-    Generated kinds return closed forms: clique powers give
+    Entry k of :func:`branching_fractions`.  Generated kinds use closed
+    forms: clique powers give
     ``(d - k + 1) / (d k)``; complete graphs give 1 at k=1 and 0 beyond;
     regular trees measured from the root give the idealized value 1 for
     k <= depth (each step treated as spawning degree-many new nodes).
@@ -441,22 +439,8 @@ def branching_fraction(t: Topology, k: int, reference: int = 0) -> float:
     """
     if k < 1:
         raise ValueError("branching fraction needs k >= 1")
-    t._check_id(reference)
-    if t.kind == "clique_power":
-        return (t.d - k + 1) / (t.d * k) if k <= t.d else 0.0
-    if t.kind == "complete":
-        if t.n == 1:
-            raise TopologyError("degree undefined on a single-node graph")
-        return 1.0 if k == 1 else 0.0
-    if t.kind == "regular_tree" and reference == 0:
-        return 1.0 if k <= t.depth else 0.0
-    deg = t.degree_of(reference)
-    if deg == 0:
-        raise TopologyError(f"degree undefined at node {reference}")
-    shells = shell_sizes(t, reference)
-    if k >= len(shells):
-        return 0.0
-    return shells[k] / (shells[k - 1] * deg)
+    b = branching_fractions(t, reference)
+    return float(b[k - 1]) if k <= b.size else 0.0
 
 
 def _clique_power_branching(d: int) -> np.ndarray:
@@ -467,12 +451,17 @@ def _clique_power_branching(d: int) -> np.ndarray:
 
 def branching_fractions(t: Topology, reference: int = 0) -> np.ndarray:
     """b_1..b_D from ``reference`` (D = eccentricity, closed forms where defined)."""
+    t._check_id(reference)
     if t.kind == "clique_power":
         return _clique_power_branching(t.d)
     if t.kind == "complete":
+        if t.n == 1:
+            raise TopologyError("degree undefined on a single-node graph")
         return np.asarray([1.0])
     if t.kind == "regular_tree" and reference == 0:
         return np.ones(t.depth)
-    shells = np.asarray(shell_sizes(t, reference), dtype=float)
     deg = t.degree_of(reference)
+    if deg == 0:
+        raise TopologyError(f"degree undefined at node {reference}")
+    shells = np.asarray(shell_sizes(t, reference), dtype=float)
     return shells[1:] / (shells[:-1] * deg)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,27 @@ import hillscape as hs
 from hillscape.landscape import LandscapeError
 
 from conftest import brute_successor, cycle_topology, frozen_view
+
+
+def _recursive_tree(smap, node, depth):
+    """The preimage tree as the recursive exporter built it."""
+    preds = [u for u in np.flatnonzero(smap.succ == node) if u != node]
+    return {"min_id": node, "loss": float(smap.values[node]), "depth": depth,
+            "children": [_recursive_tree(smap, int(u), depth + 1) for u in preds]}
+
+
+def _recursive_dot(tree):
+    lines = [f"digraph preimage_tree_{tree['min_id']} {{"]
+
+    def walk(node):
+        lines.append(f'  n{node["min_id"]} [label="{node["min_id"]}\\n{node["loss"]:.6f}"];')
+        for child in node["children"]:
+            lines.append(f'  n{child["min_id"]} -> n{node["min_id"]};')
+            walk(child)
+
+    walk(tree)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -261,6 +284,42 @@ class TestSearchTreeExport:
         some = hs.export_search_tree(view, top_k=6)
         assert len(some) == 6
         assert sum(count(tr) for tr in some) <= k56_uniform.n
+
+    def test_path_graph_without_recursion_limit(self):
+        # a 3000-node path with losses rising along it is one preimage chain
+        # 2999 levels deep; the recursive exporters raised RecursionError
+        n = 3000
+        t = hs.load_adjacency(f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        view = frozen_view(t, np.arange(n) / n)
+        (tree,) = hs.export_search_tree(view, top_k=1)
+        node, depth = tree, 0
+        while node["children"]:
+            (node,) = node["children"]
+            depth += 1
+            assert node["min_id"] == depth and node["depth"] == depth
+        assert depth == n - 1
+        dot = hs.tree_to_dot(tree)
+        assert dot.count("->") == n - 1
+        assert f"  n{n - 1} -> n{n - 2};" in dot
+        text = hs.tree_to_json(tree)
+        assert text.count('"min_id"') == n
+        assert text.endswith("\n}")
+
+    @pytest.mark.parametrize("spec,noise", [
+        ("clique-power:4,3", "none"), ("tree:3,4", "gaussian:0.2"),
+        ("complete:12", "none"), ("clique-power:2,6", "uniform-replace")])
+    def test_exports_match_recursive_reference(self, spec, noise):
+        t = hs.Topology.from_spec(spec)
+        scape = hs.Landscape(t, np.random.default_rng(3).random(t.n))
+        view = hs.LandscapeView(scape, hs.NoiseSpec.parse(noise), seed=5)
+        minima = hs.find_local_minima(view)
+        smap = hs.successor_map(view)
+        trees = hs.export_search_tree(view, top_k=len(minima))
+        assert trees == [_recursive_tree(smap, int(v), 0)
+                         for v in minima[np.argsort(smap.values[minima], kind="stable")]]
+        for tree in trees:
+            assert hs.tree_to_dot(tree) == _recursive_dot(tree)
+            assert hs.tree_to_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     def test_dot_output(self):
         t = hs.make_complete(4)

@@ -1,12 +1,17 @@
 import filecmp
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hillscape as hs
+from hillscape import cli
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, cwd=None):
@@ -401,3 +406,198 @@ def test_version_flag():
 def test_no_command_usage_error():
     res = run_cli()
     assert res.returncode == 2
+
+
+# -- flag tables ------------------------------------------------------------------
+
+
+def _doc_commands(path, start_marker=None):
+    """Argument lists of the ``hillscape ...`` lines of a shell text.
+
+    With ``start_marker``, only the first ```bash block after that line
+    counts.  Continuation lines are joined and ``#`` comments dropped.
+    """
+    text = (REPO / path).read_text()
+    if start_marker is not None:
+        text = text.split(start_marker, 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        tokens = shlex.split(line, comments=True)
+        if tokens[:1] == ["hillscape"]:
+            commands.append(tokens[1:])
+    return commands
+
+
+@pytest.mark.parametrize("path,marker,count", [
+    ("README.md", "## Command-line interface", 10),
+    ("demos/cli_pipeline.sh", None, 9),
+])
+def test_documented_commands_parse(path, marker, count):
+    commands = _doc_commands(path, marker)
+    assert len(commands) == count
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a removed or misspelled flag exits 2 here
+
+
+def run_main(capsys, *argv):
+    """``cli.main`` in process: (exit code, stderr)."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_manifest_config_keys_are_the_table_rows(tmp_path, capsys):
+    o = str(tmp_path)
+    scape = f"{o}/gen/landscape.csv"
+    runs = {
+        "gen": ["--topo", "clique-power:3,4", "--model", "markov-tn:0.3", "--seed", "2"],
+        "search": ["--landscape", scape, "--budget", "6", "--trials", "2"],
+        "analyze": ["--landscape", scape, "--eps-points", "5"],
+        "rwa": ["--landscape", scape, "--walk-len", "300", "--max-lag", "3"],
+        "theory": ["--n", "81", "--s", "8", "--closed-form", "uniform", "--eps-points", "5"],
+        "fit": ["--mode", "local-rwa", "--rwa", f"{o}/rwa/rwa.csv", "--topo",
+                "clique-power:3,4", "--candidates", "0.3", "--walk-len", "300"],
+        "compare": ["--sim", f"{o}/analyze/within_eps.csv",
+                    "--theory", f"{o}/theory/theory_curve.csv"],
+    }
+    assert list(runs) == list(cli.COMMANDS)
+    for name, argv in runs.items():
+        code, err = run_main(capsys, name, *argv, "--out", f"{o}/{name}")
+        assert code == 0, err
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert list(manifest["config"]) == sorted(f.name for f in cli.COMMANDS[name].flags)
+        assert manifest["command"] == name
+
+
+def test_flags_live_only_where_they_are_read():
+    with_seed = {name for name, c in cli.COMMANDS.items()
+                 if "seed" in (f.name for f in c.flags)}
+    with_jobs = {name for name, c in cli.COMMANDS.items()
+                 if "jobs" in (f.name for f in c.flags)}
+    assert with_seed == {"gen", "search", "analyze", "rwa", "fit"}
+    assert with_jobs == {"search"}
+    for command in cli.COMMANDS.values():
+        names = [f.name for f in command.flags]
+        assert len(names) == len(set(names)) and "out" in names
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--jobs", "2"),
+    ("theory", "--seed", "1"),
+    ("compare", "--seed", "1"),
+    ("gen", "--jobs", "2"),
+])
+def test_flag_not_declared_is_usage_error(capsys, argv):
+    code, err = run_main(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command,entries,key", [
+    # a float budget was truncated to 7 and a boolean counted as 1 trial,
+    # while manifest.json recorded 7.9 and true
+    ("search", {"budget": 7.9}, "budget"),
+    ("search", {"trials": True}, "trials"),
+    ("search", {"algo": "tabu"}, "algo"),
+    ("search", {"restart": "yes"}, "restart"),
+    ("search", {"num-initial": [2]}, "num-initial"),
+    ("theory", {"b": "1,x"}, "b"),
+])
+def test_config_value_rejected_like_its_flag(small_landscape, tmp_path, capsys,
+                                             command, entries, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    inputs = ["--landscape", str(small_landscape)] if command == "search" else []
+    code, err = run_main(capsys, command, *inputs, "--config", str(cfg),
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err.startswith(f"error: config key {key!r}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,entries", [
+    ("search", {"noise": 0.1}),   # crashed with AttributeError, exit 1
+    ("gen", {"topo": 5}),         # crashed with AttributeError, exit 1
+])
+def test_config_non_string_spec_exits_3(small_landscape, tmp_path, command, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    inputs = ["--landscape", str(small_landscape)] if command == "search" else []
+    res = run_cli(command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_config_values_applied_as_flags(small_landscape, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"landscape": str(small_landscape), "algo": "local",
+                               "budget": 9, "trials": "3", "restart": False,
+                               "num_initial": 2, "seed": 4}))
+    code, err = run_main(capsys, "search", "--config", str(cfg), "--trials", "2",
+                         "--out", str(tmp_path / "c"))
+    assert code == 0, err
+    code, err = run_main(capsys, "search", "--landscape", str(small_landscape),
+                         "--algo", "local", "--budget", "9", "--trials", "2",
+                         "--restart", "false", "--num-initial", "2", "--seed", "4",
+                         "--out", str(tmp_path / "f"))
+    assert code == 0, err
+    for name in ("runs.csv", "summary.json"):
+        assert filecmp.cmp(tmp_path / "c" / name, tmp_path / "f" / name, shallow=False)
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text())["config"]
+                 for d in ("c", "f")]
+    assert manifests[0] == {**manifests[1], "out": str(tmp_path / "c")}
+    assert manifests[0]["restart"] is False and manifests[0]["trials"] == 2
+
+
+def test_config_list_settings_typed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 25, "s": 24, "b": "1", "closed-form": "uniform"}))
+    code, err = run_main(capsys, "theory", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["b"] == [1.0]
+    assert manifest["config"]["closed_form"] == "uniform"
+
+
+@pytest.mark.parametrize("argv", [
+    ("theory", "--pdf-n", "truncnorm:nan,0.18", "--topo", "clique-power:3,2"),
+    ("theory", "--pdf-n", "truncnorm:0.25,inf", "--topo", "clique-power:3,2"),
+    ("theory", "--pdf-e", "truncnorm-local:nan", "--topo", "clique-power:3,2"),
+    ("theory", "--n", "9", "--s", "4", "--b", "1,nan"),
+    ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "0.1", "--delta", "nan"),
+    ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "nan"),
+])
+def test_non_finite_theory_inputs_exit_3(tmp_path, capsys, argv):
+    code, err = run_main(capsys, *argv, "--grid-points", "33", "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("noise", ["gaussian:nan", "gaussian-fresh:inf", "scaled:nan"])
+def test_non_finite_noise_exits_3(small_landscape, tmp_path, capsys, noise):
+    code, err = run_main(capsys, "search", "--landscape", str(small_landscape),
+                         "--noise", noise, "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "finite" in err
+
+
+def test_analyze_exports_deep_chain(tmp_path, capsys):
+    # a 600-node path with rising losses: one preimage chain 599 levels deep,
+    # past the nesting depth json.dump can write
+    n = 600
+    adj = tmp_path / "path.txt"
+    adj.write_text(f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    csv = tmp_path / "path.csv"
+    csv.write_text("id,val_loss\n" + "".join(f"{i},{i / n!r}\n" for i in range(n)))
+    code, err = run_main(capsys, "analyze", "--landscape", str(csv),
+                         "--topo", f"custom:{adj}", "--export-tree", "1",
+                         "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    text = (tmp_path / "o" / "trees" / "tree_1.json").read_text()
+    assert text.count('"min_id"') == n
+    assert (tmp_path / "o" / "trees" / "tree_1.dot").read_text().count("->") == n - 1

@@ -223,6 +223,17 @@ class TestNoiseSpec:
         with pytest.raises(LandscapeError):
             hs.NoiseSpec.parse("laplace:0.1")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        for make in (hs.NoiseSpec.gaussian_frozen, hs.NoiseSpec.gaussian_fresh,
+                     lambda v: hs.NoiseSpec.seed_average(v, 2),
+                     lambda v: hs.NoiseSpec.scaled(0.1, v)):  # x
+            with pytest.raises(LandscapeError, match="finite"):
+                make(bad)
+        for text in (f"gaussian:{bad}", f"seed-average:{bad},2", f"scaled:{bad}"):
+            with pytest.raises(LandscapeError, match="finite"):
+                hs.NoiseSpec.parse(text)
+
     def test_frozen_flag(self):
         assert hs.NoiseSpec.gaussian_frozen(0.1).frozen
         assert not hs.NoiseSpec.gaussian_fresh(0.1).frozen

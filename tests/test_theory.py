@@ -96,6 +96,15 @@ class TestPdfSpec:
             total = np.trapezoid(spec.density(c, xs), xs)
             assert total == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hs.PdfSpec.truncnorm(bad, 0.18)  # center
+        with pytest.raises(ValueError, match="finite"):
+            hs.PdfSpec.truncnorm(0.25, bad)  # sigma
+        with pytest.raises(ValueError, match="finite"):
+            hs.LocalPdfSpec.truncnorm_centered(bad)
+
     def test_local_survival_from_own_center(self):
         spec = hs.LocalPdfSpec.truncnorm_centered(0.35)
         # at the left support edge the entire mass lies above the center
@@ -116,6 +125,12 @@ class TestTheoryParams:
             hs.TheoryParams(n=10, s=3, b=[1.0, 1.2])
         with pytest.raises(ValueError):
             hs.TheoryParams.from_topology(hs.make_regular_tree(3, 2))
+
+    @pytest.mark.parametrize("b", [[1.0, float("nan")], [float("nan")],
+                                   [1.0, 0.5, float("inf")]])
+    def test_non_finite_b_rejected(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            hs.TheoryParams(n=10, s=3, b=b)
 
     def test_b_terminates(self, k56_params):
         assert k56_params.b_at(0) == 1.0
@@ -414,6 +429,15 @@ class TestCliquePowerUniformCurve:
 class TestChebyshevBound:
     def test_sigma_zero(self):
         assert hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 4, 0.0, 100) == 0.0
+
+    def test_non_finite_delta_and_sigma_rejected(self):
+        # a NaN delta used to exclude every cell and return a bound of 0.0
+        for delta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 4, 0.1, 100, delta)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 4, sigma, 100)
 
     def test_doubling_sigma_scales_exactly(self):
         pdf_n, pdf_e = _separated_specs()

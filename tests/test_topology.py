@@ -111,6 +111,11 @@ class TestComplete:
         with pytest.raises(TopologyError, match="degree"):
             hs.branching_fraction(hs.make_complete(1), 1)
 
+    def test_branching_fractions_degenerate_degree(self):
+        # used to return [1.] where branching_fraction raised
+        with pytest.raises(TopologyError, match="degree"):
+            hs.branching_fractions(hs.make_complete(1))
+
 
 class TestRegularTree:
     def test_depth_one_is_path(self):
@@ -180,6 +185,22 @@ class TestLoadAdjacency:
         for v in range(gen.n):
             assert hs.shell_sizes(t, v) == hs.shell_sizes(gen, v)
 
+    def test_adjacency_is_read_only(self):
+        # neighbors(v) is a view into the CSR arrays; a write used to corrupt
+        # the graph (on this path, neighbors(1) then read [2, 2])
+        t = hs.load_adjacency("n 3\n0 1\n1 2\n")
+        with pytest.raises(ValueError, match="read-only"):
+            t.neighbors(1)[0] = 2
+        assert list(t.neighbors(1)) == [0, 2]
+        assert list(t.neighbors(0)) == [1]
+
+    def test_isolated_reference_node(self):
+        t = hs.load_adjacency("n 3\n0 1\n")
+        with pytest.raises(TopologyError, match="degree undefined at node 2"):
+            hs.branching_fractions(t, reference=2)
+        with pytest.raises(TopologyError, match="degree undefined at node 2"):
+            hs.branching_fraction(t, 1, reference=2)
+
     def test_errors(self):
         with pytest.raises(TopologyError):
             hs.load_adjacency("0 1\n")  # missing header
@@ -226,6 +247,20 @@ def test_branching_k_validation(k56):
     with pytest.raises(ValueError):
         hs.branching_fraction(k56, 0)
     assert hs.branching_fraction(k56, 7) == 0.0  # beyond the diameter
+
+
+@pytest.mark.parametrize("spec,reference", [
+    ("clique-power:5,6", 0), ("clique-power:3,4", 7), ("complete:7", 3),
+    ("tree:3,4", 0), ("tree:3,4", 5), ("custom", 0), ("custom", 4)])
+def test_branching_fraction_indexes_branching_fractions(spec, reference):
+    if spec == "custom":  # a 6-cycle with one chord
+        t = hs.load_adjacency("n 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n")
+    else:
+        t = hs.Topology.from_spec(spec)
+    b = hs.branching_fractions(t, reference)
+    for k in range(1, b.size + 3):
+        expected = b[k - 1] if k <= b.size else 0.0
+        assert hs.branching_fraction(t, k, reference) == expected
 
 
 def test_branching_fractions_vector(k56):
