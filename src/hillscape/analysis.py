@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _WALK_STREAM = 0xC1
+# successor_map gathers neighbor blocks of about this many (row x degree)
+# entries, so its memory is O(chunk * s) at any graph size
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -75,26 +78,27 @@ def _frozen(view: LandscapeView) -> np.ndarray:
 
 
 def successor_map(view: LandscapeView) -> SuccessorMap:
-    """Full n-length successor map with ascending-id tie-breaking."""
-    cached = getattr(view, "_successor_map", None)
-    if cached is not None:
-        return cached
+    """Full n-length successor map with ascending-id tie-breaking.
+
+    Computed over row chunks of ``neighbors_block`` and cached on the view.
+    """
+    if view._successor_map is not None:
+        return view._successor_map
     values = _frozen(view)
     t = view.landscape.topology
-    n = t.n
-    ids = np.arange(n)
-    block, mask = t.padded_neighbors()
-    if block.shape[1] == 0:
-        succ = ids.copy()
-    else:
-        gathered = values[block]
-        gathered = np.where(mask, gathered, np.inf)
+    succ = np.arange(t.n)
+    maxdeg = t.max_degree()
+    rows = max(1, _CHUNK_ENTRIES // max(maxdeg, 1))
+    for lo in range(0, t.n if maxdeg else 0, rows):  # complete:1 has no edges
+        hi = min(lo + rows, t.n)
+        ids = np.arange(lo, hi)
+        block, mask = t.neighbors_block(ids)
+        gathered = np.where(mask, values[block], np.inf)
         k = np.argmin(gathered, axis=1)
-        best = gathered[ids, k]
-        succ = np.where(best < values, block[ids, k], ids)
-    smap = SuccessorMap(succ, values)
-    view._successor_map = smap
-    return smap
+        at = np.arange(hi - lo)
+        succ[lo:hi] = np.where(gathered[at, k] < values[lo:hi], block[at, k], ids)
+    view._successor_map = SuccessorMap(succ, values)
+    return view._successor_map
 
 
 def find_local_minima(view: LandscapeView) -> np.ndarray:

@@ -224,6 +224,9 @@ def cmd_theory(cfg) -> int:
     pdf_n = _parse_pdf_n(cfg["pdf_n"])
     pdf_e = _parse_pdf_e(cfg["pdf_e"])
     if cfg["topo"]:
+        if cfg["n"] is not None or cfg["s"] is not None or cfg["b"] != [1.0]:  # [1.0]: --b default
+            raise ValueError("theory --topo takes n, s and b from the topology; "
+                             "--n, --s and --b apply only without it")
         params = TheoryParams.from_topology(_parse_topo(cfg["topo"]),
                                             ell_star=cfg["ell_star"])
     else:

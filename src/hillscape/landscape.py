@@ -57,7 +57,7 @@ def truncnorm_pdf(u, center, sigma):
     """
     from scipy.special import ndtr
 
-    if sigma <= 0:
+    if not sigma > 0:  # also rejects NaN
         raise LandscapeError("sigma must be positive")
     u = np.asarray(u, dtype=float)
     z = ndtr((1.0 - center) / sigma) - ndtr((0.0 - center) / sigma)
@@ -75,7 +75,7 @@ def truncnorm_sf(x, center, sigma):
     """
     from scipy.special import ndtr
 
-    if sigma <= 0:
+    if not sigma > 0:  # also rejects NaN
         raise LandscapeError("sigma must be positive")
     xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     z = ndtr((1.0 - center) / sigma) - ndtr((0.0 - center) / sigma)
@@ -94,7 +94,7 @@ def _truncnorm_ppf(q, center, sigma):
 
 def sample_truncnorm(center, sigma, rng, size=None):
     """Inverse-CDF sample(s) from the [0, 1]-truncated normal."""
-    if sigma <= 0:
+    if not sigma > 0:  # also rejects NaN
         raise LandscapeError("sigma must be positive")
     q = rng.random(size)
     return _truncnorm_ppf(q, center, sigma)
@@ -128,6 +128,11 @@ class Landscape:
             if not np.isfinite(self.test_loss).all():
                 raise LandscapeError("test_loss contains non-finite values")
             self.test_loss.setflags(write=False)
+
+    def __reduce__(self):
+        # rebuild through __init__, so unpickled loss arrays are validated
+        # and read-only again (worker processes of run_trials receive these)
+        return (Landscape, (self.topology, self.val_loss, self.test_loss, self.meta))
 
     @property
     def n(self) -> int:
@@ -258,6 +263,7 @@ class LandscapeView:
         self._queried = np.zeros(n, dtype=bool)
         self._count = 0
         self._log: list[int] = []
+        self._successor_map = None  # analysis.successor_map's cache (frozen views)
 
     # -- observation ------------------------------------------------------
 
@@ -294,6 +300,13 @@ class LandscapeView:
     def observation_log(self) -> list[int]:
         """Node ids in first-observation order."""
         return list(self._log)
+
+    def observed_values(self) -> np.ndarray:
+        """Observed losses of the :meth:`observation_log` nodes, in that order."""
+        if not self._log:
+            return np.empty(0)
+        values = self._materialize() if self.noise.frozen else self._values
+        return values[self._log]
 
     def frozen_values(self) -> np.ndarray:
         """The full observation vector (frozen modes only; read-only).
@@ -360,7 +373,7 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
     discoverer (frontier processed in ascending id order, so the structure
     and draw order are deterministic for a fixed seed).
     """
-    if sigma_local <= 0 or root_sigma <= 0:
+    if not (sigma_local > 0 and root_sigma > 0):  # also rejects NaN
         raise LandscapeError("sigma must be positive")
     rng = np.random.default_rng(int(seed))
     n = t.n

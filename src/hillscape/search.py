@@ -11,9 +11,12 @@ a local minimum.  Variants:
   evaluated-but-not-yet-expanded node until the budget runs out.
 * ``num_initial`` -- draw k random nodes up front and start from the best.
 
-Budget accounting lives in the view: the first observation of a node costs
-one evaluation, repeats are free, and a run never observes a new node once
-``budget`` distinct nodes have been charged.
+Budget accounting lives in the view: it charges the first observation of
+a node one evaluation, repeats are free, and its log lists the nodes in
+first-observation order.  A node is observed only if the view has seen it
+or fewer than ``budget`` nodes are charged
+(``view.seen(v) or view.query_count < budget``), so a run never charges
+more than ``budget`` distinct nodes.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ __all__ = [
 _START_STREAM = 0xB1
 
 
+def _check_count(value, name: str) -> None:
+    """A budget or draw count must be a whole number: ``budget=2.5`` or NaN
+    would be misread by the ``query_count < budget`` checks."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int
@@ -50,24 +62,21 @@ class SearchConfig:
     restart_on_convergence: bool = False
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.num_initial < 1:
-            raise ValueError("num_initial must be >= 1")
+        _check_count(self.budget, "budget")
+        _check_count(self.num_initial, "num_initial")
         if self.budget < self.num_initial:
             raise ValueError("budget must cover the initial random draws")
 
 
 @dataclass
 class SearchTrace:
-    """Evaluation record of one local-search run.
+    """Moves of one local-search run.
 
-    ``visited`` lists (node, observed loss) in first-evaluation order within
-    this run; ``path`` is the sequence of occupied nodes; ``iterations``
-    counts accepted strict-descent moves (continue-at-min jumps excluded).
+    ``path`` is the sequence of occupied nodes; ``iterations`` counts
+    accepted strict-descent moves (continue-at-min jumps excluded).  The
+    evaluated nodes and their losses are in the view's observation log.
     """
 
-    visited: list = field(default_factory=list)
     path: list = field(default_factory=list)
     final: int = -1
     iterations: int = 0
@@ -88,44 +97,17 @@ class RunHistory:
 
     @classmethod
     def from_view(cls, view: LandscapeView) -> "RunHistory":
-        order = view.observation_log()
-        nodes = np.asarray(order, dtype=np.int64)
-        vals = np.empty(len(order))
-        for i, v in enumerate(order):
-            vals[i] = view.observe(v)  # cached, free
-        best_val = np.minimum.accumulate(vals) if len(vals) else vals.copy()
+        nodes = np.asarray(view.observation_log(), dtype=np.int64)
+        vals = view.observed_values()
+        best_val = np.minimum.accumulate(vals)
         test = view.landscape.test_loss
         best_test = None
-        if test is not None and len(order):
-            best_test = np.empty(len(order))
-            best_node = nodes[0]
-            best = vals[0]
-            for i, v in enumerate(order):
-                if vals[i] < best:
-                    best = vals[i]
-                    best_node = v
-                best_test[i] = test[best_node]
+        if test is not None and len(nodes):
+            # index of the running best: it moves only on a strict improvement
+            new_best = np.concatenate(([True], vals[1:] < best_val[:-1]))
+            best_at = np.maximum.accumulate(np.where(new_best, np.arange(len(nodes)), 0))
+            best_test = test[nodes[best_at]]
         return cls(nodes, vals, best_val, best_test)
-
-
-class _Budget:
-    """Observation helper enforcing the distinct-evaluation budget."""
-
-    def __init__(self, view: LandscapeView, budget: int):
-        self.view = view
-        self.budget = budget
-
-    def observe(self, v):
-        """Returns (value, charged) or (None, False) when the budget is spent."""
-        if self.view.seen(v):
-            return self.view.observe(v), True
-        if self.view.query_count >= self.budget:
-            return None, False
-        return self.view.observe(v), True
-
-    @property
-    def exhausted(self):
-        return self.view.query_count >= self.budget
 
 
 def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTrace:
@@ -133,20 +115,10 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     t = view.landscape.topology
     if not 0 <= start < t.n:
         raise ValueError(f"start node {start} out of range [0, {t.n})")
-    budget = _Budget(view, cfg.budget)
-    trace = SearchTrace()
-    seen_in_trace = set()
-
-    def record(v, value):
-        if v not in seen_in_trace:
-            seen_in_trace.add(v)
-            trace.visited.append((v, value))
-
-    value, ok = budget.observe(start)
-    if not ok:
-        trace.final = start
+    trace = SearchTrace(final=start)
+    if not (view.seen(start) or view.query_count < cfg.budget):
         return trace
-    record(start, value)
+    value = view.observe(start)
 
     # pool of evaluated-but-unexpanded nodes for continue_at_min
     pool: list[tuple[float, int]] = []
@@ -162,15 +134,12 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
             nbrs = view.shuffle_rng.permutation(nbrs)
         best_u, best_val = -1, np.inf
         moved = out_of_budget = False
-        full_neighborhood = True
         for u in nbrs:
             u = int(u)
-            val, ok = budget.observe(u)
-            if not ok:
+            if not (view.seen(u) or view.query_count < cfg.budget):
                 out_of_budget = True
-                full_neighborhood = False
                 break
-            record(u, val)
+            val = view.observe(u)
             if cfg.continue_at_min and u not in expanded:
                 heapq.heappush(pool, (val, u))
             if cfg.query_until_lower and val < lv:
@@ -178,23 +147,21 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
                 trace.path.append(v)
                 trace.iterations += 1
                 moved = True
-                full_neighborhood = False
                 break
             if val < best_val:
                 best_u, best_val = u, val
         if moved:
             continue
-        if full_neighborhood:
-            expanded.add(v)
         if out_of_budget:
             break
+        expanded.add(v)
         if best_val < lv:  # strict improvement only; ties do not move
             v, lv = best_u, best_val
             trace.path.append(v)
             trace.iterations += 1
             continue
         # local minimum of the observed landscape
-        if cfg.continue_at_min and not budget.exhausted:
+        if cfg.continue_at_min and view.query_count < cfg.budget:
             nxt = None
             while pool:
                 val, u = heapq.heappop(pool)
@@ -214,8 +181,7 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
 
 def random_search(view: LandscapeView, t: Topology, budget: int, seed: int) -> RunHistory:
     """Evaluate ``budget`` distinct uniform-random nodes (rejection on repeats)."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_count(budget, "budget")
     if budget > t.n:
         warnings.warn(f"budget {budget} exceeds node count {t.n}; capped")
         budget = t.n
@@ -237,23 +203,19 @@ def run_budgeted(view: LandscapeView, cfg: SearchConfig, seed: int) -> RunHistor
     """
     t = view.landscape.topology
     rng = spawn_rng(seed, _START_STREAM)
-    budget = _Budget(view, cfg.budget)
     while True:
         starts = []
         for _ in range(cfg.num_initial):
             v = int(rng.integers(t.n))
-            val, ok = budget.observe(v)
-            if not ok:
+            if not (view.seen(v) or view.query_count < cfg.budget):
                 break
-            starts.append((val, v))
+            starts.append((view.observe(v), v))
         if not starts:
             break
-        val, v0 = min(starts)
-        trace = local_search(view, v0, cfg)
-        if budget.exhausted or not cfg.restart_on_convergence:
+        local_search(view, min(starts)[1], cfg)
+        # stop when the budget is spent or every node is already charged
+        if not cfg.restart_on_convergence or view.query_count >= min(cfg.budget, t.n):
             break
-        if view.query_count >= t.n:
-            break  # everything already evaluated; nothing left to charge
     return RunHistory.from_view(view)
 
 

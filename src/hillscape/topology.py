@@ -41,7 +41,7 @@ __all__ = [
 
 # ids must stay comfortably inside int64 for array indexing
 _MAX_NODES = 1 << 62
-# padded neighbor matrices larger than this are refused (entries)
+# padded_neighbors refuses matrices larger than this (entries)
 _MAX_DENSE_ENTRIES = 1 << 28
 
 
@@ -64,7 +64,7 @@ class Topology:
     instantiating directly.
     """
 
-    def __init__(self, kind, n, degree, *, m=None, d=None, arity=None,
+    def __init__(self, kind, n, degree, m=None, d=None, arity=None,
                  depth=None, indptr=None, indices=None):
         self.kind = kind
         self.n = int(n)
@@ -75,30 +75,18 @@ class Topology:
         self.depth = depth
         self._indptr = indptr
         self._indices = indices
+        for arr in (indptr, indices):
+            if arr is not None:
+                arr.setflags(write=False)  # neighbors(v) returns views into indices
         if kind == "regular_tree" and arity is not None:
             self._level_offsets = _tree_level_offsets(arity, depth)
         else:
             self._level_offsets = None
-        self._padded = None  # lazy (matrix, mask) cache
 
     def __reduce__(self):
-        return (Topology, (self.kind, self.n, self.degree), {
-            "m": self.m, "d": self.d, "arity": self.arity, "depth": self.depth,
-            "_indptr": self._indptr, "_indices": self._indices,
-        })
-
-    def __setstate__(self, state):
-        self.m = state["m"]
-        self.d = state["d"]
-        self.arity = state["arity"]
-        self.depth = state["depth"]
-        self._indptr = state["_indptr"]
-        self._indices = state["_indices"]
-        if self.kind == "regular_tree":
-            self._level_offsets = _tree_level_offsets(self.arity, self.depth)
-        else:
-            self._level_offsets = None
-        self._padded = None
+        # rebuild through __init__, so unpickled CSR arrays are read-only again
+        return (Topology, (self.kind, self.n, self.degree, self.m, self.d, self.arity,
+                           self.depth, self._indptr, self._indices))
 
     def __repr__(self):
         return f"Topology({self.to_spec()!r}, n={self.n})"
@@ -220,16 +208,13 @@ class Topology:
 
         Pad entries sit after the real (ascending) neighbors, so a row-wise
         ``argmin`` over gathered values honors the lowest-id tie-break.
-        Cached on the topology; refused for graphs too large to hold.
+        Built on every call (nothing is cached); refused for graphs over
+        ``_MAX_DENSE_ENTRIES`` entries.
         """
-        if self._padded is None:
-            maxdeg = self.max_degree()
-            if self.n * max(maxdeg, 1) > _MAX_DENSE_ENTRIES:
-                raise TopologyError(
-                    f"neighbor matrix with {self.n} x {maxdeg} entries is too large"
-                )
-            self._padded = self.neighbors_block(np.arange(self.n, dtype=np.int64))
-        return self._padded
+        maxdeg = self.max_degree()
+        if self.n * max(maxdeg, 1) > _MAX_DENSE_ENTRIES:
+            raise TopologyError(f"neighbor matrix with {self.n} x {maxdeg} entries is too large")
+        return self.neighbors_block(np.arange(self.n, dtype=np.int64))
 
     # -- structure queries ----------------------------------------------
 
@@ -398,8 +383,6 @@ def load_adjacency(source) -> Topology:
     counts = np.bincount(us, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     indices = vs.copy()  # np.unique sorted by (u, v): per-u runs are ascending
-    indptr.setflags(write=False)  # neighbors(v) returns views into indices
-    indices.setflags(write=False)
     degs = indptr[1:] - indptr[:-1]
     degree = int(degs[0]) if n > 0 and (degs == degs[0]).all() else None
     return Topology("custom", n, degree, indptr=indptr, indices=indices)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hillscape as hs
+from hillscape import analysis, topology
 from hillscape.landscape import LandscapeError
 
 from conftest import brute_successor, cycle_topology, frozen_view
@@ -85,6 +86,57 @@ class TestSuccessorMap:
         smap = hs.successor_map(view)
         assert smap.succ[1] == 0  # N(1) = {0, 2} both at 0.2
         assert smap.succ[3] == 0  # N(3) = {0, 2} both at 0.2
+
+
+def _irregular_graph(n=300, seed=4):
+    """Random custom graph with uneven degrees and one isolated node."""
+    rng = np.random.default_rng(seed)
+    lines = [f"n {n}"]
+    for v in range(1, n - 1):
+        for u in rng.choice(v, size=min(v, int(rng.integers(1, 6))), replace=False):
+            lines.append(f"{v} {u}")
+    return hs.load_adjacency("\n".join(lines) + "\n")
+
+
+class TestStreamedSuccessorMap:
+    @pytest.mark.parametrize("kind", ["clique-power:5,6", "tree:3,8", "irregular", "complete:1"])
+    def test_matches_loop_oracle(self, kind):
+        t = _irregular_graph() if kind == "irregular" else hs.Topology.from_spec(kind)
+        rng = np.random.default_rng(8)
+        values = np.round(rng.random(t.n) * 20) / 20  # ties exercise the lowest-id rule
+        view = frozen_view(t, values)
+        assert view._successor_map is None
+        smap = hs.successor_map(view)
+        assert np.array_equal(smap.succ, brute_successor(t, values))
+        assert hs.successor_map(view) is smap is view._successor_map
+        if kind.startswith("clique"):  # (K_5)^6 spans more than one chunk
+            assert t.n * t.degree > analysis._CHUNK_ENTRIES
+
+    def test_runs_past_dense_cap(self, k56_uniform, monkeypatch):
+        t = k56_uniform.topology
+        eps = [0.0, 0.02, 0.1]
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.gaussian_frozen(0.05), seed=2)
+        assignment, stats = hs.basins(view)
+        curve = hs.within_epsilon_curve(view, eps)
+
+        monkeypatch.setattr(topology, "_MAX_DENSE_ENTRIES", t.n * t.degree - 1)
+        with pytest.raises(hs.TopologyError, match="too large"):
+            t.padded_neighbors()
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.gaussian_frozen(0.05), seed=2)
+        capped_assignment, capped_stats = hs.basins(view)
+        assert np.array_equal(capped_assignment, assignment)
+        assert np.array_equal(capped_stats.basin_sizes, stats.basin_sizes)
+        assert hs.within_epsilon_curve(view, eps) == curve
+
+        # rwa falls back to one neighbors() call per step
+        calls = []
+        neighbors = hs.Topology.neighbors
+        monkeypatch.setattr(hs.Topology, "neighbors",
+                            lambda self, v: calls.append(v) or neighbors(self, v))
+        rows = hs.rwa(view, walk_len=2000, max_lag=5, seed=1)
+        assert len(calls) == 2000
+        assert rows[0][2] == pytest.approx(1.0)
+        assert all(abs(r[2]) <= 1.0 for r in rows)
 
 
 class TestMinimaAndBasins:

@@ -578,6 +578,24 @@ def test_non_finite_theory_inputs_exit_3(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--n", "7"), ("--s", "3"), ("--b", "0.5,0.2"),
+    ("--n", "7", "--s", "3", "--b", "0.5,0.2")])
+def test_theory_topo_rejects_n_s_b(tmp_path, capsys, flags):
+    # the topology fixes n, s and b; these used to be ignored but recorded
+    code, err = run_main(capsys, "theory", "--topo", "clique-power:5,6", *flags,
+                         "--closed-form", "uniform", "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "--topo" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_theory_topo_with_default_b(tmp_path, capsys):
+    code, err = run_main(capsys, "theory", "--topo", "clique-power:3,2", "--b", "1",
+                         "--closed-form", "uniform", "--out", str(tmp_path))
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("noise", ["gaussian:nan", "gaussian-fresh:inf", "scaled:nan"])
 def test_non_finite_noise_exits_3(small_landscape, tmp_path, capsys, noise):
     code, err = run_main(capsys, "search", "--landscape", str(small_landscape),

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ class TestTruncnormPdf:
     def test_bad_sigma(self):
         with pytest.raises(LandscapeError):
             hs.truncnorm_pdf(0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hs.truncnorm_pdf(0.5, 0.25, math.nan),
+    lambda: hs.truncnorm_sf(0.5, 0.25, math.nan),
+    lambda: hs.sample_truncnorm(0.25, math.nan, np.random.default_rng(0), size=2),
+    lambda: hs.sample_markov_truncnorm(hs.make_complete(3), math.nan, 0.25, 0.18, seed=0),
+    lambda: hs.sample_markov_truncnorm(hs.make_complete(3), 0.35, 0.25, math.nan, seed=0),
+], ids=["pdf", "sf", "sample", "markov-local", "markov-root"])
+def test_nan_sigma_rejected(call):
+    with pytest.raises(LandscapeError, match="sigma"):
+        call()
 
 
 class TestSampleTruncnorm:
@@ -337,6 +350,17 @@ class TestLandscapeValidation:
     def test_immutable(self, k56_uniform):
         with pytest.raises(ValueError):
             k56_uniform.val_loss[0] = 0.5
+
+    def test_pickle_keeps_arrays_read_only(self):
+        t = hs.load_adjacency("n 4\n0 1\n1 2\n2 3\n")
+        scape = hs.Landscape(t, [0.4, 0.3, 0.2, 0.1], test_loss=[0.5, 0.6, 0.7, 0.8],
+                             meta={"source": "x"})
+        back = pickle.loads(pickle.dumps(scape))
+        assert np.array_equal(back.val_loss, scape.val_loss)
+        assert np.array_equal(back.test_loss, scape.test_loss)
+        assert back.meta == scape.meta
+        for arr in (back.val_loss, back.test_loss, back.topology._indices):
+            assert not arr.flags.writeable
 
 
 def test_mix64_contract():

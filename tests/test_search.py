@@ -23,14 +23,16 @@ class TestLocalSearchBasic:
         assert trace.iterations == 1
         assert trace.converged
         assert trace.path == [1, 0]
-        assert dict(trace.visited)[0] == 0.1
+        assert 0 in four_cycle_view.observation_log()
+        assert four_cycle_view.observe(0) == 0.1
 
     def test_single_node(self):
         view = frozen_view(hs.make_complete(1), [0.4])
         trace = hs.local_search(view, 0, hs.SearchConfig(budget=1))
         assert trace.converged
         assert trace.iterations == 0
-        assert trace.visited == [(0, 0.4)]
+        assert view.observation_log() == [0]
+        assert view.observe(0) == 0.4
 
     def test_complete_converges_in_one_step(self):
         t = hs.make_complete(12)
@@ -46,11 +48,12 @@ class TestLocalSearchBasic:
 
     def test_deterministic_given_seed(self, k56_uniform):
         cfg = hs.SearchConfig(budget=200)
-        runs = []
+        runs, visited = [], []
         for _ in range(2):
             view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.gaussian_frozen(0.05), seed=9)
             runs.append(hs.local_search(view, 77, cfg))
-        assert runs[0].visited == runs[1].visited
+            visited.append([(v, view.observe(v)) for v in view.observation_log()])
+        assert visited[0] == visited[1]
         assert runs[0].path == runs[1].path
 
     def test_tie_does_not_move(self):
@@ -87,7 +90,8 @@ class TestInvariants:
         scape = hs.sample_uniform(t, seed)
         view = hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=seed)
         trace = hs.local_search(view, start, hs.SearchConfig(budget=27))
-        path_vals = [dict(trace.visited)[v] for v in trace.path]
+        assert set(trace.path) <= set(view.observation_log())
+        path_vals = [view.observe(v) for v in trace.path]
         assert all(a > b for a, b in zip(path_vals, path_vals[1:]))
         if trace.converged:
             assert _certificate(view, trace)
@@ -100,7 +104,8 @@ class TestInvariants:
         view = hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=seed)
         cfg = hs.SearchConfig(budget=27, query_until_lower=True)
         trace = hs.local_search(view, start, cfg)
-        path_vals = [dict(trace.visited)[v] for v in trace.path]
+        assert set(trace.path) <= set(view.observation_log())
+        path_vals = [view.observe(v) for v in trace.path]
         assert all(a > b for a, b in zip(path_vals, path_vals[1:]))
         if trace.converged:
             assert _certificate(view, trace)
@@ -161,6 +166,13 @@ class TestRandomSearch:
         se = finals.std() / math.sqrt(len(finals))
         assert abs(finals.mean() - expect) < 3 * se
 
+    @pytest.mark.parametrize("budget", [2.5, math.nan])
+    def test_rejects_non_integral_budget(self, k56_uniform, budget):
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=2)
+        with pytest.raises(ValueError, match="whole number"):
+            hs.random_search(view, k56_uniform.topology, budget=budget, seed=2)
+        assert view.query_count == 0
+
     def test_budget_capped_with_warning(self):
         t = hs.make_complete(5)
         scape = hs.sample_uniform(t, 1)
@@ -203,6 +215,19 @@ class TestRunBudgeted:
         with pytest.raises(ValueError):
             hs.SearchConfig(budget=5, num_initial=6)
 
+    @pytest.mark.parametrize("kw", [
+        {"budget": 2.5}, {"budget": math.nan}, {"budget": math.inf},
+        {"budget": 10, "num_initial": 1.5}, {"budget": 10, "num_initial": math.nan}])
+    def test_config_rejects_non_integral_counts(self, kw):
+        # budget=2.5 used to charge 3 nodes and budget=nan 7
+        with pytest.raises(ValueError, match="whole number"):
+            hs.SearchConfig(**kw)
+
+    def test_integral_float_budget_accepted(self, k56_uniform):
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=3)
+        hist = hs.run_budgeted(view, hs.SearchConfig(budget=7.0), seed=3)
+        assert len(hist) == 7
+
 
 class TestRunHistory:
     def test_best_test_tracks_best_val_node(self):
@@ -220,6 +245,59 @@ class TestRunHistory:
                 running_best = hist.val_loss[q]
                 node = hist.nodes[q]
             assert hist.best_test[q] == scape.test_loss[node]
+
+
+def _history_by_loop(view):
+    """RunHistory.from_view as a per-node loop over the observation log."""
+    order = view.observation_log()
+    vals = np.asarray([view.observe(v) for v in order], dtype=float)
+    best_val = np.minimum.accumulate(vals)
+    test = view.landscape.test_loss
+    best_test = None
+    if test is not None and order:
+        best_test = np.empty(len(order))
+        best_node, best = order[0], vals[0]
+        for i, v in enumerate(order):
+            if vals[i] < best:
+                best, best_node = vals[i], v
+            best_test[i] = test[best_node]
+    return np.asarray(order, dtype=np.int64), vals, best_val, best_test
+
+
+class TestFromViewMatchesLoop:
+    @pytest.mark.parametrize("noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.05),
+                                       hs.NoiseSpec.gaussian_fresh(0.05)],
+                             ids=["none", "frozen", "fresh"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("with_test", [False, True], ids=["val", "val+test"])
+    def test_equals_loop(self, noise, tied, with_test):
+        t = hs.make_clique_power(4, 3)
+        rng = np.random.default_rng(17)
+        vals = rng.random(t.n)
+        if tied:  # few distinct losses: the running best must not move on a tie
+            vals = np.round(vals * 4) / 4
+        scape = hs.Landscape(t, vals, test_loss=rng.random(t.n) if with_test else None)
+        for seed in range(4):
+            for run in ("local", "random"):
+                view = hs.LandscapeView(scape, noise, seed=seed)
+                if run == "local":
+                    cfg = hs.SearchConfig(budget=40, num_initial=2, restart_on_convergence=True)
+                    hist = hs.run_budgeted(view, cfg, seed=seed)
+                else:
+                    hist = hs.random_search(view, t, budget=40, seed=seed)
+                nodes, val_loss, best_val, best_test = _history_by_loop(view)
+                assert np.array_equal(hist.nodes, nodes)
+                assert np.array_equal(hist.val_loss, val_loss)
+                assert np.array_equal(hist.best_val, best_val)
+                if with_test:
+                    assert np.array_equal(hist.best_test, best_test)
+                else:
+                    assert hist.best_test is None
+
+    def test_empty_view(self, k56_uniform):
+        for noise in (hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_fresh(0.1)):
+            hist = hs.RunHistory.from_view(hs.LandscapeView(k56_uniform, noise))
+            assert len(hist) == 0 and hist.best_val.size == 0 and hist.best_test is None
 
 
 class TestRunTrials:

@@ -287,6 +287,23 @@ def test_pickle_round_trip(k56):
     assert list(tree2.neighbors(5)) == list(tree.neighbors(5))
 
 
+@pytest.mark.parametrize("spec", ["custom", "tree:3,4", "clique-power:3,3"])
+def test_pickle_rebuilds_read_only(spec):
+    if spec == "custom":
+        t = hs.load_adjacency("n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n")
+    else:
+        t = hs.Topology.from_spec(spec)
+    t2 = pickle.loads(pickle.dumps(t))
+    assert (t2.kind, t2.n, t2.degree, t2.to_spec()) == (t.kind, t.n, t.degree, t.to_spec())
+    for v in range(t.n):
+        assert list(t2.neighbors(v)) == list(t.neighbors(v))
+    if spec == "custom":
+        assert not t2._indptr.flags.writeable
+        assert not t2._indices.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t2.neighbors(0)[0] = 3
+
+
 def test_node_id_validation(k56):
     with pytest.raises(TopologyError):
         k56.neighbors(15625)
