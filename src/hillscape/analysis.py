@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class LandscapeStats:
     fraction_reaching_global_min: float
     basin_minima: np.ndarray
     basin_sizes: np.ndarray
-    within_epsilon: list = field(default_factory=list)
 
 
 def _frozen(view: LandscapeView) -> np.ndarray:
@@ -142,13 +141,19 @@ def basins(view: LandscapeView, use_base_loss_for_global: bool = False):
     return assignment, stats
 
 
+def _eps_array(eps_grid) -> np.ndarray:
+    """``eps_grid`` as a float array; it must be non-empty, 1-d, finite,
+    non-negative and ascending."""
+    eps = np.asarray(eps_grid, dtype=float)
+    if (eps.ndim != 1 or len(eps) == 0 or not np.isfinite(eps).all()
+            or (eps < 0).any() or (np.diff(eps) < 0).any()):
+        raise ValueError("eps grid must be ascending, finite and non-negative")
+    return eps
+
+
 def within_epsilon_curve(view: LandscapeView, eps_grid) -> list[tuple[float, float]]:
     """Fraction of starts whose terminal minimum lies within eps of the best."""
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or len(eps) == 0:
-        raise ValueError("eps grid must be a non-empty 1-d sequence")
-    if (eps < 0).any() or (np.diff(eps) < 0).any():
-        raise ValueError("eps grid must be ascending and non-negative")
+    eps = _eps_array(eps_grid)
     smap = successor_map(view)
     assignment, _ = _fixed_points_and_depth(smap.succ)
     terminal = smap.values[assignment]

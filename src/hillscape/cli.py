@@ -23,30 +23,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, analysis, theory
-from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec,
-                        load_landscape, sample_markov_truncnorm, sample_uniform,
-                        save_landscape)
+from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec, _read_csv,
+                        _write_csv, load_landscape, sample_markov_truncnorm,
+                        sample_uniform, save_landscape)
 from .search import run_trials
 from .theory import LocalPdfSpec, PdfSpec, TheoryParams
-from .topology import Topology, TopologyError, load_adjacency
+from .topology import Topology, TopologyError, _parse_spec, load_adjacency
 
 
 # -- small helpers -------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if c is None else (c if isinstance(c, str) else _fmt(c))
-                              for c in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, payload):
@@ -69,38 +54,18 @@ def _parse_topo(spec: str) -> Topology:
     return Topology.from_spec(spec)
 
 
-def _parse_model(spec: str):
-    name, _, params = spec.partition(":")
-    if name == "uniform":
-        return ("uniform", {})
-    if name == "markov-tn":
-        parts = params.split(",") if params else []
-        if not parts or not parts[0]:
-            raise ValueError("markov-tn needs a sigma, e.g. markov-tn:0.35")
-        kw = {"sigma_local": float(parts[0]),
-              "root_center": float(parts[1]) if len(parts) > 1 else 0.25,
-              "root_sigma": float(parts[2]) if len(parts) > 2 else 0.18}
-        return ("markov-tn", kw)
-    raise ValueError(f"unknown generator model {spec!r}")
+def _markov_model(sigma_local, root_center=0.25, root_sigma=0.18):
+    return lambda topo, seed: sample_markov_truncnorm(topo, sigma_local, root_center,
+                                                      root_sigma, seed)
 
 
-def _parse_pdf_n(spec: str) -> PdfSpec:
-    name, _, params = spec.partition(":")
-    if name == "uniform":
-        return PdfSpec.uniform01()
-    if name == "truncnorm":
-        center, sigma = (float(p) for p in params.split(","))
-        return PdfSpec.truncnorm(center, sigma)
-    raise ValueError(f"unknown global pdf {spec!r}")
-
-
-def _parse_pdf_e(spec: str) -> LocalPdfSpec:
-    name, _, params = spec.partition(":")
-    if name == "uniform":
-        return LocalPdfSpec.independent(PdfSpec.uniform01())
-    if name == "truncnorm-local":
-        return LocalPdfSpec.truncnorm_centered(float(params))
-    raise ValueError(f"unknown local pdf {spec!r}")
+# spec tables for --model, --pdf-n and --pdf-e (grammar: topology._parse_spec)
+_MODELS = {"uniform": (lambda: sample_uniform,),
+           "markov-tn": (_markov_model, float, float, float)}
+_PDF_N = {"uniform": (PdfSpec.uniform01,),
+          "truncnorm": (PdfSpec.truncnorm, float, float)}
+_PDF_E = {"uniform": (lambda: LocalPdfSpec.independent(PdfSpec.uniform01()),),
+          "truncnorm-local": (LocalPdfSpec.truncnorm_centered, float)}
 
 
 def _load_landscape_arg(cfg, command: str) -> Landscape:
@@ -112,7 +77,9 @@ def _load_landscape_arg(cfg, command: str) -> Landscape:
 def _eps_grid(cfg) -> np.ndarray:
     if cfg["eps_points"] < 2:
         raise ValueError("eps-points must be >= 2")
-    return np.linspace(0.0, cfg["eps_max"], cfg["eps_points"])
+    with np.errstate(invalid="ignore"):  # an infinite eps-max gives nan: rejected below
+        grid = np.linspace(0.0, cfg["eps_max"], cfg["eps_points"])
+    return analysis._eps_array(grid)
 
 
 # -- commands -------------------------------------------------------------------
@@ -124,12 +91,9 @@ def cmd_gen(cfg) -> int:
     if not cfg["topo"]:
         raise ValueError("gen requires --topo")
     topo = _parse_topo(cfg["topo"])
-    model, kw = _parse_model(cfg["model"])
+    sample = _parse_spec(cfg["model"], _MODELS, ValueError, "generator model")
+    scape = sample(topo, cfg["seed"])
     outdir = _prepare_out(cfg, "gen")
-    if model == "uniform":
-        scape = sample_uniform(topo, cfg["seed"])
-    else:
-        scape = sample_markov_truncnorm(topo, seed=cfg["seed"], **kw)
     save_landscape(scape, os.path.join(outdir, "landscape.csv"))
     return 0
 
@@ -221,8 +185,8 @@ def cmd_rwa(cfg) -> int:
 
 
 def cmd_theory(cfg) -> int:
-    pdf_n = _parse_pdf_n(cfg["pdf_n"])
-    pdf_e = _parse_pdf_e(cfg["pdf_e"])
+    pdf_n = _parse_spec(cfg["pdf_n"], _PDF_N, ValueError, "global pdf")
+    pdf_e = _parse_spec(cfg["pdf_e"], _PDF_E, ValueError, "local pdf")
     if cfg["topo"]:
         if cfg["n"] is not None or cfg["s"] is not None or cfg["b"] != [1.0]:  # [1.0]: --b default
             raise ValueError("theory --topo takes n, s and b from the topology; "
@@ -291,7 +255,8 @@ def cmd_fit(cfg) -> int:
     else:
         if not cfg["rwa"] or not cfg["topo"]:
             raise ValueError("fit --mode local-rwa requires --rwa and --topo")
-        rows = np.genfromtxt(cfg["rwa"], delimiter=",", skip_header=1)
+        table = _read_csv(cfg["rwa"])
+        rows = np.column_stack([table.column(j, float) for j in range(len(table.header))])
         topo = _parse_topo(cfg["topo"])
         outdir = _prepare_out(cfg, "fit")
         fit = theory.fit_local_sigma_via_rwa(
@@ -304,21 +269,15 @@ def cmd_fit(cfg) -> int:
 
 
 def _read_curve(path, value_column):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    if header[0] != "epsilon" or value_column not in header:
+    table = _read_csv(path)
+    if table.header[0] != "epsilon" or value_column not in table.header:
         raise ValueError(f"{path}: expected columns epsilon,{value_column}")
-    col = header.index(value_column)
-    rows = [ln.split(",") for ln in lines[1:]]
-    return (np.asarray([float(r[0]) for r in rows]),
-            np.asarray([float(r[col]) for r in rows]))
+    return table.column(0, float), table.column(table.header.index(value_column), float)
 
 
 def cmd_compare(cfg) -> int:
     if not cfg["sim"] or not cfg["theory"]:
         raise ValueError("compare requires --sim and --theory")
-    outdir = _prepare_out(cfg, "compare")
     eps_s, sim = _read_curve(cfg["sim"], "fraction")
     eps_t, the = _read_curve(cfg["theory"], "fraction_theory")
     if len(eps_s) != len(eps_t) or not np.allclose(eps_s, eps_t, atol=1e-12, rtol=0.0):
@@ -326,6 +285,7 @@ def cmd_compare(cfg) -> int:
                for i, (a, b) in enumerate(zip_longest(eps_s, eps_t))
                if a is None or b is None or abs(a - b) > 1e-12]
         raise ValueError("epsilon grids do not match:\n  " + "\n  ".join(bad[:20]))
+    outdir = _prepare_out(cfg, "compare")
     gap = sim - the
     _write_csv(os.path.join(outdir, "compared.csv"),
                ["epsilon", "fraction_sim", "fraction_theory", "gap"], zip(eps_s, sim, the, gap))

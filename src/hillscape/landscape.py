@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-
+from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import spawn_rng
-from .topology import Topology
+from .topology import Topology, _parse_spec
 
 __all__ = [
     "Landscape",
@@ -205,28 +205,15 @@ class NoiseSpec:
     def parse(cls, text: str) -> "NoiseSpec":
         """Parse CLI-style specs: ``none``, ``gaussian:0.1``, ``gaussian-fresh:0.1``,
         ``seed-average:0.1,3``, ``uniform-replace``, ``scaled:1.0,0.02``
-        (x, sigma_base)."""
-        name, _, params = text.partition(":")
-        try:
-            if name == "none":
-                return cls.none()
-            if name == "gaussian":
-                return cls.gaussian_frozen(float(params))
-            if name == "gaussian-fresh":
-                return cls.gaussian_fresh(float(params))
-            if name == "seed-average":
-                sigma, k = params.split(",")
-                return cls.seed_average(float(sigma), int(k))
-            if name == "uniform-replace":
-                return cls.uniform_replace()
-            if name == "scaled":
-                parts = params.split(",")
-                x = float(parts[0])
-                sigma_base = float(parts[1]) if len(parts) > 1 else 1.0
-                return cls.scaled(sigma_base, x)
-        except (ValueError, IndexError) as exc:
-            raise LandscapeError(f"bad noise spec {text!r}: {exc}") from None
-        raise LandscapeError(f"unknown noise mode {name!r}")
+        (x, sigma_base; sigma_base defaults to 1)."""
+        return _parse_spec(text, {
+            "none": (cls.none,),
+            "gaussian": (cls.gaussian_frozen, float),
+            "gaussian-fresh": (cls.gaussian_fresh, float),
+            "seed-average": (cls.seed_average, float, int),
+            "uniform-replace": (cls.uniform_replace,),
+            "scaled": (lambda x, sigma_base=1.0: cls.scaled(sigma_base, x), float, float),
+        }, LandscapeError, "noise")
 
     def describe(self) -> str:
         if self.mode == "none":
@@ -412,61 +399,88 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
 # -- tabular ingestion and persistence ----------------------------------------
 
 
-def _open_text(source, mode="r"):
-    if hasattr(source, "read") or hasattr(source, "write"):
-        return source, False
-    return open(source, mode, encoding="utf-8", newline=""), True
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: ints as decimals, floats with repr (so reading a
+    file back is bit-exact), strings as given and None as an empty cell."""
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class _Csv(NamedTuple):
+    name: str
+    header: list
+    rows: list
+    lines: list  # file line number of each row, for error messages
+
+    def column(self, j: int, kind) -> np.ndarray:
+        """Cells of column ``j`` converted with ``kind`` (``int`` or ``float``)."""
+        out = []
+        for r, line in zip(self.rows, self.lines):
+            try:
+                out.append(kind(r[j]))
+            except ValueError:
+                raise LandscapeError(
+                    f"{self.name}: line {line}: {self.header[j]} {r[j]!r} is not "
+                    f"{'an integer' if kind is int else 'a number'}") from None
+        return np.asarray(out)
+
+
+def _read_csv(source) -> _Csv:
+    """The one CSV reader, for a path or a text stream.
+
+    Blank lines are skipped; every row must have the header's cell count.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+        name = str(getattr(source, "name", "<stream>"))
+    else:
+        with open(source, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        name = str(source)
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    raw = text.splitlines()
+    lines = [i for i, ln in enumerate(raw, start=1) if ln.strip()]
+    if not lines:
+        raise LandscapeError(f"{name}: empty file")
+    header = [c.strip() for c in raw[lines.pop(0) - 1].split(",")]
+    rows = [raw[i - 1].split(",") for i in lines]
+    for r, line in zip(rows, lines):
+        if len(r) != len(header):
+            raise LandscapeError(f"{name}: line {line}: expected {len(header)} cells "
+                                 f"like the header, got {len(r)}")
+    return _Csv(name, header, rows, lines)
 
 
 def load_tabular(source, t: Topology) -> Landscape:
     """Load losses from ``id,val_loss[,test_loss]`` CSV (one row per node)."""
-    fh, owned = _open_text(source)
-    try:
-        text = fh.read()
-    finally:
-        if owned:
-            fh.close()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise LandscapeError("empty landscape file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header == ["id", "val_loss"]:
-        has_test = False
-    elif header == ["id", "val_loss", "test_loss"]:
-        has_test = True
-    else:
+    table = _read_csv(source)
+    if table.header not in (["id", "val_loss"], ["id", "val_loss", "test_loss"]):
         raise LandscapeError(
-            f"unsupported landscape header/version: {lines[0]!r}"
+            f"{table.name}: unsupported landscape header/version: {','.join(table.header)!r}"
         )
-    rows = lines[1:]
-    if len(rows) != t.n:
-        raise LandscapeError(f"expected {t.n} rows, found {len(rows)}")
-    ids = np.empty(t.n, dtype=np.int64)
-    val = np.empty(t.n)
-    test = np.empty(t.n) if has_test else None
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != len(header):
-            raise LandscapeError(f"row {i + 2}: expected {len(header)} columns")
-        try:
-            ids[i] = int(parts[0])
-            val[i] = float(parts[1])
-            if has_test:
-                test[i] = float(parts[2])
-        except ValueError:
-            raise LandscapeError(f"row {i + 2}: malformed value") from None
+    if len(table.rows) != t.n:
+        raise LandscapeError(f"{table.name}: expected {t.n} rows, found {len(table.rows)}")
+    ids = table.column(0, int)
     if ids.min() < 0 or ids.max() >= t.n or len(np.unique(ids)) != t.n:
-        raise LandscapeError("duplicate or missing id")
+        raise LandscapeError(f"{table.name}: duplicate or missing id")
     order = np.argsort(ids)
-    val = val[order]
-    if has_test:
-        test = test[order]
-    if not np.isfinite(val).all() or (has_test and not np.isfinite(test).all()):
-        raise LandscapeError("non-finite loss values")
-    src = getattr(source, "name", None) or (source if isinstance(source, str) else "<stream>")
-    meta = {"source": str(src), "columns": header}
+    val = table.column(1, float)[order]
+    test = table.column(2, float)[order] if len(table.header) == 3 else None
+    if not np.isfinite(val).all() or (test is not None and not np.isfinite(test).all()):
+        raise LandscapeError(f"{table.name}: non-finite loss values")
+    meta = {"source": table.name, "columns": table.header}
     return Landscape(t, val, test_loss=test, meta=meta)
 
 
@@ -480,16 +494,11 @@ def save_landscape(landscape: Landscape, path: str) -> None:
 
     Floats are written with repr, so a save/load round trip is bit-exact.
     """
-    has_test = landscape.test_loss is not None
-    header = "id,val_loss,test_loss" if has_test else "id,val_loss"
-    out = [header]
-    for i in range(landscape.n):
-        row = f"{i},{float(landscape.val_loss[i])!r}"
-        if has_test:
-            row += f",{float(landscape.test_loss[i])!r}"
-        out.append(row)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(out) + "\n")
+    losses = [landscape.val_loss]
+    if landscape.test_loss is not None:
+        losses.append(landscape.test_loss)
+    _write_csv(path, ["id", "val_loss", "test_loss"][:1 + len(losses)],
+               zip(range(landscape.n), *(a.tolist() for a in losses)))
     sidecar = {
         "format": _FORMAT,
         "topology": landscape.topology.to_spec(),

@@ -168,13 +168,6 @@ class PdfSpec:
             out = np.clip(out, 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def describe(self) -> str:
-        if self.kind == "uniform":
-            return "uniform"
-        if self.kind == "truncnorm":
-            return f"truncnorm:{self.center},{self.sigma}"
-        return f"tabulated[{len(self.xs)}]"
-
 
 # -- local pdf ----------------------------------------------------------------
 
@@ -229,11 +222,6 @@ class LocalPdfSpec:
             return out if out.ndim else float(out)
         out = truncnorm_sf(lower, center, self.sigma)
         return out if out.ndim else float(out)
-
-    def describe(self) -> str:
-        if self.kind == "independent":
-            return f"independent({self.g.describe()})"
-        return f"truncnorm-local:{self.sigma}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,14 +408,6 @@ def full_preimage_bounds(G_val: float, s: int) -> tuple[float, float]:
 # -- within-eps success curve ----------------------------------------------------
 
 
-def _eps_array(eps_grid) -> np.ndarray:
-    eps = np.asarray(eps_grid, dtype=float)
-    if (eps.ndim != 1 or len(eps) == 0 or not np.isfinite(eps).all()
-            or (eps < 0).any() or (np.diff(eps) < 0).any()):
-        raise ValueError("eps grid must be ascending, finite and non-negative")
-    return eps
-
-
 def success_curve(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParams,
                   eps_grid, max_k: int = 5,
                   grid_points: int = DEFAULT_GRID_POINTS) -> list[tuple[float, float]]:
@@ -437,7 +417,7 @@ def success_curve(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParams,
     pdf_n(x) * survival(x)^s * (1 + sum_k E[|LS^-k|](x)) dx,
     with preimage depth capped at ``max_k``.
     """
-    _eps_array(eps_grid)  # reject a bad grid before building the table
+    analysis._eps_array(eps_grid)  # reject a bad grid before building the table
     xs, E = _preimage_table(pdf_e, params, max_k, grid_points)
     return _success_from_table(pdf_n, pdf_e, params, eps_grid, xs, E)
 
@@ -446,7 +426,7 @@ def _success_from_table(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParam
                         eps_grid, xs: np.ndarray,
                         E: np.ndarray) -> list[tuple[float, float]]:
     """``success_curve`` from a preimage table ``_preimage_table`` returned."""
-    eps = _eps_array(eps_grid)
+    eps = analysis._eps_array(eps_grid)
     weight = 1.0 + E.sum(axis=0)
     integrand = pdf_n.density(xs) * pdf_e.survival(xs, xs) ** params.s * weight
     integrand = np.where(xs >= params.ell_star, integrand, 0.0)
@@ -507,7 +487,7 @@ def uniform_closed_form_curve(n: int, s: int, b, eps_grid,
     Losses lie in [0, 1], so an eps above 1 gives the value at eps = 1.
     """
     params = TheoryParams(n=n, s=s, b=np.asarray(b, dtype=float))
-    eps = _eps_array(eps_grid)
+    eps = analysis._eps_array(eps_grid)
     total, _, _ = _uniform_series(params, np.minimum(eps, 1.0), rel_tol)
     return [(float(e), float(v)) for e, v in zip(eps, total)]
 
@@ -554,7 +534,7 @@ def clique_power_uniform_curve(m: int, d: int, eps_grid) -> list[tuple[float, fl
         raise ValueError("clique power needs m >= 2")
     if d < 1:
         raise ValueError("clique power needs d >= 1")
-    eps = _eps_array(eps_grid)
+    eps = analysis._eps_array(eps_grid)
     clipped = np.minimum(eps, 1.0)
     depths = _clique_power_depths(m, d)
     total = np.zeros_like(eps)

@@ -22,8 +22,8 @@ Generated kinds:
 
 from __future__ import annotations
 
+import inspect
 import io
-
 
 import numpy as np
 
@@ -268,23 +268,43 @@ class Topology:
     @classmethod
     def from_spec(cls, text: str) -> "Topology":
         """Parse ``clique-power:m,d`` / ``complete:n`` / ``tree:arity,depth``."""
-        name, _, params = text.partition(":")
-        try:
-            if name == "clique-power":
-                m, d = (int(p) for p in params.split(","))
-                return make_clique_power(m, d)
-            if name == "complete":
-                return make_complete(int(params))
-            if name == "tree":
-                arity, depth = (int(p) for p in params.split(","))
-                return make_regular_tree(arity, depth)
-        except ValueError as exc:
-            raise TopologyError(f"bad topology spec {text!r}: {exc}") from None
-        raise TopologyError(f"unknown topology kind {name!r} (custom graphs load from file)")
+        return _parse_spec(text, {"clique-power": (make_clique_power, int, int),
+                                  "complete": (make_complete, int),
+                                  "tree": (make_regular_tree, int, int)},
+                           TopologyError, "topology")
 
     def _check_id(self, v):
         if not 0 <= int(v) < self.n:
             raise TopologyError(f"node id {v} out of range [0, {self.n})")
+
+
+def _parse_spec(text: str, kinds: dict, error, what: str):
+    """Build an object from a ``name`` or ``name:p1,p2,...`` spec.
+
+    ``kinds`` maps each name to ``(factory, type1, type2, ...)``: parameter i
+    is converted with type i and the factory is called with the results.
+    Trailing parameters whose factory argument has a default may be left
+    out.  An unknown name, a missing or extra parameter, a value that fails
+    conversion and a ``ValueError`` of the factory raise ``error``, naming
+    the spec.
+    """
+    name, _, params = text.partition(":")
+    try:
+        if name not in kinds:
+            raise ValueError(f"unknown {what} {name!r}, expected one of {', '.join(kinds)}")
+        factory, *types = kinds[name]
+        cells = params.split(",") if params else []
+        if len(cells) > len(types):
+            raise ValueError(f"{name} takes at most {len(types)} parameters, "
+                             f"got {len(cells)}")
+        values = [kind(cell) for kind, cell in zip(types, cells)]
+        try:
+            inspect.signature(factory).bind(*values)
+        except TypeError as exc:  # a required parameter is missing
+            raise ValueError(str(exc)) from None
+        return factory(*values)
+    except ValueError as exc:
+        raise error(f"bad {what} spec {text!r}: {exc}") from None
 
 
 # -- constructors ---------------------------------------------------------

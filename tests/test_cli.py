@@ -619,3 +619,135 @@ def test_analyze_exports_deep_chain(tmp_path, capsys):
     text = (tmp_path / "o" / "trees" / "tree_1.json").read_text()
     assert text.count('"min_id"') == n
     assert (tmp_path / "o" / "trees" / "tree_1.dot").read_text().count("->") == n - 1
+
+
+# -- one CSV reader, one spec parser -------------------------------------------------
+
+
+def _curve(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("sim_text,message", [
+    ("epsilon,fraction\n0.0,0.1\n0.1\n", "line 3: expected 2 cells"),      # IndexError, exit 1
+    ("epsilon,fraction\n0.0,0.1\n0.1,0.2,7\n", "line 3: expected 2 cells"),
+    ("", "empty file"),                                                      # IndexError, exit 1
+    ("epsilon,fraction\n0.0,0.1\n\n0.1,half\n", "line 4: fraction 'half' is not a number"),
+], ids=["short-row", "long-row", "empty", "text-cell"])
+def test_compare_rejects_malformed_curve(tmp_path, sim_text, message):
+    sim = _curve(tmp_path, "sim.csv", sim_text)
+    theory_csv = _curve(tmp_path, "t.csv", "epsilon,fraction_theory\n0.0,0.1\n0.1,0.2\n")
+    res = run_cli("compare", "--sim", sim, "--theory", theory_csv,
+                  "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.startswith(f"error: {sim}: {message}")
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_grid_mismatch_leaves_no_directory(tmp_path, capsys):
+    sim = _curve(tmp_path, "sim.csv", "epsilon,fraction\n0.0,0.1\n0.1,0.2\n")
+    theory_csv = _curve(tmp_path, "t.csv", "epsilon,fraction_theory\n0.05,0.5\n")
+    code, err = run_main(capsys, "compare", "--sim", sim, "--theory", theory_csv,
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "do not match" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_rejects_non_numeric_rho(tmp_path):
+    rwa_csv = _curve(tmp_path, "rwa.csv", "lag,sqrt_lag,rho\n0,0.0,1.0\n1,1.0,oops\n"
+                                          "2,1.4142135623730951,0.2\n")
+    res = run_cli("fit", "--mode", "local-rwa", "--rwa", rwa_csv, "--topo", "complete:5",
+                  "--out", str(tmp_path / "o"))
+    assert res.returncode == 3  # exited 0 with rho read as nan
+    assert res.stderr.startswith(f"error: {rwa_csv}: line 3: rho 'oops' is not a number")
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("eps_max", ["-1", "nan", "inf"])
+def test_analyze_bad_eps_max_leaves_no_directory(small_landscape, tmp_path, eps_max):
+    # nan and inf ran and wrote nan/inf epsilon rows; -1 left manifest.json behind
+    res = run_cli("analyze", "--landscape", str(small_landscape), "--eps-max", eps_max,
+                  "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr == "error: eps grid must be ascending, finite and non-negative\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (("gen", "--topo", "complete:5", "--model", "uniform:junk"), "generator model spec"),
+    (("gen", "--topo", "complete:5", "--model", "markov-tn:0.3,0.2,0.1,9"),
+     "generator model spec"),
+    (("gen", "--topo", "complete:5,2"), "topology spec"),
+    (("theory", "--topo", "complete:5", "--pdf-n", "uniform:junk"), "global pdf spec"),
+    (("theory", "--topo", "complete:5", "--pdf-n", "truncnorm:0.2,0.1,3"), "global pdf spec"),
+    (("theory", "--topo", "complete:5", "--pdf-e", "uniform:1"), "local pdf spec"),
+    (("theory", "--topo", "complete:5", "--pdf-e", "truncnorm-local:0.3,9"),
+     "local pdf spec"),
+])
+def test_spec_extra_parameter_exits_3(tmp_path, capsys, argv, spec):
+    code, err = run_main(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err.startswith(f"error: bad {spec} {argv[-1]!r}: ")
+    assert "at most" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--topo", "complete:5", "--model", "markov-tn"),
+    ("theory", "--topo", "complete:5", "--pdf-n", "truncnorm:0.2"),
+    ("theory", "--topo", "complete:5", "--pdf-e", "truncnorm-local"),
+])
+def test_spec_missing_parameter_exits_3(tmp_path, capsys, argv):
+    code, err = run_main(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert f"{argv[-1]!r}: missing a required argument" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_search_noise_spec_missing_parameter_exits_3(small_landscape, tmp_path, capsys):
+    code, err = run_main(capsys, "search", "--landscape", str(small_landscape),
+                         "--noise", "gaussian", "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "bad noise spec 'gaussian': missing a required argument" in err
+
+
+@pytest.mark.parametrize("text,args", [
+    ("markov-tn:0.3", (0.3, 0.25, 0.18)),
+    ("markov-tn:0.3,0.5", (0.3, 0.5, 0.18)),
+    ("markov-tn:0.3,0.5,0.1", (0.3, 0.5, 0.1)),
+])
+def test_model_spellings(text, args):
+    t = hs.make_clique_power(3, 3)
+    sample = cli._parse_spec(text, cli._MODELS, ValueError, "generator model")
+    expected = hs.sample_markov_truncnorm(t, *args, seed=4)
+    got = sample(t, 4)
+    assert got.val_loss.tobytes() == expected.val_loss.tobytes()
+    assert got.meta == expected.meta
+    uniform = cli._parse_spec("uniform", cli._MODELS, ValueError, "generator model")
+    assert uniform(t, 4).val_loss.tobytes() == hs.sample_uniform(t, 4).val_loss.tobytes()
+
+
+def test_pdf_spellings():
+    parse = cli._parse_spec
+    assert parse("uniform", cli._PDF_N, ValueError, "global pdf").kind == "uniform"
+    pdf = parse("truncnorm:0.25,0.18", cli._PDF_N, ValueError, "global pdf")
+    assert (pdf.kind, pdf.center, pdf.sigma) == ("truncnorm", 0.25, 0.18)
+    local = parse("uniform", cli._PDF_E, ValueError, "local pdf")
+    assert (local.kind, local.g.kind) == ("independent", "uniform")
+    local = parse("truncnorm-local:0.35", cli._PDF_E, ValueError, "local pdf")
+    assert (local.kind, local.sigma) == ("truncnorm_centered", 0.35)
+
+
+@pytest.mark.parametrize("model", ["markov-tn:0", "markov-tn:nan,0.25"])
+def test_gen_rejected_sigma_leaves_no_directory(tmp_path, capsys, model):
+    # the landscape is sampled before manifest.json is written
+    code, err = run_main(capsys, "gen", "--topo", "complete:5", "--model", model,
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err == "error: sigma must be positive\n"
+    assert not (tmp_path / "o").exists()

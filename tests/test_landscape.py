@@ -372,3 +372,74 @@ def test_mix64_contract():
     assert 0 <= a < 2**64
     with pytest.raises(ValueError):
         hs.mix64(1, -1)
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("text,message", [
+        ("id,val_loss\n0,0.1\n1,0.2,0.3\n", "line 3: expected 2 cells"),
+        ("id,val_loss\n0,0.1\n1\n", "line 3: expected 2 cells"),
+        ("id,val_loss\n0,0.1\n1.5,0.2\n", "line 3: id '1.5' is not an integer"),
+        ("id,val_loss,test_loss\n0,0.1,0.3\n1,0.2,oops\n",
+         "line 3: test_loss 'oops' is not a number"),
+        ("", "empty file"),
+        ("\n  \n", "empty file"),
+    ], ids=["long-row", "short-row", "float-id", "text-loss", "empty", "blank"])
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(LandscapeError, match=message):
+            hs.load_tabular(io.StringIO(text), hs.make_complete(2))
+
+    def test_error_names_the_file(self, tmp_path):
+        path = tmp_path / "losses.csv"
+        path.write_text("id,val_loss\n0,0.1\n1,x\n")
+        with pytest.raises(LandscapeError, match=r"losses\.csv: line 3"):
+            hs.load_tabular(str(path), hs.make_complete(2))
+
+    def test_blank_lines_skipped_and_lines_counted(self):
+        text = "id,val_loss\n\n1,0.2\n  \n0,0.1\n\n2,zz\n"
+        with pytest.raises(LandscapeError, match="line 7: val_loss 'zz'"):
+            hs.load_tabular(io.StringIO(text), hs.make_complete(3))
+        scape = hs.load_tabular(io.StringIO(text.replace("zz", "0.3")), hs.make_complete(3))
+        assert scape.val_loss.tolist() == [0.1, 0.2, 0.3]
+
+    def test_round_trip_bit_exact_with_test_loss(self, tmp_path):
+        t = hs.make_clique_power(3, 3)
+        rng = np.random.default_rng(5)
+        val = rng.random(t.n) * 10.0 ** rng.integers(-300, 300, t.n)
+        scape = hs.Landscape(t, val, test_loss=np.nextafter(rng.random(t.n), 1.0))
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        hs.save_landscape(scape, str(first))
+        back = hs.load_landscape(str(first))
+        assert back.val_loss.tobytes() == scape.val_loss.tobytes()
+        assert back.test_loss.tobytes() == scape.test_loss.tobytes()
+        hs.save_landscape(back, str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+
+class TestNoiseSpecGrammar:
+    @pytest.mark.parametrize("text", [
+        "none:5", "uniform-replace:3", "gaussian:0.1,2", "gaussian-fresh:0.1,0.2",
+        "seed-average:0.1,3,4", "scaled:1,2,3"])
+    def test_extra_parameter_rejected(self, text):
+        with pytest.raises(LandscapeError, match=f"bad noise spec {text!r}"):
+            hs.NoiseSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["gaussian", "gaussian-fresh:", "seed-average:0.1",
+                                      "scaled", "seed-average:0.1,2.5", "gaussian:x"])
+    def test_missing_or_bad_parameter_rejected(self, text):
+        with pytest.raises(LandscapeError, match=f"bad noise spec {text!r}"):
+            hs.NoiseSpec.parse(text)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("none", hs.NoiseSpec.none()),
+        ("none:", hs.NoiseSpec.none()),
+        ("gaussian:0.1", hs.NoiseSpec.gaussian_frozen(0.1)),
+        ("gaussian-fresh: 0.25", hs.NoiseSpec.gaussian_fresh(0.25)),
+        ("seed-average:0.1,3", hs.NoiseSpec.seed_average(0.1, 3)),
+        ("uniform-replace", hs.NoiseSpec.uniform_replace()),
+        ("scaled:2.0", hs.NoiseSpec.scaled(1.0, 2.0)),
+        ("scaled:1.0,0.02", hs.NoiseSpec.scaled(0.02, 1.0)),
+    ])
+    def test_accepted_spellings(self, text, expected):
+        spec = hs.NoiseSpec.parse(text)
+        fields = ("mode", "sigma", "k", "x", "sigma_base")
+        assert ([getattr(spec, f) for f in fields] == [getattr(expected, f) for f in fields])

@@ -309,3 +309,28 @@ def test_node_id_validation(k56):
         k56.neighbors(15625)
     with pytest.raises(TopologyError):
         hs.shell_sizes(k56, -1)
+
+
+@pytest.mark.parametrize("text", ["clique-power:5,6,2", "complete:4,1", "tree:3,4,5"])
+def test_spec_extra_parameter_rejected(text):
+    with pytest.raises(TopologyError, match=f"bad topology spec {text!r}"):
+        hs.Topology.from_spec(text)
+
+
+@pytest.mark.parametrize("text", ["clique-power:5", "complete", "tree:3,", "complete:2.5",
+                                  "clique-power:1,3", "custom:4"])
+def test_spec_missing_or_bad_parameter_rejected(text):
+    with pytest.raises(TopologyError, match=f"bad topology spec {text!r}"):
+        hs.Topology.from_spec(text)
+
+
+@pytest.mark.parametrize("text,make", [
+    ("clique-power:5,6", lambda: hs.make_clique_power(5, 6)),
+    ("clique-power: 3, 2", lambda: hs.make_clique_power(3, 2)),
+    ("complete:25", lambda: hs.make_complete(25)),
+    ("tree:4,6", lambda: hs.make_regular_tree(4, 6)),
+])
+def test_spec_accepted_spellings(text, make):
+    t, expected = hs.Topology.from_spec(text), make()
+    assert (t.kind, t.n, t.degree, t.to_spec()) == (
+        expected.kind, expected.n, expected.degree, expected.to_spec())
