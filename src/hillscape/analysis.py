@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +41,16 @@ _CHUNK_ENTRIES = 1 << 18
 
 @dataclass
 class SuccessorMap:
-    """One hill-climbing step for every node of a frozen view."""
+    """One hill-climbing step for every node of a frozen view.
+
+    The basin walk and the predecessor index are derived from ``succ`` on
+    first use and kept here, so the view's one cached map carries them too.
+    """
 
     succ: np.ndarray
     values: np.ndarray
+    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _preds: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -52,6 +58,24 @@ class SuccessorMap:
 
     def minima(self) -> np.ndarray:
         return np.flatnonzero(self.succ == np.arange(self.n))
+
+    def walk(self):
+        """(terminal minimum, move count) of every start, read-only."""
+        if self._walk is None:
+            self._walk = _fixed_points_and_depth(self.succ)
+            for arr in self._walk:
+                arr.setflags(write=False)
+        return self._walk
+
+    def predecessors(self):
+        """``(order, starts)``: the nodes u with ``succ[u] == v`` are
+        ``order[starts[v]:starts[v + 1]]``, ascending."""
+        if self._preds is None:
+            order = np.argsort(self.succ, kind="stable")
+            starts = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.succ, minlength=self.n), out=starts[1:])
+            self._preds = (order, starts)
+        return self._preds
 
 
 @dataclass
@@ -79,12 +103,60 @@ def _frozen(view: LandscapeView) -> np.ndarray:
 def successor_map(view: LandscapeView) -> SuccessorMap:
     """Full n-length successor map with ascending-id tie-breaking.
 
-    Computed over row chunks of ``neighbors_block`` and cached on the view.
+    Closed form on clique powers, row chunks of ``neighbors_block`` on the
+    other kinds; cached on the view.
     """
     if view._successor_map is not None:
         return view._successor_map
     values = _frozen(view)
     t = view.landscape.topology
+    if t.kind == "clique_power":
+        succ = _clique_power_successor(values, t.m, t.d)
+    else:
+        succ = _chunked_successor(values, t)
+    succ.setflags(write=False)
+    view._successor_map = SuccessorMap(succ, values)
+    return view._successor_map
+
+
+def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Successor map of (K_m)^d from one minimum per line of the ``(m,)*d`` cube.
+
+    The d lines through v hold all its neighbors.  Ids are little-endian, so
+    axis d-1-p holds digit p, and a line's first minimum along the axis is
+    its lowest-id minimum.  The lines are combined by (value, id); v moves
+    only to a strictly lower value, so a line minimum at v itself never wins.
+    """
+    n = values.size
+    cube = values.reshape((m,) * d)
+    line = np.arange(n // m, dtype=np.int64)  # the lines along one axis, in C order
+    best_val = best_id = None
+    for p in range(d):
+        axis, stride = d - 1 - p, m**p
+        low = cube.min(axis=axis, keepdims=True)
+        # k = the first q with cube[..., q, ...] == low: the slices before the match
+        found = np.zeros(low.shape, dtype=bool)
+        k = np.zeros(low.shape, dtype=np.int64)
+        for q in range(m - 1):
+            found |= cube[(slice(None),) * axis + (slice(q, q + 1),)] == low
+            k += ~found
+        # the line's id with digit p = 0, plus the minimum's digit p
+        ids = ((line // stride) * (stride * m) + line % stride).reshape(k.shape) + k * stride
+        if best_val is None:
+            best_val = np.broadcast_to(low, cube.shape).copy()
+            best_id = np.broadcast_to(ids, cube.shape).copy()
+            continue
+        better = (low < best_val) | ((low == best_val) & (ids < best_id))
+        np.minimum(best_val, low, out=best_val)
+        np.copyto(best_id, ids, where=better)
+    succ = best_id.reshape(n)
+    stay = best_val.reshape(n) >= values
+    succ[stay] = np.flatnonzero(stay)
+    return succ
+
+
+def _chunked_successor(values: np.ndarray, t) -> np.ndarray:
+    """Successor map from ``neighbors_block`` row chunks, O(chunk * s) memory."""
     succ = np.arange(t.n)
     maxdeg = t.max_degree()
     rows = max(1, _CHUNK_ENTRIES // max(maxdeg, 1))
@@ -96,8 +168,7 @@ def successor_map(view: LandscapeView) -> SuccessorMap:
         k = np.argmin(gathered, axis=1)
         at = np.arange(hi - lo)
         succ[lo:hi] = np.where(gathered[at, k] < values[lo:hi], block[at, k], ids)
-    view._successor_map = SuccessorMap(succ, values)
-    return view._successor_map
+    return succ
 
 
 def find_local_minima(view: LandscapeView) -> np.ndarray:
@@ -126,7 +197,7 @@ def basins(view: LandscapeView, use_base_loss_for_global: bool = False):
     instead.
     """
     smap = successor_map(view)
-    assignment, depth = _fixed_points_and_depth(smap.succ)
+    assignment, depth = smap.walk()
     minima = smap.minima()
     sizes = np.bincount(assignment, minlength=smap.n)[minima]
     ref = view.landscape.val_loss if use_base_loss_for_global else smap.values
@@ -155,18 +226,14 @@ def within_epsilon_curve(view: LandscapeView, eps_grid) -> list[tuple[float, flo
     """Fraction of starts whose terminal minimum lies within eps of the best."""
     eps = _eps_array(eps_grid)
     smap = successor_map(view)
-    assignment, _ = _fixed_points_and_depth(smap.succ)
-    terminal = smap.values[assignment]
-    gmin = smap.values.min()
-    return [(float(e), float((terminal - gmin <= e).mean())) for e in eps]
-
-
-def _predecessor_lists(succ: np.ndarray):
-    order = np.argsort(succ, kind="stable")
-    sorted_succ = succ[order]
-    starts = np.searchsorted(sorted_succ, np.arange(len(succ)), side="left")
-    ends = np.searchsorted(sorted_succ, np.arange(len(succ)), side="right")
-    return order, starts, ends
+    assignment, _ = smap.walk()
+    minima = smap.minima()
+    gap = smap.values[minima] - smap.values.min()
+    by_gap = np.argsort(gap)
+    sizes = np.bincount(assignment, minlength=smap.n)[minima][by_gap]
+    reached = np.concatenate([[0], np.cumsum(sizes)])  # starts in the j best basins
+    counts = reached[np.searchsorted(gap[by_gap], eps, side="right")]
+    return [(float(e), float(c / smap.n)) for e, c in zip(eps, counts)]
 
 
 def preimage_sizes(view: LandscapeView, v: int, max_k: int):
@@ -180,18 +247,18 @@ def preimage_sizes(view: LandscapeView, v: int, max_k: int):
         raise LandscapeError(f"node id {v} out of range")
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    order, starts, ends = _predecessor_lists(smap.succ)
+    order, starts = smap.predecessors()
     per_level = []
-    total = 0
-    level = order[starts[v]:ends[v]]
+    level = order[starts[v]:starts[v + 1]]
     level = level[level != v]
     while level.size:
         per_level.append(int(level.size))
-        total += int(level.size)
-        nxt = [order[starts[u]:ends[u]] for u in level]
-        level = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
+        # concatenate the ranges order[starts[u]:starts[u + 1]] of the level's nodes
+        lo, sizes = starts[level], starts[level + 1] - starts[level]
+        shift = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        level = order[shift + np.arange(shift.size)]
     counts = per_level[:max_k] + [0] * max(0, max_k - len(per_level))
-    return counts, total
+    return counts, sum(per_level)
 
 
 def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
@@ -255,7 +322,7 @@ def export_search_tree(view: LandscapeView, top_k: int) -> list[dict]:
         )
         top_k = minima.size
     ranked = minima[np.argsort(smap.values[minima], kind="stable")][:top_k]
-    order, starts, ends = _predecessor_lists(smap.succ)
+    order, starts = smap.predecessors()
 
     def tree_node(v: int, depth: int) -> dict:
         return {"min_id": v, "loss": float(smap.values[v]), "depth": depth, "children": []}
@@ -265,7 +332,7 @@ def export_search_tree(view: LandscapeView, top_k: int) -> list[dict]:
     while stack:
         node = stack.pop()
         v = node["min_id"]
-        preds = order[starts[v]:ends[v]]
+        preds = order[starts[v]:starts[v + 1]]
         for u in preds[preds != v]:
             child = tree_node(int(u), node["depth"] + 1)
             node["children"].append(child)

@@ -101,11 +101,11 @@ def cmd_gen(cfg) -> int:
 def cmd_search(cfg) -> int:
     scape = _load_landscape_arg(cfg, "search")
     noise = NoiseSpec.parse(cfg["noise"])
-    outdir = _prepare_out(cfg, "search")
     histories = run_trials(
         scape, noise, cfg["algo"], cfg["budget"], cfg["trials"], cfg["seed"],
         num_initial=cfg["num_initial"], restart=cfg["restart"], jobs=cfg["jobs"],
     )
+    outdir = _prepare_out(cfg, "search")  # after run_trials has checked its arguments
     rows = []
     for trial, hist in enumerate(histories):
         has_test = hist.best_test is not None
@@ -177,9 +177,9 @@ def cmd_analyze(cfg) -> int:
 def cmd_rwa(cfg) -> int:
     scape = _load_landscape_arg(cfg, "rwa")
     noise = NoiseSpec.parse(cfg["noise"])
-    outdir = _prepare_out(cfg, "rwa")
     view = LandscapeView(scape, noise, seed=cfg["seed"])
     rows = analysis.rwa(view, cfg["walk_len"], cfg["max_lag"], seed=cfg["seed"])
+    outdir = _prepare_out(cfg, "rwa")  # after rwa has checked its arguments
     _write_csv(os.path.join(outdir, "rwa.csv"), ["lag", "sqrt_lag", "rho"], rows)
     return 0
 

@@ -351,39 +351,68 @@ def sample_uniform(t: Topology, seed: int) -> Landscape:
     return Landscape(t, vals, meta=meta)
 
 
+def _bfs_tree(t: Topology):
+    """Breadth-first tree from node 0: ``(order, parent, sizes)``.
+
+    ``order`` lists the reached nodes level by level, ascending within a
+    level, and ``sizes`` holds the level sizes.  ``parent[v]`` is v's
+    discoverer: its lowest-id neighbor one level up.  On (K_m)^d a node's
+    level is its count of non-zero digits and its discoverer is the node
+    with its highest non-zero digit set to 0; other kinds run the frontier
+    loop.
+    """
+    n = t.n
+    parent = np.zeros(n, dtype=np.int64)
+    if t.kind == "clique_power":
+        m = t.m
+        level = np.zeros(n, dtype=np.int8)
+        width = 1
+        for _ in range(t.d):
+            # ids in [width, m * width) have their highest non-zero digit here
+            level[width:m * width] = np.tile(level[:width] + 1, m - 1)
+            parent[width:m * width] = np.tile(np.arange(width), m - 1)
+            width *= m
+        return np.argsort(level, kind="stable"), parent, np.bincount(level)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    levels = [np.zeros(1, dtype=np.int64)]
+    while True:
+        frontier = levels[-1]
+        block, mask = t.neighbors_block(frontier)
+        parents = np.repeat(frontier, block.shape[1])
+        flat = block.ravel()
+        keep = mask.ravel() & ~seen[flat]
+        uniq, first = np.unique(flat[keep], return_index=True)
+        if uniq.size == 0:
+            return np.concatenate(levels), parent, np.asarray([lv.size for lv in levels])
+        parent[uniq] = parents[keep][first]
+        seen[uniq] = True
+        levels.append(uniq)
+
+
 def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
                             root_sigma: float, seed: int) -> Landscape:
     """Correlated losses: BFS from node 0, each node drawn around its parent.
 
     The root loss is truncnorm(root_center, root_sigma); every other node is
     truncnorm(parent_loss, sigma_local) where the parent is its BFS
-    discoverer (frontier processed in ascending id order, so the structure
-    and draw order are deterministic for a fixed seed).
+    discoverer.  Nodes are drawn level by level, in ascending id within a
+    level, so the structure and draw order are deterministic for a fixed
+    seed.
     """
     if not (sigma_local > 0 and root_sigma > 0):  # also rejects NaN
         raise LandscapeError("sigma must be positive")
-    rng = np.random.default_rng(int(seed))
-    n = t.n
-    vals = np.full(n, np.nan)
-    vals[0] = _truncnorm_ppf(rng.random(), root_center, root_sigma)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.asarray([0], dtype=np.int64)
-    while frontier.size:
-        block, mask = t.neighbors_block(frontier)
-        parents = np.repeat(frontier, block.shape[1])
-        flat = block.ravel()
-        keep = mask.ravel() & ~seen[flat]
-        flat, parents = flat[keep], parents[keep]
-        uniq, first = np.unique(flat, return_index=True)
-        if uniq.size == 0:
-            break
-        centers = vals[parents[first]]
-        vals[uniq] = _truncnorm_ppf(rng.random(uniq.size), centers, sigma_local)
-        seen[uniq] = True
-        frontier = uniq
-    if not seen.all():
+    order, parent, sizes = _bfs_tree(t)
+    if sizes.sum() != t.n:
         raise LandscapeError("topology is disconnected")
+    rng = np.random.default_rng(int(seed))
+    vals = np.empty(t.n)
+    vals[0] = _truncnorm_ppf(rng.random(), root_center, root_sigma)
+    lo = 1
+    for size in sizes[1:].tolist():
+        ids = order[lo:lo + size]
+        vals[ids] = _truncnorm_ppf(rng.random(size), vals[parent[ids]], sigma_local)
+        lo += size
     meta = {
         "generator": "markov-truncnorm",
         "params": {
@@ -424,7 +453,8 @@ class _Csv(NamedTuple):
     lines: list  # file line number of each row, for error messages
 
     def column(self, j: int, kind) -> np.ndarray:
-        """Cells of column ``j`` converted with ``kind`` (``int`` or ``float``)."""
+        """Cells of column ``j`` converted with ``kind`` (``int`` or ``float``);
+        a float column must be finite."""
         out = []
         for r, line in zip(self.rows, self.lines):
             try:
@@ -433,7 +463,12 @@ class _Csv(NamedTuple):
                 raise LandscapeError(
                     f"{self.name}: line {line}: {self.header[j]} {r[j]!r} is not "
                     f"{'an integer' if kind is int else 'a number'}") from None
-        return np.asarray(out)
+        out = np.asarray(out)
+        if kind is float and not np.isfinite(out).all():
+            i = int(np.flatnonzero(~np.isfinite(out))[0])
+            raise LandscapeError(f"{self.name}: line {self.lines[i]}: {self.header[j]} "
+                                 f"{self.rows[i][j]!r} is not a finite number")
+        return out
 
 
 def _read_csv(source) -> _Csv:
@@ -478,8 +513,6 @@ def load_tabular(source, t: Topology) -> Landscape:
     order = np.argsort(ids)
     val = table.column(1, float)[order]
     test = table.column(2, float)[order] if len(table.header) == 3 else None
-    if not np.isfinite(val).all() or (test is not None and not np.isfinite(test).all()):
-        raise LandscapeError(f"{table.name}: non-finite loss values")
     meta = {"source": table.name, "columns": table.header}
     return Landscape(t, val, test_loss=test, meta=meta)
 

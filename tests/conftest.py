@@ -33,6 +33,13 @@ def cycle_topology(n=4):
     return hs.load_adjacency("\n".join(lines) + "\n")
 
 
+def custom_twin(t):
+    """The same graph as ``t``, loaded as a custom topology through the
+    adjacency format, so it takes the generic code paths."""
+    lines = [f"n {t.n}"] + [f"{v} {u}" for v in range(t.n) for u in t.neighbors(v) if u > v]
+    return hs.load_adjacency("\n".join(lines) + "\n")
+
+
 def frozen_view(t, values, seed=0):
     scape = hs.Landscape(t, np.asarray(values, dtype=float))
     return hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=seed)

@@ -9,7 +9,7 @@ import hillscape as hs
 from hillscape import analysis, topology
 from hillscape.landscape import LandscapeError
 
-from conftest import brute_successor, cycle_topology, frozen_view
+from conftest import brute_successor, custom_twin, cycle_topology, frozen_view
 
 
 def _recursive_tree(smap, node, depth):
@@ -139,6 +139,46 @@ class TestStreamedSuccessorMap:
         assert all(abs(r[2]) <= 1.0 for r in rows)
 
 
+class TestCliquePowerKernel:
+    """The axis-argmin map of (K_m)^d against the loop oracle and against the
+    chunked gather over the same graph loaded as a custom topology."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(2, 5), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           tied=st.booleans())
+    def test_matches_oracle_and_custom_twin(self, m, d, seed, tied):
+        t = hs.make_clique_power(m, d)
+        values = np.random.default_rng(seed).random(t.n)
+        if tied:
+            values = np.round(values * 8) / 8
+        succ = hs.successor_map(frozen_view(t, values)).succ
+        assert np.array_equal(succ, brute_successor(t, values))
+        assert np.array_equal(succ, hs.successor_map(frozen_view(custom_twin(t), values)).succ)
+
+
+def _terminals(succ):
+    cur = succ
+    while not np.array_equal(succ[cur], cur):
+        cur = succ[cur]
+    return cur
+
+
+class TestOneWalkPerMap:
+    def test_fixed_point_walk_runs_once(self, k56_uniform, monkeypatch):
+        calls = []
+        walk = analysis._fixed_points_and_depth
+        monkeypatch.setattr(analysis, "_fixed_points_and_depth",
+                            lambda succ: calls.append(1) or walk(succ))
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=0)
+        assignment, _ = hs.basins(view)
+        hs.within_epsilon_curve(view, [0.0, 0.05])
+        hs.preimage_sizes(view, int(assignment[0]), max_k=3)
+        hs.export_search_tree(view, 2)
+        hs.basins(view)
+        assert len(calls) == 1
+        assert not assignment.flags.writeable  # the cached walk cannot be altered
+
+
 class TestMinimaAndBasins:
     def test_complete_unique_minimum(self):
         t = hs.make_complete(25)
@@ -212,6 +252,17 @@ class TestWithinEpsilonCurve:
         fr = [f for _, f in hs.within_epsilon_curve(view, np.linspace(0, 0.2, 41))]
         assert (np.diff(fr) >= 0).all()
 
+    @pytest.mark.parametrize("spec", ["clique-power:4,4", "tree:3,5", "complete:30"])
+    def test_matches_direct_comparison(self, spec):
+        t = hs.Topology.from_spec(spec)
+        # losses on a 1/20 grid: gaps land exactly on eps grid points
+        values = np.round(np.random.default_rng(5).random(t.n) * 20) / 20
+        view = frozen_view(t, values)
+        terminal = values[_terminals(hs.successor_map(view).succ)]
+        eps = np.linspace(0.0, 0.5, 51)
+        expected = [(float(e), float((terminal - values.min() <= e).mean())) for e in eps]
+        assert hs.within_epsilon_curve(view, eps) == expected
+
     def test_grid_validation(self, four_cycle_view):
         with pytest.raises(ValueError):
             hs.within_epsilon_curve(four_cycle_view, [0.2, 0.1])
@@ -258,6 +309,25 @@ class TestPreimages:
                 expected = int(np.sum((cur == v) & (np.arange(t.n) != v)))
                 got_cum = sum(counts[:k])
                 assert got_cum == expected
+
+
+    @pytest.mark.parametrize("spec", ["clique-power:4,4", "tree:3,5"])
+    def test_every_node_matches_successor_iteration(self, spec):
+        t = hs.Topology.from_spec(spec)
+        values = np.round(np.random.default_rng(2).random(t.n) * 10) / 10
+        view = frozen_view(t, values)
+        succ = hs.successor_map(view).succ
+        others = np.arange(t.n)
+        for v in range(t.n):
+            counts, full = hs.preimage_sizes(view, v, max_k=4)
+            images, hit, reached = others, others == v, []
+            for _ in range(t.n):  # starts whose first k steps pass through v
+                images = succ[images]
+                hit |= images == v
+                reached.append(int(np.sum(hit & (others != v))))
+            levels = np.diff([0] + reached)
+            assert counts == levels[:4].tolist()
+            assert full == reached[-1]
 
 
 class TestRwa:

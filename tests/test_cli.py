@@ -657,6 +657,36 @@ def test_compare_grid_mismatch_leaves_no_directory(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_compare_rejects_non_finite_cell(tmp_path, capsys, cell):
+    # a nan cell used to exit 0 with "max_abs_gap": NaN, which is not JSON
+    sim = _curve(tmp_path, "sim.csv", f"epsilon,fraction\n0.0,{cell}\n0.1,0.2\n")
+    theory_csv = _curve(tmp_path, "t.csv", "epsilon,fraction_theory\n0.0,0.1\n0.1,0.2\n")
+    code, err = run_main(capsys, "compare", "--sim", sim, "--theory", theory_csv,
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err == f"error: {sim}: line 2: fraction '{cell}' is not a finite number\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("search", ["--budget", "0"], "budget must be >= 1"),
+    ("search", ["--algo", "random", "--budget", "0"], "budget must be >= 1"),
+    ("search", ["--trials", "0"], "trials must be >= 1"),
+    ("search", ["--num-initial", "0"], "num_initial must be >= 1"),
+    ("rwa", ["--walk-len", "0"], "walk_len must be at least 2 * max_lag"),
+    ("rwa", ["--max-lag", "-1"], "max_lag must be >= 0"),
+], ids=["budget", "random-budget", "trials", "num-initial", "walk-len", "max-lag"])
+def test_bad_counts_leave_no_directory(small_landscape, tmp_path, capsys, command, flags,
+                                       message):
+    # these used to exit 3 with manifest.json already written
+    code, err = run_main(capsys, command, "--landscape", str(small_landscape), *flags,
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert message in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_rejects_non_numeric_rho(tmp_path):
     rwa_csv = _curve(tmp_path, "rwa.csv", "lag,sqrt_lag,rho\n0,0.0,1.0\n1,1.0,oops\n"
                                           "2,1.4142135623730951,0.2\n")

@@ -10,7 +10,7 @@ from scipy.special import erf
 import hillscape as hs
 from hillscape.landscape import LandscapeError
 
-from conftest import cycle_topology
+from conftest import custom_twin, cycle_topology
 
 
 def phi(z):
@@ -115,6 +115,17 @@ class TestMarkovTruncnorm:
         t = hs.load_adjacency("n 4\n0 1\n2 3\n")
         with pytest.raises(LandscapeError):
             hs.sample_markov_truncnorm(t, 0.3, 0.5, 0.2, seed=1)
+
+    @pytest.mark.parametrize("m,d", [(5, 3), (3, 5), (2, 7), (7, 2), (4, 1)])
+    def test_clique_power_matches_custom_twin(self, m, d):
+        # the closed-form BFS tree of (K_m)^d against the frontier loop: same
+        # discoverers and the same draw order, so the same bits
+        t = hs.make_clique_power(m, d)
+        twin = custom_twin(t)
+        for seed in (0, 1, 9):
+            a = hs.sample_markov_truncnorm(t, 0.35, 0.25, 0.18, seed=seed)
+            b = hs.sample_markov_truncnorm(twin, 0.35, 0.25, 0.18, seed=seed)
+            assert a.val_loss.tobytes() == b.val_loss.tobytes()
 
 
 class TestObserve:
@@ -279,7 +290,7 @@ class TestTabular:
 
     def test_non_finite_rejected(self):
         t = hs.make_complete(2)
-        with pytest.raises(LandscapeError):
+        with pytest.raises(LandscapeError, match="line 2: val_loss 'nan' is not a finite"):
             hs.load_tabular(io.StringIO("id,val_loss\n0,nan\n1,0.2\n"), t)
 
     def test_wrong_header(self):

@@ -155,6 +155,21 @@ class TestRegularTree:
         assert max(len(hs.shell_sizes(t, v)) - 1 for v in range(t.n)) == 4
 
 
+@pytest.mark.parametrize("spec", ["clique-power:5,8", "complete:1", "complete:40",
+                                  "tree:3,9"])
+def test_generated_kinds_connected_without_bfs(spec, monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("is_connected ran a BFS")
+
+    monkeypatch.setattr(hs.Topology, "neighbors_block", no_bfs)
+    assert hs.Topology.from_spec(spec).is_connected()
+
+
+def test_custom_connectivity_by_bfs():
+    assert hs.load_adjacency("n 3\n0 1\n1 2\n").is_connected()
+    assert not hs.load_adjacency("n 4\n0 1\n2 3\n").is_connected()
+
+
 class TestLoadAdjacency:
     def test_four_cycle(self):
         text = "n 4\n0 1\n1 2\n2 3\n3 0\n"
