@@ -261,6 +261,16 @@ def preimage_sizes(view: LandscapeView, v: int, max_k: int):
     return counts, sum(per_level)
 
 
+def _observe_walk(view: LandscapeView, walk: np.ndarray) -> np.ndarray:
+    """Fresh-noise observations along ``walk`` in one view call: each node
+    is observed at its first visit, as observing step by step would."""
+    nodes, first, inverse = np.unique(walk, return_index=True, return_inverse=True)
+    by_visit = np.argsort(first)
+    values = np.empty(nodes.size)
+    values[by_visit] = view.observe_prefix(nodes[by_visit])[0]
+    return values[inverse]
+
+
 def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
     """Random-walk autocorrelation rows ``(lag, sqrt(lag), rho)``.
 
@@ -278,22 +288,21 @@ def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
         raise LandscapeError("random walk requires a connected topology")
     rng = spawn_rng(seed, _WALK_STREAM)
     pos = int(rng.integers(t.n))
-    frozen = view.noise.frozen
-    values = view.frozen_values() if frozen else None
-    xs = np.empty(walk_len)
+    walk = np.empty(walk_len, dtype=np.int64)
     try:
         block, mask = t.padded_neighbors()
         degs = mask.sum(axis=1)
         draws = rng.random(walk_len)
         for i in range(walk_len):
             pos = int(block[pos, int(draws[i] * degs[pos])])
-            xs[i] = values[pos] if frozen else view.observe(pos)
+            walk[i] = pos
     except TopologyError:
         # graph too large to materialize: per-step neighbor generation
         for i in range(walk_len):
             nbrs = t.neighbors(pos)
             pos = int(nbrs[int(rng.random() * len(nbrs))])
-            xs[i] = values[pos] if frozen else view.observe(pos)
+            walk[i] = pos
+    xs = view.frozen_values()[walk] if view.noise.frozen else _observe_walk(view, walk)
     xs = xs - xs.mean()
     c0 = float(np.dot(xs, xs)) / walk_len
     if c0 == 0.0:

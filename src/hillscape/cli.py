@@ -106,21 +106,22 @@ def cmd_search(cfg) -> int:
         num_initial=cfg["num_initial"], restart=cfg["restart"], jobs=cfg["jobs"],
     )
     outdir = _prepare_out(cfg, "search")  # after run_trials has checked its arguments
-    rows = []
-    for trial, hist in enumerate(histories):
-        has_test = hist.best_test is not None
-        for q in range(len(hist)):
-            rows.append((
-                trial, q + 1, int(hist.nodes[q]), hist.val_loss[q], hist.best_val[q],
-                hist.best_test[q] if has_test else None,
-            ))
+    lengths = [len(h) for h in histories]
+    any_test = all(h.best_test is not None for h in histories)
+
+    def joined(name):
+        return np.concatenate([getattr(h, name) for h in histories])
+
     _write_csv(os.path.join(outdir, "runs.csv"),
-               ["trial", "query", "node", "val_loss", "best_val", "best_test"], rows)
+               ["trial", "query", "node", "val_loss", "best_val", "best_test"],
+               [np.repeat(np.arange(len(histories)), lengths),
+                np.concatenate([np.arange(1, k + 1) for k in lengths]),
+                joined("nodes"), joined("val_loss"), joined("best_val"),
+                joined("best_test") if any_test else None])
 
     # the trials still running at each query: without restarts a trial ends at convergence
-    live = [[h for h in histories if len(h) > q] for q in range(max(map(len, histories)))]
+    live = [[h for h in histories if len(h) > q] for q in range(max(lengths))]
     best = [np.asarray([h.best_val[q] for h in hs]) for q, hs in enumerate(live)]
-    any_test = all(h.best_test is not None for h in histories)
     summary = {
         "algo": cfg["algo"],
         "trials": cfg["trials"],
@@ -143,6 +144,8 @@ def cmd_analyze(cfg) -> int:
     if not noise.frozen:
         raise LandscapeError("analyze requires a frozen noise mode")
     eps = _eps_grid(cfg)
+    if cfg["export_tree"] < 0:  # export_search_tree needs top_k >= 1; 0 means no export
+        raise ValueError("export-tree must be >= 0")
     outdir = _prepare_out(cfg, "analyze")
     view = LandscapeView(scape, noise, seed=cfg["seed"])
     _, stats = analysis.basins(view, use_base_loss_for_global=cfg["global_from_base"])
@@ -150,16 +153,15 @@ def cmd_analyze(cfg) -> int:
     smap = analysis.successor_map(view)
 
     _write_csv(os.path.join(outdir, "stats.csv"), ["metric", "value"], [
-        ("n", scape.n),
-        ("num_local_minima", stats.num_local_minima),
-        ("avg_iterations", stats.avg_iterations),
-        ("pct_global_basin", 100.0 * stats.fraction_reaching_global_min),
+        ("n", "num_local_minima", "avg_iterations", "pct_global_basin"),
+        (scape.n, stats.num_local_minima, stats.avg_iterations,
+         100.0 * stats.fraction_reaching_global_min),
     ])
-    _write_csv(os.path.join(outdir, "within_eps.csv"), ["epsilon", "fraction"], curve)
+    _write_csv(os.path.join(outdir, "within_eps.csv"), ["epsilon", "fraction"], zip(*curve))
     order = np.argsort(smap.values[stats.basin_minima], kind="stable")
+    minima = stats.basin_minima[order]
     _write_csv(os.path.join(outdir, "basin_sizes.csv"), ["min_id", "loss", "size"],
-               [(int(stats.basin_minima[i]), smap.values[stats.basin_minima[i]],
-                 int(stats.basin_sizes[i])) for i in order])
+               [minima, smap.values[minima], stats.basin_sizes[order]])
 
     if cfg["export_tree"] > 0:
         trees = analysis.export_search_tree(view, cfg["export_tree"])
@@ -180,7 +182,7 @@ def cmd_rwa(cfg) -> int:
     view = LandscapeView(scape, noise, seed=cfg["seed"])
     rows = analysis.rwa(view, cfg["walk_len"], cfg["max_lag"], seed=cfg["seed"])
     outdir = _prepare_out(cfg, "rwa")  # after rwa has checked its arguments
-    _write_csv(os.path.join(outdir, "rwa.csv"), ["lag", "sqrt_lag", "rho"], rows)
+    _write_csv(os.path.join(outdir, "rwa.csv"), ["lag", "sqrt_lag", "rho"], zip(*rows))
     return 0
 
 
@@ -200,6 +202,9 @@ def cmd_theory(cfg) -> int:
                               ell_star=cfg["ell_star"])
     eps = _eps_grid(cfg)
     max_k, grid_points, closed = cfg["max_k"], cfg["grid_points"], cfg["closed_form"]
+    if max_k < 1:
+        raise ValueError("max-k must be >= 1")
+    theory._grid(grid_points)  # rejects too few quadrature points before any output
     sigma, delta = cfg["noise_sigma"], cfg["delta"]
     if sigma is not None:
         bound = theory.chebyshev_minima_bound(pdf_n, pdf_e, params.s, sigma,
@@ -214,9 +219,10 @@ def cmd_theory(cfg) -> int:
         xs, table = theory._preimage_table(pdf_e, params, max_k, grid_points)
         curve = theory._success_from_table(pdf_n, pdf_e, params, eps, xs, table)
     _write_csv(os.path.join(outdir, "theory_summary.csv"), ["metric", "value"], [
-        ("n", params.n), ("s", params.s), ("expected_minima_fraction", frac),
-        ("expected_minima_count", frac * params.n)])
-    _write_csv(os.path.join(outdir, "theory_curve.csv"), ["epsilon", "fraction_theory"], curve)
+        ("n", "s", "expected_minima_fraction", "expected_minima_count"),
+        (params.n, params.s, frac, frac * params.n)])
+    _write_csv(os.path.join(outdir, "theory_curve.csv"), ["epsilon", "fraction_theory"],
+               zip(*curve))
 
     loss_grid = np.linspace(0.0, 1.0, 101)
     pre_rows = []
@@ -228,18 +234,17 @@ def cmd_theory(cfg) -> int:
         gv = g.survival(loss_grid)
         bounds = [theory.full_preimage_bounds(float(x), params.s) for x in gv]
         _write_csv(os.path.join(outdir, "theory_bounds.csv"),
-                   ["loss", "survival", "lower", "upper"],
-                   [(x, g_, *b) for x, g_, b in zip(loss_grid, gv, bounds)])
+                   ["loss", "survival", "lower", "upper"], [loss_grid, gv, *zip(*bounds)])
     else:
         for k in range(1, max_k + 1):
             sizes = np.interp(loss_grid, xs, table[k - 1])
             pre_rows.extend((x, k, v) for x, v in zip(loss_grid, sizes))
     _write_csv(os.path.join(outdir, "theory_preimages.csv"),
-               ["loss", "k", "expected_size"], pre_rows)
+               ["loss", "k", "expected_size"], zip(*pre_rows))
 
     if sigma is not None:
         _write_csv(os.path.join(outdir, "theory_chebyshev.csv"),
-                   ["sigma", "delta", "bound"], [(sigma, delta, bound)])
+                   ["sigma", "delta", "bound"], [(sigma,), (delta,), (bound,)])
         if not np.isfinite(bound):
             print("chebyshev bound vacuous (inf)", file=sys.stderr)
     return 0
@@ -288,7 +293,7 @@ def cmd_compare(cfg) -> int:
     outdir = _prepare_out(cfg, "compare")
     gap = sim - the
     _write_csv(os.path.join(outdir, "compared.csv"),
-               ["epsilon", "fraction_sim", "fraction_theory", "gap"], zip(eps_s, sim, the, gap))
+               ["epsilon", "fraction_sim", "fraction_theory", "gap"], [eps_s, sim, the, gap])
     _write_json(os.path.join(outdir, "compare_summary.json"), {
         "rows": len(eps_s), "max_abs_gap": float(np.max(np.abs(gap))) if len(gap) else 0.0})
     return 0

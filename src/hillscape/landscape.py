@@ -243,39 +243,82 @@ class LandscapeView:
         self.landscape = landscape
         self.noise = noise if noise is not None else NoiseSpec.none()
         self.seed = int(seed)
-        self.shuffle_rng = spawn_rng(self.seed, _SHUFFLE_STREAM)
         n = landscape.n
         self._values: np.ndarray | None = None
-        self._fresh_rng = spawn_rng(self.seed, _NOISE_STREAM)
+        # a trial builds only the generators it draws from: shuffle_rng on first
+        # use, _fresh_rng for fresh noise only (None marks a frozen view)
+        self._shuffle_rng: np.random.Generator | None = None
+        self._fresh_rng = None if self.noise.frozen else spawn_rng(self.seed, _NOISE_STREAM)
         self._queried = np.zeros(n, dtype=bool)
         self._count = 0
         self._log: list[int] = []
         self._successor_map = None  # analysis.successor_map's cache (frozen views)
 
+    @property
+    def shuffle_rng(self) -> np.random.Generator:
+        if self._shuffle_rng is None:
+            self._shuffle_rng = spawn_rng(self.seed, _SHUFFLE_STREAM)
+        return self._shuffle_rng
+
     # -- observation ------------------------------------------------------
 
     def observe(self, v: int) -> float:
+        """Observe one node whatever the budget: :meth:`observe_prefix` of ``(v,)``."""
+        values, _ = self.observe_prefix((v,))
+        return float(values[0])
+
+    def observe_prefix(self, ids, budget=None, stop_below=None) -> tuple[np.ndarray, int]:
+        """Observe the distinct node ``ids`` in order; return ``(values, k)``.
+
+        The walk stops before the first unseen id that would bring the charged
+        count above ``budget``, and (given ``stop_below``) after the first
+        value lower than ``stop_below``.  The first ``k`` ids are observed:
+        their unseen ones are charged and logged in order, and ``values``
+        holds the observations of all ``k``.  Ids past the stop are neither
+        charged nor drawn for, so fresh noise consumes its stream exactly as
+        observing the ids one at a time would.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
         n = self.landscape.n
-        if not 0 <= v < n:
+        # ufunc reductions: ndarray.min/max cost twice as much on a neighborhood
+        if ids.size and not (np.minimum.reduce(ids) >= 0 and np.maximum.reduce(ids) < n):
+            v = int(ids[(ids < 0) | (ids >= n)][0])
             raise LandscapeError(f"node id {v} out of range [0, {n})")
-        if self.noise.frozen:
-            vals = self._materialize()
-            value = float(vals[v])
+        new = ~self._queried[ids]
+        if budget is not None:
+            new_at = new.nonzero()[0]
+            room = max(int(budget) - self._count, 0)
+            if new_at.size > room:
+                ids, new = ids[:new_at[room]], new[:new_at[room]]
+        rng, state = self._fresh_rng, None
+        if rng is None:
+            values = self._materialize()[ids]
         else:
             if self._values is None:
                 self._values = np.full(n, np.nan)
-            if self._queried[v]:
-                return float(self._values[v])
-            value = float(
-                self.landscape.val_loss[v]
-                + self.noise.sigma * self._fresh_rng.standard_normal()
-            )
-            self._values[v] = value
-        if not self._queried[v]:
-            self._queried[v] = True
-            self._count += 1
-            self._log.append(v)
-        return value
+            values = self._values[ids]
+            draws = np.count_nonzero(new)
+            if draws:
+                if stop_below is not None:
+                    state = rng.bit_generator.state
+                values[new] = (self.landscape.val_loss[ids[new]]
+                               + self.noise.sigma * rng.standard_normal(draws))
+        if stop_below is not None and ids.size:
+            lower = values < stop_below
+            k = int(lower.argmax()) + 1  # just past the first lower value, if any
+            if lower[k - 1] and k < ids.size:
+                ids, new, values = ids[:k], new[:k], values[:k]
+                if state is not None:
+                    # keep only the draws before the stop: replay them from the saved state
+                    rng.bit_generator.state = state
+                    rng.standard_normal(np.count_nonzero(new))
+        charged = ids[new]
+        if rng is not None:
+            self._values[charged] = values[new]
+        self._queried[charged] = True
+        self._count += charged.size
+        self._log.extend(charged.tolist())
+        return values, ids.size
 
     def seen(self, v: int) -> bool:
         return bool(self._queried[v])
@@ -429,8 +472,6 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -438,10 +479,26 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path, header, rows) -> None:
-    """The one CSV writer: ints as decimals, floats with repr (so reading a
-    file back is bit-exact), strings as given and None as an empty cell."""
-    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+def _column_text(column, rows: int):
+    """The cells of one column: an int array as decimals, a float array with
+    repr, None as empty cells, any other sequence cell by cell."""
+    if column is None:
+        return [""] * rows
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(repr, column.tolist())
+    return map(_cell, column)
+
+
+def _write_csv(path, header, columns) -> None:
+    """The one CSV writer, one column at a time: ints as decimals, floats
+    with repr (so reading a file back is bit-exact), strings as given and a
+    None column as empty cells."""
+    columns = list(columns)
+    rows = max((len(c) for c in columns if c is not None), default=0)
+    cells = [_column_text(c, rows) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -527,11 +584,10 @@ def save_landscape(landscape: Landscape, path: str) -> None:
 
     Floats are written with repr, so a save/load round trip is bit-exact.
     """
-    losses = [landscape.val_loss]
+    columns = [np.arange(landscape.n), landscape.val_loss]
     if landscape.test_loss is not None:
-        losses.append(landscape.test_loss)
-    _write_csv(path, ["id", "val_loss", "test_loss"][:1 + len(losses)],
-               zip(range(landscape.n), *(a.tolist() for a in losses)))
+        columns.append(landscape.test_loss)
+    _write_csv(path, ["id", "val_loss", "test_loss"][:len(columns)], columns)
     sidecar = {
         "format": _FORMAT,
         "topology": landscape.topology.to_spec(),

@@ -14,9 +14,10 @@ a local minimum.  Variants:
 Budget accounting lives in the view: it charges the first observation of
 a node one evaluation, repeats are free, and its log lists the nodes in
 first-observation order.  A node is observed only if the view has seen it
-or fewer than ``budget`` nodes are charged
-(``view.seen(v) or view.query_count < budget``), so a run never charges
-more than ``budget`` distinct nodes.
+or fewer than ``budget`` nodes are charged, so a run never charges more
+than ``budget`` distinct nodes.  Each neighborhood sweep is one
+``view.observe_prefix`` call, which applies that rule node by node in
+sweep order; starts go through ``view.observe``, its one-node case.
 """
 
 from __future__ import annotations
@@ -132,31 +133,25 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
         nbrs = t.neighbors(v)
         if cfg.query_until_lower:
             nbrs = view.shuffle_rng.permutation(nbrs)
-        best_u, best_val = -1, np.inf
-        moved = out_of_budget = False
-        for u in nbrs:
-            u = int(u)
-            if not (view.seen(u) or view.query_count < cfg.budget):
-                out_of_budget = True
-                break
-            val = view.observe(u)
-            if cfg.continue_at_min and u not in expanded:
-                heapq.heappush(pool, (val, u))
-            if cfg.query_until_lower and val < lv:
-                v, lv = u, val
-                trace.path.append(v)
-                trace.iterations += 1
-                moved = True
-                break
-            if val < best_val:
-                best_u, best_val = u, val
-        if moved:
+        # one view call per sweep: query_until_lower stops after the first
+        # lower neighbor, the full sweep evaluates every neighbor
+        vals, k = view.observe_prefix(nbrs, cfg.budget,
+                                      lv if cfg.query_until_lower else None)
+        if cfg.continue_at_min:
+            for item in zip(vals.tolist(), nbrs[:k].tolist()):
+                if item[1] not in expanded:
+                    heapq.heappush(pool, item)
+        if cfg.query_until_lower and k and vals[k - 1] < lv:
+            v, lv = int(nbrs[k - 1]), float(vals[k - 1])
+            trace.path.append(v)
+            trace.iterations += 1
             continue
-        if out_of_budget:
+        if k < len(nbrs):  # out of budget mid-sweep: end without moving
             break
         expanded.add(v)
-        if best_val < lv:  # strict improvement only; ties do not move
-            v, lv = best_u, best_val
+        best = int(vals.argmin()) if k else 0  # the first minimum: ties go to the lower index
+        if k and vals[best] < lv:  # strict improvement only; ties do not move
+            v, lv = int(nbrs[best]), float(vals[best])
             trace.path.append(v)
             trace.iterations += 1
             continue
@@ -180,16 +175,22 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
 
 
 def random_search(view: LandscapeView, t: Topology, budget: int, seed: int) -> RunHistory:
-    """Evaluate ``budget`` distinct uniform-random nodes (rejection on repeats)."""
+    """Evaluate ``budget`` distinct uniform-random nodes (rejection on repeats).
+
+    Candidates are drawn in batches from a generator private to the call, so
+    drawing past the last charged node changes nothing observed.
+    """
     _check_count(budget, "budget")
     if budget > t.n:
         warnings.warn(f"budget {budget} exceeds node count {t.n}; capped")
         budget = t.n
     rng = spawn_rng(seed, _START_STREAM)
     while view.query_count < budget:
-        v = int(rng.integers(t.n))
-        if not view.seen(v):
-            view.observe(v)
+        # about enough draws for the remaining budget, given the share already seen
+        size = (budget - view.query_count) * t.n // (t.n - view.query_count)
+        draws = rng.integers(t.n, size=max(size, 16))
+        _, first = np.unique(draws, return_index=True)
+        view.observe_prefix(draws[np.sort(first)], budget)
     return RunHistory.from_view(view)
 
 

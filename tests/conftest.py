@@ -1,7 +1,11 @@
+import heapq
+
 import numpy as np
 import pytest
 
 import hillscape as hs
+from hillscape import search
+from hillscape.seeding import spawn_rng
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +47,100 @@ def custom_twin(t):
 def frozen_view(t, values, seed=0):
     scape = hs.Landscape(t, np.asarray(values, dtype=float))
     return hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=seed)
+
+
+# -- per-node search reference -------------------------------------------------
+#
+# The search loops as they were before search moved to one view call per
+# sweep: every neighbor goes through view.seen / view.query_count /
+# view.observe on its own.  Tests compare the batched search against them.
+
+
+def reference_local_search(view, start, cfg):
+    """``search.local_search`` observing one neighbor at a time."""
+    t = view.landscape.topology
+    trace = hs.SearchTrace(final=start)
+    if not (view.seen(start) or view.query_count < cfg.budget):
+        return trace
+    value = view.observe(start)
+    pool, expanded = [], set()
+    if cfg.continue_at_min:
+        heapq.heappush(pool, (value, start))
+    v, lv = start, value
+    trace.path.append(v)
+    while True:
+        nbrs = t.neighbors(v)
+        if cfg.query_until_lower:
+            nbrs = view.shuffle_rng.permutation(nbrs)
+        best_u, best_val = -1, np.inf
+        moved = out_of_budget = False
+        for u in nbrs:
+            u = int(u)
+            if not (view.seen(u) or view.query_count < cfg.budget):
+                out_of_budget = True
+                break
+            val = view.observe(u)
+            if cfg.continue_at_min and u not in expanded:
+                heapq.heappush(pool, (val, u))
+            if cfg.query_until_lower and val < lv:
+                v, lv = u, val
+                trace.path.append(v)
+                trace.iterations += 1
+                moved = True
+                break
+            if val < best_val:
+                best_u, best_val = u, val
+        if moved:
+            continue
+        if out_of_budget:
+            break
+        expanded.add(v)
+        if best_val < lv:
+            v, lv = best_u, best_val
+            trace.path.append(v)
+            trace.iterations += 1
+            continue
+        if cfg.continue_at_min and view.query_count < cfg.budget:
+            nxt = None
+            while pool:
+                val, u = heapq.heappop(pool)
+                if u not in expanded:
+                    nxt = (u, val)
+                    break
+            if nxt is not None:
+                v, lv = nxt
+                trace.path.append(v)
+                continue
+        trace.converged = True
+        break
+    trace.final = v
+    return trace
+
+
+def reference_trial(landscape, noise, algo, budget, num_initial, restart, root_seed, trial):
+    """One ``run_trials`` trial through the per-node loops: ``(history, traces)``."""
+    trial_seed = hs.mix64(root_seed, trial)
+    view = hs.LandscapeView(landscape, noise, seed=hs.mix64(trial_seed, 0))
+    rng = spawn_rng(hs.mix64(trial_seed, 1), search._START_STREAM)
+    t, traces = landscape.topology, []
+    if algo == "random":
+        budget = min(budget, t.n)
+        while view.query_count < budget:
+            v = int(rng.integers(t.n))
+            if not view.seen(v):
+                view.observe(v)
+        return hs.RunHistory.from_view(view), traces
+    cfg = search._search_config(algo, budget, num_initial, restart)
+    while True:
+        starts = []
+        for _ in range(cfg.num_initial):
+            v = int(rng.integers(t.n))
+            if not (view.seen(v) or view.query_count < cfg.budget):
+                break
+            starts.append((view.observe(v), v))
+        if not starts:
+            break
+        traces.append(reference_local_search(view, min(starts)[1], cfg))
+        if not cfg.restart_on_convergence or view.query_count >= min(cfg.budget, t.n):
+            break
+    return hs.RunHistory.from_view(view), traces

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import hillscape as hs
 from hillscape import analysis, topology
 from hillscape.landscape import LandscapeError
+from hillscape.seeding import spawn_rng
 
 from conftest import brute_successor, custom_twin, cycle_topology, frozen_view
 
@@ -352,6 +353,29 @@ class TestRwa:
         rows = hs.rwa(view, walk_len=100_000, max_lag=16, seed=7)
         rho = {lag: r for lag, _, r in rows}
         assert rho[1] > rho[4] > rho[16]
+
+    def test_fresh_noise_matches_per_step_observe(self):
+        # the walk is observed in one view call; per-step observation charges
+        # and draws for the same nodes in the same order
+        t = hs.make_clique_power(4, 3)
+        scape = hs.sample_uniform(t, 2)
+        noise = hs.NoiseSpec.gaussian_fresh(0.1)
+        view = hs.LandscapeView(scape, noise, seed=3)
+        rows = hs.rwa(view, walk_len=400, max_lag=6, seed=5)
+        ref = hs.LandscapeView(scape, noise, seed=3)
+        rng = spawn_rng(5, analysis._WALK_STREAM)
+        pos = int(rng.integers(t.n))
+        draws = rng.random(400)
+        xs = []
+        for d in draws:
+            nbrs = t.neighbors(pos)
+            pos = int(nbrs[int(d * len(nbrs))])
+            xs.append(ref.observe(pos))
+        assert view.observation_log() == ref.observation_log()
+        xs = np.asarray(xs) - np.mean(xs)
+        c0 = float(np.dot(xs, xs)) / 400
+        for lag, _, rho in rows:
+            assert rho == float(np.dot(xs[:400 - lag], xs[lag:])) / 400 / c0
 
     def test_markov_sigma035_structure(self, k56):
         # correlated at short range, near zero past sqrt(t) ~ 3.5 (t ~ 12)

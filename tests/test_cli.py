@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import shlex
 import subprocess
@@ -685,6 +686,56 @@ def test_bad_counts_leave_no_directory(small_landscape, tmp_path, capsys, comman
     assert code == 3
     assert message in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--max-k", "0"], "max-k must be >= 1"),
+    (["--max-k", "0", "--closed-form", "uniform"], "max-k must be >= 1"),
+    (["--grid-points", "1"], "grid needs at least 9 points"),
+], ids=["max-k", "max-k-closed-form", "grid-points"])
+def test_theory_bad_sizes_leave_no_directory(tmp_path, capsys, flags, message):
+    # max-k 0 used to raise IndexError (or write a header-only preimage table),
+    # grid-points 1 to exit 3 with manifest.json already written
+    code, err = run_main(capsys, "theory", "--n", "100", "--s", "4", *flags,
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_negative_export_tree_leaves_no_directory(small_landscape, tmp_path, capsys):
+    # used to exit 0 and export nothing
+    code, err = run_main(capsys, "analyze", "--landscape", str(small_landscape),
+                         "--export-tree", "-1", "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "export-tree must be >= 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+# sha256 of the files the row-by-row CSV writer produced for these runs,
+# before the writer formatted whole columns at once
+_PINNED_CSV = {
+    "with_test.csv": "32872e783373c55cb9e0c382c21e6c1874381af162ffcda24a596358286355f1",
+    "gen/landscape.csv": "689502c13cad3b3bb46f26119ec72f3013669aadc2dc83f8a2cf5898449a8322",
+    "local/runs.csv": "020cd5c09f4ec7c44ad4790fb187a6868c3fac7a4ecc5a3a850ba9b78b49fb28",
+    "random/runs.csv": "e039c0b888d23d4b9890a8b05253f831a20bd118a750e24e0d3973b7c811c503",
+}
+
+
+def test_csv_bytes_pinned(tmp_path, capsys):
+    t = hs.make_clique_power(4, 3)
+    rng = np.random.default_rng(1)
+    hs.save_landscape(hs.Landscape(t, rng.random(t.n), test_loss=rng.random(t.n)),
+                      str(tmp_path / "with_test.csv"))
+    d = str(tmp_path)
+    for argv in (["gen", "--topo", "clique-power:4,3", "--seed", "7", "--out", f"{d}/gen"],
+                 ["search", "--landscape", f"{d}/with_test.csv", "--noise", "gaussian:0.05",
+                  "--budget", "40", "--trials", "3", "--seed", "1", "--out", f"{d}/local"],
+                 ["search", "--landscape", f"{d}/gen/landscape.csv", "--algo", "random",
+                  "--budget", "30", "--trials", "3", "--seed", "1", "--out", f"{d}/random"]):
+        assert run_main(capsys, *argv) == (0, "")
+    for name, digest in _PINNED_CSV.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_fit_rejects_non_numeric_rho(tmp_path):

@@ -8,7 +8,9 @@ import pytest
 from scipy.special import erf
 
 import hillscape as hs
+from hillscape import landscape
 from hillscape.landscape import LandscapeError
+from hillscape.seeding import spawn_rng
 
 from conftest import custom_twin, cycle_topology
 
@@ -228,6 +230,64 @@ class TestObserve:
         view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=0)
         with pytest.raises(LandscapeError):
             view.observe(15625)
+
+
+def _observe_one_at_a_time(view, ids, budget, stop_below):
+    """``observe_prefix`` as a per-node loop over ``observe``."""
+    values = []
+    for u in ids:
+        if budget is not None and not (view.seen(u) or view.query_count < budget):
+            break
+        values.append(view.observe(u))
+        if stop_below is not None and values[-1] < stop_below:
+            break
+    return np.asarray(values, dtype=float), len(values)
+
+
+class TestObservePrefix:
+    @pytest.mark.parametrize("noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.1),
+                                       hs.NoiseSpec.gaussian_fresh(0.1)],
+                             ids=["none", "frozen", "fresh"])
+    @pytest.mark.parametrize("stop_below", [None, 0.2, -1.0])
+    @pytest.mark.parametrize("budget", [None, 3, 8, 60])
+    def test_matches_one_at_a_time(self, k56_uniform, noise, stop_below, budget):
+        rng = np.random.default_rng(3)
+        batched, looped = (hs.LandscapeView(k56_uniform, noise, seed=8) for _ in range(2))
+        for view in (batched, looped):
+            for v in (11, 40, 12):  # seen before the sweep: free, values cached
+                view.observe(v)
+        for _ in range(6):
+            ids = np.concatenate(([40, 11], rng.choice(np.arange(100, 300), 20, replace=False)))
+            rng.shuffle(ids)
+            got, k = batched.observe_prefix(ids, budget, stop_below)
+            want, k_want = _observe_one_at_a_time(looped, ids.tolist(), budget, stop_below)
+            assert k == k_want and got.tobytes() == want.tobytes()
+            assert batched.observation_log() == looped.observation_log()
+        # fresh noise: both views left their streams at the same draw
+        assert batched.observe(5000) == looped.observe(5000)
+
+    def test_budget_cut(self):
+        view = hs.LandscapeView(hs.Landscape(hs.make_complete(10), np.arange(10) / 10.0))
+        view.observe(6)
+        view.observe(8)
+        values, k = view.observe_prefix([5, 6, 7, 8], budget=3)
+        assert k == 2 and values.tolist() == [0.5, 0.6]  # 7 would be the fourth charged
+        assert view.observation_log() == [6, 8, 5]
+        assert view.observe_prefix([6, 8], budget=3)[1] == 2  # seen ids are free
+        assert view.observe_prefix([], budget=3)[1] == 0
+
+    @pytest.mark.parametrize("ids,bad", [([3, 15625, 4], 15625), ([2, -1], -1)])
+    def test_out_of_range(self, k56_uniform, ids, bad):
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=0)
+        with pytest.raises(LandscapeError, match=rf"node id {bad} out of range"):
+            view.observe_prefix(ids)
+        assert view.query_count == 0
+
+    def test_generators_built_on_use(self, k56_uniform):
+        frozen = hs.LandscapeView(k56_uniform, hs.NoiseSpec.gaussian_frozen(0.1), seed=2)
+        assert frozen._fresh_rng is None and frozen._shuffle_rng is None
+        assert (frozen.shuffle_rng.permutation(9).tolist()
+                == spawn_rng(2, landscape._SHUFFLE_STREAM).permutation(9).tolist())
 
 
 class TestNoiseSpec:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 import hillscape as hs
 
-from conftest import cycle_topology, frozen_view
+from hillscape import search
+
+from conftest import cycle_topology, frozen_view, reference_trial
 
 
 @pytest.fixture
@@ -324,3 +328,84 @@ class TestRunTrials:
             assert len(hists) == 3
             for h in hists:
                 assert (np.diff(h.best_val) <= 0).all()
+
+
+@pytest.fixture(scope="module")
+def grid_scapes():
+    t = hs.make_clique_power(5, 4)
+    rng = np.random.default_rng(5)
+    return {
+        "distinct": hs.Landscape(t, rng.random(t.n), test_loss=rng.random(t.n)),
+        "tied": hs.Landscape(t, np.round(rng.random(t.n), 1), test_loss=rng.random(t.n)),
+        "markov": hs.sample_markov_truncnorm(t, 0.35, 0.25, 0.18, seed=3),
+    }
+
+
+def _same(a, b):
+    return a is b is None or (a is not None and b is not None and a.tobytes() == b.tobytes())
+
+
+class TestMatchesPerNodeReference:
+    """One view call per sweep gives the histories and traces of the
+    per-node loops in ``conftest``, byte for byte: 3 landscapes x 4
+    algorithms x 3 noise modes x restart x num_initial x 5 budgets."""
+
+    @pytest.mark.parametrize("noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.05),
+                                       hs.NoiseSpec.gaussian_fresh(0.05)],
+                             ids=["none", "frozen", "fresh"])
+    @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam", "random"])
+    @pytest.mark.parametrize("scape", ["distinct", "tied", "markov"])
+    def test_run_trials(self, grid_scapes, scape, algo, noise, monkeypatch):
+        scape = grid_scapes[scape]
+        traces = []
+        batched = search.local_search
+        monkeypatch.setattr(search, "local_search",
+                            lambda *args: traces.append(batched(*args)) or traces[-1])
+        for restart, num_initial, budget in itertools.product(
+                (True, False), (1, 3), (3, 7, 150, scape.n, 700)):
+            traces.clear()
+            root = 7 * budget + num_initial
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # random search caps budget 700
+                hists = hs.run_trials(scape, noise, algo, budget, 2, root,
+                                      num_initial=num_initial, restart=restart)
+            ref_traces = []
+            for trial, hist in enumerate(hists):
+                ref, trial_traces = reference_trial(scape, noise, algo, budget,
+                                                    num_initial, restart, root, trial)
+                ref_traces += trial_traces
+                for name in ("nodes", "val_loss", "best_val", "best_test"):
+                    assert _same(getattr(hist, name), getattr(ref, name)), (
+                        restart, num_initial, budget, trial, name)
+            assert traces == ref_traces, (restart, num_initial, budget)
+            if algo != "random":
+                assert traces
+
+
+class TestStreamFacts:
+    """Draw-stream facts the batched search relies on, on the installed numpy."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    def test_standard_normal_batch_equals_scalars(self, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (0, 1, 3, 24, 300):
+            batch = a.standard_normal(k)
+            scalars = np.asarray([b.standard_normal() for _ in range(k)], dtype=float)
+            assert batch.tobytes() == scalars.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 7, 625, 15625, 3**19])
+    def test_integers_batch_equals_scalars(self, n):
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        for k in (1, 16, 300):
+            batch = a.integers(n, size=k)
+            assert batch.tolist() == [int(b.integers(n)) for _ in range(k)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_restored_state_replays(self):
+        rng = np.random.default_rng(4)
+        rng.standard_normal(5)
+        state = rng.bit_generator.state
+        first = rng.standard_normal(24)
+        rng.bit_generator.state = state
+        assert rng.standard_normal(24).tobytes() == first.tobytes()
