@@ -103,8 +103,8 @@ def _frozen(view: LandscapeView) -> np.ndarray:
 def successor_map(view: LandscapeView) -> SuccessorMap:
     """Full n-length successor map with ascending-id tie-breaking.
 
-    Closed form on clique powers, row chunks of ``neighbors_block`` on the
-    other kinds; cached on the view.
+    Closed form on clique powers (complete graphs are (K_n)^1), row chunks
+    of ``neighbors_block`` on trees and custom graphs; cached on the view.
     """
     if view._successor_map is not None:
         return view._successor_map
@@ -160,7 +160,7 @@ def _chunked_successor(values: np.ndarray, t) -> np.ndarray:
     succ = np.arange(t.n)
     maxdeg = t.max_degree()
     rows = max(1, _CHUNK_ENTRIES // max(maxdeg, 1))
-    for lo in range(0, t.n if maxdeg else 0, rows):  # complete:1 has no edges
+    for lo in range(0, t.n if maxdeg else 0, rows):  # no edges: every node stays
         hi = min(lo + rows, t.n)
         ids = np.arange(lo, hi)
         block, mask = t.neighbors_block(ids)

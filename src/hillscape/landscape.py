@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .seeding import spawn_rng
-from .topology import Topology, _parse_spec
+from .topology import Topology, _bfs_tree, _parse_spec
 
 __all__ = [
     "Landscape",
@@ -392,45 +392,6 @@ def sample_uniform(t: Topology, seed: int) -> Landscape:
     vals = rng.random(t.n)
     meta = {"generator": "uniform", "params": {}, "seed": int(seed)}
     return Landscape(t, vals, meta=meta)
-
-
-def _bfs_tree(t: Topology):
-    """Breadth-first tree from node 0: ``(order, parent, sizes)``.
-
-    ``order`` lists the reached nodes level by level, ascending within a
-    level, and ``sizes`` holds the level sizes.  ``parent[v]`` is v's
-    discoverer: its lowest-id neighbor one level up.  On (K_m)^d a node's
-    level is its count of non-zero digits and its discoverer is the node
-    with its highest non-zero digit set to 0; other kinds run the frontier
-    loop.
-    """
-    n = t.n
-    parent = np.zeros(n, dtype=np.int64)
-    if t.kind == "clique_power":
-        m = t.m
-        level = np.zeros(n, dtype=np.int8)
-        width = 1
-        for _ in range(t.d):
-            # ids in [width, m * width) have their highest non-zero digit here
-            level[width:m * width] = np.tile(level[:width] + 1, m - 1)
-            parent[width:m * width] = np.tile(np.arange(width), m - 1)
-            width *= m
-        return np.argsort(level, kind="stable"), parent, np.bincount(level)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    levels = [np.zeros(1, dtype=np.int64)]
-    while True:
-        frontier = levels[-1]
-        block, mask = t.neighbors_block(frontier)
-        parents = np.repeat(frontier, block.shape[1])
-        flat = block.ravel()
-        keep = mask.ravel() & ~seen[flat]
-        uniq, first = np.unique(flat[keep], return_index=True)
-        if uniq.size == 0:
-            return np.concatenate(levels), parent, np.asarray([lv.size for lv in levels])
-        parent[uniq] = parents[keep][first]
-        seen[uniq] = True
-        levels.append(uniq)
 
 
 def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,

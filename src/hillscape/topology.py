@@ -10,8 +10,7 @@ Generated kinds:
   strings over m symbols in little-endian mixed radix
   (id = sum_i digit_i * m^i); two nodes are adjacent iff they differ in
   exactly one digit.  Neighbors are generated arithmetically, adjacency is
-  never materialized.
-* ``complete`` -- K_n.
+  never materialized.  ``make_complete(n)`` builds K_n as (K_n)^1.
 * ``regular_tree`` -- rooted tree where the root has ``arity`` children and
   every internal non-root node has ``arity - 1`` children, so every
   internal node has degree ``arity``; leaves sit at ``depth``.  Ids are
@@ -22,6 +21,7 @@ Generated kinds:
 
 from __future__ import annotations
 
+import functools
 import inspect
 import io
 
@@ -98,26 +98,12 @@ class Topology:
         self._check_id(v)
         v = int(v)
         if self.kind == "clique_power":
-            m, d = self.m, self.d
-            out = np.empty(self.degree, dtype=np.int64)
-            idx = 0
-            stride = 1
-            for _ in range(d):
-                digit = (v // stride) % m
-                base = v - digit * stride
-                for q in range(m):
-                    if q != digit:
-                        out[idx] = base + q * stride
-                        idx += 1
-                stride *= m
-            out.sort()
-            return out
-        if self.kind == "complete":
-            return np.concatenate([np.arange(v, dtype=np.int64),
-                                   np.arange(v + 1, self.n, dtype=np.int64)])
+            _, offsets, moduli = self._clique_template
+            u = v + offsets
+            return u[u // moduli == v // moduli]
         if self.kind == "custom":
             return self._indices[self._indptr[v]:self._indptr[v + 1]]
-        block, mask = self.neighbors_block(np.asarray([v], dtype=np.int64))
+        block, mask = self._tree_block(np.asarray([v], dtype=np.int64))
         return block[0][mask[0]]
 
     def neighbors_block(self, vs: np.ndarray):
@@ -128,40 +114,45 @@ class Topology:
         the node's own id, and ``mask`` marks real neighbors.
         """
         vs = np.asarray(vs, dtype=np.int64)
+        self._check_id(vs)
         if self.kind == "clique_power":
             return self._clique_block(vs)
-        if self.kind == "complete":
-            return self._complete_block(vs)
         if self.kind == "regular_tree":
             return self._tree_block(vs)
         return self._csr_block(vs)
 
-    def _clique_block(self, vs):
-        m, d = self.m, self.d
-        cols = []
-        for p in range(d):
-            stride = m**p
-            dig = (vs // stride) % m
-            base = vs - dig * stride
-            for q in range(m):
-                col = base + q * stride
-                cols.append(np.where(q == dig, vs, col))
-        block = np.sort(np.stack(cols, axis=1), axis=1)
-        # each row contains the node itself d times (once per position)
-        mask = block != vs[:, None]
-        s = self.degree
-        out = np.empty((len(vs), s), dtype=np.int64)
-        out[:] = block[mask].reshape(len(vs), s)
-        return out, np.ones_like(out, dtype=bool)
+    @functools.cached_property
+    def _clique_template(self):
+        """``(strides, offsets, moduli)`` of (K_m)^d, built on first use.
 
-    def _complete_block(self, vs):
-        n = self.n
-        if n == 1:
-            return np.zeros((len(vs), 0), dtype=np.int64), np.zeros((len(vs), 0), dtype=bool)
-        all_ids = np.broadcast_to(np.arange(n, dtype=np.int64), (len(vs), n))
-        mask = all_ids != vs[:, None]
-        out = all_ids[mask].reshape(len(vs), n - 1)
-        return out, np.ones_like(out, dtype=bool)
+        Entry (p, k) of the template is the offset k * m^p, which changes
+        digit p by k; ``moduli`` holds its m^(p+1).  Listed as the negative
+        k of each position from the highest position down, then the
+        positive k from the lowest position up, the 2s offsets are already
+        ascending.  Node v keeps the s entries whose digit p + k stays in
+        [0, m): v + offset then has v's digits above p, and digit p is at
+        least |k| for a negative k and below m - k for a positive one.
+        """
+        m, d = self.m, self.d
+        strides = m ** np.arange(d, dtype=np.int64)
+        ks = np.arange(1, m, dtype=np.int64)
+        steps = ks * strides[:, None]  # (d, m-1): k * m^p for k = 1..m-1
+        offsets = np.concatenate([-steps[::-1, ::-1].ravel(), steps.ravel()])
+        moduli = np.concatenate([np.repeat(m * strides[::-1], m - 1),
+                                 np.repeat(m * strides, m - 1)])
+        return strides, offsets, moduli
+
+    def _clique_block(self, vs):
+        strides, offsets, _ = self._clique_template
+        m = self.m
+        # digit p >= m-1, ..., 1: kept by position p's negative run, dropped by its positive run
+        ge = (vs[:, None] // strides % m)[:, :, None] >= np.arange(m - 1, 0, -1)
+        keep = np.concatenate([ge[:, ::-1], ~ge], axis=1).reshape(len(vs), 2 * self.degree)
+        del ge  # the dels hold the peak to the output plus one mask
+        out = np.broadcast_to(offsets, keep.shape)[keep].reshape(len(vs), self.degree)
+        del keep
+        out += vs[:, None]
+        return out, np.ones(out.shape, dtype=bool)
 
     def _tree_block(self, vs):
         a, depth = self.arity, self.depth
@@ -193,14 +184,12 @@ class Topology:
         return block, mask
 
     def _csr_block(self, vs):
-        degs = self._indptr[vs + 1] - self._indptr[vs]
-        maxdeg = int(degs.max()) if len(vs) else 0
-        block = np.repeat(vs[:, None], max(maxdeg, 1), axis=1)
-        mask = np.zeros_like(block, dtype=bool)
-        for i, v in enumerate(vs):
-            lo, hi = self._indptr[v], self._indptr[v + 1]
-            block[i, : hi - lo] = self._indices[lo:hi]
-            mask[i, : hi - lo] = True
+        starts = self._indptr[vs]
+        degs = self._indptr[vs + 1] - starts
+        width = max(int(degs.max()) if len(vs) else 0, 1)
+        mask = np.arange(width) < degs[:, None]
+        block = np.repeat(vs[:, None], width, axis=1)
+        block[mask] = self._indices[(starts[:, None] + np.arange(width))[mask]]
         return block, mask
 
     def padded_neighbors(self):
@@ -220,29 +209,18 @@ class Topology:
 
     def degree_of(self, v: int) -> int:
         self._check_id(v)
-        if self.kind == "clique_power":
-            return self.degree
-        if self.kind == "complete":
-            return self.n - 1
-        if self.kind == "regular_tree":
-            lev = int(np.searchsorted(self._level_offsets, v, side="right") - 1)
-            if lev == self.depth:
-                return 1
-            return self.arity
-        return int(self._indptr[v + 1] - self._indptr[v])
+        return self.degree if self.degree is not None else len(self.neighbors(v))
 
     def max_degree(self) -> int:
-        if self.kind == "custom":
-            return int((self._indptr[1:] - self._indptr[:-1]).max())
+        if self.degree is not None:
+            return self.degree
         if self.kind == "regular_tree":
             return self.arity
-        return self.degree
+        return int((self._indptr[1:] - self._indptr[:-1]).max())
 
     def diameter(self) -> int:
         if self.kind == "clique_power":
-            return self.d
-        if self.kind == "complete":
-            return 0 if self.n == 1 else 1
+            return self.d if self.m > 1 else 0
         if self.kind == "regular_tree":
             return 2 * self.depth
         ecc = 0
@@ -259,9 +237,7 @@ class Topology:
 
     def to_spec(self) -> str:
         if self.kind == "clique_power":
-            return f"clique-power:{self.m},{self.d}"
-        if self.kind == "complete":
-            return f"complete:{self.n}"
+            return f"complete:{self.m}" if self.d == 1 else f"clique-power:{self.m},{self.d}"
         if self.kind == "regular_tree":
             return f"tree:{self.arity},{self.depth}"
         return f"custom:{self.n}"
@@ -275,6 +251,11 @@ class Topology:
                            TopologyError, "topology")
 
     def _check_id(self, v):
+        """Raise TopologyError unless node id ``v``, or every id of array ``v``, is in [0, n)."""
+        if isinstance(v, np.ndarray):
+            if not v.size or (v.min() >= 0 and v.max() < self.n):
+                return
+            v = v[(v < 0) | (v >= self.n)][0]
         if not 0 <= int(v) < self.n:
             raise TopologyError(f"node id {v} out of range [0, {self.n})")
 
@@ -311,6 +292,11 @@ def _parse_spec(text: str, kinds: dict, error, what: str):
 # -- constructors ---------------------------------------------------------
 
 
+def _check_node_count(n: int, what: str) -> None:
+    if n > _MAX_NODES:
+        raise TopologyError(f"{what} {n} nodes, more than the {_MAX_NODES} supported")
+
+
 def make_clique_power(m: int, d: int) -> Topology:
     """(K_m)^d: nodes are d-digit base-m strings, adjacent iff they differ in one digit."""
     if m < 2:
@@ -318,15 +304,16 @@ def make_clique_power(m: int, d: int) -> Topology:
     if d < 1:
         raise TopologyError("clique power needs d >= 1")
     n = m**d
-    if n > _MAX_NODES:
-        raise TopologyError(f"m**d = {n} exceeds the supported node-id range")
+    _check_node_count(n, f"clique-power:{m},{d} has")
     return Topology("clique_power", n, d * (m - 1), m=m, d=d)
 
 
 def make_complete(n: int) -> Topology:
+    """K_n, the clique power (K_n)^1."""
     if n < 1:
         raise TopologyError("complete graph needs n >= 1")
-    return Topology("complete", n, n - 1)
+    _check_node_count(n, f"complete:{n} has")
+    return Topology("clique_power", n, n - 1, m=n, d=1)
 
 
 def make_regular_tree(arity: int, depth: int) -> Topology:
@@ -334,13 +321,13 @@ def make_regular_tree(arity: int, depth: int) -> Topology:
         raise TopologyError("regular tree needs arity >= 2")
     if depth < 1:
         raise TopologyError("regular tree needs depth >= 1")
-    n = 1 + arity
-    width = arity
-    for _ in range(2, depth + 1):
-        width *= arity - 1
+    n = width = 1
+    for level in range(depth):
+        width *= arity if level == 0 else arity - 1
         n += width
         if n > _MAX_NODES:
-            raise TopologyError("tree node count exceeds the supported id range")
+            break
+    _check_node_count(n, f"tree:{arity},{depth} has at least")
     return Topology("regular_tree", n, None, arity=arity, depth=depth)
 
 
@@ -380,6 +367,7 @@ def load_adjacency(source) -> Topology:
                 raise TopologyError(f"line {lineno}: bad node count {parts[1]!r}") from None
             if n < 1:
                 raise TopologyError("empty graph: node count must be >= 1")
+            _check_node_count(n, f"line {lineno}: header declares")
             continue
         if len(parts) != 2:
             raise TopologyError(f"line {lineno}: expected '<u> <v>'")
@@ -412,30 +400,55 @@ def load_adjacency(source) -> Topology:
 # -- module-level operations ----------------------------------------------
 
 
+def _bfs_tree(t: Topology, root: int = 0):
+    """Breadth-first tree from ``root``: ``(order, parent, sizes)``.
+
+    ``order`` lists the reached nodes level by level, ascending within a
+    level, and ``sizes`` holds the level sizes.  ``parent[v]`` is v's
+    discoverer: its lowest-id neighbor one level up.  On (K_m)^d from node
+    0 a node's level is its count of non-zero digits and its discoverer is
+    the node with its highest non-zero digit set to 0; otherwise the
+    frontier loop runs.
+    """
+    t._check_id(root)
+    n = t.n
+    parent = np.zeros(n, dtype=np.int64)
+    if t.kind == "clique_power" and root == 0:
+        m = t.m
+        level = np.zeros(n, dtype=np.int8)
+        width = 1
+        for _ in range(t.d):
+            # ids in [width, m * width) have their highest non-zero digit here
+            level[width:m * width] = np.tile(level[:width] + 1, m - 1)
+            parent[width:m * width] = np.tile(np.arange(width), m - 1)
+            width *= m
+        return np.argsort(level, kind="stable"), parent, np.bincount(level)
+    seen = np.zeros(n, dtype=bool)
+    seen[root] = True
+    levels = [np.asarray([root], dtype=np.int64)]
+    while True:
+        frontier = levels[-1]
+        block, mask = t.neighbors_block(frontier)
+        mask &= ~seen[block]
+        uniq, first = np.unique(block[mask], return_index=True)
+        if uniq.size == 0:
+            return np.concatenate(levels), parent, np.asarray([lv.size for lv in levels])
+        parent[uniq] = frontier[np.nonzero(mask)[0][first]]  # rows are frontier nodes
+        seen[uniq] = True
+        levels.append(uniq)
+
+
 def shell_sizes(t: Topology, v: int) -> list[int]:
     """[|N_0(v)|, |N_1(v)|, ...] by breadth-first search from ``v``."""
-    t._check_id(v)
-    visited = np.zeros(t.n, dtype=bool)
-    visited[v] = True
-    frontier = np.asarray([v], dtype=np.int64)
-    sizes = [1]
-    while True:
-        block, mask = t.neighbors_block(frontier)
-        nxt = np.unique(block[mask])
-        nxt = nxt[~visited[nxt]]
-        if nxt.size == 0:
-            return sizes
-        visited[nxt] = True
-        sizes.append(int(nxt.size))
-        frontier = nxt
+    return _bfs_tree(t, v)[2].tolist()
 
 
 def branching_fraction(t: Topology, k: int, reference: int = 0) -> float:
     """b_k = |N_k(v)| / (|N_{k-1}(v)| * |N(v)|) from a reference node.
 
     Entry k of :func:`branching_fractions`.  Generated kinds use closed
-    forms: clique powers give
-    ``(d - k + 1) / (d k)``; complete graphs give 1 at k=1 and 0 beyond;
+    forms: clique powers give ``(d - k + 1) / (d k)``, so complete graphs
+    (d = 1) give 1 at k=1 and 0 beyond;
     regular trees measured from the root give the idealized value 1 for
     k <= depth (each step treated as spawning degree-many new nodes).
     Custom graphs, and trees from a non-root reference, are BFS-derived.
@@ -455,17 +468,12 @@ def _clique_power_branching(d: int) -> np.ndarray:
 
 def branching_fractions(t: Topology, reference: int = 0) -> np.ndarray:
     """b_1..b_D from ``reference`` (D = eccentricity, closed forms where defined)."""
-    t._check_id(reference)
-    if t.kind == "clique_power":
-        return _clique_power_branching(t.d)
-    if t.kind == "complete":
-        if t.n == 1:
-            raise TopologyError("degree undefined on a single-node graph")
-        return np.asarray([1.0])
-    if t.kind == "regular_tree" and reference == 0:
-        return np.ones(t.depth)
     deg = t.degree_of(reference)
     if deg == 0:
         raise TopologyError(f"degree undefined at node {reference}")
+    if t.kind == "clique_power":
+        return _clique_power_branching(t.d)
+    if t.kind == "regular_tree" and reference == 0:
+        return np.ones(t.depth)
     shells = np.asarray(shell_sizes(t, reference), dtype=float)
     return shells[1:] / (shells[:-1] * deg)

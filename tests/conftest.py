@@ -18,12 +18,41 @@ def k56_uniform(k56):
     return hs.sample_uniform(k56, seed=7)
 
 
+def digits_base(v, m, d):
+    out = []
+    for _ in range(d):
+        out.append(v % m)
+        v //= m
+    return out
+
+
+def clique_neighbors_oracle(v, m, d):
+    """Enumerate neighbors straight from the digit definition."""
+    dig = digits_base(v, m, d)
+    out = []
+    for pos in range(d):
+        for q in range(m):
+            if q != dig[pos]:
+                nd = list(dig)
+                nd[pos] = q
+                out.append(sum(c * m**i for i, c in enumerate(nd)))
+    return sorted(out)
+
+
+def oracle_neighbors(t, v):
+    """Neighbors of ``v``: from the digit oracle on clique powers (complete
+    graphs included), from ``t.neighbors`` on the other kinds."""
+    if t.kind == "clique_power":
+        return clique_neighbors_oracle(v, t.m, t.d)
+    return [int(u) for u in t.neighbors(v)]
+
+
 def brute_successor(t, values):
     """Independent argmin-neighbor oracle: explicit loops, no numpy tricks."""
     succ = []
     for v in range(t.n):
         best_id, best_val = v, values[v]
-        for u in t.neighbors(v):
+        for u in oracle_neighbors(t, v):
             u = int(u)
             if values[u] < best_val:
                 best_id, best_val = u, values[u]
@@ -40,7 +69,8 @@ def cycle_topology(n=4):
 def custom_twin(t):
     """The same graph as ``t``, loaded as a custom topology through the
     adjacency format, so it takes the generic code paths."""
-    lines = [f"n {t.n}"] + [f"{v} {u}" for v in range(t.n) for u in t.neighbors(v) if u > v]
+    lines = [f"n {t.n}"] + [f"{v} {u}" for v in range(t.n) for u in oracle_neighbors(t, v)
+                            if u > v]
     return hs.load_adjacency("\n".join(lines) + "\n")
 
 

@@ -157,6 +157,30 @@ class TestCliquePowerKernel:
         assert np.array_equal(succ, hs.successor_map(frozen_view(custom_twin(t), values)).succ)
 
 
+class TestCompleteGraphKernel:
+    """Complete graphs are (K_n)^1, so the closed-form kernel serves them."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_complete_300_matches_oracle_without_gather(self, tied, monkeypatch):
+        def no_gather(*args):
+            raise AssertionError("complete graph reached the chunked gather")
+
+        monkeypatch.setattr(analysis, "_chunked_successor", no_gather)
+        t = hs.make_complete(300)
+        values = np.random.default_rng(30).random(t.n)
+        if tied:
+            values = np.round(values * 6) / 6
+        succ = hs.successor_map(frozen_view(t, values)).succ
+        assert np.array_equal(succ, brute_successor(t, values))
+        # only nodes holding the lowest value have no strictly lower neighbor
+        lowest = np.flatnonzero(values == values.min())
+        assert np.array_equal(hs.find_local_minima(frozen_view(t, values)), lowest)
+
+    def test_single_node(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_chunked_successor", None)
+        assert hs.successor_map(frozen_view(hs.make_complete(1), [0.5])).succ.tolist() == [0]
+
+
 def _terminals(succ):
     cur = succ
     while not np.array_equal(succ[cur], cur):

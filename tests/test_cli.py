@@ -832,3 +832,32 @@ def test_gen_rejected_sigma_leaves_no_directory(tmp_path, capsys, model):
     assert code == 3
     assert err == "error: sigma must be positive\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("topo", [f"complete:{2**63}", "custom", "clique-power:2,63",
+                                  f"tree:{2**62},1"])
+def test_gen_node_count_over_bound_exits_3(tmp_path, topo):
+    # the complete graph used to exit 3 with numpy's "Maximum allowed dimension
+    # exceeded", and the custom file died in np.bincount with a traceback (exit 1)
+    if topo == "custom":
+        adj = tmp_path / "huge.adj"
+        adj.write_text("n 99999999999999999999\n0 1\n")
+        topo = f"custom:{adj}"
+    res = run_cli("gen", "--topo", topo, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr
+    assert "nodes, more than the 4611686018427387904 supported" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o" / "landscape.csv").exists()
+
+
+def test_dimension_one_clique_power_written_as_complete(tmp_path, capsys):
+    code, err = run_main(capsys, "gen", "--topo", "clique-power:6,1", "--seed", "2",
+                         "--out", str(tmp_path / "a"))
+    assert code == 0, err
+    meta = json.loads((tmp_path / "a" / "landscape.meta.json").read_text())
+    assert meta["topology"] == "complete:6"
+    code, err = run_main(capsys, "gen", "--topo", "complete:6", "--seed", "2",
+                         "--out", str(tmp_path / "b"))
+    assert code == 0, err
+    for name in ("landscape.csv", "landscape.meta.json"):
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)

@@ -10,26 +10,7 @@ from hypothesis import strategies as st
 import hillscape as hs
 from hillscape.topology import TopologyError
 
-
-def digits_base(v, m, d):
-    out = []
-    for _ in range(d):
-        out.append(v % m)
-        v //= m
-    return out
-
-
-def clique_neighbors_oracle(v, m, d):
-    """Enumerate neighbors straight from the digit definition."""
-    dig = digits_base(v, m, d)
-    out = []
-    for pos in range(d):
-        for q in range(m):
-            if q != dig[pos]:
-                nd = list(dig)
-                nd[pos] = q
-                out.append(sum(c * m**i for i, c in enumerate(nd)))
-    return sorted(out)
+from conftest import clique_neighbors_oracle, custom_twin
 
 
 class TestCliquePower:
@@ -349,3 +330,188 @@ def test_spec_accepted_spellings(text, make):
     t, expected = hs.Topology.from_spec(text), make()
     assert (t.kind, t.n, t.degree, t.to_spec()) == (
         expected.kind, expected.n, expected.degree, expected.to_spec())
+
+
+# -- one generator per kind, checked against independent oracles ---------------
+
+
+def test_three_kinds():
+    custom = hs.load_adjacency("n 2\n0 1\n")
+    kinds = {hs.Topology.from_spec(s).kind for s in ("clique-power:3,2", "complete:4", "tree:2,2")}
+    assert kinds | {custom.kind} == {"clique_power", "regular_tree", "custom"}
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_complete_is_clique_power_of_dimension_one(m):
+    t = hs.make_complete(m)
+    assert (t.kind, t.n, t.degree, t.m, t.d) == ("clique_power", m, m - 1, m, 1)
+    if m > 1:
+        same = hs.make_clique_power(m, 1)
+        assert (same.kind, same.n, same.degree, same.to_spec()) == (
+            t.kind, t.n, t.degree, f"complete:{m}")
+    assert hs.Topology.from_spec(t.to_spec()).to_spec() == t.to_spec()
+
+
+def test_clique_power_written_back_as_complete():
+    assert hs.Topology.from_spec("clique-power:4,1").to_spec() == "complete:4"
+    assert hs.Topology.from_spec("clique-power:4,2").to_spec() == "clique-power:4,2"
+
+
+def test_template_not_built_by_constructor():
+    # the largest complete graph the id range allows is accepted and cheap
+    t = hs.make_complete(1 << 62)
+    assert t.n == 1 << 62 and "_clique_template" not in vars(t)
+    assert t.diameter() == 1 and t.is_connected()
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 6), d=st.integers(1, 5))
+def test_clique_generators_match_digit_oracle(m, d):
+    t = hs.make_clique_power(m, d)
+    block, mask = t.neighbors_block(np.arange(t.n))
+    assert block.shape == (t.n, t.degree) and mask.all()
+    for v in range(t.n):
+        expected = clique_neighbors_oracle(v, m, d)
+        assert block[v].tolist() == expected
+        assert t.neighbors(v).tolist() == expected
+    empty_block, empty_mask = t.neighbors_block(np.zeros(0, dtype=np.int64))
+    assert empty_block.shape == empty_mask.shape == (0, t.degree)
+
+
+def test_single_node_complete_generators():
+    t = hs.make_complete(1)
+    assert t.neighbors(0).tolist() == clique_neighbors_oracle(0, 1, 1) == []
+    block, mask = t.neighbors_block([0, 0])
+    assert block.shape == mask.shape == (2, 0)
+    assert t.neighbors_block([])[0].shape == (0, 0)
+
+
+def test_clique_block_rows_in_any_order():
+    t = hs.make_clique_power(4, 3)
+    vs = np.asarray([63, 0, 17, 17, 42])
+    block, _ = t.neighbors_block(vs)
+    for row, v in zip(block, vs):
+        assert row.tolist() == clique_neighbors_oracle(int(v), 4, 3)
+
+
+def tree_oracle(arity, depth):
+    """Neighbor lists of the regular tree, built by handing out ids level by level."""
+    parent, frontier, next_id = [None], [0], 1
+    children = {0: []}
+    for _ in range(depth):
+        level = []
+        for u in frontier:
+            for _ in range(arity if u == 0 else arity - 1):
+                parent.append(u)
+                children[u].append(next_id)
+                children[next_id] = []
+                level.append(next_id)
+                next_id += 1
+        frontier = level
+    return [sorted(([] if v == 0 else [parent[v]]) + children[v]) for v in range(next_id)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(arity=st.integers(2, 4), depth=st.integers(1, 4))
+def test_tree_generators_match_parent_child_oracle(arity, depth):
+    t = hs.make_regular_tree(arity, depth)
+    expected = tree_oracle(arity, depth)
+    assert t.n == len(expected)
+    vs = np.arange(t.n)[::-1]  # an unsorted batch
+    block, mask = t.neighbors_block(vs)
+    assert block.shape == (t.n, arity)
+    for row, keep, v in zip(block, mask, vs):
+        v = int(v)
+        assert row[keep].tolist() == expected[v] == t.neighbors(v).tolist()
+        assert (row[~keep] == v).all()
+        assert keep.tolist() == sorted(keep.tolist(), reverse=True)  # real entries first
+        assert t.degree_of(v) == len(expected[v])
+
+
+@pytest.mark.parametrize("text", [
+    "n 6\n0 1\n0 2\n0 4\n2 3\n",      # node 5 is isolated
+    "n 3\n",                          # no edges at all
+    "n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
+])
+def test_custom_blocks_equal_csr_slices(text):
+    t = hs.load_adjacency(text)
+    for vs in (np.arange(t.n), np.asarray([t.n - 1, 0, t.n - 1]), np.zeros(0, dtype=np.int64)):
+        block, mask = t.neighbors_block(vs)
+        assert block.shape[0] == mask.shape[0] == len(vs)
+        for row, keep, v in zip(block, mask, vs):
+            v = int(v)
+            csr = t._indices[t._indptr[v]:t._indptr[v + 1]].tolist()
+            assert row[keep].tolist() == csr == t.neighbors(v).tolist()
+            assert (row[~keep] == v).all()
+            assert keep.sum() == len(csr) and keep[:len(csr)].all()
+
+
+@pytest.mark.parametrize("spec,bad", [
+    ("clique-power:5,3", [125, -1]), ("clique-power:5,3", [3, 125]), ("complete:4", [-1]),
+    ("tree:2,2", [99]), ("tree:2,2", [0, 7]), ("custom", [5]), ("custom", [-2, 1])])
+def test_neighbors_block_rejects_out_of_range_ids(spec, bad):
+    t = hs.load_adjacency("n 5\n0 1\n1 2\n") if spec == "custom" else hs.Topology.from_spec(spec)
+    first = next(v for v in bad if not 0 <= v < t.n)
+    with pytest.raises(TopologyError, match=rf"node id {first} out of range \[0, {t.n}\)"):
+        t.neighbors_block(np.asarray(bad))
+    with pytest.raises(TopologyError, match=rf"node id {first} out of range"):
+        t.neighbors(first)
+
+
+class TestNodeCountBound:
+    def test_clique_power(self):
+        with pytest.raises(TopologyError, match=str(2**63)):
+            hs.make_clique_power(2, 63)
+        assert hs.make_clique_power(2, 62).n == 2**62
+
+    def test_complete(self):
+        with pytest.raises(TopologyError, match=str(2**63)):
+            hs.make_complete(1 << 63)
+        with pytest.raises(TopologyError, match=str(2**63)):
+            hs.Topology.from_spec(f"complete:{2**63}")
+
+    def test_tree(self):
+        # depth 1 has no deeper level, which is where the bound used to be checked
+        with pytest.raises(TopologyError, match=str(2**62 + 1)):
+            hs.make_regular_tree(1 << 62, 1)
+        with pytest.raises(TopologyError, match="nodes, more than"):
+            hs.make_regular_tree(3, 100)
+
+    def test_custom_header(self):
+        with pytest.raises(TopologyError, match="line 2: header declares 99999999999999999999"):
+            hs.load_adjacency("# huge\nn 99999999999999999999\n0 1\n")
+
+
+def test_bfs_tree_is_the_one_bfs():
+    from hillscape.topology import _bfs_tree
+    t = hs.make_clique_power(3, 3)
+    twin = custom_twin(t)
+    closed, loop = _bfs_tree(t), _bfs_tree(twin)
+    for a, b in zip(closed, loop):
+        assert np.array_equal(a, b)
+    for v in (0, 5, 26):
+        assert hs.shell_sizes(t, v) == _bfs_tree(t, v)[2].tolist() == hs.shell_sizes(twin, v)
+
+
+def test_shells_diameter_connectivity_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(20260118)
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        p = rng.uniform(0.05, 0.6)
+        edges = [e for e in pairs if rng.random() < p]
+        t = hs.load_adjacency("\n".join([f"n {n}"] + [f"{u} {v}" for u, v in edges]) + "\n")
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        for v in range(n):
+            dist = nx.single_source_shortest_path_length(g, v)
+            expected = np.bincount(list(dist.values())).tolist()
+            assert hs.shell_sizes(t, v) == expected, (trial, v)
+        assert t.is_connected() == nx.is_connected(g)
+        if nx.is_connected(g):
+            assert t.diameter() == nx.diameter(g)
+        else:
+            with pytest.raises(TopologyError, match="disconnected"):
+                t.diameter()
