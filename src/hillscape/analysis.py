@@ -17,7 +17,6 @@ import numpy as np
 
 from .landscape import LandscapeError, LandscapeView
 from .seeding import spawn_rng
-from .topology import TopologyError
 
 __all__ = [
     "SuccessorMap",
@@ -271,6 +270,32 @@ def _observe_walk(view: LandscapeView, walk: np.ndarray) -> np.ndarray:
     return values[inverse]
 
 
+def _clique_power_walk(t, pos: int, draws: np.ndarray) -> np.ndarray:
+    """Walk on (K_m)^d: draw u picks j = int(u * s), which adds
+    k = j % (m-1) + 1 (mod m) to digit p = j // (m-1).  Every neighbor is
+    one (p, k) pair, so steps are uniform; each digit's path is one
+    cumulative sum over the steps that change it."""
+    m = t.m
+    p, k = np.divmod((draws * t.degree).astype(np.int64), m - 1)
+    k += 1
+    walk = np.zeros(draws.size, dtype=np.int64)
+    for q in range(t.d):
+        stride = m**q
+        walk += (pos // stride % m + np.cumsum(np.where(p == q, k, 0))) % m * stride
+    return walk
+
+
+def _csr_walk(t, pos: int, draws: np.ndarray) -> np.ndarray:
+    """Walk on a CSR kind: draw u steps to neighbor int(u * degree) in ascending order."""
+    indptr, indices = t._csr
+    walk = np.empty(draws.size, dtype=np.int64)
+    for i, u in enumerate(draws):
+        lo = indptr[pos]
+        pos = indices[lo + int(u * (indptr[pos + 1] - lo))]
+        walk[i] = pos
+    return walk
+
+
 def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
     """Random-walk autocorrelation rows ``(lag, sqrt(lag), rho)``.
 
@@ -283,25 +308,14 @@ def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
         raise ValueError("max_lag must be >= 0")
     if walk_len < 2 * max_lag:
         raise ValueError("walk_len must be at least 2 * max_lag")
+    if walk_len < 1:
+        raise ValueError("walk_len must be >= 1")
     t = view.landscape.topology
-    if not t.is_connected():
-        raise LandscapeError("random walk requires a connected topology")
+    if t.n < 2 or not t.is_connected():
+        raise LandscapeError("random walk requires a connected topology with at least one edge")
     rng = spawn_rng(seed, _WALK_STREAM)
-    pos = int(rng.integers(t.n))
-    walk = np.empty(walk_len, dtype=np.int64)
-    try:
-        block, mask = t.padded_neighbors()
-        degs = mask.sum(axis=1)
-        draws = rng.random(walk_len)
-        for i in range(walk_len):
-            pos = int(block[pos, int(draws[i] * degs[pos])])
-            walk[i] = pos
-    except TopologyError:
-        # graph too large to materialize: per-step neighbor generation
-        for i in range(walk_len):
-            nbrs = t.neighbors(pos)
-            pos = int(nbrs[int(rng.random() * len(nbrs))])
-            walk[i] = pos
+    kernel = _clique_power_walk if t.kind == "clique_power" else _csr_walk
+    walk = kernel(t, int(rng.integers(t.n)), rng.random(walk_len))  # start, then steps
     xs = view.frozen_values()[walk] if view.noise.frozen else _observe_walk(view, walk)
     xs = xs - xs.mean()
     c0 = float(np.dot(xs, xs)) / walk_len

@@ -14,9 +14,11 @@ Generated kinds:
 * ``regular_tree`` -- rooted tree where the root has ``arity`` children and
   every internal non-root node has ``arity - 1`` children, so every
   internal node has degree ``arity``; leaves sit at ``depth``.  Ids are
-  assigned level by level.
+  assigned level by level.  Neighbors come from CSR arrays built on first
+  neighbor access.
 * ``custom`` -- adjacency loaded from the text format described in
-  :func:`load_adjacency`; input edges are symmetrized.
+  :func:`load_adjacency`; input edges are symmetrized and kept as CSR
+  (compressed sparse row) arrays.
 """
 
 from __future__ import annotations
@@ -49,13 +51,6 @@ class TopologyError(ValueError):
     """Invalid construction parameters or malformed adjacency input."""
 
 
-def _tree_level_offsets(arity: int, depth: int) -> np.ndarray:
-    sizes = [1, arity] + [0] * (depth - 1)
-    for k in range(2, depth + 1):
-        sizes[k] = sizes[k - 1] * (arity - 1)
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
 class Topology:
     """A finite undirected neighborhood graph.
 
@@ -73,20 +68,15 @@ class Topology:
         self.d = d
         self.arity = arity
         self.depth = depth
-        self._indptr = indptr
-        self._indices = indices
-        for arr in (indptr, indices):
-            if arr is not None:
-                arr.setflags(write=False)  # neighbors(v) returns views into indices
-        if kind == "regular_tree" and arity is not None:
-            self._level_offsets = _tree_level_offsets(arity, depth)
-        else:
-            self._level_offsets = None
+        if indptr is not None:  # custom graphs; trees build theirs in _csr
+            self._csr = _read_only(indptr, indices)
 
     def __reduce__(self):
-        # rebuild through __init__, so unpickled CSR arrays are read-only again
+        # rebuild through __init__, so unpickled CSR arrays are read-only again;
+        # a tree pickles without its arrays
+        csr = self._csr if self.kind == "custom" else (None, None)
         return (Topology, (self.kind, self.n, self.degree, self.m, self.d, self.arity,
-                           self.depth, self._indptr, self._indices))
+                           self.depth, *csr))
 
     def __repr__(self):
         return f"Topology({self.to_spec()!r}, n={self.n})"
@@ -101,24 +91,21 @@ class Topology:
             _, offsets, moduli = self._clique_template
             u = v + offsets
             return u[u // moduli == v // moduli]
-        if self.kind == "custom":
-            return self._indices[self._indptr[v]:self._indptr[v + 1]]
-        block, mask = self._tree_block(np.asarray([v], dtype=np.int64))
-        return block[0][mask[0]]
+        indptr, indices = self._csr
+        return indices[indptr[v]:indptr[v + 1]]
 
     def neighbors_block(self, vs: np.ndarray):
         """Neighbors for a batch of nodes.
 
-        Returns ``(block, mask)`` where ``block`` has shape
-        ``(len(vs), max_degree)`` with rows sorted ascending and padded with
-        the node's own id, and ``mask`` marks real neighbors.
+        Returns ``(block, mask)`` where ``block`` has one row per node,
+        sorted ascending and padded with the node's own id, and ``mask``
+        marks real neighbors.  (K_m)^d rows hold the degree s; CSR rows are
+        as wide as the largest degree in the batch (at least 1).
         """
         vs = np.asarray(vs, dtype=np.int64)
         self._check_id(vs)
         if self.kind == "clique_power":
             return self._clique_block(vs)
-        if self.kind == "regular_tree":
-            return self._tree_block(vs)
         return self._csr_block(vs)
 
     @functools.cached_property
@@ -154,42 +141,35 @@ class Topology:
         out += vs[:, None]
         return out, np.ones(out.shape, dtype=bool)
 
-    def _tree_block(self, vs):
-        a, depth = self.arity, self.depth
-        off = self._level_offsets
-        lev = np.searchsorted(off, vs, side="right") - 1
-        pos = vs - off[lev]
-        maxdeg = a
-        block = np.full((len(vs), maxdeg), -1, dtype=np.int64)
-        # parent first (always the smallest neighbor id)
-        root = lev == 0
-        l1 = lev == 1
-        deeper = lev >= 2
-        block[l1, 0] = 0
-        block[deeper, 0] = off[lev[deeper] - 1] + pos[deeper] // (a - 1)
-        # children
-        internal = lev < depth
-        nch = np.where(root, a, a - 1)
-        start = np.where(
-            lev == 0,
-            off[1],
-            off[np.minimum(lev + 1, depth)] + pos * (a - 1),
-        )
-        for j in range(a):
-            take = internal & (j < nch)
-            col = np.where(root, j, j + 1)  # children go after the parent slot
-            block[take, col[take]] = start[take] + j
-        mask = block >= 0
-        block = np.where(mask, block, vs[:, None])
-        return block, mask
+    @functools.cached_property
+    def _csr(self):
+        """Read-only ``(indptr, indices)`` of a regular tree, built on first use.
+
+        Node 0 is the root, nodes 1..arity its children, and each further
+        internal node (ids 1..internal-1, in order) has ``arity - 1``
+        consecutive children.  A node's neighbors are its parent, the lowest
+        id, then its children.  Custom graphs set this in ``__init__``.
+        """
+        a = self.arity
+        internal = self.n - a * (a - 1) ** (self.depth - 1)
+        parent = np.concatenate([np.zeros(a, dtype=np.int64),
+                                 np.repeat(np.arange(1, internal, dtype=np.int64), a - 1)])
+        child = np.arange(1, self.n, dtype=np.int64)
+        # (child, parent) edges are sorted by child and (parent, child) edges by
+        # (parent, child); a stable merge by first node puts each node's parent
+        # edge before its child edges, which sorts all edges by (u, v)
+        us = np.concatenate([child, parent])
+        order = np.argsort(us, kind="stable")
+        return _sorted_edges_to_csr(self.n, us[order], np.concatenate([parent, child])[order])
 
     def _csr_block(self, vs):
-        starts = self._indptr[vs]
-        degs = self._indptr[vs + 1] - starts
+        indptr, indices = self._csr
+        starts = indptr[vs]
+        degs = indptr[vs + 1] - starts
         width = max(int(degs.max()) if len(vs) else 0, 1)
         mask = np.arange(width) < degs[:, None]
         block = np.repeat(vs[:, None], width, axis=1)
-        block[mask] = self._indices[(starts[:, None] + np.arange(width))[mask]]
+        block[mask] = indices[(starts[:, None] + np.arange(width))[mask]]
         return block, mask
 
     def padded_neighbors(self):
@@ -216,7 +196,7 @@ class Topology:
             return self.degree
         if self.kind == "regular_tree":
             return self.arity
-        return int((self._indptr[1:] - self._indptr[:-1]).max())
+        return int(np.diff(self._csr[0]).max())
 
     def diameter(self) -> int:
         if self.kind == "clique_power":
@@ -384,17 +364,22 @@ def load_adjacency(source) -> Topology:
     if n is None:
         raise TopologyError("empty graph: missing 'n <count>' header")
 
-    if edges:
-        arr = np.unique(np.asarray(edges, dtype=np.int64), axis=0)
-        us, vs = arr[:, 0], arr[:, 1]
-    else:
-        us = vs = np.zeros(0, dtype=np.int64)
-    counts = np.bincount(us, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    indices = vs.copy()  # np.unique sorted by (u, v): per-u runs are ascending
-    degs = indptr[1:] - indptr[:-1]
+    arr = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=0)  # sorted by (u, v)
+    indptr, indices = _sorted_edges_to_csr(n, arr[:, 0], arr[:, 1].copy())
+    degs = np.diff(indptr)
     degree = int(degs[0]) if n > 0 and (degs == degs[0]).all() else None
     return Topology("custom", n, degree, indptr=indptr, indices=indices)
+
+
+def _sorted_edges_to_csr(n: int, us: np.ndarray, vs: np.ndarray):
+    """Read-only ``(indptr, indices)`` of directed edges ``us[i] -> vs[i]`` sorted by (u, v)."""
+    return _read_only(np.concatenate([[0], np.cumsum(np.bincount(us, minlength=n))]), vs)
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)  # neighbors(v) returns views into indices
+    return arrays
 
 
 # -- module-level operations ----------------------------------------------
@@ -468,12 +453,12 @@ def _clique_power_branching(d: int) -> np.ndarray:
 
 def branching_fractions(t: Topology, reference: int = 0) -> np.ndarray:
     """b_1..b_D from ``reference`` (D = eccentricity, closed forms where defined)."""
+    if t.kind == "regular_tree" and reference == 0:
+        return np.ones(t.depth)
     deg = t.degree_of(reference)
     if deg == 0:
         raise TopologyError(f"degree undefined at node {reference}")
     if t.kind == "clique_power":
         return _clique_power_branching(t.d)
-    if t.kind == "regular_tree" and reference == 0:
-        return np.ones(t.depth)
     shells = np.asarray(shell_sizes(t, reference), dtype=float)
     return shells[1:] / (shells[:-1] * deg)

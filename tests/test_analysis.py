@@ -10,7 +10,8 @@ from hillscape import analysis, topology
 from hillscape.landscape import LandscapeError
 from hillscape.seeding import spawn_rng
 
-from conftest import brute_successor, custom_twin, cycle_topology, frozen_view
+from conftest import (brute_successor, clique_neighbors_oracle, custom_twin,
+                      cycle_topology, frozen_view)
 
 
 def _recursive_tree(smap, node, depth):
@@ -129,15 +130,20 @@ class TestStreamedSuccessorMap:
         assert np.array_equal(capped_stats.basin_sizes, stats.basin_sizes)
         assert hs.within_epsilon_curve(view, eps) == curve
 
-        # rwa falls back to one neighbors() call per step
+        # rwa walks by digits on (K_m)^d and through the CSR arrays on trees:
+        # no dense neighbor matrix and no per-step neighbors() call
         calls = []
-        neighbors = hs.Topology.neighbors
-        monkeypatch.setattr(hs.Topology, "neighbors",
-                            lambda self, v: calls.append(v) or neighbors(self, v))
-        rows = hs.rwa(view, walk_len=2000, max_lag=5, seed=1)
-        assert len(calls) == 2000
-        assert rows[0][2] == pytest.approx(1.0)
-        assert all(abs(r[2]) <= 1.0 for r in rows)
+        for name in ("neighbors", "padded_neighbors"):
+            method = getattr(hs.Topology, name)
+            monkeypatch.setattr(hs.Topology, name, lambda self, *args, _name=name, _method=method:
+                                calls.append(_name) or _method(self, *args))
+        tree = hs.make_regular_tree(3, 8)
+        monkeypatch.setattr(topology, "_MAX_DENSE_ENTRIES", tree.n * 3 - 1)
+        for v in (view, frozen_view(tree, np.random.default_rng(1).random(tree.n))):
+            rows = hs.rwa(v, walk_len=2000, max_lag=5, seed=1)
+            assert rows[0][2] == pytest.approx(1.0)
+            assert all(abs(r[2]) <= 1.0 for r in rows)
+        assert calls == []
 
 
 class TestCliquePowerKernel:
@@ -355,6 +361,33 @@ class TestPreimages:
             assert full == reached[-1]
 
 
+def _reference_walk(t, walk_len, seed):
+    """rwa's walk one step at a time: by digits on (K_m)^d, by
+    ``neighbors(pos)[int(u * degree)]`` on the other kinds."""
+    rng = spawn_rng(seed, analysis._WALK_STREAM)
+    pos = int(rng.integers(t.n))
+    walk = []
+    for u in rng.random(walk_len):
+        if t.kind == "clique_power":
+            p, k = divmod(int(u * t.degree), t.m - 1)
+            digit = pos // t.m**p % t.m
+            nxt = pos + ((digit + k + 1) % t.m - digit) * t.m**p
+            assert nxt in t.neighbors(pos).tolist()
+        else:
+            nbrs = t.neighbors(pos)
+            nxt = int(nbrs[int(u * len(nbrs))])
+        pos = nxt
+        walk.append(pos)
+    return walk
+
+
+def _rho_rows(xs, max_lag):
+    xs = np.asarray(xs) - np.mean(xs)
+    c0 = float(np.dot(xs, xs)) / len(xs)
+    return [(lag, float(np.sqrt(lag)), float(np.dot(xs[:len(xs) - lag], xs[lag:])) / len(xs) / c0)
+            for lag in range(max_lag + 1)]
+
+
 class TestRwa:
     def test_lag_zero_row(self, k56_uniform):
         view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=0)
@@ -387,19 +420,43 @@ class TestRwa:
         view = hs.LandscapeView(scape, noise, seed=3)
         rows = hs.rwa(view, walk_len=400, max_lag=6, seed=5)
         ref = hs.LandscapeView(scape, noise, seed=3)
-        rng = spawn_rng(5, analysis._WALK_STREAM)
-        pos = int(rng.integers(t.n))
-        draws = rng.random(400)
-        xs = []
-        for d in draws:
-            nbrs = t.neighbors(pos)
-            pos = int(nbrs[int(d * len(nbrs))])
-            xs.append(ref.observe(pos))
+        xs = [ref.observe(v) for v in _reference_walk(t, 400, seed=5)]
         assert view.observation_log() == ref.observation_log()
-        xs = np.asarray(xs) - np.mean(xs)
-        c0 = float(np.dot(xs, xs)) / 400
-        for lag, _, rho in rows:
-            assert rho == float(np.dot(xs[:400 - lag], xs[lag:])) / 400 / c0
+        assert rows == _rho_rows(xs, 6)
+
+    @pytest.mark.parametrize("spec", ["clique-power:4,3", "clique-power:2,6", "complete:2",
+                                      "complete:7", "tree:3,4", "tree:2,6", "custom"])
+    def test_walk_matches_per_step_reference(self, spec):
+        # (K_m)^d walks change one digit per step; tree and custom walks take
+        # neighbors(pos)[int(u * degree)], so their rows are byte-identical
+        # to those of the dense-matrix walk that preceded the CSR kernel
+        if spec == "custom":  # each node links to 1-3 lower ids: connected, uneven degrees
+            rng = np.random.default_rng(2)
+            t = hs.load_adjacency("n 80\n" + "".join(
+                f"{v} {u}\n" for v in range(1, 80)
+                for u in rng.choice(v, size=min(v, int(rng.integers(1, 4))), replace=False)))
+            assert len(set(np.diff(t._csr[0]).tolist())) > 3
+        else:
+            t = hs.Topology.from_spec(spec)
+        values = np.random.default_rng(4).random(t.n)
+        walk = _reference_walk(t, 3000, seed=11)
+        rng = spawn_rng(11, analysis._WALK_STREAM)
+        pos = int(rng.integers(t.n))
+        kernel = analysis._clique_power_walk if t.kind == "clique_power" else analysis._csr_walk
+        assert kernel(t, pos, rng.random(3000)).tolist() == walk
+        assert hs.rwa(frozen_view(t, values), walk_len=3000, max_lag=9, seed=11) == \
+            _rho_rows(values[walk], 9)
+
+    def test_clique_walk_is_uniform_over_neighbors(self):
+        # (K_3)^2: from every node, each of its 4 neighbors takes about 1/4 of the steps
+        t = hs.make_clique_power(3, 2)
+        walk = analysis._clique_power_walk(t, 0, np.random.default_rng(0).random(40_000))
+        prev = np.concatenate([[0], walk[:-1]])
+        for v in range(t.n):
+            nxt = walk[prev == v]
+            assert set(nxt.tolist()) == set(clique_neighbors_oracle(v, 3, 2))
+            share = np.bincount(nxt, minlength=t.n)[t.neighbors(v)] / nxt.size
+            assert np.abs(share - 0.25).max() < 0.03
 
     def test_markov_sigma035_structure(self, k56):
         # correlated at short range, near zero past sqrt(t) ~ 3.5 (t ~ 12)
@@ -413,6 +470,16 @@ class TestRwa:
     def test_walk_len_validation(self, four_cycle_view):
         with pytest.raises(ValueError):
             hs.rwa(four_cycle_view, walk_len=10, max_lag=6, seed=0)
+        # a zero-length walk used to divide by zero
+        with pytest.raises(ValueError, match="walk_len must be >= 1"):
+            hs.rwa(four_cycle_view, walk_len=0, max_lag=0, seed=0)
+
+    @pytest.mark.parametrize("t", [hs.make_complete(1), hs.load_adjacency("n 1\n")],
+                             ids=["complete-1", "custom-1"])
+    def test_edgeless_rejected(self, t):
+        # complete:1 used to raise IndexError from the empty neighbor row
+        with pytest.raises(LandscapeError, match="at least one edge"):
+            hs.rwa(frozen_view(t, [0.5]), walk_len=10, max_lag=2, seed=0)
 
     def test_disconnected_rejected(self):
         t = hs.load_adjacency("n 4\n0 1\n2 3\n")

@@ -676,8 +676,10 @@ def test_compare_rejects_non_finite_cell(tmp_path, capsys, cell):
     ("search", ["--trials", "0"], "trials must be >= 1"),
     ("search", ["--num-initial", "0"], "num_initial must be >= 1"),
     ("rwa", ["--walk-len", "0"], "walk_len must be at least 2 * max_lag"),
+    ("rwa", ["--walk-len", "0", "--max-lag", "0"], "walk_len must be >= 1"),
     ("rwa", ["--max-lag", "-1"], "max_lag must be >= 0"),
-], ids=["budget", "random-budget", "trials", "num-initial", "walk-len", "max-lag"])
+], ids=["budget", "random-budget", "trials", "num-initial", "walk-len", "zero-walk",
+        "max-lag"])
 def test_bad_counts_leave_no_directory(small_landscape, tmp_path, capsys, command, flags,
                                        message):
     # these used to exit 3 with manifest.json already written
@@ -685,6 +687,17 @@ def test_bad_counts_leave_no_directory(small_landscape, tmp_path, capsys, comman
                          "--out", str(tmp_path / "o"))
     assert code == 3
     assert message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rwa_edgeless_leaves_no_directory(tmp_path, capsys):
+    # complete:1 used to exit 1 with an IndexError traceback
+    scape = str(tmp_path / "l.csv")
+    hs.save_landscape(hs.Landscape(hs.make_complete(1), [0.5]), scape)
+    code, err = run_main(capsys, "rwa", "--landscape", scape, "--walk-len", "5",
+                         "--max-lag", "0", "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "at least one edge" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -430,7 +430,7 @@ class TestLandscapeValidation:
         assert np.array_equal(back.val_loss, scape.val_loss)
         assert np.array_equal(back.test_loss, scape.test_loss)
         assert back.meta == scape.meta
-        for arr in (back.val_loss, back.test_loss, back.topology._indices):
+        for arr in (back.val_loss, back.test_loss, back.topology._csr[1]):
             assert not arr.flags.writeable
 
 

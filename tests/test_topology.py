@@ -111,12 +111,22 @@ class TestRegularTree:
 
     def test_internal_degree_equals_arity(self):
         t = hs.make_regular_tree(4, 3)
-        offsets = t._level_offsets
-        for v in range(int(offsets[3])):  # all internal nodes
+        internal = 1 + 4 + 4 * 3  # levels 0-2; ids run level by level
+        for v in range(internal):
             assert t.degree_of(v) == 4
             assert len(t.neighbors(v)) == 4
-        for v in range(int(offsets[3]), t.n):  # leaves
+        for v in range(internal, t.n):  # the 4 * 3 * 3 leaves
             assert t.degree_of(v) == 1
+
+    def test_huge_tree_answers_closed_forms_without_csr(self):
+        t = hs.make_regular_tree(3, 40)
+        assert t.n == 1 + 3 * (2**40 - 1)
+        assert len(pickle.dumps(t)) < 200
+        assert t.diameter() == 80
+        assert t.max_degree() == 3
+        assert np.array_equal(hs.branching_fractions(t), np.ones(40))
+        assert hs.branching_fraction(t, 40) == 1.0
+        assert "_csr" not in vars(t)  # the arrays would take about 80 TB
 
     def test_root_branching_is_one(self):
         t = hs.make_regular_tree(4, 3)
@@ -293,9 +303,11 @@ def test_pickle_rebuilds_read_only(spec):
     assert (t2.kind, t2.n, t2.degree, t2.to_spec()) == (t.kind, t.n, t.degree, t.to_spec())
     for v in range(t.n):
         assert list(t2.neighbors(v)) == list(t.neighbors(v))
+    if spec.startswith("tree"):  # built CSR arrays stay out of the pickle
+        assert "_csr" in vars(t) and len(pickle.dumps(t)) < 200
     if spec == "custom":
-        assert not t2._indptr.flags.writeable
-        assert not t2._indices.flags.writeable
+        assert not t2._csr[0].flags.writeable
+        assert not t2._csr[1].flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             t2.neighbors(0)[0] = 3
 
@@ -440,7 +452,8 @@ def test_custom_blocks_equal_csr_slices(text):
         assert block.shape[0] == mask.shape[0] == len(vs)
         for row, keep, v in zip(block, mask, vs):
             v = int(v)
-            csr = t._indices[t._indptr[v]:t._indptr[v + 1]].tolist()
+            indptr, indices = t._csr
+            csr = indices[indptr[v]:indptr[v + 1]].tolist()
             assert row[keep].tolist() == csr == t.neighbors(v).tolist()
             assert (row[~keep] == v).all()
             assert keep.sum() == len(csr) and keep[:len(csr)].all()
@@ -493,18 +506,44 @@ def test_bfs_tree_is_the_one_bfs():
         assert hs.shell_sizes(t, v) == _bfs_tree(t, v)[2].tolist() == hs.shell_sizes(twin, v)
 
 
+def _networkx_tree(nx, arity, depth):
+    """The regular tree with level-order ids, built by networkx."""
+    g = nx.Graph()
+    g.add_node(0)
+    level, next_id = [0], 1
+    for _ in range(depth):
+        children = []
+        for v in level:
+            for _ in range(arity if v == 0 else arity - 1):
+                g.add_edge(v, next_id)
+                children.append(next_id)
+                next_id += 1
+        level = children
+    return g
+
+
 def test_shells_diameter_connectivity_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(20260118)
-    for trial in range(40):
+    graphs = []
+    for _ in range(40):
         n = int(rng.integers(1, 12))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         p = rng.uniform(0.05, 0.6)
         edges = [e for e in pairs if rng.random() < p]
-        t = hs.load_adjacency("\n".join([f"n {n}"] + [f"{u} {v}" for u, v in edges]) + "\n")
         g = nx.Graph()
         g.add_nodes_from(range(n))
         g.add_edges_from(edges)
+        graphs.append((hs.load_adjacency("\n".join([f"n {n}"] + [f"{u} {v}" for u, v in edges])
+                                         + "\n"), g))
+    for arity, depth in [(2, 1), (2, 4), (3, 3), (4, 2), (5, 3)]:
+        t = hs.make_regular_tree(arity, depth)
+        g = _networkx_tree(nx, arity, depth)
+        for v in range(t.n):
+            assert t.neighbors(v).tolist() == sorted(g.neighbors(v))
+        graphs.append((t, g))
+    for trial, (t, g) in enumerate(graphs):
+        n = t.n
         for v in range(n):
             dist = nx.single_source_shortest_path_length(g, v)
             expected = np.bincount(list(dist.values())).tolist()
