@@ -155,7 +155,8 @@ def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
 
 
 def _chunked_successor(values: np.ndarray, t) -> np.ndarray:
-    """Successor map from ``neighbors_block`` row chunks, O(chunk * s) memory."""
+    """Successor map from ``neighbors_block`` row chunks, which bound the gather
+    to O(chunk * s) memory; a tree first builds its O(n) CSR arrays."""
     succ = np.arange(t.n)
     maxdeg = t.max_degree()
     rows = max(1, _CHUNK_ENTRIES // max(maxdeg, 1))

@@ -147,20 +147,24 @@ class Topology:
 
         Node 0 is the root, nodes 1..arity its children, and each further
         internal node (ids 1..internal-1, in order) has ``arity - 1``
-        consecutive children.  A node's neighbors are its parent, the lowest
-        id, then its children.  Custom graphs set this in ``__init__``.
+        consecutive children.  A row lists the parent, the lowest id, then
+        the children: internal rows form an ``(internal, arity)`` block and
+        a leaf row holds its parent.  Custom graphs set this in ``__init__``.
         """
-        a = self.arity
-        internal = self.n - a * (a - 1) ** (self.depth - 1)
-        parent = np.concatenate([np.zeros(a, dtype=np.int64),
+        a, n = self.arity, self.n
+        internal = n - a * (a - 1) ** (self.depth - 1)
+        indptr = np.arange(n + 1, dtype=np.int64)
+        indptr[:internal + 1] *= a
+        indptr[internal + 1:] += internal * (a - 1)
+        parent = np.concatenate([np.zeros(a, dtype=np.int64),  # of nodes 1..n-1
                                  np.repeat(np.arange(1, internal, dtype=np.int64), a - 1)])
-        child = np.arange(1, self.n, dtype=np.int64)
-        # (child, parent) edges are sorted by child and (parent, child) edges by
-        # (parent, child); a stable merge by first node puts each node's parent
-        # edge before its child edges, which sorts all edges by (u, v)
-        us = np.concatenate([child, parent])
-        order = np.argsort(us, kind="stable")
-        return _sorted_edges_to_csr(self.n, us[order], np.concatenate([parent, child])[order])
+        indices = np.empty(2 * (n - 1), dtype=np.int64)
+        rows = indices[:internal * a].reshape(internal, a)
+        rows[0] = np.arange(1, a + 1)
+        rows[1:, 0] = parent[:internal - 1]
+        rows[1:, 1:] = np.arange(a + 1, n).reshape(internal - 1, a - 1)
+        indices[internal * a:] = parent[internal - 1:]
+        return _read_only(indptr, indices)
 
     def _csr_block(self, vs):
         indptr, indices = self._csr
@@ -365,15 +369,10 @@ def load_adjacency(source) -> Topology:
         raise TopologyError("empty graph: missing 'n <count>' header")
 
     arr = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=0)  # sorted by (u, v)
-    indptr, indices = _sorted_edges_to_csr(n, arr[:, 0], arr[:, 1].copy())
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(arr[:, 0], minlength=n))])
     degs = np.diff(indptr)
     degree = int(degs[0]) if n > 0 and (degs == degs[0]).all() else None
-    return Topology("custom", n, degree, indptr=indptr, indices=indices)
-
-
-def _sorted_edges_to_csr(n: int, us: np.ndarray, vs: np.ndarray):
-    """Read-only ``(indptr, indices)`` of directed edges ``us[i] -> vs[i]`` sorted by (u, v)."""
-    return _read_only(np.concatenate([[0], np.cumsum(np.bincount(us, minlength=n))]), vs)
+    return Topology("custom", n, degree, indptr=indptr, indices=arr[:, 1].copy())
 
 
 def _read_only(*arrays):

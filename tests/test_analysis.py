@@ -138,6 +138,7 @@ class TestStreamedSuccessorMap:
             monkeypatch.setattr(hs.Topology, name, lambda self, *args, _name=name, _method=method:
                                 calls.append(_name) or _method(self, *args))
         tree = hs.make_regular_tree(3, 8)
+        # lower the cap below the tree's matrix too, so both walks run past it
         monkeypatch.setattr(topology, "_MAX_DENSE_ENTRIES", tree.n * 3 - 1)
         for v in (view, frozen_view(tree, np.random.default_rng(1).random(tree.n))):
             rows = hs.rwa(v, walk_len=2000, max_lag=5, seed=1)
