@@ -379,7 +379,7 @@ COMMANDS = {
         Flag("grid_points", int, theory.DEFAULT_GRID_POINTS, "quadrature grid points"),
         Flag("closed_form", ("uniform",), None, "use the closed form for uniform losses"),
         Flag("noise_sigma", float, None, "noise sigma of the Chebyshev minima bound"),
-        Flag("delta", float, 1e-3, "diagonal band the Chebyshev bound leaves out"),
+        Flag("delta", float, 1e-3, "diagonal band the Chebyshev bound leaves out, in (0, 1)"),
         _OUT)),
     "fit": Command(cmd_fit, "fit pdf parameters from data", (
         Flag("mode", ("global", "local-rwa"), "global", "what to fit"),

@@ -15,9 +15,11 @@ Simpson-class accuracy while vectorizing cheaply over matrices.
 The preimage recursion is memoized on the grid.  For center-independent
 local pdfs each depth costs O(grid).  For center-dependent ones the
 integral from x_i to 1 of a row of samples is a fixed linear functional
-of that row, so its weights are built once (O(grid^2) set-up, together
-with the pdf and tail matrices) and each further depth is one O(grid^2)
-matrix-vector product.
+of that row.  Its weights, times the local pdf, form the one grid-by-grid
+array (8 grid^2 bytes), filled in blocks of ``_ROW_BLOCK`` rows together
+with the first depth, so the pdf, weight and tail values exist one row
+block at a time; each further depth is one O(grid^2) matrix-vector
+product.  The Chebyshev bound is likewise summed one row block at a time.
 
 No scipy module is imported here; the truncated-normal functions of
 ``landscape`` import ``scipy.special`` when first called.
@@ -60,6 +62,7 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 2049  # even interval count for Simpson
 _PDF_TOL = 1e-6
+_ROW_BLOCK = 128  # grid rows per block of the grid-by-grid quadratures
 
 
 def _grid(points: int) -> np.ndarray:
@@ -100,6 +103,34 @@ def _prefix(y, x, axis=-1):
     dy = np.gradient(yc, h, axis=-1, edge_order=2)
     out = trap - (h * h / 12.0) * (dy - dy[..., :1])
     return np.moveaxis(out, -1, axis)
+
+
+def _weight_blocks(xs):
+    """Row blocks ``(rows, W[rows])`` of the weights of the integral to 1.
+
+    ``W[i] @ y`` is ``_prefix(y, xs)[-1] - _prefix(y, xs)[i]`` bit for bit.
+    ``_prefix`` is linear, so W[i, j] = P_j[-1] - P_j[i] with P_j the prefix
+    of the j-th unit vector.  For a column j at least three samples from
+    either end, P_j[i] depends only on i - j, and is the same for every
+    i - j <= -2 and for every i - j >= 2; so one interior prefix, slid
+    along the diagonal, gives those columns and six more prefixes give the
+    edge columns.
+    """
+    n = len(xs)
+    cols = np.array([0, 1, 2, n - 3, n - 2, n - 1, n // 2])
+    units = np.zeros((cols.size, n))
+    units[np.arange(cols.size), cols] = 1.0
+    P = _prefix(units, xs)
+    edge, mid = cols[:-1], cols[-1]
+    W_edge = (P[:-1, -1:] - P[:-1]).T
+    # interior W[i, j] = R[j - i + n - 1]: row i is the window R[n-1-i : 2n-1-i]
+    R = P[-1, -1] - P[-1, mid + np.clip(np.arange(n - 1, -n, -1), -2, 2)]
+    W = np.lib.stride_tricks.sliding_window_view(R, n)[::-1]
+    for r0 in range(0, n, _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        block = W[rows].copy()
+        block[:, edge] = W_edge[rows]
+        yield rows, block
 
 
 # -- global pdf ---------------------------------------------------------------
@@ -320,14 +351,15 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
             E[k - 1] = b * E[0] * ratio
         return xs, E
 
-    # center-dependent local pdf.  _prefix is linear in its samples, so the
-    # integral of row i from x_i to 1 is W[i] @ row with W built once from
-    # the prefixes of the unit vectors; PW[i, j] = pdf_e(x_i, y_j) * W[i, j].
-    A = _prefix(np.eye(n_pts), xs)                     # A[j, i]: weight of y_j in prefix i
-    PW = pdf_e.density(xs[:, None], xs[None, :]) * (A[:, -1][:, None] - A).T
-    del A
-    tail = pdf_e.survival(xs[None, :], xs[:, None])   # tail[i, j] = int_{x_i}^1 pdf_e(y_j, .)
-    E[0] = s * (PW * tail ** (s - 1)).sum(axis=1)
+    # center-dependent local pdf: the integral of row i from x_i to 1 is
+    # W[i] @ row (see _weight_blocks); PW[i, j] = pdf_e(x_i, y_j) * W[i, j]
+    # is the only grid-by-grid array, filled with E[0] one row block at a time
+    PW = np.empty((n_pts, n_pts))
+    for rows, W in _weight_blocks(xs):
+        pw = PW[rows]
+        np.multiply(pdf_e.density(xs[rows, None], xs[None, :]), W, out=pw)
+        tail = pdf_e.survival(xs[None, :], xs[rows, None])  # int_{x_i}^1 pdf_e(y_j, .)
+        E[0, rows] = s * (pw * tail ** (s - 1)).sum(axis=1)
     denom = pdf_e.survival(xs, xs)
     for k in range(2, max_k + 1):
         b = params.b_at(k - 1)
@@ -555,30 +587,37 @@ def clique_power_uniform_curve(m: int, d: int, eps_grid) -> list[tuple[float, fl
 def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
                            sigma: float, n: int, delta: float = 1e-3,
                            grid_points: int = DEFAULT_GRID_POINTS) -> float:
-    """Upper bound sigma^{2s} * n * double-integral of pdfs / (2(x-y)^2)^s.
+    """Upper bound sigma^{2s} * n * double integral over x and y of
+    pdf_n(x) * pdf_e.density(y, y) / (2(x-y)^2)^s.
 
     A band |x - y| < ``delta`` around the singular diagonal is excluded and
-    should be reported alongside the value; a ``delta`` below the grid
-    spacing cannot be resolved more finely than one cell.  Returns ``inf``
-    when the integral overflows float range (bound vacuous).
+    should be reported alongside the value; ``delta`` must lie strictly
+    between 0 and 1, and one below the grid spacing cannot be resolved more
+    finely than one cell.  Returns ``inf`` when the integral overflows float
+    range (bound vacuous).  The grid is summed one row block at a time.
     """
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError("sigma must be finite and >= 0")
-    if not np.isfinite(delta):
-        raise ValueError("delta must be finite")
+    if not 0.0 < delta < 1.0:  # also rejects NaN
+        raise ValueError(f"delta must be finite and lie strictly between 0 and 1, "
+                         f"got {delta}")
     if sigma == 0.0:
         return 0.0
     xs = _grid(grid_points)
-    diff = xs[:, None] - xs[None, :]
-    dens = pdf_n.density(xs)[:, None] * pdf_e.density(xs, xs)
-    mask = (np.abs(diff) >= delta) & (dens > 0.0)
-    integrand = np.zeros_like(dens)
-    with np.errstate(over="ignore", divide="ignore"):
-        core = (2.0 * diff[mask] ** 2) ** (-float(s))
-        integrand[mask] = dens[mask] * core
-    if not np.isfinite(integrand).all():
-        return float("inf")
-    inner = np.trapezoid(integrand, xs, axis=1)
+    dens_n, dens_e = pdf_n.density(xs), pdf_e.density(xs, xs)
+    inner = np.empty(len(xs))
+    for r0 in range(0, len(xs), _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        diff = xs[rows, None] - xs[None, :]
+        dens = dens_n[rows, None] * dens_e
+        mask = (np.abs(diff) >= delta) & (dens > 0.0)
+        integrand = np.zeros_like(dens)
+        with np.errstate(over="ignore", divide="ignore"):
+            core = (2.0 * diff[mask] ** 2) ** (-float(s))
+            integrand[mask] = dens[mask] * core
+        if not np.isfinite(integrand).all():
+            return float("inf")
+        inner[rows] = np.trapezoid(integrand, xs, axis=1)
     value = float(np.trapezoid(inner, xs))
     with np.errstate(over="ignore"):
         bound = float(sigma) ** (2 * s) * n * value

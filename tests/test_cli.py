@@ -571,6 +571,7 @@ def test_config_list_settings_typed(tmp_path, capsys):
     ("theory", "--n", "9", "--s", "4", "--b", "1,nan"),
     ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "0.1", "--delta", "nan"),
     ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "nan"),
+    ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "0.1", "--delta", "-1"),
 ])
 def test_non_finite_theory_inputs_exit_3(tmp_path, capsys, argv):
     code, err = run_main(capsys, *argv, "--grid-points", "33", "--out", str(tmp_path / "o"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from scipy.special import erf
 
 import hillscape as hs
 from hillscape.analysis import _fixed_points_and_depth
-from hillscape.theory import (_clique_power_depths, _preimage_table, _prefix,
-                              _simpson)
+from hillscape.theory import (_ROW_BLOCK, _clique_power_depths, _preimage_table,
+                              _prefix, _simpson, _weight_blocks)
 
 from conftest import frozen_view
 
@@ -52,6 +53,70 @@ def dense_preimage_table(pdf_e, params, max_k, grid_points):
             ratio = np.where(denom > 1e-300, numer / denom, 0.0)
         E[k - 1] = params.b_at(k - 1) * E[0] * ratio
     return xs, E
+
+
+def eye_weights(xs):
+    """W[i, j] = P_j[-1] - P_j[i] from the prefixes of all unit vectors at once."""
+    A = _prefix(np.eye(len(xs)), xs)  # A[j, i]: weight of y_j in prefix i
+    return (A[:, -1][:, None] - A).T
+
+
+def whole_grid_table(pdf_e, params, max_k, grid_points):
+    """Bit-for-bit oracle: the whole-grid form of the center-dependent table.
+
+    Builds the weights from ``_prefix(np.eye(grid))`` and holds the pdf,
+    weight and tail matrices whole (about six grid^2 float64 arrays).
+    """
+    xs = np.linspace(0.0, 1.0, grid_points)
+    s = params.s
+    E = np.zeros((max_k, grid_points))
+    PW = pdf_e.density(xs[:, None], xs[None, :]) * eye_weights(xs)
+    tail = pdf_e.survival(xs[None, :], xs[:, None])
+    E[0] = s * (PW * tail ** (s - 1)).sum(axis=1)
+    denom = pdf_e.survival(xs, xs)
+    for k in range(2, max_k + 1):
+        b = params.b_at(k - 1)
+        if b == 0.0:
+            break
+        numer = PW @ E[k - 2]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(denom > 1e-300, numer / denom, 0.0)
+        E[k - 1] = b * E[0] * ratio
+    return xs, E
+
+
+def whole_grid_bound(pdf_n, pdf_e, s, sigma, n, delta, grid_points):
+    """Bit-for-bit oracle: the Chebyshev bound summed over the whole grid at once."""
+    xs = np.linspace(0.0, 1.0, grid_points)
+    diff = xs[:, None] - xs[None, :]
+    dens = pdf_n.density(xs)[:, None] * pdf_e.density(xs, xs)
+    mask = (np.abs(diff) >= delta) & (dens > 0.0)
+    integrand = np.zeros_like(dens)
+    with np.errstate(over="ignore", divide="ignore"):
+        core = (2.0 * diff[mask] ** 2) ** (-float(s))
+        integrand[mask] = dens[mask] * core
+    if not np.isfinite(integrand).all():
+        return float("inf")
+    inner = np.trapezoid(integrand, xs, axis=1)
+    value = float(np.trapezoid(inner, xs))
+    with np.errstate(over="ignore"):
+        bound = float(sigma) ** (2 * s) * n * value
+    return bound if np.isfinite(bound) else float("inf")
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates above what was live at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# 9: one partial block; 257 and 2049: a last block of one row; 2048: even
+ORACLE_POINTS = [9, 257, 2048, 2049]
 
 
 class TestSimpson:
@@ -204,6 +269,32 @@ class TestPreimageRecursion:
         ref_xs, ref = dense_preimage_table(pdf_e, k56_params, 5, points)
         assert np.array_equal(xs, ref_xs)
         assert np.max(np.abs(E - ref)) < 1e-11
+
+    @pytest.mark.parametrize("points", [9, 10, 11, 127, 128, 129, 257, 2048, 2049])
+    def test_weight_blocks_equal_unit_vector_prefixes(self, points):
+        xs = np.linspace(0.0, 1.0, points)
+        blocks = list(_weight_blocks(xs))
+        assert [b.shape[0] for _, b in blocks] == [
+            min(_ROW_BLOCK, points - r0) for r0 in range(0, points, _ROW_BLOCK)]
+        W = np.vstack([b for _, b in blocks])
+        assert W.tobytes() == eye_weights(xs).tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("points", ORACLE_POINTS)
+    def test_center_dependent_table_equals_whole_grid_form(self, k56_params, points):
+        for sigma in (0.35, 0.05):
+            pdf_e = hs.LocalPdfSpec.truncnorm_centered(sigma)
+            xs, E = _preimage_table(pdf_e, k56_params, 5, points)
+            ref_xs, ref = whole_grid_table(pdf_e, k56_params, 5, points)
+            assert np.array_equal(xs, ref_xs)
+            assert np.array_equal(E, ref)
+
+    def test_table_holds_one_grid_squared_array(self, k56_params):
+        # the whole-grid form peaked at about 6 * 8 * grid^2 bytes
+        pdf_e = hs.LocalPdfSpec.truncnorm_centered(0.35)
+        _preimage_table(pdf_e, k56_params, 5, 33)  # first-call imports off the books
+        points = 2049
+        peak = traced_peak(_preimage_table, pdf_e, k56_params, 5, points)
+        assert peak <= 1.5 * 8 * points**2
 
     def test_k_exceeding_max_rejected(self, k56_params):
         with pytest.raises(ValueError, match="exceeds"):
@@ -438,6 +529,38 @@ class TestChebyshevBound:
         for sigma in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="sigma must be finite"):
                 hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 4, sigma, 100)
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.0, 1.0, 2.0])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        # these used to return inf (delta <= 0) or 0.0 (delta = 2) silently
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 4, 0.1, 100, delta)
+
+    @pytest.mark.parametrize("points", ORACLE_POINTS)
+    def test_equals_whole_grid_form(self, points):
+        pdf_n, pdf_sep = _separated_specs()
+        cases = [
+            (hs.PdfSpec.truncnorm(0.25, 0.18), hs.LocalPdfSpec.truncnorm_centered(0.35),
+             24, 0.05, 15625, 1e-3),
+            (pdf_n, pdf_sep, 2, 0.1, 1000, 1e-3),
+            (UNIFORM, UNIFORM_LOCAL, 4, 0.1, 100, 0.05),
+            # pdf_n is zero below 0.6, so past one block the first block's rows
+            # are all zero and the overflow to inf happens only in later blocks
+            (pdf_n, UNIFORM_LOCAL, 128, 0.1, 15625, 1e-7),
+        ]
+        for args in cases:
+            got = hs.chebyshev_minima_bound(*args, grid_points=points)
+            assert got == whole_grid_bound(*args, points)
+        assert (got == float("inf")) == (points > _ROW_BLOCK)
+
+    def test_holds_no_grid_squared_array(self):
+        pdf_n = hs.PdfSpec.truncnorm(0.25, 0.18)
+        pdf_e = hs.LocalPdfSpec.truncnorm_centered(0.35)
+        points = 2049
+        hs.chebyshev_minima_bound(pdf_n, pdf_e, 24, 0.05, 15625, grid_points=33)
+        peak = traced_peak(hs.chebyshev_minima_bound, pdf_n, pdf_e, 24, 0.05, 15625,
+                           1e-3, points)
+        assert peak <= 0.5 * 8 * points**2
 
     def test_doubling_sigma_scales_exactly(self):
         pdf_n, pdf_e = _separated_specs()
