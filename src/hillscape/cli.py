@@ -106,32 +106,41 @@ def cmd_search(cfg) -> int:
         num_initial=cfg["num_initial"], restart=cfg["restart"], jobs=cfg["jobs"],
     )
     outdir = _prepare_out(cfg, "search")  # after run_trials has checked its arguments
-    lengths = [len(h) for h in histories]
+    lengths = np.array([len(h) for h in histories])
     any_test = all(h.best_test is not None for h in histories)
 
     def joined(name):
         return np.concatenate([getattr(h, name) for h in histories])
 
+    best_val = joined("best_val")
+    best_test = joined("best_test") if any_test else None
     _write_csv(os.path.join(outdir, "runs.csv"),
                ["trial", "query", "node", "val_loss", "best_val", "best_test"],
                [np.repeat(np.arange(len(histories)), lengths),
                 np.concatenate([np.arange(1, k + 1) for k in lengths]),
-                joined("nodes"), joined("val_loss"), joined("best_val"),
-                joined("best_test") if any_test else None])
+                joined("nodes"), joined("val_loss"), best_val, best_test])
 
-    # the trials still running at each query: without restarts a trial ends at convergence
-    live = [[h for h in histories if len(h) > q] for q in range(max(lengths))]
-    best = [np.asarray([h.best_val[q] for h in hs]) for q, hs in enumerate(live)]
+    # live[q, t]: trial t is still running at query q (without restarts a
+    # trial ends at convergence); each statistic is taken over the live
+    # entries of one contiguous (queries x trials) row, in trial order
+    live = np.arange(lengths.max())[:, None] < lengths
+
+    def per_query(values):
+        grid = np.zeros(live.shape)
+        grid.T[live.T] = values  # the concatenation is trial-major, like grid.T
+        return [row[alive] for row, alive in zip(grid, live)]
+
+    best = per_query(best_val)
     summary = {
         "algo": cfg["algo"],
         "trials": cfg["trials"],
         "budget": cfg["budget"],
         "queries": len(live),
-        "trials_at_query": [len(hs) for hs in live],
+        "trials_at_query": live.sum(axis=1).tolist(),
         "mean_best_val": [float(v.mean()) for v in best],
         "std_best_val": [float(v.std()) for v in best],
-        "mean_best_test": [float(np.asarray([h.best_test[q] for h in hs]).mean())
-                           for q, hs in enumerate(live)] if any_test else None,
+        "mean_best_test": [float(v.mean()) for v in per_query(best_test)]
+        if any_test else None,
         "final_mean_best_val": float(best[-1].mean()),
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)

@@ -442,20 +442,27 @@ def _cell(value) -> str:
 
 def _column_text(column, rows: int):
     """The cells of one column: an int array as decimals, a float array with
-    repr, None as empty cells, any other sequence cell by cell."""
+    repr, None as empty cells, any other sequence cell by cell.
+
+    An array is formatted one distinct value at a time (distinct by bit
+    pattern, so ``-0.0`` and ``0.0`` keep their own text) and the strings are
+    gathered back into row order.
+    """
     if column is None:
         return [""] * rows
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return map(str, column.tolist())
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return map(repr, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        bits = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        fmt = repr if column.dtype.kind == "f" else str
+        return np.array(list(map(fmt, column[first].tolist())), dtype=object)[inverse].tolist()
     return map(_cell, column)
 
 
 def _write_csv(path, header, columns) -> None:
     """The one CSV writer, one column at a time: ints as decimals, floats
     with repr (so reading a file back is bit-exact), strings as given and a
-    None column as empty cells."""
+    None column as empty cells.  Each distinct value of an array column is
+    formatted once (see :func:`_column_text`)."""
     columns = list(columns)
     rows = max((len(c) for c in columns if c is not None), default=0)
     cells = [_column_text(c, rows) for c in columns]
@@ -471,22 +478,40 @@ class _Csv(NamedTuple):
     lines: list  # file line number of each row, for error messages
 
     def column(self, j: int, kind) -> np.ndarray:
-        """Cells of column ``j`` converted with ``kind`` (``int`` or ``float``);
-        a float column must be finite."""
-        out = []
-        for r, line in zip(self.rows, self.lines):
-            try:
-                out.append(kind(r[j]))
-            except ValueError:
-                raise LandscapeError(
-                    f"{self.name}: line {line}: {self.header[j]} {r[j]!r} is not "
-                    f"{'an integer' if kind is int else 'a number'}") from None
-        out = np.asarray(out)
+        """Cells of column ``j`` converted with ``kind`` (``int`` or ``float``)
+        by one ``map`` over the whole column.  A cell must be ASCII without
+        ``_`` (Python's numbers also read PEP 515 underscores and Unicode
+        digits) and a float column finite.  Only a column that fails is
+        scanned cell by cell, to name its first bad cell."""
+        cells = [r[j] for r in self.rows]
+        joined = "".join(cells)
+        try:
+            if not joined.isascii() or "_" in joined:
+                raise ValueError(joined)
+            values = list(map(kind, cells))
+        except ValueError:
+            line, cell = next((line, cell) for line, cell in zip(self.lines, cells)
+                              if not _is_number(kind, cell))
+            raise LandscapeError(
+                f"{self.name}: line {line}: {self.header[j]} {cell!r} is not "
+                f"{'an integer' if kind is int else 'a number'}") from None
+        out = np.asarray(values)
         if kind is float and not np.isfinite(out).all():
             i = int(np.flatnonzero(~np.isfinite(out))[0])
             raise LandscapeError(f"{self.name}: line {self.lines[i]}: {self.header[j]} "
-                                 f"{self.rows[i][j]!r} is not a finite number")
+                                 f"{cells[i]!r} is not a finite number")
         return out
+
+
+def _is_number(kind, cell: str) -> bool:
+    """Whether ``cell`` is a ``kind`` of the CSV dialect: ASCII, no ``_``."""
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        kind(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_csv(source) -> _Csv:

@@ -397,6 +397,22 @@ class TestImportFloor:
                               "--theory", str(theo), "--out", str(tmp_path / "c")) == []
         assert (tmp_path / "c" / "compared.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["search", "--budget", "40", "--trials", "5"],
+        ["rwa", "--walk-len", "2000", "--max-lag", "5"],
+    ], ids=["analyze", "search", "rwa"])
+    def test_landscape_commands_load_no_scipy(self, small_landscape, tmp_path, argv):
+        assert _scipy_imports("-m", "hillscape", *argv, "--landscape", str(small_landscape),
+                              "--out", str(tmp_path / "o")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--topo", "clique-power:5,3", "--model", "uniform"],
+        ["theory", "--topo", "clique-power:5,3", "--closed-form", "uniform"],
+        ["theory", "--topo", "clique-power:5,3", "--grid-points", "129"],
+    ], ids=["gen-uniform", "theory-closed-form", "theory-quadrature"])
+    def test_uniform_commands_load_no_scipy(self, tmp_path, argv):
+        assert _scipy_imports("-m", "hillscape", *argv, "--out", str(tmp_path / "o")) == []
+
 
 def test_version_flag():
     res = run_cli("--version")
@@ -637,7 +653,10 @@ def _curve(tmp_path, name, text):
     ("epsilon,fraction\n0.0,0.1\n0.1,0.2,7\n", "line 3: expected 2 cells"),
     ("", "empty file"),                                                      # IndexError, exit 1
     ("epsilon,fraction\n0.0,0.1\n\n0.1,half\n", "line 4: fraction 'half' is not a number"),
-], ids=["short-row", "long-row", "empty", "text-cell"])
+    ("epsilon,fraction\n0.0,0.1\n0.1,0.2_5\n", "line 3: fraction '0.2_5' is not a number"),
+    ("epsilon,fraction\n0.0,0.1\n0.1,\uff10.\uff15\n",
+     "line 3: fraction '\uff10.\uff15' is not a number"),
+], ids=["short-row", "long-row", "empty", "text-cell", "underscore-cell", "fullwidth-cell"])
 def test_compare_rejects_malformed_curve(tmp_path, sim_text, message):
     sim = _curve(tmp_path, "sim.csv", sim_text)
     theory_csv = _curve(tmp_path, "t.csv", "epsilon,fraction_theory\n0.0,0.1\n0.1,0.2\n")
@@ -750,6 +769,88 @@ def test_csv_bytes_pinned(tmp_path, capsys):
         assert run_main(capsys, *argv) == (0, "")
     for name, digest in _PINNED_CSV.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# search runs for summary.json: (landscape, flags); "with_test" has a test_loss
+# column and "val_only" none, and the "ragged" runs end trials at convergence
+_SUMMARY_RUNS = {
+    "restart": ("with_test", ["--noise", "gaussian:0.05", "--budget", "40", "--trials", "6",
+                              "--seed", "2"]),
+    "ragged": ("with_test", ["--restart", "false", "--budget", "40", "--trials", "6",
+                             "--seed", "2"]),
+    "ragged-val": ("val_only", ["--restart", "false", "--num-initial", "2", "--budget", "40",
+                                "--trials", "6", "--seed", "3"]),
+    "random-val": ("val_only", ["--algo", "random", "--budget", "30", "--trials", "4",
+                                "--seed", "3"]),
+}
+
+# sha256 of the summary.json files the per-query loop wrote for _SUMMARY_RUNS,
+# before the summary was taken from one (queries x trials) matrix
+_PINNED_SUMMARY = {
+    "restart": "59c51b8f7d153b6184933350c4bfb1bc2d79fae348807efd33f8615d9abf1b86",
+    "ragged": "0e8bbb48ded85f03620bddb0a61ba3c2dd489a88d1c0d5dc2d203d5b5a1e4008",
+    "ragged-val": "e5a33bce81e563d83a1d77bd00c8115d0200a4af6bb9562c068cef89854c0af5",
+    "random-val": "34b85d2d52a4d3b5e13c9aa61d0c986eab69657184a5568ec8a65a0ed0b8a22c",
+}
+
+
+@pytest.fixture(scope="module")
+def summary_runs(tmp_path_factory):
+    """Output directory of each of _SUMMARY_RUNS."""
+    d = tmp_path_factory.mktemp("summary")
+    t = hs.make_clique_power(4, 3)
+    rng = np.random.default_rng(2)
+    hs.save_landscape(hs.Landscape(t, rng.random(t.n), test_loss=rng.random(t.n)),
+                      str(d / "with_test.csv"))
+    hs.save_landscape(hs.sample_uniform(t, 3), str(d / "val_only.csv"))
+    for name, (scape, flags) in _SUMMARY_RUNS.items():
+        assert cli.main(["search", "--landscape", str(d / f"{scape}.csv"), *flags,
+                         "--out", str(d / name)]) == 0
+    return {name: d / name for name in _SUMMARY_RUNS}
+
+
+def loop_summary(runs_csv, algo, trials, budget):
+    """summary.json text by the per-query loop, from the trials in runs.csv."""
+    header, rows = read_csv(runs_csv)
+    by_trial = [[r for r in rows if int(r[0]) == t] for t in range(trials)]
+    best_val = [np.asarray([float(r[4]) for r in rs]) for rs in by_trial]
+    any_test = rows[0][5] != ""
+    best_test = [np.asarray([float(r[5]) for r in rs]) for rs in by_trial] if any_test else None
+    live = [[t for t in range(trials) if len(best_val[t]) > q]
+            for q in range(max(map(len, best_val)))]
+    best = [np.asarray([best_val[t][q] for t in ts]) for q, ts in enumerate(live)]
+    summary = {
+        "algo": algo,
+        "trials": trials,
+        "budget": budget,
+        "queries": len(live),
+        "trials_at_query": [len(ts) for ts in live],
+        "mean_best_val": [float(v.mean()) for v in best],
+        "std_best_val": [float(v.std()) for v in best],
+        "mean_best_test": [float(np.asarray([best_test[t][q] for t in ts]).mean())
+                           for q, ts in enumerate(live)] if any_test else None,
+        "final_mean_best_val": float(best[-1].mean()),
+    }
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", list(_SUMMARY_RUNS))
+def test_summary_equals_per_query_loop(summary_runs, name):
+    flags = dict(zip(_SUMMARY_RUNS[name][1][::2], _SUMMARY_RUNS[name][1][1::2]))
+    out = summary_runs[name]
+    text = (out / "summary.json").read_text()
+    assert text == loop_summary(out / "runs.csv", flags.get("--algo", "local"),
+                                int(flags["--trials"]), int(flags["--budget"]))
+    summary = json.loads(text)
+    assert (summary["mean_best_test"] is None) == name.endswith("-val")
+    if name.startswith("ragged"):
+        assert len(set(summary["trials_at_query"])) > 1
+
+
+def test_summary_bytes_pinned(summary_runs):
+    for name, digest in _PINNED_SUMMARY.items():
+        text = (summary_runs[name] / "summary.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest, name
 
 
 def test_fit_rejects_non_numeric_rho(tmp_path):

@@ -5,6 +5,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
 import hillscape as hs
@@ -454,7 +457,18 @@ class TestCsvReader:
          "line 3: test_loss 'oops' is not a number"),
         ("", "empty file"),
         ("\n  \n", "empty file"),
-    ], ids=["long-row", "short-row", "float-id", "text-loss", "empty", "blank"])
+        # Python's int and float read these; the CSV dialect does not
+        ("id,val_loss\n0,0.1\n1,0.1_5\n", "line 3: val_loss '0.1_5' is not a number"),
+        ("id,val_loss\n0,0.1\n1_0,0.2\n", "line 3: id '1_0' is not an integer"),
+        ("id,val_loss\n0_2,0.1\n1,0.2\n", "line 2: id '0_2' is not an integer"),
+        ("id,val_loss\n0,\u0660\n1,0.2\n", "line 2: val_loss '\u0660' is not a number"),
+        ("id,val_loss\n0,0.1\n1,\uff10.\uff15\n",
+         "line 3: val_loss '\uff10.\uff15' is not a number"),
+        ("id,val_loss\n\uff10,0.1\n1,0.2\n", "line 2: id '\uff10' is not an integer"),
+        ("id,val_loss\n0,0.1\n2.5,0.2\n", "line 3: id '2.5' is not an integer"),
+    ], ids=["long-row", "short-row", "float-id", "text-loss", "empty", "blank",
+            "underscore-loss", "underscore-id", "underscore-id-first", "arabic-indic-zero",
+            "fullwidth-loss", "fullwidth-id", "float-id-2.5"])
     def test_malformed_rejected(self, text, message):
         with pytest.raises(LandscapeError, match=message):
             hs.load_tabular(io.StringIO(text), hs.make_complete(2))
@@ -484,6 +498,104 @@ class TestCsvReader:
         assert back.test_loss.tobytes() == scape.test_loss.tobytes()
         hs.save_landscape(back, str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+def per_cell_csv(header, columns) -> str:
+    """CSV text by the per-cell formatter: ``repr`` / ``str`` of each
+    ``tolist()`` value of an array, ``_cell`` for other sequences and empty
+    cells for None."""
+    columns = list(columns)
+    rows = max((len(c) for c in columns if c is not None), default=0)
+
+    def text(c):
+        if c is None:
+            return [""] * rows
+        if isinstance(c, np.ndarray) and c.dtype.kind in "iu":
+            return list(map(str, c.tolist()))
+        if isinstance(c, np.ndarray) and c.dtype.kind == "f":
+            return list(map(repr, c.tolist()))
+        return list(map(landscape._cell, c))
+
+    return "\n".join([",".join(header), *map(",".join, zip(*map(text, columns)))]) + "\n"
+
+
+def per_cell_column(table, j, kind) -> np.ndarray:
+    """A CSV column converted one cell at a time."""
+    return np.asarray([kind(r[j]) for r in table.rows])
+
+
+_F64 = np.finfo(np.float64)
+_F32 = np.finfo(np.float32)
+_I64 = np.iinfo(np.int64)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("columns", [
+        [np.array([0.0, -0.0, 0.0, -0.0, 1.5, -0.0])],
+        [np.array([0.1, 0.1, 0.2, 0.1, 0.2, 0.30000000000000004, 0.3])],
+        [np.array([5e-324, -5e-324, _F64.tiny, np.nextafter(_F64.tiny, 0), 5e-324])],
+        [np.array([_F64.max, -_F64.max, 1e308, -1e308, np.nextafter(_F64.max, 0)])],
+        [np.array([np.inf, -np.inf, 1.0, np.inf, np.nan, -np.nan])],
+        [np.array([_F32.max, -_F32.max, _F32.tiny, 1e-45, 0.1, -0.0, 0.0, 0.1],
+                  dtype=np.float32)],
+        [np.array([_I64.min, _I64.max, 0, -1, _I64.min], dtype=np.int64),
+         np.array([0, 2**64 - 1, 2**63, 2**64 - 1, 1], dtype=np.uint64)],
+        [np.array([], dtype=np.float64), np.array([], dtype=np.int64), None],
+        [np.arange(4), None, np.array([0.25, 0.5, 0.25, -0.0]), None],
+        [["a", "b"], [np.int64(3), 4], [np.float32(0.1), 0.5], np.array([1.0, 1.0])],
+    ], ids=["signed-zeros", "repeats", "subnormals", "near-max", "inf-nan", "float32",
+            "int64-uint64", "empty", "none-columns", "sequences"])
+    def test_bytes_equal_per_cell_formatter(self, tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        landscape._write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, columns).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 40))
+    def test_bytes_equal_per_cell_formatter_hypothesis(self, tmp_path_factory, data, rows):
+        pool = st.sampled_from([0.0, -0.0, 0.1, 5e-324, -_F64.max, np.inf, np.nan])
+        columns = [
+            data.draw(arrays(np.float64, rows, elements=pool | st.floats())),
+            data.draw(arrays(np.float32, rows, elements=st.floats(width=32))),
+            data.draw(arrays(np.int64, rows, elements=st.integers(-3, 3) | st.integers(
+                int(_I64.min), int(_I64.max)))),
+            data.draw(arrays(np.uint64, rows, elements=st.integers(0, 2**64 - 1))),
+            data.draw(st.sampled_from([None, np.zeros(rows, dtype=np.uint8)])),
+        ]
+        header = ["f64", "f32", "i64", "u64", "last"]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        landscape._write_csv(path, header, columns)
+        assert path.read_bytes() == per_cell_csv(header, columns).encode()
+
+
+class TestCsvColumns:
+    def test_bad_cell_deep_in_a_large_file_names_its_line(self):
+        rows = [f"{i},{i / 25000!r}" for i in range(25000)]
+        rows[19998] = "19998,0.5x"  # file line 20000
+        with pytest.raises(LandscapeError, match="line 20000: val_loss '0.5x' is not a number"):
+            hs.load_tabular(io.StringIO("id,val_loss\n" + "\n".join(rows) + "\n"),
+                            hs.make_complete(25000))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    def test_non_finite_cells_rejected(self, cell):
+        text = f"id,val_loss\n0,0.25\n1,{cell}\n"
+        with pytest.raises(LandscapeError, match=f"line 3: val_loss '{cell}' is not a finite"):
+            hs.load_tabular(io.StringIO(text), hs.make_complete(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.integers(-2**63, 2**63 - 1).map(str) | st.sampled_from(
+               ["007", "+3", "-0", " 12 ", "0"]), min_size=1, max_size=30),
+           data=st.data())
+    def test_bulk_equals_per_cell_oracle(self, ids, data):
+        spelled = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+            ["1e5", "-0.0", "0", ".5", "5.", "+1E-3", " 0.25", "4.9e-324", "1e-400", "007"])
+        vals = data.draw(st.lists(spelled, min_size=len(ids), max_size=len(ids)))
+        text = "a,b\n" + "".join(f"{i},{v}\n" for i, v in zip(ids, vals))
+        table = landscape._read_csv(io.StringIO(text))
+        for j, kind in ((0, int), (1, float)):
+            bulk, oracle = table.column(j, kind), per_cell_column(table, j, kind)
+            assert bulk.dtype == oracle.dtype
+            assert bulk.tobytes() == oracle.tobytes()
 
 
 class TestNoiseSpecGrammar:
