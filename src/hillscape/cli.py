@@ -139,8 +139,8 @@ def cmd_search(cfg) -> int:
         "trials_at_query": live.sum(axis=1).tolist(),
         "mean_best_val": [float(v.mean()) for v in best],
         "std_best_val": [float(v.std()) for v in best],
-        "mean_best_test": [float(v.mean()) for v in per_query(best_test)]
-        if any_test else None,
+        "mean_best_test": ([float(v.mean()) for v in per_query(best_test)]
+                           if any_test else None),
         "final_mean_best_val": float(best[-1].mean()),
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)

@@ -499,6 +499,35 @@ class TestCsvReader:
         hs.save_landscape(back, str(second))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_bad_cell_deep_in_a_large_file_names_its_line(self):
+        rows = [f"{i},{i / 25000!r}" for i in range(25000)]
+        rows[19998] = "19998,0.5x"  # file line 20000
+        with pytest.raises(LandscapeError, match="line 20000: val_loss '0.5x' is not a number"):
+            hs.load_tabular(io.StringIO("id,val_loss\n" + "\n".join(rows) + "\n"),
+                            hs.make_complete(25000))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "NaN", "Infinity", "1e999"])
+    def test_non_finite_cells_rejected(self, cell):
+        text = f"id,val_loss\n0,0.25\n1,{cell}\n"
+        with pytest.raises(LandscapeError, match=f"line 3: val_loss '{cell}' is not a finite"):
+            hs.load_tabular(io.StringIO(text), hs.make_complete(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.integers(-2**63, 2**63 - 1).map(str) | st.sampled_from(
+               ["007", "+3", "-0", " 12 ", "0"]), min_size=1, max_size=30),
+           data=st.data())
+    def test_bulk_equals_per_cell_oracle(self, ids, data):
+        spelled = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+            ["1e5", "-0.0", "0", ".5", "5.", "+1E-3", " 0.25", "4.9e-324", "1e-400", "007"])
+        vals = data.draw(st.lists(spelled, min_size=len(ids), max_size=len(ids)))
+        text = "a,b\n" + "".join(f"{i},{v}\n" for i, v in zip(ids, vals))
+        table = landscape._read_csv(io.StringIO(text))
+        for j, kind in ((0, int), (1, float)):
+            bulk = table.column(j, kind)
+            oracle = np.asarray([kind(r[j]) for r in table.rows])  # one cell at a time
+            assert bulk.dtype == oracle.dtype
+            assert bulk.tobytes() == oracle.tobytes()
+
 
 def per_cell_csv(header, columns) -> str:
     """CSV text by the per-cell formatter: ``repr`` / ``str`` of each
@@ -517,11 +546,6 @@ def per_cell_csv(header, columns) -> str:
         return list(map(landscape._cell, c))
 
     return "\n".join([",".join(header), *map(",".join, zip(*map(text, columns)))]) + "\n"
-
-
-def per_cell_column(table, j, kind) -> np.ndarray:
-    """A CSV column converted one cell at a time."""
-    return np.asarray([kind(r[j]) for r in table.rows])
 
 
 _F64 = np.finfo(np.float64)
@@ -566,36 +590,6 @@ class TestCsvWriter:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         landscape._write_csv(path, header, columns)
         assert path.read_bytes() == per_cell_csv(header, columns).encode()
-
-
-class TestCsvColumns:
-    def test_bad_cell_deep_in_a_large_file_names_its_line(self):
-        rows = [f"{i},{i / 25000!r}" for i in range(25000)]
-        rows[19998] = "19998,0.5x"  # file line 20000
-        with pytest.raises(LandscapeError, match="line 20000: val_loss '0.5x' is not a number"):
-            hs.load_tabular(io.StringIO("id,val_loss\n" + "\n".join(rows) + "\n"),
-                            hs.make_complete(25000))
-
-    @pytest.mark.parametrize("cell", ["inf", "-inf", "NaN", "Infinity", "1e999"])
-    def test_non_finite_cells_rejected(self, cell):
-        text = f"id,val_loss\n0,0.25\n1,{cell}\n"
-        with pytest.raises(LandscapeError, match=f"line 3: val_loss '{cell}' is not a finite"):
-            hs.load_tabular(io.StringIO(text), hs.make_complete(2))
-
-    @settings(max_examples=60, deadline=None)
-    @given(ids=st.lists(st.integers(-2**63, 2**63 - 1).map(str) | st.sampled_from(
-               ["007", "+3", "-0", " 12 ", "0"]), min_size=1, max_size=30),
-           data=st.data())
-    def test_bulk_equals_per_cell_oracle(self, ids, data):
-        spelled = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
-            ["1e5", "-0.0", "0", ".5", "5.", "+1E-3", " 0.25", "4.9e-324", "1e-400", "007"])
-        vals = data.draw(st.lists(spelled, min_size=len(ids), max_size=len(ids)))
-        text = "a,b\n" + "".join(f"{i},{v}\n" for i, v in zip(ids, vals))
-        table = landscape._read_csv(io.StringIO(text))
-        for j, kind in ((0, int), (1, float)):
-            bulk, oracle = table.column(j, kind), per_cell_column(table, j, kind)
-            assert bulk.dtype == oracle.dtype
-            assert bulk.tobytes() == oracle.tobytes()
 
 
 class TestNoiseSpecGrammar:
