@@ -552,9 +552,9 @@ def load_tabular(source, t: Topology) -> Landscape:
     if len(table.rows) != t.n:
         raise LandscapeError(f"{table.name}: expected {t.n} rows, found {len(table.rows)}")
     ids = table.column(0, int)
-    if ids.min() < 0 or ids.max() >= t.n or len(np.unique(ids)) != t.n:
-        raise LandscapeError(f"{table.name}: duplicate or missing id")
     order = np.argsort(ids)
+    if not np.array_equal(ids[order], np.arange(t.n)):
+        raise LandscapeError(f"{table.name}: duplicate or missing id")
     val = table.column(1, float)[order]
     test = table.column(2, float)[order] if len(table.header) == 3 else None
     meta = {"source": table.name, "columns": table.header}

@@ -346,6 +346,12 @@ class TestTabular:
         with pytest.raises(LandscapeError, match="duplicate or missing id"):
             hs.load_tabular(io.StringIO(bad), t)
 
+    @pytest.mark.parametrize("ids", [(0, 1, 3), (-1, 0, 1), (2, 2, 0)])
+    def test_out_of_range_or_repeated_id_rejected(self, ids):
+        text = "id,val_loss\n" + "".join(f"{i},0.5\n" for i in ids)
+        with pytest.raises(LandscapeError, match="duplicate or missing id"):
+            hs.load_tabular(io.StringIO(text), hs.make_complete(3))
+
     def test_row_count_mismatch(self):
         t = hs.make_complete(4)
         with pytest.raises(LandscapeError, match="rows"):
