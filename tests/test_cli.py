@@ -836,11 +836,10 @@ def loop_summary(runs_csv, algo, trials, budget):
 
 @pytest.mark.parametrize("name", list(_SUMMARY_RUNS))
 def test_summary_equals_per_query_loop(summary_runs, name):
-    flags = dict(zip(_SUMMARY_RUNS[name][1][::2], _SUMMARY_RUNS[name][1][1::2]))
     out = summary_runs[name]
+    cfg = json.loads((out / "manifest.json").read_text())["config"]
     text = (out / "summary.json").read_text()
-    assert text == loop_summary(out / "runs.csv", flags.get("--algo", "local"),
-                                int(flags["--trials"]), int(flags["--budget"]))
+    assert text == loop_summary(out / "runs.csv", cfg["algo"], cfg["trials"], cfg["budget"])
     summary = json.loads(text)
     assert (summary["mean_best_test"] is None) == name.endswith("-val")
     if name.startswith("ragged"):
