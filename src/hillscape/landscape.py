@@ -45,24 +45,167 @@ class LandscapeError(ValueError):
 
 # -- truncated normal on [0, 1] --------------------------------------------
 #
-# scipy.special is imported inside these functions only, so importing the
-# package (and every CLI command that never evaluates a normal CDF) loads
-# no scipy module.
+# The standard normal CDF and its inverse are evaluated in numpy, so the
+# package needs no library beyond it: _ndtr from Cephes' erf and erfc rational
+# approximations, _ndtri by Wichura's AS241 (the algorithm and coefficients of
+# CPython's statistics.NormalDist.inv_cdf).
+
+_SQRT1_2 = 0.7071067811865476
+# elements per pass of _ndtr and _ndtri: their temporaries stay in cache
+_SLAB = 16384
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, and R(x) / S(x) beyond
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+# AS241: x = q A(r) / B(r) with r = 0.180625 - q^2 for |q| = |p - 0.5| <= 0.425;
+# beyond, with r = sqrt(-log(min(p, 1 - p))), C(r - 1.6) / D(r - 1.6) for
+# r <= 5 and E(r - 5) / F(r - 5) above
+_AS241_A = (2.5090809287301226727e3, 3.3430575583588128105e4,
+            6.7265770927008700853e4, 4.5921953931549871457e4,
+            1.3731693765509461125e4, 1.9715909503065514427e3,
+            1.3314166789178437745e2, 3.3871328727963666080e0)
+_AS241_B = (5.2264952788528545610e3, 2.8729085735721942674e4,
+            3.9307895800092710610e4, 2.1213794301586595867e4,
+            5.3941960214247511077e3, 6.8718700749205790830e2,
+            4.2313330701600911252e1, 1.0)
+_AS241_C = (7.7454501427834140764e-4, 2.2723844989269184583e-2,
+            2.4178072517745061177e-1, 1.2704582524523683826e0,
+            3.6478483247632045605e0, 5.7694972214606914055e0,
+            4.6303378461565452959e0, 1.4234371107496835773e0)
+_AS241_D = (1.0507500716444168432e-9, 5.4759380849953449460e-4,
+            1.5198666563616457197e-2, 1.4810397642748007459e-1,
+            6.8976733498510000455e-1, 1.6763848301838038494e0,
+            2.0531916266377588219e0, 1.0)
+_AS241_E = (2.0103343992922881327e-7, 2.7115555687434875782e-5,
+            1.2426609473880784386e-3, 2.6532189526576123093e-2,
+            2.9656057182850489123e-1, 1.7848265399172913358e0,
+            5.4637849111641143699e0, 6.6579046435011037772e0)
+_AS241_F = (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+            1.8463183175100546818e-5, 7.8686913114561325910e-4,
+            1.4875361290850614853e-2, 1.3692988092273580531e-1,
+            5.9983220655588793769e-1, 1.0)
+
+
+def _horner(x, coefs):
+    """The polynomial with ``coefs`` (highest power first) at array ``x``."""
+    out = x * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _by_slabs(kernel, a):
+    """``kernel`` applied elementwise to ``a``, one ``_SLAB`` of the flattened
+    array at a time; a 0-d input gives a numpy scalar."""
+    a = np.asarray(a, dtype=float)
+    flat = a.reshape(-1)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _SLAB):
+        out[lo:lo + _SLAB] = kernel(flat[lo:lo + _SLAB])
+    return out.reshape(a.shape)[()]
+
+
+def _ndtr_slab(a):
+    x = a * _SQRT1_2
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x * x
+        y = _horner(x2, _ERF_T)
+        y *= x
+        y /= _horner(x2, _ERF_U)
+    y *= 0.5
+    y += 0.5
+    # |x| >= 1: 0.5 erfc(|x|), reflected above 0; erfc is 0 in double beyond
+    # |x| = 28, and the clamp keeps the polynomials finite
+    far = np.abs(x) >= 1.0
+    w = x[far]
+    v = np.minimum(np.abs(w), 40.0)
+    num = _horner(v, _ERFC_P)
+    den = _horner(v, _ERFC_Q)
+    big = v >= 8.0
+    if big.any():
+        num[big] = _horner(v[big], _ERFC_R)
+        den[big] = _horner(v[big], _ERFC_S)
+    half = np.exp(-v * v)
+    half *= num
+    half /= den
+    half *= 0.5
+    y[far] = np.where(w > 0.0, 1.0 - half, half)
+    return y
+
+
+def _ndtri_slab(p):
+    q = p - 0.5
+    r = 0.180625 - q * q
+    x = _horner(r, _AS241_A)
+    x *= q
+    x /= _horner(r, _AS241_B)
+    tail = np.abs(q) > 0.425
+    if tail.any():
+        pt = p[tail]
+        with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 and 1 give inf
+            r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+            rn = r - 1.6
+            xt = _horner(rn, _AS241_C) / _horner(rn, _AS241_D)
+            far = r > 5.0
+            if far.any():
+                rf = r[far] - 5.0
+                xt[far] = np.where(rf == np.inf, np.inf,
+                                   _horner(rf, _AS241_E) / _horner(rf, _AS241_F))
+        x[tail] = np.copysign(xt, q[tail])
+    return x
+
+
+def _ndtr(a):
+    """Standard normal CDF, elementwise: 0.5 + 0.5 erf(a / sqrt 2) for
+    |a| < sqrt 2, else 0.5 erfc(|a| / sqrt 2), reflected for a > 0."""
+    return _by_slabs(_ndtr_slab, a)
+
+
+def _ndtri(p):
+    """Inverse of :func:`_ndtr`, elementwise, by AS241; -inf at 0, inf at 1."""
+    return _by_slabs(_ndtri_slab, p)
+
+
+def _cdf_ends(center, sigma):
+    """Phi(-center / sigma) and Phi((1 - center) / sigma): the normal mass
+    below 0 and below 1."""
+    center = np.asarray(center, dtype=float)
+    lo, hi = _ndtr(np.stack([(0.0 - center) / sigma, (1.0 - center) / sigma]))
+    return lo, hi
 
 
 def truncnorm_pdf(u, center, sigma):
     """Density at ``u`` of a normal(center, sigma) renormalized to [0, 1].
 
-    Zero outside [0, 1].  Vectorized over ``u``.
+    Zero outside [0, 1].  Broadcasts over ``u`` and ``center``.
     """
-    from scipy.special import ndtr
-
     if not sigma > 0:  # also rejects NaN
         raise LandscapeError("sigma must be positive")
     u = np.asarray(u, dtype=float)
-    z = ndtr((1.0 - center) / sigma) - ndtr((0.0 - center) / sigma)
+    lo, hi = _cdf_ends(center, sigma)
     phi = np.exp(-0.5 * ((u - center) / sigma) ** 2) / np.sqrt(2.0 * np.pi)
-    dens = phi / (sigma * z)
+    dens = phi / (sigma * (hi - lo))
     dens = np.where((u < 0.0) | (u > 1.0), 0.0, dens)
     return dens if dens.ndim else float(dens)
 
@@ -73,22 +216,24 @@ def truncnorm_sf(x, center, sigma):
     ``x`` is clipped to [0, 1], so the result is 1 below 0 and 0 above 1.
     Broadcasts over ``x`` and ``center``.
     """
-    from scipy.special import ndtr
-
     if not sigma > 0:  # also rejects NaN
         raise LandscapeError("sigma must be positive")
     xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    z = ndtr((1.0 - center) / sigma) - ndtr((0.0 - center) / sigma)
-    out = (ndtr((1.0 - center) / sigma) - ndtr((xc - center) / sigma)) / z
+    lo, hi = _cdf_ends(center, sigma)
+    out = (hi - _ndtr((xc - center) / sigma)) / (hi - lo)
     return np.clip(out, 0.0, 1.0)
 
 
 def _truncnorm_ppf(q, center, sigma):
-    from scipy.special import ndtr, ndtri
+    """Quantile ``q`` of the [0, 1]-truncated normal around ``center``."""
+    lo, hi = _cdf_ends(center, sigma)
+    return _truncnorm_ppf_at(q, center, sigma, lo, hi - lo)
 
-    a = ndtr((0.0 - center) / sigma)
-    b = ndtr((1.0 - center) / sigma)
-    x = center + sigma * ndtri(a + q * (b - a))
+
+def _truncnorm_ppf_at(q, center, sigma, lo, span):
+    """:func:`_truncnorm_ppf` given the :func:`_cdf_ends` ``lo`` and
+    ``lo + span`` of ``center``."""
+    x = center + sigma * _ndtri(lo + q * span)
     return np.clip(x, 0.0, 1.0)
 
 
@@ -412,11 +557,20 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
     rng = np.random.default_rng(int(seed))
     vals = np.empty(t.n)
     vals[0] = _truncnorm_ppf(rng.random(), root_center, root_sigma)
-    lo = 1
+    # each parent's normalizing CDFs are taken once, then gathered per child
+    has_child = np.zeros(t.n, dtype=bool)
+    has_child[parent] = True
+    below0, span = np.empty(t.n), np.empty(t.n)
+    lo, prev = 1, order[:1]
     for size in sizes[1:].tolist():
+        heads = prev[has_child[prev]]
+        a, b = _cdf_ends(vals[heads], sigma_local)
+        below0[heads], span[heads] = a, b - a
         ids = order[lo:lo + size]
-        vals[ids] = _truncnorm_ppf(rng.random(size), vals[parent[ids]], sigma_local)
-        lo += size
+        up = parent[ids]
+        vals[ids] = _truncnorm_ppf_at(rng.random(size), vals[up], sigma_local,
+                                      below0[up], span[up])
+        lo, prev = lo + size, ids
     meta = {
         "generator": "markov-truncnorm",
         "params": {

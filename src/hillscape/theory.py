@@ -21,8 +21,8 @@ with the first depth, so the pdf, weight and tail values exist one row
 block at a time; each further depth is one O(grid^2) matrix-vector
 product.  The Chebyshev bound is likewise summed one row block at a time.
 
-No scipy module is imported here; the truncated-normal functions of
-``landscape`` import ``scipy.special`` when first called.
+The truncated-normal densities come from ``landscape``, whose normal CDF is
+evaluated in numpy.
 """
 
 from __future__ import annotations
@@ -654,14 +654,14 @@ def fit_global_truncnorm(losses) -> GlobalFit:
     centers = 0.5 * (edges[:-1] + edges[1:])
     sigmas = np.round(np.arange(0.02, 1.0 + 1e-9, 0.01), 2)
     vs = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 2)
-    best = None
-    for sig in sigmas:
-        for v in vs:
-            model = truncnorm_pdf(centers, v, sig)
-            obj = float(np.sqrt(np.sum((hist - model) ** 2)))
-            if best is None or obj < best[0]:
-                best = (obj, float(sig), float(v))
-    return GlobalFit(sigma=best[1], center=best[2], objective=best[0])
+    # one row of objectives per sigma; argmin takes the first minimum in
+    # sigma-major order
+    obj = np.empty((sigmas.size, vs.size))
+    for i, sig in enumerate(sigmas):
+        model = truncnorm_pdf(centers, vs[:, None], sig)
+        obj[i] = np.sqrt(np.sum((hist - model) ** 2, axis=1))
+    i, j = np.unravel_index(np.argmin(obj), obj.shape)
+    return GlobalFit(sigma=float(sigmas[i]), center=float(vs[j]), objective=float(obj[i, j]))
 
 
 def fit_local_sigma_via_rwa(observed_rwa, t: Topology, candidates, seed: int,

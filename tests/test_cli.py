@@ -1,3 +1,4 @@
+import ast
 import filecmp
 import hashlib
 import json
@@ -384,6 +385,35 @@ def _scipy_imports(*args, cwd=None):
     return [n for n in names if n == "scipy" or n.startswith("scipy.")]
 
 
+@pytest.fixture(scope="module")
+def markov_inputs(tmp_path_factory):
+    """A markov-tn clique-power:5,3 landscape (``gen/``) and its RWA curve (``rwa/``)."""
+    root = tmp_path_factory.mktemp("markov")
+    res = run_cli("gen", "--topo", "clique-power:5,3", "--model", "markov-tn:0.35",
+                  "--seed", "3", "--out", str(root / "gen"))
+    assert res.returncode == 0, res.stderr
+    res = run_cli("rwa", "--landscape", str(root / "gen" / "landscape.csv"),
+                  "--walk-len", "2000", "--max-lag", "5", "--seed", "1",
+                  "--out", str(root / "rwa"))
+    assert res.returncode == 0, res.stderr
+    return root
+
+
+def _truncnorm_commands(root):
+    """The commands that evaluate truncated-normal CDFs, by name, without --out."""
+    return {
+        "gen-markov": ["gen", "--topo", "clique-power:4,3", "--model", "markov-tn:0.35"],
+        "fit-global": ["fit", "--mode", "global",
+                       "--landscape", str(root / "gen" / "landscape.csv")],
+        "fit-local-rwa": ["fit", "--mode", "local-rwa", "--rwa", str(root / "rwa" / "rwa.csv"),
+                          "--topo", "clique-power:5,3", "--candidates", "0.2,0.5",
+                          "--walk-len", "2000"],
+        "theory-truncnorm-local": ["theory", "--topo", "clique-power:5,3",
+                                   "--pdf-n", "truncnorm:0.25,0.18",
+                                   "--pdf-e", "truncnorm-local:0.35", "--grid-points", "129"],
+    }
+
+
 class TestImportFloor:
     def test_package_import_loads_no_scipy(self):
         assert _scipy_imports("-c", "import hillscape") == []
@@ -412,6 +442,35 @@ class TestImportFloor:
     ], ids=["gen-uniform", "theory-closed-form", "theory-quadrature"])
     def test_uniform_commands_load_no_scipy(self, tmp_path, argv):
         assert _scipy_imports("-m", "hillscape", *argv, "--out", str(tmp_path / "o")) == []
+
+    @pytest.mark.parametrize("name", ["gen-markov", "fit-global", "fit-local-rwa",
+                                      "theory-truncnorm-local"])
+    def test_truncnorm_commands_load_no_scipy(self, markov_inputs, tmp_path, name):
+        argv = _truncnorm_commands(markov_inputs)[name]
+        assert _scipy_imports("-m", "hillscape", *argv, "--out", str(tmp_path / "o")) == []
+
+    def test_truncnorm_commands_run_with_scipy_blocked(self, markov_inputs, tmp_path):
+        # with sys.modules["scipy"] = None any import of scipy raises ImportError
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from hillscape.cli import main; sys.exit(main(sys.argv[1:]))")
+        for name, argv in _truncnorm_commands(markov_inputs).items():
+            res = subprocess.run([sys.executable, "-c", code, *argv,
+                                  "--out", str(tmp_path / name)], capture_output=True, text=True)
+            assert res.returncode == 0, (name, res.stderr)
+
+    def test_no_module_imports_scipy(self):
+        paths = sorted((REPO / "src" / "hillscape").rglob("*.py"))
+        assert paths
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not [n for n in names if n == "scipy" or n.startswith("scipy.")], \
+                    f"{path.name}:{node.lineno} imports scipy"
 
 
 def test_version_flag():

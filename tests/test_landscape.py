@@ -2,18 +2,20 @@ import io
 import json
 import math
 import pickle
+import statistics
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import erf
 
 import hillscape as hs
 from hillscape import landscape
-from hillscape.landscape import LandscapeError
+from hillscape.landscape import LandscapeError, _ndtr, _ndtri
 from hillscape.seeding import spawn_rng
+from hillscape.topology import _bfs_tree
 
 from conftest import custom_twin, cycle_topology
 
@@ -23,7 +25,7 @@ def phi(z):
 
 
 def Phi(z):
-    return 0.5 * (1.0 + erf(z / math.sqrt(2)))
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2)))
 
 
 class TestSampleUniform:
@@ -72,6 +74,85 @@ class TestTruncnormPdf:
             hs.truncnorm_pdf(0.5, 0.5, 0.0)
 
 
+def _rel_err(got, want):
+    return np.abs(got - want) / np.abs(want)
+
+
+def _erfc_cdf(xs):
+    """Phi(x) = erfc(-x / sqrt 2) / 2 from math.erfc, one float at a time."""
+    return np.array([0.5 * math.erfc(-x * math.sqrt(0.5)) for x in xs])
+
+
+class TestNormalCdf:
+    """The numpy standard normal CDF and its inverse against oracles that
+    share no code with them: math.erfc and statistics.NormalDist."""
+
+    def test_ndtr_core_vs_erfc(self):
+        xs = np.concatenate([np.linspace(-8.0, 8.0, 16001),
+                             np.random.default_rng(0).uniform(-8.0, 8.0, 4000)])
+        assert _rel_err(_ndtr(xs), _erfc_cdf(xs)).max() <= 2e-14
+
+    def test_ndtr_tails_vs_erfc(self):
+        # down to -37.5, where Phi is still a normal double (about 4.6e-308)
+        xs = np.concatenate([np.linspace(-37.5, -8.0, 6001), np.linspace(8.0, 40.0, 641)])
+        want = _erfc_cdf(xs)
+        assert want.min() > 2.2250738585072014e-308
+        assert _rel_err(_ndtr(xs), want).max() <= 1e-12
+
+    def test_ndtri_vs_normal_dist(self):
+        ps = np.concatenate([np.logspace(-300, -1, 3001), np.linspace(1e-6, 1 - 1e-6, 4001),
+                             1.0 - np.logspace(-12, -1, 1001)])
+        inv_cdf = statistics.NormalDist().inv_cdf
+        want = np.array([inv_cdf(p) for p in ps])
+        got = _ndtri(ps)
+        zero = want == 0.0
+        assert np.array_equal(got[zero], want[zero])
+        assert _rel_err(got[~zero], want[~zero]).max() <= 2e-15
+
+    @given(st.floats(1e-300, 1.0 - 1e-12))
+    def test_cdf_of_quantile(self, p):
+        # the slope of log Phi is about |x| <= 37, so 1e-12 covers both errors
+        assert _ndtr(_ndtri(p)) == pytest.approx(p, rel=1e-12)
+
+    @given(st.floats(-37.0, 3.0))
+    def test_quantile_of_cdf(self, x):
+        assert _ndtri(_ndtr(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
+
+    def test_limits_and_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = _ndtr(np.array([-np.inf, -1e300, 0.0, 1e300, np.inf, np.nan]))
+            inv = _ndtri(np.array([0.0, 0.5, 1.0, -0.1, 1.1, np.nan]))
+        assert np.array_equal(cdf, [0.0, 0.0, 0.5, 1.0, 1.0, np.nan], equal_nan=True)
+        assert np.array_equal(inv, [-np.inf, 0.0, np.inf, np.nan, np.nan, np.nan],
+                              equal_nan=True)
+
+    def test_shapes_and_scalars(self):
+        assert isinstance(_ndtr(0.3), np.float64) and isinstance(_ndtri(0.3), np.float64)
+        assert _ndtr(np.zeros((3, 0))).shape == (3, 0)
+        assert _ndtri(np.full((2, 3), 0.25)).shape == (2, 3)
+
+    def test_slabs_match_one_value_at_a_time(self):
+        # an array spanning several slabs gives each element the bits of a
+        # call on that element alone
+        rng = np.random.default_rng(3)
+        n = 2 * landscape._SLAB + 7
+        xs = rng.uniform(-12.0, 12.0, n).reshape(-1, 1)
+        ps = rng.random(n)
+        ps[::97] = rng.random(ps[::97].size) * 1e-20  # AS241's far tail
+        picks = rng.choice(n, 300, replace=False)
+        assert np.array_equal(_ndtr(xs).ravel()[picks], [_ndtr(xs[i, 0]) for i in picks])
+        assert np.array_equal(_ndtri(ps)[picks], [_ndtri(ps[i]) for i in picks])
+
+    def test_agrees_with_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.linspace(-8.0, 8.0, 4001)
+        ps = np.concatenate([np.logspace(-300, -1, 1001), np.linspace(0.01, 0.49, 1001),
+                             np.linspace(0.51, 0.99, 1001)])
+        assert _rel_err(_ndtr(xs), special.ndtr(xs)).max() <= 2e-14
+        assert _rel_err(_ndtri(ps), special.ndtri(ps)).max() <= 4e-15
+
+
 @pytest.mark.parametrize("call", [
     lambda: hs.truncnorm_pdf(0.5, 0.25, math.nan),
     lambda: hs.truncnorm_sf(0.5, 0.25, math.nan),
@@ -101,6 +182,21 @@ class TestSampleTruncnorm:
         assert abs(x - 0.5) < 1e-4
 
 
+def per_child_markov(t, sigma_local, root_center, root_sigma, seed):
+    """sample_markov_truncnorm with both normalizing CDFs of a child's parent
+    recomputed for every child."""
+    order, parent, sizes = _bfs_tree(t)
+    rng = np.random.default_rng(seed)
+    vals = np.empty(t.n)
+    vals[0] = landscape._truncnorm_ppf(rng.random(), root_center, root_sigma)
+    lo = 1
+    for size in sizes[1:].tolist():
+        ids = order[lo:lo + size]
+        vals[ids] = landscape._truncnorm_ppf(rng.random(size), vals[parent[ids]], sigma_local)
+        lo += size
+    return vals
+
+
 class TestMarkovTruncnorm:
     def test_tiny_sigma_tracks_root(self, k56):
         scape = hs.sample_markov_truncnorm(k56, 1e-6, 0.4, 0.1, seed=2)
@@ -120,6 +216,18 @@ class TestMarkovTruncnorm:
         t = hs.load_adjacency("n 4\n0 1\n2 3\n")
         with pytest.raises(LandscapeError):
             hs.sample_markov_truncnorm(t, 0.3, 0.5, 0.2, seed=1)
+
+    @pytest.mark.parametrize("topo", [
+        lambda: hs.make_clique_power(5, 4),
+        lambda: hs.Topology.from_spec("tree:3,5"),
+        lambda: hs.load_adjacency("n 9\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n5 6\n6 4\n2 7\n7 8\n"),
+    ], ids=["clique-power-5-4", "tree-3-5", "custom"])
+    def test_per_parent_cdfs_equal_per_child_loop(self, topo):
+        t = topo()
+        for sigma_local, seed in ((0.35, 0), (0.1, 5), (1e-6, 2), (100.0, 7)):
+            want = per_child_markov(t, sigma_local, 0.25, 0.18, seed)
+            got = hs.sample_markov_truncnorm(t, sigma_local, 0.25, 0.18, seed=seed)
+            assert got.val_loss.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m,d", [(5, 3), (3, 5), (2, 7), (7, 2), (4, 1)])
     def test_clique_power_matches_custom_twin(self, m, d):

@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 import hillscape as hs
+from hillscape import theory
 from hillscape.analysis import _fixed_points_and_depth
 from hillscape.theory import (_ROW_BLOCK, _clique_power_depths, _preimage_table,
                               _prefix, _simpson, _weight_blocks)
@@ -14,7 +14,7 @@ from conftest import frozen_view
 
 
 def Phi(z):
-    return 0.5 * (1.0 + erf(z / math.sqrt(2)))
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2)))
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +122,7 @@ ORACLE_POINTS = [9, 257, 2048, 2049]
 class TestSimpson:
     @pytest.mark.parametrize("points", [2049, 2048, 10, 9])
     def test_matches_scipy(self, points):
-        from scipy.integrate import simpson
-
+        simpson = pytest.importorskip("scipy.integrate").simpson
         xs = np.linspace(0.0, 1.0, points)
         pdf_n = hs.PdfSpec.truncnorm(0.25, 0.18)
         pdf_e = hs.LocalPdfSpec.truncnorm_centered(0.35)
@@ -604,6 +603,21 @@ def _separated_specs():
     return pdf_n, hs.LocalPdfSpec.independent(g)
 
 
+def per_pair_global_fit(losses):
+    """fit_global_truncnorm as a double loop: one model density per
+    (sigma, center), the first strict minimum kept."""
+    hist, edges = np.histogram(losses, bins=50, range=(0.0, 1.0), density=True)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    best = None
+    for sig in np.round(np.arange(0.02, 1.0 + 1e-9, 0.01), 2):
+        for v in np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 2):
+            model = theory.truncnorm_pdf(centers, v, sig)
+            obj = float(np.sqrt(np.sum((hist - model) ** 2)))
+            if best is None or obj < best[0]:
+                best = (obj, float(sig), float(v))
+    return hs.GlobalFit(sigma=best[1], center=best[2], objective=best[0])
+
+
 class TestFits:
     def test_global_round_trip(self):
         rng = np.random.default_rng(11)
@@ -627,6 +641,28 @@ class TestFits:
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient data"):
             hs.fit_global_truncnorm(np.linspace(0, 1, 10))
+
+    @pytest.mark.parametrize("losses", [
+        lambda: hs.sample_truncnorm(0.25, 0.18, np.random.default_rng(11), size=5000),
+        lambda: hs.sample_markov_truncnorm(hs.make_clique_power(5, 4), 0.35, 0.25, 0.18,
+                                           seed=3).val_loss,
+        lambda: np.random.default_rng(4).random(300),
+        lambda: np.full(500, 0.40),
+    ], ids=["truncnorm", "markov", "uniform", "constant"])
+    def test_global_equals_per_pair_loop(self, losses):
+        values = losses()
+        assert hs.fit_global_truncnorm(values) == per_pair_global_fit(values)
+
+    @pytest.mark.parametrize("model", [
+        # flat at round(center + sigma, 1): the minimum is tied along
+        # center + sigma = const, so sigma-major and center-major order differ
+        lambda u, c, s: np.round(10 * (c + s)) / 10 * np.ones_like(u),
+        lambda u, c, s: np.ones(np.broadcast_shapes(np.shape(u), np.shape(c))),
+    ], ids=["flat-by-center-plus-sigma", "flat"])
+    def test_global_ties_go_to_first_in_sigma_major_order(self, model, monkeypatch):
+        monkeypatch.setattr(theory, "truncnorm_pdf", model)
+        values = hs.sample_truncnorm(0.3, 0.2, np.random.default_rng(2), size=2000)
+        assert hs.fit_global_truncnorm(values) == per_pair_global_fit(values)
 
     def test_rwa_single_candidate(self, k56_module):
         obs = np.asarray([[0, 0.0, 1.0], [1, 1.0, 0.2], [2, 1.414, 0.1]])
