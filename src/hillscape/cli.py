@@ -198,6 +198,11 @@ def cmd_rwa(cfg) -> int:
 def cmd_theory(cfg) -> int:
     pdf_n = _parse_spec(cfg["pdf_n"], _PDF_N, ValueError, "global pdf")
     pdf_e = _parse_spec(cfg["pdf_e"], _PDF_E, ValueError, "local pdf")
+    closed = cfg["closed_form"]
+    if closed == "uniform" and not (pdf_n.kind == "uniform" and pdf_e.kind == "independent"
+                                    and pdf_e.g.kind == "uniform"):
+        raise ValueError("theory --closed-form uniform assumes uniform losses; "
+                         "--pdf-n and --pdf-e must both be uniform with it")
     if cfg["topo"]:
         if cfg["n"] is not None or cfg["s"] is not None or cfg["b"] != [1.0]:  # [1.0]: --b default
             raise ValueError("theory --topo takes n, s and b from the topology; "
@@ -210,7 +215,7 @@ def cmd_theory(cfg) -> int:
         params = TheoryParams(n=cfg["n"], s=cfg["s"], b=cfg["b"],
                               ell_star=cfg["ell_star"])
     eps = _eps_grid(cfg)
-    max_k, grid_points, closed = cfg["max_k"], cfg["grid_points"], cfg["closed_form"]
+    max_k, grid_points = cfg["max_k"], cfg["grid_points"]
     if max_k < 1:
         raise ValueError("max-k must be >= 1")
     theory._grid(grid_points)  # rejects too few quadrature points before any output
@@ -235,8 +240,8 @@ def cmd_theory(cfg) -> int:
 
     loss_grid = np.linspace(0.0, 1.0, 101)
     pre_rows = []
-    if closed == "uniform" or pdf_e.kind == "independent":
-        g = PdfSpec.uniform01() if closed == "uniform" else pdf_e.g
+    if pdf_e.kind == "independent":
+        g = pdf_e.g
         for k in range(1, max_k + 1):
             sizes = theory.independent_closed_form(g, params, loss_grid, k)
             pre_rows.extend((x, k, v) for x, v in zip(loss_grid, np.atleast_1d(sizes)))

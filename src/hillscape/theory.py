@@ -12,14 +12,19 @@ cumulative ones use an endpoint-corrected trapezoid (the Euler-Maclaurin
 h^2/12 term with second-order numerical derivatives), which matches
 Simpson-class accuracy while vectorizing cheaply over matrices.
 
-The preimage recursion is memoized on the grid.  For center-independent
-local pdfs each depth costs O(grid).  For center-dependent ones the
-integral from x_i to 1 of a row of samples is a fixed linear functional
-of that row.  Its weights, times the local pdf, form the one grid-by-grid
-array (8 grid^2 bytes), filled in blocks of ``_ROW_BLOCK`` rows together
-with the first depth, so the pdf, weight and tail values exist one row
-block at a time; each further depth is one O(grid^2) matrix-vector
-product.  The Chebyshev bound is likewise summed one row block at a time.
+For a center-independent local pdf with survival G, the expected k-th
+preimage is the closed form c_k G(x)^{sk} with
+c_k = s^k prod_{j<k} b_j/(js+1), exact because the integral of
+g(y) G(y)^m from x to 1 is G(x)^{m+1}/(m+1).  One helper,
+``_series_coeffs``, computes the c_k; the full-preimage sum and the
+uniform within-eps curve read the same list.  For center-dependent local
+pdfs the preimage recursion is memoized on the grid: the integral from
+x_i to 1 of a row of samples is a fixed linear functional of that row.
+Its weights, times the local pdf, form the one grid-by-grid array
+(8 grid^2 bytes), filled in blocks of ``_ROW_BLOCK`` rows together with
+the first depth, so the pdf, weight and tail values exist one row block
+at a time; each further depth is one O(grid^2) matrix-vector product.
+The Chebyshev bound is likewise summed one row block at a time.
 
 The truncated-normal densities come from ``landscape``, whose normal CDF is
 evaluated in numpy.
@@ -34,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis
-from .landscape import (LandscapeView, NoiseSpec, sample_markov_truncnorm,
+from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, sample_markov_truncnorm,
                         truncnorm_pdf, truncnorm_sf)
 from .seeding import mix64
 from .topology import Topology, _clique_power_branching, branching_fractions
@@ -63,6 +68,7 @@ __all__ = [
 DEFAULT_GRID_POINTS = 2049  # even interval count for Simpson
 _PDF_TOL = 1e-6
 _ROW_BLOCK = 128  # grid rows per block of the grid-by-grid quadratures
+_MAX_TERMS = 512  # longest independence series
 
 
 def _grid(points: int) -> np.ndarray:
@@ -156,6 +162,10 @@ class PdfSpec:
             raise ValueError("center and sigma must be finite")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        lo, hi = _cdf_ends(center, sigma)
+        if not hi - lo > 0:
+            raise ValueError(f"truncated normal ({center}, {sigma}) has no normal "
+                             "mass on [0, 1]")
         return cls("truncnorm", center=float(center), sigma=float(sigma))
 
     @classmethod
@@ -293,15 +303,20 @@ class TheoryParams:
         return 0.0
 
 
-def _series_prods(s: int, params: TheoryParams, max_i: int):
-    """prod_{j=0}^{i-1} b_j / (j s + 1) for i = 0..max_i (index by i)."""
-    prods = np.zeros(max_i + 1)
-    prods[0] = 1.0
-    for i in range(1, max_i + 1):
-        prods[i] = prods[i - 1] * params.b_at(i - 1) / ((i - 1) * s + 1)
-        if prods[i] == 0.0:
+def _series_coeffs(params: TheoryParams) -> list[float]:
+    """c_k = s^k prod_{j=0}^{k-1} b_j / (j s + 1) for k = 0, 1, ... (c_0 = 1).
+
+    The list ends before the first zero branching product (past the
+    diameter, or on underflow), after at most ``_MAX_TERMS`` terms.
+    """
+    s = params.s
+    coeffs, prod = [], 1.0
+    for i in range(_MAX_TERMS):
+        coeffs.append(float(s) ** i * prod)
+        prod *= params.b_at(i) / (i * s + 1)
+        if prod == 0.0:
             break
-    return prods
+    return coeffs
 
 
 # -- expected minima fraction ---------------------------------------------------
@@ -328,27 +343,16 @@ def expected_minima_fraction(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
 
 def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
                     grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """E[|LS^-k|](x) for k = 1..max_k on the shared grid."""
+    """E[|LS^-k|](x) for k = 1..max_k on the shared grid: the closed form for
+    a center-independent local pdf, the quadrature recursion otherwise."""
     xs = _grid(grid_points)
     s = params.s
     n_pts = len(xs)
     E = np.zeros((max_k, n_pts))
 
     if pdf_e.kind == "independent":
-        g = pdf_e.g
-        gy = g.density(xs)
-        G = g.survival(xs)
-        E[0] = s * G ** (s - 1) * G  # e1 with Tail(y, x) = G(x) for every y
-        for k in range(2, max_k + 1):
-            b = params.b_at(k - 1)
-            if b == 0.0:
-                break
-            inner = gy * E[k - 2]
-            pre = _prefix(inner, xs)
-            suffix = pre[-1] - pre
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = np.where(G > 1e-300, suffix / G, 0.0)
-            E[k - 1] = b * E[0] * ratio
+        for k in range(1, max_k + 1):
+            E[k - 1] = independent_closed_form(pdf_e.g, params, xs, k)
         return xs, E
 
     # center-dependent local pdf: the integral of row i from x_i to 1 is
@@ -375,52 +379,38 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
 
 
 def preimage_recursion(pdf_e: LocalPdfSpec, params: TheoryParams, x, k: int,
-                       max_k: int = 5,
                        grid_points: int = DEFAULT_GRID_POINTS):
     """Expected size of the k-th preimage of a node with loss ``x``.
 
-    Evaluated by the general recursion on the shared grid (linear
-    interpolation between grid points).  ``k`` beyond ``max_k`` raises.
+    Evaluated on the shared grid (linear interpolation between grid
+    points): the closed form for center-independent local pdfs, the
+    general recursion otherwise.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds the configured maximum {max_k}")
     xs, E = _preimage_table(pdf_e, params, k, grid_points)
     out = np.interp(np.asarray(x, dtype=float), xs, E[k - 1])
     return out if out.ndim else float(out)
 
 
 def independent_closed_form(g: PdfSpec, params: TheoryParams, x, k: int):
-    """s^k G(x)^{sk} prod_{i=0}^{k-1} b_i/(i s + 1) for center-independent pdfs."""
+    """c_k G(x)^{sk} for center-independent pdfs (see ``_series_coeffs``)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    s = params.s
-    prods = _series_prods(s, params, k)
+    coeffs = _series_coeffs(params)
+    c = coeffs[k] if k < len(coeffs) else 0.0
     G = g.survival(np.asarray(x, dtype=float))
-    out = float(s) ** k * G ** (s * k) * prods[k]
+    out = c * G ** (params.s * k)
     return out if np.ndim(out) else float(out)
 
 
-def full_preimage_series(g: PdfSpec, params: TheoryParams, x,
-                         rel_tol: float = 1e-12, max_terms: int = 512):
-    """E[|LS^-*|](x) = sum over depths of the closed-form terms.
-
-    Terminates when the branching product hits zero (graph diameter) or a
-    term falls below ``rel_tol`` of the running sum.
-    """
+def full_preimage_series(g: PdfSpec, params: TheoryParams, x):
+    """E[|LS^-*|](x): the sum of ``independent_closed_form`` over depths k >= 1."""
     s = params.s
     G = np.asarray(g.survival(np.asarray(x, dtype=float)), dtype=float)
     total = np.zeros_like(G)
-    prod = 1.0
-    for m in range(1, max_terms + 1):
-        prod *= params.b_at(m - 1) / ((m - 1) * s + 1)
-        if prod == 0.0:
-            break
-        term = float(s) ** m * G ** (s * m) * prod
-        total = total + term
-        if np.max(term) < rel_tol * max(np.max(total), 1e-300):
-            break
+    for k, c in enumerate(_series_coeffs(params)[1:], start=1):
+        total = total + c * G ** (s * k)
     return total if total.ndim else float(total)
 
 
@@ -480,34 +470,25 @@ def uniform_closed_form_minima(n: int, s: int) -> float:
     return n / (s + 1)
 
 
-def _uniform_series(params: TheoryParams, eps: np.ndarray, rel_tol: float = 1e-15):
+def _uniform_series(params: TheoryParams, eps: np.ndarray):
     """The paper's uniform series term by term: (sum, coefficients, terms).
 
     Term i is coeff_i * (1 - (1-eps)^{(i+1)s+1}) with
-    coeff_i = s^i / ((i+1)s+1) * prod_{j=0}^{i-1} b_j/(js+1), its mass at
-    eps = 1.  The series stops where the branching product reaches zero or
-    a coefficient falls below ``rel_tol`` of the running sum.
+    coeff_i = c_i / ((i+1)s+1) (see ``_series_coeffs``), its mass at eps = 1.
     """
     s = params.s
     total = np.zeros_like(eps)
     coeffs, terms = [], []
-    prod = 1.0
-    for i in range(0, 512):
-        coeff = float(s) ** i * prod / ((i + 1) * s + 1)
+    for i, c in enumerate(_series_coeffs(params)):
+        coeff = c / ((i + 1) * s + 1)
         term = coeff * (1.0 - (1.0 - eps) ** ((i + 1) * s + 1))
         coeffs.append(coeff)
         terms.append(term)
         total += term
-        if coeff < rel_tol * max(float(np.max(total)), 1e-300):
-            break
-        prod *= params.b_at(i) / (i * s + 1)
-        if prod == 0.0:
-            break
     return total, np.asarray(coeffs), np.asarray(terms)
 
 
-def uniform_closed_form_curve(n: int, s: int, b, eps_grid,
-                              rel_tol: float = 1e-15) -> list[tuple[float, float]]:
+def uniform_closed_form_curve(n: int, s: int, b, eps_grid) -> list[tuple[float, float]]:
     """The paper's independence series for the uniform within-eps fraction.
 
     fraction(eps) = sum_i s^i (1 - (1-eps)^{(i+1)s+1}) / ((i+1)s+1)
@@ -520,7 +501,7 @@ def uniform_closed_form_curve(n: int, s: int, b, eps_grid,
     """
     params = TheoryParams(n=n, s=s, b=np.asarray(b, dtype=float))
     eps = analysis._eps_array(eps_grid)
-    total, _, _ = _uniform_series(params, np.minimum(eps, 1.0), rel_tol)
+    total, _, _ = _uniform_series(params, np.minimum(eps, 1.0))
     return [(float(e), float(v)) for e, v in zip(eps, total)]
 
 

@@ -6,6 +6,7 @@ import pytest
 import hillscape as hs
 from hillscape import search
 from hillscape.seeding import spawn_rng
+from hillscape.theory import _prefix
 
 
 @pytest.fixture(scope="session")
@@ -174,3 +175,27 @@ def reference_trial(landscape, noise, algo, budget, num_initial, restart, root_s
         if not cfg.restart_on_convergence or view.query_count >= min(cfg.budget, t.n):
             break
     return hs.RunHistory.from_view(view), traces
+
+
+def dense_preimage_table(pdf_e, params, max_k, grid_points):
+    """Quadrature reference for the preimage table of any local pdf.
+
+    Takes the full cumulative integral of every row of the grid-by-grid
+    integrand at every depth and keeps only its diagonal: O(grid^2) work
+    per depth with no precomputed weights and no closed form.
+    """
+    xs = np.linspace(0.0, 1.0, grid_points)
+    s = params.s
+    E = np.zeros((max_k, grid_points))
+    P = pdf_e.density(xs[:, None], xs[None, :])
+    tail = pdf_e.survival(xs[None, :], xs[:, None])
+    pre = _prefix(P * tail ** (s - 1), xs, axis=1)
+    E[0] = s * np.diagonal(pre[:, -1][:, None] - pre)
+    denom = pdf_e.survival(xs, xs)
+    for k in range(2, max_k + 1):
+        pre = _prefix(P * E[k - 2][None, :], xs, axis=1)
+        numer = np.diagonal(pre[:, -1][:, None] - pre)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(denom > 1e-300, numer / denom, 0.0)
+        E[k - 1] = params.b_at(k - 1) * E[0] * ratio
+    return xs, E

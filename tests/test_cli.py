@@ -673,6 +673,48 @@ def test_theory_topo_with_default_b(tmp_path, capsys):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("pdfs", [
+    ("--pdf-n", "truncnorm:0.25,0.18", "--pdf-e", "truncnorm-local:0.35"),
+    ("--pdf-n", "truncnorm:0.25,0.18"),
+    ("--pdf-e", "truncnorm-local:0.35")], ids=["both", "pdf-n", "pdf-e"])
+def test_theory_closed_form_rejects_non_uniform_pdfs(tmp_path, capsys, pdfs):
+    # used to exit 0 with the uniform curve while manifest.json recorded these pdfs
+    code, err = run_main(capsys, "theory", "--topo", "clique-power:5,3", *pdfs,
+                         "--closed-form", "uniform", "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "--closed-form uniform" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_theory_truncnorm_without_mass_leaves_no_directory(tmp_path):
+    # used to warn of 0/0 in the density and exit 3 with manifest.json written
+    res = run_cli("theory", "--topo", "clique-power:5,3", "--pdf-n", "truncnorm:9,0.1",
+                  "--pdf-e", "uniform", "--grid-points", "129", "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: bad global pdf spec 'truncnorm:9,0.1'")
+    assert "no normal mass" in res.stderr
+    assert "Warning" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+# sha256 of the closed-form files of the benchmark's cli-k56 ``theory-cf`` run;
+# ``compare`` reads the curve
+_PINNED_THEORY_CF = {
+    "theory_curve.csv": "bf4ba291633d8bdf28da4507a624a248059d26fbb165edf4be7d53118240a58b",
+    "theory_summary.csv": "1189c1cfb7910c6f1ebf887f522278f01f7e5748d9ee18cd911bbe0bf3dfd9e1",
+    "theory_bounds.csv": "d8c1e83ceace9f4f24c10e9080e71c1c9a1f731f8f9f93f7f0141c1dbd0ad8d6",
+}
+
+
+def test_theory_closed_form_bytes_pinned(tmp_path, capsys):
+    code, err = run_main(capsys, "theory", "--pdf-n", "uniform", "--pdf-e", "uniform",
+                         "--topo", "clique-power:5,6", "--closed-form", "uniform",
+                         "--out", str(tmp_path))
+    assert code == 0, err
+    for name, digest in _PINNED_THEORY_CF.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("noise", ["gaussian:nan", "gaussian-fresh:inf", "scaled:nan"])
 def test_non_finite_noise_exits_3(small_landscape, tmp_path, capsys, noise):
     code, err = run_main(capsys, "search", "--landscape", str(small_landscape),

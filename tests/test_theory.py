@@ -10,7 +10,7 @@ from hillscape.analysis import _fixed_points_and_depth
 from hillscape.theory import (_ROW_BLOCK, _clique_power_depths, _preimage_table,
                               _prefix, _simpson, _weight_blocks)
 
-from conftest import frozen_view
+from conftest import dense_preimage_table, frozen_view
 
 
 def Phi(z):
@@ -29,30 +29,6 @@ def k56_module():
 
 UNIFORM = hs.PdfSpec.uniform01()
 UNIFORM_LOCAL = hs.LocalPdfSpec.independent(UNIFORM)
-
-
-def dense_preimage_table(pdf_e, params, max_k, grid_points):
-    """Reference for the center-dependent preimage table.
-
-    Takes the full cumulative integral of every row of the grid-by-grid
-    integrand at every depth and keeps only its diagonal: O(grid^2) work
-    per depth with no precomputed weights.
-    """
-    xs = np.linspace(0.0, 1.0, grid_points)
-    s = params.s
-    E = np.zeros((max_k, grid_points))
-    P = pdf_e.density(xs[:, None], xs[None, :])
-    tail = pdf_e.survival(xs[None, :], xs[:, None])
-    pre = _prefix(P * tail ** (s - 1), xs, axis=1)
-    E[0] = s * np.diagonal(pre[:, -1][:, None] - pre)
-    denom = pdf_e.survival(xs, xs)
-    for k in range(2, max_k + 1):
-        pre = _prefix(P * E[k - 2][None, :], xs, axis=1)
-        numer = np.diagonal(pre[:, -1][:, None] - pre)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(denom > 1e-300, numer / denom, 0.0)
-        E[k - 1] = params.b_at(k - 1) * E[0] * ratio
-    return xs, E
 
 
 def eye_weights(xs):
@@ -169,6 +145,18 @@ class TestPdfSpec:
         with pytest.raises(ValueError, match="finite"):
             hs.LocalPdfSpec.truncnorm_centered(bad)
 
+    @pytest.mark.parametrize("center,sigma", [(9.0, 0.1), (-2.0, 0.05), (-5.0, 0.5)])
+    def test_truncnorm_without_mass_on_unit_interval_rejected(self, center, sigma):
+        # the normal mass on [0, 1] underflows to 0, so the density would be 0/0
+        with pytest.raises(ValueError, match="no normal mass"):
+            hs.PdfSpec.truncnorm(center, sigma)
+
+    def test_truncnorm_far_center_with_mass_accepted(self):
+        spec = hs.PdfSpec.truncnorm(3.0, 0.1)  # mass Phi(-20) - Phi(-30), about 2.8e-89
+        xs = np.linspace(0.0, 1.0, 2049)
+        assert np.isfinite(spec.density(xs)).all()
+        assert spec.survival(0.0) == 1.0
+
     def test_local_survival_from_own_center(self):
         spec = hs.LocalPdfSpec.truncnorm_centered(0.35)
         # at the left support edge the entire mass lies above the center
@@ -248,18 +236,20 @@ class TestPreimageRecursion:
                 pytest.approx(0.0, abs=1e-12)
 
     def test_matches_closed_form_on_grid(self, k56_params):
+        # the table is the closed form; the quadrature recursion is the oracle
+        # (max abs gap 3.4e-8)
         xs, E = _preimage_table(UNIFORM_LOCAL, k56_params, 5, 2049)
-        for k in range(1, 6):
-            cf = hs.independent_closed_form(UNIFORM, k56_params, xs, k)
-            assert np.max(np.abs(E[k - 1] - cf)) < 1e-5
+        ref_xs, ref = dense_preimage_table(UNIFORM_LOCAL, k56_params, 5, 2049)
+        assert np.array_equal(xs, ref_xs)
+        assert np.max(np.abs(E - ref)) < 1e-5
 
     def test_matches_closed_form_truncnorm_g(self, k56_params):
-        g = hs.PdfSpec.truncnorm(0.4, 0.25)
-        pdf_e = hs.LocalPdfSpec.independent(g)
-        xs, E = _preimage_table(pdf_e, k56_params, 4, 2049)
-        for k in range(1, 5):
-            cf = hs.independent_closed_form(g, k56_params, xs, k)
-            assert np.max(np.abs(E[k - 1] - cf)) < 1e-5
+        # max abs gap 4.4e-10 for (0.4, 0.25) and 4.3e-9 for (0.25, 0.18)
+        for center, sigma in ((0.4, 0.25), (0.25, 0.18)):
+            pdf_e = hs.LocalPdfSpec.independent(hs.PdfSpec.truncnorm(center, sigma))
+            xs, E = _preimage_table(pdf_e, k56_params, 4, 2049)
+            _, ref = dense_preimage_table(pdf_e, k56_params, 4, 2049)
+            assert np.max(np.abs(E - ref)) < 1e-5
 
     @pytest.mark.parametrize("points", [2049, 2048, 257])
     def test_center_dependent_matches_dense_reference(self, k56_params, points):
@@ -295,11 +285,6 @@ class TestPreimageRecursion:
         peak = traced_peak(_preimage_table, pdf_e, k56_params, 5, points)
         assert peak <= 1.5 * 8 * points**2
 
-    def test_k_exceeding_max_rejected(self, k56_params):
-        with pytest.raises(ValueError, match="exceeds"):
-            hs.preimage_recursion(UNIFORM_LOCAL, k56_params, 0.5, k=6)
-        hs.preimage_recursion(UNIFORM_LOCAL, k56_params, 0.5, k=6, max_k=6)
-
 
 class TestIndependentClosedForm:
     def test_k1_at_support_floor(self, k56_params):
@@ -316,6 +301,12 @@ class TestIndependentClosedForm:
     def test_beyond_diameter_is_zero(self, k56_params):
         assert hs.independent_closed_form(UNIFORM, k56_params, 0.0, 8) == 0.0
 
+    def test_series_ends_at_underflow(self):
+        # b = 1 out to depth 1000: the branching product underflows first
+        coeffs = theory._series_coeffs(hs.TheoryParams(n=10**9, s=1, b=np.ones(1000)))
+        assert 100 < len(coeffs) < theory._MAX_TERMS
+        assert coeffs[0] == 1.0 and min(coeffs) > 0.0
+
 
 class TestFullPreimage:
     def test_series_against_term_oracle(self, k56_params):
@@ -331,6 +322,14 @@ class TestFullPreimage:
 
     def test_worst_loss(self, k56_params):
         assert hs.full_preimage_series(UNIFORM, k56_params, 1.0) == 0.0
+
+    @pytest.mark.parametrize("b", [None, np.ones(40)], ids=["k56", "b1"])
+    def test_series_is_sum_of_closed_forms(self, k56_params, b):
+        params = k56_params if b is None else hs.TheoryParams(n=10**9, s=4, b=b)
+        xs = np.linspace(0.0, 1.0, 101)
+        want = sum(hs.independent_closed_form(UNIFORM, params, xs, k) for k in range(1, 64))
+        got = hs.full_preimage_series(UNIFORM, params, xs)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("g_val", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize("s", [4, 24])
@@ -411,6 +410,19 @@ class TestUniformClosedForms:
         curve = hs.uniform_closed_form_curve(100, s, [1.0, 0.0], [1.0])
         expected = 1 / (s + 1) + s / (2 * s + 1) + s**2 / ((3 * s + 1) * (s + 1))
         assert curve[0][1] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [None, np.ones(40)], ids=["k56", "b1"])
+    def test_coefficients_are_preimage_coefficients(self, k56_params, b):
+        # coeff_i = c_i / ((i+1)s+1), with c_i the closed-form preimage
+        # coefficient (its value at uniform loss 0, where G = 1)
+        params = k56_params if b is None else hs.TheoryParams(n=10**9, s=4, b=b)
+        s = params.s
+        _, coeffs, _ = theory._uniform_series(params, np.asarray([1.0]))
+        want = [1.0 / (s + 1)] + [
+            hs.independent_closed_form(UNIFORM, params, 0.0, i) / ((i + 1) * s + 1)
+            for i in range(1, len(coeffs))]
+        assert coeffs.tolist() == want
+        assert hs.independent_closed_form(UNIFORM, params, 0.0, len(coeffs)) == 0.0
 
     def test_monotone_and_bounded(self, k56_params):
         eps = np.linspace(0, 1, 101)
