@@ -319,12 +319,13 @@ def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
     walk = kernel(t, int(rng.integers(t.n)), rng.random(walk_len))  # start, then steps
     xs = view.frozen_values()[walk] if view.noise.frozen else _observe_walk(view, walk)
     xs = xs - xs.mean()
-    c0 = float(np.dot(xs, xs)) / walk_len
+    # einsum, not BLAS: a BLAS dot's result depends on its thread count
+    c0 = float(np.einsum("i,i->", xs, xs)) / walk_len
     if c0 == 0.0:
         raise LandscapeError("constant walk values; autocorrelation undefined")
     rows = []
     for lag in range(max_lag + 1):
-        ct = float(np.dot(xs[: walk_len - lag], xs[lag:])) / walk_len
+        ct = float(np.einsum("i,i->", xs[: walk_len - lag], xs[lag:])) / walk_len
         rows.append((lag, float(np.sqrt(lag)), ct / c0))
     return rows
 

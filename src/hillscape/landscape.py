@@ -551,12 +551,17 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
     """
     if not (sigma_local > 0 and root_sigma > 0):  # also rejects NaN
         raise LandscapeError("sigma must be positive")
+    root_lo, root_hi = _cdf_ends(root_center, root_sigma)
+    if not root_hi - root_lo > 0:  # also rejects a NaN or infinite center
+        raise LandscapeError(f"root truncated normal ({root_center}, {root_sigma}) "
+                             "has no normal mass on [0, 1]")
     order, parent, sizes = _bfs_tree(t)
     if sizes.sum() != t.n:
         raise LandscapeError("topology is disconnected")
     rng = np.random.default_rng(int(seed))
     vals = np.empty(t.n)
-    vals[0] = _truncnorm_ppf(rng.random(), root_center, root_sigma)
+    vals[0] = _truncnorm_ppf_at(rng.random(), root_center, root_sigma, root_lo,
+                                root_hi - root_lo)
     # each parent's normalizing CDFs are taken once, then gathered per child
     has_child = np.zeros(t.n, dtype=bool)
     has_child[parent] = True

@@ -20,10 +20,13 @@ g(y) G(y)^m from x to 1 is G(x)^{m+1}/(m+1).  One helper,
 uniform within-eps curve read the same list.  For center-dependent local
 pdfs the preimage recursion is memoized on the grid: the integral from
 x_i to 1 of a row of samples is a fixed linear functional of that row.
-Its weights, times the local pdf, form the one grid-by-grid array
-(8 grid^2 bytes), filled in blocks of ``_ROW_BLOCK`` rows together with
+Its weights are zero left of the subdiagonal, so their product with the
+local pdf is kept only from there on: about half a grid-by-grid array
+(4 grid^2 bytes), filled in blocks of ``_ROW_BLOCK`` rows together with
 the first depth, so the pdf, weight and tail values exist one row block
-at a time; each further depth is one O(grid^2) matrix-vector product.
+at a time.  Each further depth is one O(grid^2) matrix-vector product,
+taken row block by row block without BLAS, so the table does not depend
+on the BLAS thread count.
 The Chebyshev bound is likewise summed one row block at a time.
 
 The truncated-normal densities come from ``landscape``, whose normal CDF is
@@ -114,7 +117,8 @@ def _prefix(y, x, axis=-1):
 def _weight_blocks(xs):
     """Row blocks ``(rows, W[rows])`` of the weights of the integral to 1.
 
-    ``W[i] @ y`` is ``_prefix(y, xs)[-1] - _prefix(y, xs)[i]`` bit for bit.
+    ``W[i] @ y`` is ``_prefix(y, xs)[-1] - _prefix(y, xs)[i]`` bit for bit,
+    and W[i, j] is +0.0 for every j <= i - 2.
     ``_prefix`` is linear, so W[i, j] = P_j[-1] - P_j[i] with P_j the prefix
     of the j-th unit vector.  For a column j at least three samples from
     either end, P_j[i] depends only on i - j, and is the same for every
@@ -356,20 +360,36 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
         return xs, E
 
     # center-dependent local pdf: the integral of row i from x_i to 1 is
-    # W[i] @ row (see _weight_blocks); PW[i, j] = pdf_e(x_i, y_j) * W[i, j]
-    # is the only grid-by-grid array, filled with E[0] one row block at a time
-    PW = np.empty((n_pts, n_pts))
+    # W[i] @ row (see _weight_blocks), and W[i, j] is +0.0 for j <= i - 2; so
+    # the row block from r0 keeps PW[i, j] = pdf_e(x_i, y_j) * W[i, j] only on
+    # the columns from c0 = max(r0 - 1, 0), about half the grid-by-grid array.
+    # Each sum runs over the block zero-padded back to full width, so it adds
+    # the terms of the whole row in the whole row's order; einsum keeps the
+    # products off BLAS, whose result depends on its thread count.
+    pad = np.empty((_ROW_BLOCK, n_pts))
+
+    def padded(c0, block):
+        full = pad[:len(block)]
+        full[:, :c0] = 0.0
+        full[:, c0:] = block
+        return full
+
+    blocks = []
     for rows, W in _weight_blocks(xs):
-        pw = PW[rows]
-        np.multiply(pdf_e.density(xs[rows, None], xs[None, :]), W, out=pw)
-        tail = pdf_e.survival(xs[None, :], xs[rows, None])  # int_{x_i}^1 pdf_e(y_j, .)
-        E[0, rows] = s * (pw * tail ** (s - 1)).sum(axis=1)
+        c0 = max(rows.start - 1, 0)
+        ys = xs[None, c0:]
+        pw = pdf_e.density(xs[rows, None], ys) * W[:, c0:]
+        tail = pdf_e.survival(ys, xs[rows, None])  # int_{x_i}^1 pdf_e(y_j, .)
+        E[0, rows] = s * padded(c0, pw * tail ** (s - 1)).sum(axis=1)
+        blocks.append((rows, c0, pw))
     denom = pdf_e.survival(xs, xs)
+    numer = np.empty(n_pts)
     for k in range(2, max_k + 1):
         b = params.b_at(k - 1)
         if b == 0.0:
             break
-        numer = PW @ E[k - 2]
+        for rows, c0, pw in blocks:
+            numer[rows] = np.einsum("ij,j->i", padded(c0, pw), E[k - 2])
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(denom > 1e-300, numer / denom, 0.0)
         E[k - 1] = b * E[0] * ratio
@@ -382,12 +402,14 @@ def preimage_recursion(pdf_e: LocalPdfSpec, params: TheoryParams, x, k: int,
                        grid_points: int = DEFAULT_GRID_POINTS):
     """Expected size of the k-th preimage of a node with loss ``x``.
 
-    Evaluated on the shared grid (linear interpolation between grid
-    points): the closed form for center-independent local pdfs, the
-    general recursion otherwise.
+    The closed form at ``x`` for a center-independent local pdf; otherwise
+    the recursion on the shared grid of ``grid_points``, interpolated
+    linearly between grid points.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if pdf_e.kind == "independent":
+        return independent_closed_form(pdf_e.g, params, x, k)
     xs, E = _preimage_table(pdf_e, params, k, grid_points)
     out = np.interp(np.asarray(x, dtype=float), xs, E[k - 1])
     return out if out.ndim else float(out)

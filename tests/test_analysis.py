@@ -384,8 +384,9 @@ def _reference_walk(t, walk_len, seed):
 
 def _rho_rows(xs, max_lag):
     xs = np.asarray(xs) - np.mean(xs)
-    c0 = float(np.dot(xs, xs)) / len(xs)
-    return [(lag, float(np.sqrt(lag)), float(np.dot(xs[:len(xs) - lag], xs[lag:])) / len(xs) / c0)
+    c0 = float(np.einsum("i,i->", xs, xs)) / len(xs)
+    return [(lag, float(np.sqrt(lag)),
+             float(np.einsum("i,i->", xs[:len(xs) - lag], xs[lag:])) / len(xs) / c0)
             for lag in range(max_lag + 1)]
 
 

@@ -2,6 +2,7 @@ import ast
 import filecmp
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -16,9 +17,9 @@ from hillscape import cli
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "hillscape", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def read_csv(path):
@@ -1047,6 +1048,46 @@ def test_gen_rejected_sigma_leaves_no_directory(tmp_path, capsys, model):
     assert code == 3
     assert err == "error: sigma must be positive\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_gen_root_without_mass_leaves_no_directory(tmp_path, capsys):
+    # used to exit 0 and write the root loss 0.0
+    code, err = run_main(capsys, "gen", "--topo", "clique-power:3,2",
+                         "--model", "markov-tn:0.35,9,0.1", "--seed", "1",
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "no normal mass" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _outputs_under_blas_threads(root, threads, landscape):
+    """Primary outputs of theory, rwa and fit run with ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    out = root / f"threads-{threads}"
+    commands = {
+        # the benchmark's cli-k56 ``theory`` run
+        "theory": ["theory", "--pdf-n", "truncnorm:0.25,0.18", "--pdf-e",
+                   "truncnorm-local:0.35", "--topo", "clique-power:5,6",
+                   "--noise-sigma", "0.05"],
+        "rwa": ["rwa", "--landscape", str(landscape), "--seed", "1"],
+        "fit": ["fit", "--mode", "local-rwa", "--rwa", str(out / "rwa" / "rwa.csv"),
+                "--topo", "clique-power:5,3", "--candidates", "0.2,0.5", "--seed", "1"],
+    }
+    for name, argv in commands.items():
+        res = run_cli(*argv, "--out", str(out / name), env=env)
+        assert res.returncode == 0, res.stderr
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_outputs_independent_of_blas_thread_count(markov_inputs, tmp_path):
+    # the preimage product and the RWA dot products used to be OpenBLAS calls,
+    # whose sums change with the thread count
+    landscape = markov_inputs / "gen" / "landscape.csv"
+    one, two = (_outputs_under_blas_threads(tmp_path, t, landscape) for t in (1, 2))
+    assert sorted(one) == sorted(two) and len(one) == 6
+    for name in one:
+        assert one[name] == two[name], name
 
 
 @pytest.mark.parametrize("topo", [f"complete:{2**63}", "custom", "clique-power:2,63",

@@ -212,6 +212,18 @@ class TestMarkovTruncnorm:
         b = hs.sample_markov_truncnorm(k56, 0.35, 0.25, 0.18, seed=9)
         assert np.array_equal(a.val_loss, b.val_loss)
 
+    @pytest.mark.parametrize("center,sigma", [(9.0, 0.1), (-2.0, 0.05), (math.inf, 0.2),
+                                              (math.nan, 0.2)])
+    def test_root_without_mass_on_unit_interval_rejected(self, center, sigma):
+        # a center of 9 at sigma 0.1 used to give the root loss 0.0
+        with pytest.raises(LandscapeError, match="no normal mass"):
+            hs.sample_markov_truncnorm(hs.make_complete(3), 0.35, center, sigma, seed=1)
+
+    def test_root_far_center_with_mass_accepted(self):
+        # mass Phi(-20) - Phi(-30) on [0, 1], about 2.8e-89, all of it near 1
+        scape = hs.sample_markov_truncnorm(hs.make_complete(3), 0.35, 3.0, 0.1, seed=1)
+        assert 0.9 < scape.val_loss[0] <= 1.0
+
     def test_disconnected_rejected(self):
         t = hs.load_adjacency("n 4\n0 1\n2 3\n")
         with pytest.raises(LandscapeError):

@@ -54,7 +54,7 @@ def whole_grid_table(pdf_e, params, max_k, grid_points):
         b = params.b_at(k - 1)
         if b == 0.0:
             break
-        numer = PW @ E[k - 2]
+        numer = np.einsum("ij,j->i", PW, E[k - 2])
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(denom > 1e-300, numer / denom, 0.0)
         E[k - 1] = b * E[0] * ratio
@@ -93,6 +93,8 @@ def traced_peak(fn, *args):
 
 # 9: one partial block; 257 and 2049: a last block of one row; 2048: even
 ORACLE_POINTS = [9, 257, 2048, 2049]
+# the smallest grids, and one row short of, at and past a whole block
+WEIGHT_POINTS = [9, 10, 11, 127, 128, 129, 257, 2048, 2049]
 
 
 class TestSimpson:
@@ -235,6 +237,16 @@ class TestPreimageRecursion:
             assert hs.preimage_recursion(UNIFORM_LOCAL, k56_params, 1.0, k) == \
                 pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("g", [UNIFORM, hs.PdfSpec.truncnorm(0.25, 0.18)],
+                             ids=["uniform", "truncnorm"])
+    def test_independent_is_closed_form_off_grid(self, k56_params, g):
+        # used to interpolate the 2049-point table: 1.7e-4 relative at k = 3
+        xs = np.linspace(0.0, 0.05, 2001)
+        for k in (1, 3, 5):
+            got = hs.preimage_recursion(hs.LocalPdfSpec.independent(g), k56_params, xs, k)
+            want = hs.independent_closed_form(g, k56_params, xs, k)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_matches_closed_form_on_grid(self, k56_params):
         # the table is the closed form; the quadrature recursion is the oracle
         # (max abs gap 3.4e-8)
@@ -259,7 +271,7 @@ class TestPreimageRecursion:
         assert np.array_equal(xs, ref_xs)
         assert np.max(np.abs(E - ref)) < 1e-11
 
-    @pytest.mark.parametrize("points", [9, 10, 11, 127, 128, 129, 257, 2048, 2049])
+    @pytest.mark.parametrize("points", WEIGHT_POINTS)
     def test_weight_blocks_equal_unit_vector_prefixes(self, points):
         xs = np.linspace(0.0, 1.0, points)
         blocks = list(_weight_blocks(xs))
@@ -267,6 +279,13 @@ class TestPreimageRecursion:
             min(_ROW_BLOCK, points - r0) for r0 in range(0, points, _ROW_BLOCK)]
         W = np.vstack([b for _, b in blocks])
         assert W.tobytes() == eye_weights(xs).tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("points", WEIGHT_POINTS)
+    def test_weight_blocks_zero_left_of_subdiagonal(self, points):
+        # the table keeps the row block from r0 only on the columns from r0 - 1
+        W = np.vstack([b for _, b in _weight_blocks(np.linspace(0.0, 1.0, points))])
+        left = W[np.tril_indices(points, -2)]
+        assert not left.any() and not np.signbit(left).any()
 
     @pytest.mark.parametrize("points", ORACLE_POINTS)
     def test_center_dependent_table_equals_whole_grid_form(self, k56_params, points):
@@ -277,13 +296,14 @@ class TestPreimageRecursion:
             assert np.array_equal(xs, ref_xs)
             assert np.array_equal(E, ref)
 
-    def test_table_holds_one_grid_squared_array(self, k56_params):
-        # the whole-grid form peaked at about 6 * 8 * grid^2 bytes
+    def test_table_holds_half_a_grid_squared_array(self, k56_params):
+        # the whole-grid form peaked at about 6 * 8 * grid^2 bytes, a whole
+        # grid-by-grid PW at 1.33 * 8 * grid^2; the kept triangle at 0.74
         pdf_e = hs.LocalPdfSpec.truncnorm_centered(0.35)
         _preimage_table(pdf_e, k56_params, 5, 33)  # first-call imports off the books
         points = 2049
         peak = traced_peak(_preimage_table, pdf_e, k56_params, 5, points)
-        assert peak <= 1.5 * 8 * points**2
+        assert peak <= 0.85 * 8 * points**2
 
 
 class TestIndependentClosedForm:
