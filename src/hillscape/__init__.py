@@ -24,7 +24,7 @@ from .theory import (DEFAULT_GRID_POINTS, GlobalFit, LocalPdfSpec, PdfSpec,
                      expected_minima_fraction, fit_global_truncnorm,
                      fit_local_sigma_via_rwa, full_preimage_bounds,
                      full_preimage_series, independent_closed_form,
-                     preimage_recursion, success_curve,
+                     success_curve,
                      uniform_closed_form_curve, uniform_closed_form_minima)
 from .topology import (Topology, TopologyError, branching_fraction,
                        branching_fractions, load_adjacency, make_clique_power,

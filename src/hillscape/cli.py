@@ -120,27 +120,22 @@ def cmd_search(cfg) -> int:
                 np.concatenate([np.arange(1, k + 1) for k in lengths]),
                 joined("nodes"), joined("val_loss"), best_val, best_test])
 
-    # live[q, t]: trial t is still running at query q (without restarts a
-    # trial ends at convergence); each statistic is taken over the live
-    # entries of one contiguous (queries x trials) row, in trial order
-    live = np.arange(lengths.max())[:, None] < lengths
-
-    def per_query(values):
-        grid = np.zeros(live.shape)
-        grid.T[live.T] = values  # the concatenation is trial-major, like grid.T
-        return [row[alive] for row, alive in zip(grid, live)]
-
-    best = per_query(best_val)
+    # at[q, t]: where trial t's best at query q sits in the trial-major
+    # concatenation; without restarts a trial ends at convergence, so its
+    # final best is carried forward to the longest trial's length.  Each
+    # statistic is taken over one contiguous (queries x trials) row.
+    queries = int(lengths.max())
+    at = (np.cumsum(lengths) - lengths) + np.minimum(np.arange(queries)[:, None], lengths - 1)
+    best = best_val[at]
     summary = {
         "algo": cfg["algo"],
         "trials": cfg["trials"],
         "budget": cfg["budget"],
-        "queries": len(live),
-        "trials_at_query": live.sum(axis=1).tolist(),
-        "mean_best_val": [float(v.mean()) for v in best],
-        "std_best_val": [float(v.std()) for v in best],
-        "mean_best_test": ([float(v.mean()) for v in per_query(best_test)]
-                           if any_test else None),
+        "queries": queries,
+        "trials_at_query": (lengths > np.arange(queries)[:, None]).sum(axis=1).tolist(),
+        "mean_best_val": best.mean(axis=1).tolist(),
+        "std_best_val": best.std(axis=1).tolist(),
+        "mean_best_test": best_test[at].mean(axis=1).tolist() if any_test else None,
         "final_mean_best_val": float(best[-1].mean()),
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)

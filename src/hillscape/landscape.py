@@ -286,65 +286,72 @@ class Landscape:
 
 # -- noise models ------------------------------------------------------------
 
-_MODES = ("none", "gaussian_frozen", "gaussian_fresh", "seed_average",
-          "uniform_replace", "scaled")
+_KINDS = ("frozen", "fresh", "uniform-replace")
+
+
+def _finite_nonneg(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ``LandscapeError`` unless all finite and >= 0."""
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all() or (a < 0).any():
+        raise LandscapeError(f"{what} must be finite and >= 0")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
     """How observed losses deviate from base losses.
 
+    A node observes ``base + scale * z`` with one standard normal z per
+    node, except under ``uniform-replace``, where it observes a uniform
+    [0, 1] draw instead of its base loss.  ``scale`` is a scalar or a
+    per-node array.  Under ``frozen`` and ``uniform-replace`` the value a
+    view reports for a node is a pure function of (view seed, node id);
+    under ``fresh`` z is drawn when the node is charged.
+
     Use the constructors (``NoiseSpec.none()`` etc.) rather than the raw
-    dataclass.  Every mode except ``gaussian_fresh`` is *frozen*: the value a
-    view reports for a node is a pure function of (view seed, node id).
+    dataclass.  The mean of k i.i.d. N(0, sigma^2) draws is N(0, sigma^2/k),
+    so ``seed_average(sigma, k)`` is frozen noise of scale sigma / sqrt(k).
     """
 
-    mode: str
-    sigma: float = 0.0
-    k: int = 1
-    x: float = 0.0
-    sigma_base: object = None  # scalar or per-node array for "scaled"
+    kind: str
+    scale: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise LandscapeError(f"unknown noise mode {self.mode!r}")
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise LandscapeError("sigma must be finite and >= 0")
-        if self.k < 1:
-            raise LandscapeError("seed-average k must be >= 1")
-        if not np.isfinite(self.x) or self.x < 0:
-            raise LandscapeError("scale factor x must be finite and >= 0")
+        if self.kind not in _KINDS:
+            raise LandscapeError(f"unknown noise kind {self.kind!r}")
 
     @classmethod
     def none(cls):
-        return cls("none")
+        return cls("frozen")
 
     @classmethod
     def gaussian_frozen(cls, sigma):
-        return cls("gaussian_frozen", sigma=float(sigma))
+        return cls("frozen", float(_finite_nonneg(sigma, "sigma")))
 
     @classmethod
     def gaussian_fresh(cls, sigma):
-        return cls("gaussian_fresh", sigma=float(sigma))
+        return cls("fresh", float(_finite_nonneg(sigma, "sigma")))
 
     @classmethod
     def seed_average(cls, sigma, k):
-        return cls("seed_average", sigma=float(sigma), k=int(k))
+        sigma = float(_finite_nonneg(sigma, "sigma"))
+        if int(k) < 1:
+            raise LandscapeError("seed-average k must be >= 1")
+        return cls("frozen", float(sigma / np.sqrt(int(k))))
 
     @classmethod
     def uniform_replace(cls):
-        return cls("uniform_replace")
+        return cls("uniform-replace")
 
     @classmethod
     def scaled(cls, sigma_base, x):
-        base = np.asarray(sigma_base, dtype=float)
-        if np.any(base < 0) or not np.isfinite(base).all():
-            raise LandscapeError("sigma_base must be finite and >= 0")
-        return cls("scaled", x=float(x), sigma_base=sigma_base)
+        base = _finite_nonneg(sigma_base, "sigma_base")
+        x = float(_finite_nonneg(x, "scale factor x"))
+        return cls("frozen", x * base)
 
     @property
     def frozen(self) -> bool:
-        return self.mode != "gaussian_fresh"
+        return self.kind != "fresh"
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
@@ -360,21 +367,6 @@ class NoiseSpec:
             "scaled": (lambda x, sigma_base=1.0: cls.scaled(sigma_base, x), float, float),
         }, LandscapeError, "noise")
 
-    def describe(self) -> str:
-        if self.mode == "none":
-            return "none"
-        if self.mode == "gaussian_frozen":
-            return f"gaussian:{self.sigma}"
-        if self.mode == "gaussian_fresh":
-            return f"gaussian-fresh:{self.sigma}"
-        if self.mode == "seed_average":
-            return f"seed-average:{self.sigma},{self.k}"
-        if self.mode == "uniform_replace":
-            return "uniform-replace"
-        base = self.sigma_base
-        base_txt = repr(float(base)) if np.ndim(base) == 0 else "<array>"
-        return f"scaled:{self.x},{base_txt}"
-
 
 class LandscapeView:
     """Single-owner noisy access to a landscape.
@@ -389,13 +381,15 @@ class LandscapeView:
         self.noise = noise if noise is not None else NoiseSpec.none()
         self.seed = int(seed)
         n = landscape.n
+        if isinstance(self.noise.scale, np.ndarray) and self.noise.scale.shape != (n,):
+            raise LandscapeError(f"per-node noise scale has shape {self.noise.scale.shape}, "
+                                 f"expected ({n},)")
         self._values: np.ndarray | None = None
         # a trial builds only the generators it draws from: shuffle_rng on first
         # use, _fresh_rng for fresh noise only (None marks a frozen view)
         self._shuffle_rng: np.random.Generator | None = None
         self._fresh_rng = None if self.noise.frozen else spawn_rng(self.seed, _NOISE_STREAM)
         self._queried = np.zeros(n, dtype=bool)
-        self._count = 0
         self._log: list[int] = []
         self._successor_map = None  # analysis.successor_map's cache (frozen views)
 
@@ -432,7 +426,7 @@ class LandscapeView:
         new = ~self._queried[ids]
         if budget is not None:
             new_at = new.nonzero()[0]
-            room = max(int(budget) - self._count, 0)
+            room = max(int(budget) - len(self._log), 0)
             if new_at.size > room:
                 ids, new = ids[:new_at[room]], new[:new_at[room]]
         rng, state = self._fresh_rng, None
@@ -447,7 +441,7 @@ class LandscapeView:
                 if stop_below is not None:
                     state = rng.bit_generator.state
                 values[new] = (self.landscape.val_loss[ids[new]]
-                               + self.noise.sigma * rng.standard_normal(draws))
+                               + self.noise.scale * rng.standard_normal(draws))
         if stop_below is not None and ids.size:
             lower = values < stop_below
             k = int(lower.argmax()) + 1  # just past the first lower value, if any
@@ -461,7 +455,6 @@ class LandscapeView:
         if rng is not None:
             self._values[charged] = values[new]
         self._queried[charged] = True
-        self._count += charged.size
         self._log.extend(charged.tolist())
         return values, ids.size
 
@@ -470,7 +463,7 @@ class LandscapeView:
 
     @property
     def query_count(self) -> int:
-        return self._count
+        return len(self._log)
 
     def observation_log(self) -> list[int]:
         """Node ids in first-observation order."""
@@ -480,8 +473,7 @@ class LandscapeView:
         """Observed losses of the :meth:`observation_log` nodes, in that order."""
         if not self._log:
             return np.empty(0)
-        values = self._materialize() if self.noise.frozen else self._values
-        return values[self._log]
+        return self._values[self._log]
 
     def frozen_values(self) -> np.ndarray:
         """The full observation vector (frozen modes only; read-only).
@@ -496,36 +488,17 @@ class LandscapeView:
         return self._materialize()
 
     def _materialize(self) -> np.ndarray:
-        if self._values is not None:
-            return self._values
-        base = self.landscape.val_loss
-        n = base.shape[0]
-        spec = self.noise
-        rng = spawn_rng(self.seed, _NOISE_STREAM)
-        if spec.mode == "none":
-            vals = base.copy()
-        elif spec.mode == "gaussian_frozen":
-            vals = base + spec.sigma * rng.standard_normal(n)
-        elif spec.mode == "seed_average":
-            vals = base.copy()
-            if spec.sigma > 0:
-                chunk = max(1, int(1e7) // spec.k)
-                for lo in range(0, n, chunk):
-                    hi = min(lo + chunk, n)
-                    draws = rng.standard_normal((hi - lo, spec.k))
-                    vals[lo:hi] += spec.sigma * draws.mean(axis=1)
-        elif spec.mode == "uniform_replace":
-            vals = rng.random(n)
-        elif spec.mode == "scaled":
-            sigma_base = np.broadcast_to(
-                np.asarray(spec.sigma_base, dtype=float), (n,)
-            )
-            vals = base + spec.x * sigma_base * rng.standard_normal(n)
-        else:  # pragma: no cover - guarded by NoiseSpec validation
-            raise LandscapeError(f"unhandled mode {spec.mode}")
-        vals.setflags(write=False)
-        self._values = vals
-        return vals
+        if self._values is None:
+            base, spec, n = self.landscape.val_loss, self.noise, self.landscape.n
+            if spec.kind == "uniform-replace":
+                vals = spawn_rng(self.seed, _NOISE_STREAM).random(n)
+            elif np.any(spec.scale):  # one expression: numpy reuses the temporaries
+                vals = base + spec.scale * spawn_rng(self.seed, _NOISE_STREAM).standard_normal(n)
+            else:  # scale 0: no draw
+                vals = base.copy()
+            vals.setflags(write=False)
+            self._values = vals
+        return self._values
 
 
 # -- generators --------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "TheoryParams",
     "DEFAULT_GRID_POINTS",
     "expected_minima_fraction",
-    "preimage_recursion",
     "independent_closed_form",
     "full_preimage_series",
     "full_preimage_bounds",
@@ -223,7 +222,7 @@ class LocalPdfSpec:
 
     ``independent`` ignores the center entirely (pdf_e(x, y) = g(y));
     ``truncnorm_centered`` re-centers a [0,1]-truncated normal at the
-    current loss.  Construction spot-checks that rows integrate to 1.
+    current loss.
     """
 
     kind: str
@@ -238,13 +237,7 @@ class LocalPdfSpec:
     def truncnorm_centered(cls, sigma: float):
         if not np.isfinite(sigma) or sigma <= 0:
             raise ValueError("sigma must be finite and positive")
-        spec = cls("truncnorm_centered", sigma=float(sigma))
-        xs = _grid(513)
-        for c in (0.0, 0.25, 0.5, 0.75, 1.0):
-            total = _simpson(spec.density(c, xs), xs)
-            if abs(total - 1.0) > _PDF_TOL:  # pragma: no cover - analytic form
-                raise ValueError(f"row at center {c} integrates to {total}")
-        return spec
+        return cls("truncnorm_centered", sigma=float(sigma))
 
     def density(self, center, y):
         """pdf_e(center, y); ``center`` and ``y`` broadcast elementwise."""
@@ -396,23 +389,6 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
     if not np.isfinite(E).all():
         raise ValueError("quadrature failed (non-finite preimage table)")
     return xs, E
-
-
-def preimage_recursion(pdf_e: LocalPdfSpec, params: TheoryParams, x, k: int,
-                       grid_points: int = DEFAULT_GRID_POINTS):
-    """Expected size of the k-th preimage of a node with loss ``x``.
-
-    The closed form at ``x`` for a center-independent local pdf; otherwise
-    the recursion on the shared grid of ``grid_points``, interpolated
-    linearly between grid points.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if pdf_e.kind == "independent":
-        return independent_closed_form(pdf_e.g, params, x, k)
-    xs, E = _preimage_table(pdf_e, params, k, grid_points)
-    out = np.interp(np.asarray(x, dtype=float), xs, E[k - 1])
-    return out if out.ndim else float(out)
 
 
 def independent_closed_form(g: PdfSpec, params: TheoryParams, x, k: int):

@@ -203,17 +203,15 @@ class Topology:
         return int(np.diff(self._csr[0]).max())
 
     def diameter(self) -> int:
+        """The closed form of a clique power or a tree.  A custom graph
+        raises: its diameter takes one breadth-first search per node."""
         if self.kind == "clique_power":
             return self.d if self.m > 1 else 0
         if self.kind == "regular_tree":
             return 2 * self.depth
-        ecc = 0
-        for v in range(self.n):
-            shells = shell_sizes(self, v)
-            if sum(shells) != self.n:
-                raise TopologyError("graph is disconnected; diameter undefined")
-            ecc = max(ecc, len(shells) - 1)
-        return ecc
+        raise TopologyError("diameter of a custom graph is not computed: it takes one "
+                            "breadth-first search per node; len(shell_sizes(t, v)) - 1 "
+                            "is the eccentricity of node v")
 
     def is_connected(self) -> bool:
         """Generated kinds are connected by construction; custom graphs run a BFS."""

@@ -1,4 +1,6 @@
 import heapq
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,10 @@ import hillscape as hs
 from hillscape import search
 from hillscape.seeding import spawn_rng
 from hillscape.theory import _prefix
+
+# subprocesses (the CLI and demo tests) import hillscape from this checkout
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -884,14 +884,19 @@ _SUMMARY_RUNS = {
                                 "--trials", "6", "--seed", "3"]),
     "random-val": ("val_only", ["--algo", "random", "--budget", "30", "--trials", "4",
                                 "--seed", "3"]),
+    # five of the six trials end before the longest one
+    "ragged-tail-val": ("val_only", ["--restart", "false", "--budget", "40", "--trials", "6",
+                                     "--seed", "3"]),
 }
 
-# sha256 of the summary.json files the per-query loop wrote for _SUMMARY_RUNS,
-# before the summary was taken from one (queries x trials) matrix
+# sha256 of summary.json files of _SUMMARY_RUNS: "restart" and "random-val" as
+# the per-query loop wrote them, before the summary was taken from one
+# (queries x trials) matrix; the "ragged" ones since an ended trial counts
+# with its final best at every later query
 _PINNED_SUMMARY = {
     "restart": "59c51b8f7d153b6184933350c4bfb1bc2d79fae348807efd33f8615d9abf1b86",
-    "ragged": "0e8bbb48ded85f03620bddb0a61ba3c2dd489a88d1c0d5dc2d203d5b5a1e4008",
-    "ragged-val": "e5a33bce81e563d83a1d77bd00c8115d0200a4af6bb9562c068cef89854c0af5",
+    "ragged": "fa0283316be91c1dd1b4d8d7d92c10b52f238178774f19c1e7bac079ca7df932",
+    "ragged-val": "85b7a8207bdacb43a2512d4e6b3020cb47e9ba67cd75ab9698dcfc465474b271",
     "random-val": "34b85d2d52a4d3b5e13c9aa61d0c986eab69657184a5568ec8a65a0ed0b8a22c",
 }
 
@@ -912,25 +917,27 @@ def summary_runs(tmp_path_factory):
 
 
 def loop_summary(runs_csv, algo, trials, budget):
-    """summary.json text by the per-query loop, from the trials in runs.csv."""
+    """summary.json text by the per-query loop, from the trials in runs.csv: a
+    trial that has ended counts at every later query with its final best."""
     header, rows = read_csv(runs_csv)
     by_trial = [[r for r in rows if int(r[0]) == t] for t in range(trials)]
-    best_val = [np.asarray([float(r[4]) for r in rs]) for rs in by_trial]
+    queries = max(map(len, by_trial))
+
+    def at_query(column, q):
+        return np.asarray([float(rs[min(q, len(rs) - 1)][column]) for rs in by_trial])
+
     any_test = rows[0][5] != ""
-    best_test = [np.asarray([float(r[5]) for r in rs]) for rs in by_trial] if any_test else None
-    live = [[t for t in range(trials) if len(best_val[t]) > q]
-            for q in range(max(map(len, best_val)))]
-    best = [np.asarray([best_val[t][q] for t in ts]) for q, ts in enumerate(live)]
+    best = [at_query(4, q) for q in range(queries)]
     summary = {
         "algo": algo,
         "trials": trials,
         "budget": budget,
-        "queries": len(live),
-        "trials_at_query": [len(ts) for ts in live],
+        "queries": queries,
+        "trials_at_query": [sum(len(rs) > q for rs in by_trial) for q in range(queries)],
         "mean_best_val": [float(v.mean()) for v in best],
         "std_best_val": [float(v.std()) for v in best],
-        "mean_best_test": [float(np.asarray([best_test[t][q] for t in ts]).mean())
-                           for q, ts in enumerate(live)] if any_test else None,
+        "mean_best_test": [float(at_query(5, q).mean()) for q in range(queries)]
+                          if any_test else None,
         "final_mean_best_val": float(best[-1].mean()),
     }
     return json.dumps(summary, indent=2, sort_keys=True) + "\n"
@@ -946,6 +953,16 @@ def test_summary_equals_per_query_loop(summary_runs, name):
     assert (summary["mean_best_test"] is None) == name.endswith("-val")
     if name.startswith("ragged"):
         assert len(set(summary["trials_at_query"])) > 1
+
+
+@pytest.mark.parametrize("name", [name for name in _SUMMARY_RUNS if name.startswith("ragged")])
+def test_final_mean_is_mean_of_final_bests(summary_runs, name):
+    # every trial counts, not only the ones still running at the last query
+    _, rows = read_csv(summary_runs[name] / "runs.csv")
+    final = {int(r[0]): float(r[4]) for r in rows}  # the last row of each trial
+    summary = json.loads((summary_runs[name] / "summary.json").read_text())
+    assert len(final) == summary["trials"] == 6 and summary["trials_at_query"][-1] < 6
+    assert summary["final_mean_best_val"] == float(np.asarray(list(final.values())).mean())
 
 
 def test_summary_bytes_pinned(summary_runs):

@@ -1,6 +1,5 @@
 """Smoke test: every demo script runs to completion and prints its report."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +17,7 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
     # run from an empty directory, so a demo cannot litter the checkout
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                         cwd=tmp_path, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip()

@@ -227,26 +227,6 @@ class TestExpectedMinimaFraction:
 
 
 class TestPreimageRecursion:
-    def test_e1_uniform(self, k56_params):
-        xs = np.asarray([0.0, 0.125, 0.5, 0.875])  # grid-aligned points
-        got = hs.preimage_recursion(UNIFORM_LOCAL, k56_params, xs, k=1)
-        assert np.allclose(got, 24 * (1 - xs) ** 24, atol=1e-6)
-
-    def test_worst_loss_is_zero(self, k56_params):
-        for k in (1, 2, 5):
-            assert hs.preimage_recursion(UNIFORM_LOCAL, k56_params, 1.0, k) == \
-                pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("g", [UNIFORM, hs.PdfSpec.truncnorm(0.25, 0.18)],
-                             ids=["uniform", "truncnorm"])
-    def test_independent_is_closed_form_off_grid(self, k56_params, g):
-        # used to interpolate the 2049-point table: 1.7e-4 relative at k = 3
-        xs = np.linspace(0.0, 0.05, 2001)
-        for k in (1, 3, 5):
-            got = hs.preimage_recursion(hs.LocalPdfSpec.independent(g), k56_params, xs, k)
-            want = hs.independent_closed_form(g, k56_params, xs, k)
-            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
-
     def test_matches_closed_form_on_grid(self, k56_params):
         # the table is the closed form; the quadrature recursion is the oracle
         # (max abs gap 3.4e-8)
@@ -310,6 +290,9 @@ class TestIndependentClosedForm:
     def test_k1_at_support_floor(self, k56_params):
         assert hs.independent_closed_form(UNIFORM, k56_params, 0.0, 1) == \
             pytest.approx(24.0)
+        xs = np.asarray([0.0, 0.125, 0.5, 0.875])
+        got = hs.independent_closed_form(UNIFORM, k56_params, xs, 1)
+        assert np.allclose(got, 24 * (1 - xs) ** 24, rtol=1e-14, atol=0.0)
 
     def test_k3_plugin_arithmetic(self, k56_params):
         # s^3 * (b0 b1 b2) / (1 * (s+1) * (2s+1)) with b2 = 5/12
@@ -320,6 +303,8 @@ class TestIndependentClosedForm:
 
     def test_beyond_diameter_is_zero(self, k56_params):
         assert hs.independent_closed_form(UNIFORM, k56_params, 0.0, 8) == 0.0
+        for k in (1, 2, 5):  # and at the worst loss, which no neighbor descends to
+            assert hs.independent_closed_form(UNIFORM, k56_params, 1.0, k) == 0.0
 
     def test_series_ends_at_underflow(self):
         # b = 1 out to depth 1000: the branching product underflows first
