@@ -227,6 +227,18 @@ class TestExpectedMinimaFraction:
 
 
 class TestPreimageRecursion:
+    def test_e1_uniform(self, k56_params):
+        xs, E = _preimage_table(UNIFORM_LOCAL, k56_params, 1, 2049)
+        at = np.searchsorted(xs, [0.0, 0.125, 0.5, 0.875])  # grid-aligned points
+        assert np.array_equal(xs[at], [0.0, 0.125, 0.5, 0.875])
+        assert np.allclose(E[0, at], 24 * (1 - xs[at]) ** 24, atol=1e-6)
+
+    def test_worst_loss_is_zero(self, k56_params):
+        xs, E = _preimage_table(UNIFORM_LOCAL, k56_params, 5, 2049)
+        assert xs[-1] == 1.0
+        for k in (1, 2, 5):
+            assert E[k - 1, -1] == pytest.approx(0.0, abs=1e-12)
+
     def test_matches_closed_form_on_grid(self, k56_params):
         # the table is the closed form; the quadrature recursion is the oracle
         # (max abs gap 3.4e-8)
