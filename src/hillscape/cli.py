@@ -150,8 +150,8 @@ def cmd_analyze(cfg) -> int:
     eps = _eps_grid(cfg)
     if cfg["export_tree"] < 0:  # export_search_tree needs top_k >= 1; 0 means no export
         raise ValueError("export-tree must be >= 0")
+    view = LandscapeView(scape, noise, seed=cfg["seed"])  # checks the noise against the losses
     outdir = _prepare_out(cfg, "analyze")
-    view = LandscapeView(scape, noise, seed=cfg["seed"])
     _, stats = analysis.basins(view, use_base_loss_for_global=cfg["global_from_base"])
     curve = analysis.within_epsilon_curve(view, eps)
     smap = analysis.successor_map(view)

@@ -5,18 +5,22 @@ A :class:`Landscape` pins a base loss to every node of a topology.  A
 :class:`NoiseSpec` and enforces the cache contract: every node is charged
 at most one evaluation no matter how often it is re-queried, and under all
 frozen modes the value observed for a node does not depend on query order.
+A :class:`ViewBatch` holds many independent views of one landscape as rows
+of arrays, so that search can advance them together; a view is its
+one-row case.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import spawn_rng
+from .seeding import _MASK64, mix64
 from .topology import Topology, _bfs_tree, _parse_spec
 
 __all__ = [
@@ -36,7 +40,6 @@ __all__ = [
 
 _FORMAT = "hillscape-landscape/v1"
 _NOISE_STREAM = 0xA1
-_SHUFFLE_STREAM = 0xA2
 
 
 class LandscapeError(ValueError):
@@ -187,6 +190,26 @@ def _ndtri(p):
     return _by_slabs(_ndtri_slab, p)
 
 
+# Counter-based noise: a uniform in (0, 1) is the top 52 bits of a splitmix64
+# hash plus one half, over 2^52.  That set of values is symmetric about 1/2
+# and excludes 0 and 1, so its _ndtri is finite, at most _Z_MAX in size.
+_HALF_ULP = 2.0 ** -53
+
+
+def _hashed_uniform(key, counters):
+    """Uniforms in (0, 1), one per entry of the integer array ``counters``;
+    each is a pure function of ``(key, counter)``."""
+    return (mix64(key, counters) >> np.uint64(12)) * (2 * _HALF_ULP) + _HALF_ULP
+
+
+def _hashed_normal(key, counters):
+    """Standard normals: :func:`_ndtri` of :func:`_hashed_uniform`."""
+    return _ndtri(_hashed_uniform(key, counters))
+
+
+_Z_MAX = float(-_ndtri(_HALF_ULP))
+
+
 def _cdf_ends(center, sigma):
     """Phi(-center / sigma) and Phi((1 - center) / sigma): the normal mass
     below 0 and below 1."""
@@ -297,16 +320,30 @@ def _finite_nonneg(value, what: str) -> np.ndarray:
     return a
 
 
+def _check_reach(base_abs: float, scale, what: str) -> None:
+    """``LandscapeError`` unless ``base_abs + scale * _Z_MAX`` is finite: the
+    largest observation a noise scale can produce from that base."""
+    top = float(np.max(scale)) if np.size(scale) else 0.0
+    if not math.isfinite(base_abs + top * _Z_MAX):
+        raise LandscapeError(f"{what}: noise scale {top!r} times the largest hashed normal "
+                             f"{_Z_MAX:.4g} must stay finite")
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseSpec:
     """How observed losses deviate from base losses.
 
-    A node observes ``base + scale * z`` with one standard normal z per
-    node, except under ``uniform-replace``, where it observes a uniform
-    [0, 1] draw instead of its base loss.  ``scale`` is a scalar or a
-    per-node array.  Under ``frozen`` and ``uniform-replace`` the value a
-    view reports for a node is a pure function of (view seed, node id);
-    under ``fresh`` z is drawn when the node is charged.
+    A node observes ``base + scale * z`` with one standard normal z, except
+    under ``uniform-replace``, where it observes a uniform (0, 1) value
+    instead of its base loss.  ``scale`` is a scalar or a per-node array.
+    z and the uniform are counter-based: :func:`_hashed_normal` of a key
+    that the view derives from its seed, at a counter.  Under ``frozen``
+    and ``uniform-replace`` the counter is the node id, so the value a view
+    reports for a node is a pure function of (view seed, node id); under
+    ``fresh`` it is the charge index (0 for the first node a view charges,
+    1 for the next), so each charge draws anew.  Every |z| is at most
+    ``_Z_MAX`` (about 8.2), and a scale whose ``scale * _Z_MAX`` is not
+    finite is rejected.
 
     Use the constructors (``NoiseSpec.none()`` etc.) rather than the raw
     dataclass.  The mean of k i.i.d. N(0, sigma^2) draws is N(0, sigma^2/k),
@@ -319,6 +356,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise LandscapeError(f"unknown noise kind {self.kind!r}")
+        _check_reach(0.0, self.scale, "noise")
 
     @classmethod
     def none(cls):
@@ -347,7 +385,8 @@ class NoiseSpec:
     def scaled(cls, sigma_base, x):
         base = _finite_nonneg(sigma_base, "sigma_base")
         x = float(_finite_nonneg(x, "scale factor x"))
-        return cls("frozen", x * base)
+        with np.errstate(over="ignore"):  # an infinite product is rejected by __post_init__
+            return cls("frozen", x * base)
 
     @property
     def frozen(self) -> bool:
@@ -368,36 +407,161 @@ class NoiseSpec:
         }, LandscapeError, "noise")
 
 
+class ViewBatch:
+    """Independent views of one landscape under one noise spec, one per row.
+
+    Row r has the view seed ``seeds[r]`` and its own cache:
+    ``log_ids[r, :count[r]]`` and ``log_vals[r, :count[r]]`` list the nodes
+    it has charged and their observed values in charge order, and
+    ``mark[r, v]`` is 0 for a node the row has not observed and otherwise
+    1 + its charge index modulo the largest value of the mark type.
+    ``limit`` bounds the charges per row (at most n); the marks take the
+    smallest unsigned type whose largest value is at least a quarter of
+    it, so :meth:`_position` resolves a mark in at most four tries.
+    :meth:`observe` advances many rows by one call, with the budget rule of
+    :meth:`LandscapeView.observe_prefix`.  ``sweeps`` counts each row's
+    query-until-lower sweeps; search keys their neighbor order on it.
+    """
+
+    def __init__(self, landscape: Landscape, noise: NoiseSpec, seeds, limit: int | None = None):
+        n = landscape.n
+        if isinstance(noise.scale, np.ndarray) and noise.scale.shape != (n,):
+            raise LandscapeError(f"per-node noise scale has shape {noise.scale.shape}, "
+                                 f"expected ({n},)")
+        if noise.kind != "uniform-replace" and np.any(noise.scale):
+            base = landscape.val_loss
+            _check_reach(max(-float(base.min()), float(base.max())), noise.scale, "landscape")
+        self.landscape, self.noise = landscape, noise
+        self.seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+        self._keys = mix64(self.seeds, _NOISE_STREAM)
+        self.limit = n if limit is None else min(int(limit), n)
+        rows = self.seeds.size
+        self.mark = np.zeros((rows, n), dtype=self.mark_type(self.limit))
+        self._modulus = int(np.iinfo(self.mark.dtype).max)
+        cap = self.limit if limit is not None else min(self.limit, 64)
+        self.log_ids = np.empty((rows, cap), dtype=np.int64)
+        self.log_vals = np.empty((rows, cap))
+        self.count = np.zeros(rows, dtype=np.int64)
+        self.sweeps = np.zeros(rows, dtype=np.int64)
+
+    @staticmethod
+    def mark_type(limit: int) -> np.dtype:
+        for kind in (np.uint8, np.uint16):
+            if limit <= 4 * np.iinfo(kind).max:
+                return np.dtype(kind)
+        return np.dtype(np.uint32)
+
+    def values_at(self, rows, ids, charges) -> np.ndarray:
+        """Observed values of nodes ``ids`` in ``rows`` if charged at the
+        charge indices ``charges`` (equal-shape integer arrays)."""
+        spec, base = self.noise, self.landscape.val_loss
+        if spec.kind == "uniform-replace":
+            return _hashed_uniform(self._keys[rows], ids)
+        if not np.any(spec.scale):
+            return base[ids]
+        scale = spec.scale[ids] if isinstance(spec.scale, np.ndarray) else spec.scale
+        return base[ids] + scale * _hashed_normal(self._keys[rows],
+                                                  ids if spec.frozen else charges)
+
+    def observe(self, rows, ids, valid=None, budget=None, stop_below=None):
+        """Observe ``ids[i]`` left to right in row ``rows[i]``; return
+        ``(values, k, where)``.
+
+        ``rows`` are distinct, ``ids`` is ``(len(rows), w)`` and each of its
+        rows lists distinct node ids; ``valid`` marks the real entries of a
+        padded block, which come first in each row.  Row i stops before its
+        first unseen id that would bring its charged count above ``budget``
+        and, given ``stop_below``, after its first value lower than
+        ``stop_below[i]``.  Its first ``k[i]`` ids are observed: the unseen
+        ones are charged in order.  ``values`` holds their observations and
+        ``where`` their positions in the row's log; other entries are +inf
+        and -1.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.full(ids.shape, np.inf)
+        where = np.full(ids.shape, -1)
+        if not ids.shape[1]:
+            return values, np.zeros(rows.size, dtype=np.int64), where
+        marks = self.mark[rows[:, None], ids]
+        new = marks == 0
+        if valid is not None:
+            new &= valid
+            k = np.count_nonzero(valid, axis=1)
+        else:
+            k = np.full(rows.size, ids.shape[1])
+        if new.any():
+            at = np.cumsum(new, axis=1)  # 1 + the charge offset of each new id
+            if budget is not None:
+                over = new & (at > (budget - self.count[rows])[:, None])
+                cut = over.any(axis=1)
+                if cut.any():
+                    k = np.where(cut, over.argmax(axis=1), k)
+                    new &= np.arange(ids.shape[1]) < k[:, None]
+        inside = marks != 0
+        if valid is not None or budget is not None:
+            inside &= np.arange(ids.shape[1]) < k[:, None]
+        i, j = inside.nonzero()
+        if i.size:
+            where[i, j] = pos = self._position(rows[i], ids[i, j], marks[i, j])
+            values[i, j] = self.log_vals[rows[i], pos]
+        i, j = new.nonzero()
+        charges = self.count[rows[i]] + at[i, j] - 1 if i.size else i
+        if i.size:
+            values[i, j] = self.values_at(rows[i], ids[i, j], charges)
+            where[i, j] = charges
+        if stop_below is not None:
+            lower = values < stop_below[:, None]
+            k = np.where(lower.any(axis=1), lower.argmax(axis=1) + 1, k)
+            past = np.arange(ids.shape[1]) >= k[:, None]
+            values[past], where[past] = np.inf, -1
+            keep = j < k[i]
+            i, j, charges = i[keep], j[keep], charges[keep]
+        if i.size:
+            self._charge(rows[i], ids[i, j], values[i, j], charges)
+            self.count[rows] += np.bincount(i, minlength=rows.size)
+        return values, k, where
+
+    def _position(self, rows, ids, marks) -> np.ndarray:
+        """Log positions of seen nodes ``ids``: the charge index c below the
+        row's count with c + 1 = ``marks`` modulo the mark modulus whose log
+        entry is the node."""
+        pos = marks.astype(np.int64) - 1
+        if self.limit > self._modulus:
+            miss = (self.log_ids[rows, pos] != ids).nonzero()[0]
+            while miss.size:
+                pos[miss] += self._modulus
+                miss = miss[self.log_ids[rows[miss], pos[miss]] != ids[miss]]
+        return pos
+
+    def _charge(self, rows, ids, values, charges) -> None:
+        need = int(charges.max()) + 1
+        if need > self.log_ids.shape[1]:  # an open-ended view's log doubles
+            cap = min(max(need, 2 * self.log_ids.shape[1]), self.limit)
+            for name in ("log_ids", "log_vals"):
+                old = getattr(self, name)
+                grown = np.empty((old.shape[0], cap), dtype=old.dtype)
+                grown[:, :old.shape[1]] = old
+                setattr(self, name, grown)
+        self.log_ids[rows, charges] = ids
+        self.log_vals[rows, charges] = values
+        self.mark[rows, ids] = charges % self._modulus + 1
+
+
 class LandscapeView:
     """Single-owner noisy access to a landscape.
 
     Tracks a query counter for budget accounting: the first observation of a
-    node increments it, repeats are free (cache contract).  ``shuffle_rng``
-    is the view's dedicated stream for search-side randomization.
+    node increments it, repeats are free (cache contract).  The view is the
+    one-row case of a :class:`ViewBatch`, kept in ``_rows``.
     """
 
     def __init__(self, landscape: Landscape, noise: NoiseSpec | None = None, seed: int = 0):
         self.landscape = landscape
         self.noise = noise if noise is not None else NoiseSpec.none()
         self.seed = int(seed)
-        n = landscape.n
-        if isinstance(self.noise.scale, np.ndarray) and self.noise.scale.shape != (n,):
-            raise LandscapeError(f"per-node noise scale has shape {self.noise.scale.shape}, "
-                                 f"expected ({n},)")
-        self._values: np.ndarray | None = None
-        # a trial builds only the generators it draws from: shuffle_rng on first
-        # use, _fresh_rng for fresh noise only (None marks a frozen view)
-        self._shuffle_rng: np.random.Generator | None = None
-        self._fresh_rng = None if self.noise.frozen else spawn_rng(self.seed, _NOISE_STREAM)
-        self._queried = np.zeros(n, dtype=bool)
-        self._log: list[int] = []
+        self._rows = ViewBatch(landscape, self.noise, [self.seed & _MASK64])
+        self._values: np.ndarray | None = None  # frozen_values, built on first use
         self._successor_map = None  # analysis.successor_map's cache (frozen views)
-
-    @property
-    def shuffle_rng(self) -> np.random.Generator:
-        if self._shuffle_rng is None:
-            self._shuffle_rng = spawn_rng(self.seed, _SHUFFLE_STREAM)
-        return self._shuffle_rng
 
     # -- observation ------------------------------------------------------
 
@@ -413,9 +577,9 @@ class LandscapeView:
         count above ``budget``, and (given ``stop_below``) after the first
         value lower than ``stop_below``.  The first ``k`` ids are observed:
         their unseen ones are charged and logged in order, and ``values``
-        holds the observations of all ``k``.  Ids past the stop are neither
-        charged nor drawn for, so fresh noise consumes its stream exactly as
-        observing the ids one at a time would.
+        holds the observations of all ``k``.  Ids past the stop are not
+        charged, so fresh noise gives the values that observing the ids one
+        at a time would.
         """
         ids = np.asarray(ids, dtype=np.int64)
         n = self.landscape.n
@@ -423,82 +587,51 @@ class LandscapeView:
         if ids.size and not (np.minimum.reduce(ids) >= 0 and np.maximum.reduce(ids) < n):
             v = int(ids[(ids < 0) | (ids >= n)][0])
             raise LandscapeError(f"node id {v} out of range [0, {n})")
-        new = ~self._queried[ids]
-        if budget is not None:
-            new_at = new.nonzero()[0]
-            room = max(int(budget) - len(self._log), 0)
-            if new_at.size > room:
-                ids, new = ids[:new_at[room]], new[:new_at[room]]
-        rng, state = self._fresh_rng, None
-        if rng is None:
-            values = self._materialize()[ids]
-        else:
-            if self._values is None:
-                self._values = np.full(n, np.nan)
-            values = self._values[ids]
-            draws = np.count_nonzero(new)
-            if draws:
-                if stop_below is not None:
-                    state = rng.bit_generator.state
-                values[new] = (self.landscape.val_loss[ids[new]]
-                               + self.noise.scale * rng.standard_normal(draws))
-        if stop_below is not None and ids.size:
-            lower = values < stop_below
-            k = int(lower.argmax()) + 1  # just past the first lower value, if any
-            if lower[k - 1] and k < ids.size:
-                ids, new, values = ids[:k], new[:k], values[:k]
-                if state is not None:
-                    # keep only the draws before the stop: replay them from the saved state
-                    rng.bit_generator.state = state
-                    rng.standard_normal(np.count_nonzero(new))
-        charged = ids[new]
-        if rng is not None:
-            self._values[charged] = values[new]
-        self._queried[charged] = True
-        self._log.extend(charged.tolist())
-        return values, ids.size
+        values, k, _ = self._rows.observe(_ROW, ids.reshape(1, -1), budget=budget,
+                                          stop_below=None if stop_below is None
+                                          else np.array([float(stop_below)]))
+        k = int(k[0])
+        return values[0, :k], k
 
     def seen(self, v: int) -> bool:
-        return bool(self._queried[v])
+        return bool(self._rows.mark[0, v])
 
     @property
     def query_count(self) -> int:
-        return len(self._log)
+        return int(self._rows.count[0])
 
     def observation_log(self) -> list[int]:
         """Node ids in first-observation order."""
-        return list(self._log)
+        return self._rows.log_ids[0, :self.query_count].tolist()
 
     def observed_values(self) -> np.ndarray:
         """Observed losses of the :meth:`observation_log` nodes, in that order."""
-        if not self._log:
-            return np.empty(0)
-        return self._values[self._log]
+        return self._rows.log_vals[0, :self.query_count].copy()
 
     def frozen_values(self) -> np.ndarray:
         """The full observation vector (frozen modes only; read-only).
 
-        Exhaustive analytics read this directly; it does not touch the
-        query counter, which accounts for search budgets only.
+        Every node goes through the function that observation uses, one
+        ``_SLAB`` of ids at a time.  Exhaustive analytics read this
+        directly; it does not touch the query counter, which accounts for
+        search budgets only.
         """
         if not self.noise.frozen:
             raise LandscapeError(
                 "fresh-noise views have no frozen observation vector"
             )
-        return self._materialize()
-
-    def _materialize(self) -> np.ndarray:
         if self._values is None:
-            base, spec, n = self.landscape.val_loss, self.noise, self.landscape.n
-            if spec.kind == "uniform-replace":
-                vals = spawn_rng(self.seed, _NOISE_STREAM).random(n)
-            elif np.any(spec.scale):  # one expression: numpy reuses the temporaries
-                vals = base + spec.scale * spawn_rng(self.seed, _NOISE_STREAM).standard_normal(n)
-            else:  # scale 0: no draw
-                vals = base.copy()
+            n = self.landscape.n
+            vals = np.empty(n)
+            for lo in range(0, n, _SLAB):
+                ids = np.arange(lo, min(lo + _SLAB, n))
+                vals[lo:lo + _SLAB] = self._rows.values_at(_ROW, ids, ids)
             vals.setflags(write=False)
             self._values = vals
         return self._values
+
+
+_ROW = np.zeros(1, dtype=np.int64)
 
 
 # -- generators --------------------------------------------------------------

@@ -4,31 +4,39 @@ The basic algorithm evaluates the full neighborhood of the current node in
 ascending id order and moves to the strictly-improving argmin; it stops at
 a local minimum.  Variants:
 
-* ``query_until_lower`` -- neighbors are evaluated in an order shuffled by
-  the view's RNG and the walk moves as soon as any strictly lower neighbor
-  appears.
-* ``continue_at_min`` -- at a local minimum, continue from the best
-  evaluated-but-not-yet-expanded node until the budget runs out.
+* ``query_until_lower`` -- neighbors are evaluated in the order of
+  counter-based keys (splitmix64 of the view seed, the view's sweep count
+  and the neighbor id) and the walk moves as soon as any strictly lower
+  neighbor appears.
+* ``continue_at_min`` -- at a local minimum, continue from the best node
+  that the current run has observed and not yet expanded (ties go to the
+  lower id) until the budget runs out.
 * ``num_initial`` -- draw k random nodes up front and start from the best.
 
 Budget accounting lives in the view: it charges the first observation of
 a node one evaluation, repeats are free, and its log lists the nodes in
 first-observation order.  A node is observed only if the view has seen it
 or fewer than ``budget`` nodes are charged, so a run never charges more
-than ``budget`` distinct nodes.  Each neighborhood sweep is one
-``view.observe_prefix`` call, which applies that rule node by node in
-sweep order; starts go through ``view.observe``, its one-node case.
+than ``budget`` distinct nodes.
+
+Trials run in lock-step.  The views of a chunk of trials are the rows of
+one :class:`~hillscape.landscape.ViewBatch`, and each step advances every
+active row by one neighborhood sweep: one ``neighbors_block`` gather, one
+``ViewBatch.observe`` call (a row cumsum over the seen marks applies the
+budget, partial last sweeps included) and one argmin per row.
+``local_search``, ``run_budgeted`` and ``random_search`` run the same code
+on the one-row batch of a view.  A trial's results depend only on its
+seed, not on the chunk it runs in or on ``jobs``.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import Landscape, LandscapeView, NoiseSpec
+from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch
 from .seeding import mix64, spawn_rng
 from .topology import Topology
 
@@ -43,6 +51,17 @@ __all__ = [
 ]
 
 _START_STREAM = 0xB1
+_SHUFFLE_STREAM = 0xA2  # query-until-lower keys, derived from the view seed
+# bytes of per-chunk search state (seen marks, logs, continue-at-min pools):
+# run_trials sizes its chunks of trials to it.  Past 2 MiB / _MIN_ROWS per
+# trial (n above about 130k nodes) a chunk still takes _MIN_ROWS trials: a
+# step costs about the same for one trial as for many, so lone trials on
+# low-degree graphs would pay it for every sweep.
+_CHUNK_BYTES = 1 << 21
+_MIN_ROWS = 16
+_START_BATCH = 8  # starts drawn ahead per row, times num_initial
+_RANDOM_COLUMNS = 32  # random-search picks observed per call and row
+_PAD_KEY = np.uint64((1 << 64) - 1)
 
 
 def _check_count(value, name: str) -> None:
@@ -98,10 +117,13 @@ class RunHistory:
 
     @classmethod
     def from_view(cls, view: LandscapeView) -> "RunHistory":
-        nodes = np.asarray(view.observation_log(), dtype=np.int64)
-        vals = view.observed_values()
+        return cls._of(np.asarray(view.observation_log(), dtype=np.int64),
+                       view.observed_values(), view.landscape.test_loss)
+
+    @classmethod
+    def _of(cls, nodes, vals, test) -> "RunHistory":
+        """The history of charged ``nodes`` with observed ``vals``."""
         best_val = np.minimum.accumulate(vals)
-        test = view.landscape.test_loss
         best_test = None
         if test is not None and len(nodes):
             # index of the running best: it moves only on a strict improvement
@@ -111,67 +133,200 @@ class RunHistory:
         return cls(nodes, vals, best_val, best_test)
 
 
+class _Starts:
+    """Start nodes per row from the row's own generator, drawn ``batch`` at
+    a time (numpy's batched ``integers`` equal its one-at-a-time draws)."""
+
+    def __init__(self, rngs, n: int, batch: int):
+        self.rngs, self.n, self.batch = rngs, n, batch
+        self.buf = np.empty((len(rngs), batch), dtype=np.int64)
+        self.used = np.full(len(rngs), batch)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        for r in rows[self.used[rows] == self.batch].tolist():
+            self.buf[r] = self.rngs[r].integers(self.n, size=self.batch)
+            self.used[r] = 0
+        out = self.buf[rows, self.used[rows]]
+        self.used[rows] += 1
+        return out
+
+
+def _climb(batch: ViewBatch, cfg: SearchConfig, draw, num_initial: int, restart: bool,
+           traces=None) -> None:
+    """Budgeted local search in every row of ``batch``, the rows in lock-step.
+
+    A row draws up to ``num_initial`` starts with ``draw(rows)``, observing
+    each while the budget allows, and climbs from the best (lowest value,
+    then lowest id).  A run ends out of budget mid-sweep or converged at a
+    local minimum.  With ``restart`` the row starts again while budget
+    remains and some node is unseen.  ``traces``, if given, holds one list
+    per row and gets a :class:`SearchTrace` per run.
+    """
+    t = batch.landscape.topology
+    rows_n, budget = batch.seeds.size, int(cfg.budget)
+    qul, cam = cfg.query_until_lower, cfg.continue_at_min
+    full_count = min(budget, t.n)
+    cur = np.zeros(rows_n, dtype=np.int64)
+    lv = np.zeros(rows_n)  # the value of cur
+    running = np.zeros(rows_n, dtype=bool)
+    done = np.zeros(rows_n, dtype=bool)
+    if cam:  # per log entry, in the current run: 1 observed, 2 expanded
+        pool = np.zeros((rows_n, batch.limit), dtype=np.uint8)
+        cur_at = np.zeros(rows_n, dtype=np.int64)  # the log position of cur
+    qul_keys = mix64(batch.seeds, _SHUFFLE_STREAM) if qul else None
+
+    def end_runs(rows, converged: bool):
+        if not rows.size:
+            return
+        running[rows] = False
+        if traces is not None:
+            for r in rows.tolist():
+                traces[r][-1].final, traces[r][-1].converged = int(cur[r]), converged
+        if restart:  # rows with budget left and unseen nodes start again
+            rows = rows[batch.count[rows] >= full_count]
+        done[rows] = True
+
+    def move(rows, to, values, at, descent: bool):
+        if not rows.size:
+            return
+        cur[rows], lv[rows] = to, values
+        if cam:
+            cur_at[rows] = at
+        if traces is not None:
+            for r, v in zip(rows.tolist(), to.tolist()):
+                traces[r][-1].path.append(v)
+                traces[r][-1].iterations += descent
+
+    while True:
+        idle = (~running & ~done).nonzero()[0]
+        if idle.size:  # start runs: the best of up to num_initial observed draws
+            best_v = draw(idle)
+            vals, k, where = batch.observe(idle, best_v[:, None], budget=budget)
+            best, best_at, got = vals[:, 0], where[:, 0], k > 0
+            live = got.nonzero()[0]
+            for _ in range(num_initial - 1):
+                v = draw(idle[live])
+                vals, k, where = batch.observe(idle[live], v[:, None], budget=budget)
+                ok = k > 0
+                live, v, val, at = live[ok], v[ok], vals[ok, 0], where[ok, 0]
+                better = (val < best[live]) | ((val == best[live]) & (v < best_v[live]))
+                live_b = live[better]
+                best[live_b], best_v[live_b], best_at[live_b] = val[better], v[better], at[better]
+                if not live.size:
+                    break
+            done[idle[~got]] = True
+            rows = idle[got]
+            running[rows] = True
+            if cam:
+                pool[rows] = 0
+                pool[rows, best_at[got]] = 1
+            if traces is not None:
+                for r, v in zip(rows.tolist(), best_v[got].tolist()):
+                    traces[r].append(SearchTrace(final=v))
+            move(rows, best_v[got], best[got], best_at[got], False)
+        act = running.nonzero()[0]
+        if not act.size:
+            return
+
+        block, valid = t.neighbors_block(cur[act])
+        if t.kind == "clique_power":
+            valid, width = None, block.shape[1]
+        else:
+            width = np.count_nonzero(valid, axis=1)
+        if not block.shape[1]:  # (K_1)^1: one padded column
+            block, valid = cur[act][:, None], np.zeros((act.size, 1), dtype=bool)
+        if qul:  # rank by the keys of counter sweep * n + neighbor id
+            keys = mix64(qul_keys[act, None], block + (batch.sweeps[act] * t.n)[:, None])
+            if valid is not None:
+                keys[~valid] = _PAD_KEY  # pads stay last: the sort is stable
+            order = (np.arange(act.size)[:, None], np.argsort(keys, axis=1, kind="stable"))
+            block = block[order]
+            if valid is not None:
+                valid = valid[order]
+            batch.sweeps[act] += 1
+        vals, k, where = batch.observe(act, block, valid, budget, lv[act] if qul else None)
+        if cam:  # observed nodes join the pool unless expanded
+            i, j = (where >= 0).nonzero()
+            g, at = act[i], where[i, j]
+            first = pool[g, at] == 0
+            pool[g[first], at[first]] = 1
+
+        if qul:  # stopped on a lower neighbor: move there
+            lowered = (k > 0) & (vals[np.arange(act.size), k - 1] < lv[act])
+            up = lowered.nonzero()[0]
+            move(act[up], block[up, k[up] - 1], vals[up, k[up] - 1], where[up, k[up] - 1], True)
+            swept = ~lowered & (k == width)
+            end_runs(act[~lowered & ~swept], False)  # out of budget mid-sweep
+        else:
+            swept = k == width
+            end_runs(act[~swept], False)
+        f = swept.nonzero()[0]
+        if cam:
+            pool[act[f], cur_at[act[f]]] = 2
+        best = vals[f].argmin(axis=1)  # the first minimum: ties go to the lower index
+        bval = vals[f, best]
+        improve = bval < lv[act[f]]  # strict improvement only; ties do not move
+        minima = act[f[~improve]]
+        fi, bi = f[improve], best[improve]
+        move(act[fi], block[fi, bi], bval[improve], where[fi, bi], True)
+
+        if cam and minima.size:  # jump to the lowest pool node, while budget remains
+            jump = minima[batch.count[minima] < budget]
+            if jump.size:
+                upto = int(batch.count[jump].max())
+                inpool = pool[jump, :upto] == 1
+                pvals = np.where(inpool, batch.log_vals[jump, :upto], np.inf)
+                low = pvals.min(axis=1)
+                ids = batch.log_ids[jump, :upto]
+                at = np.where(inpool & (pvals == low[:, None]), ids, t.n).argmin(axis=1)
+                has = inpool.any(axis=1)
+                move(jump[has], ids[has, at[has]], low[has], at[has], False)
+                minima = np.setdiff1d(minima, jump[has], assume_unique=True)
+        end_runs(minima, True)
+
+
 def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTrace:
-    """Run one local search from ``start`` under the view's noise and budget."""
+    """Run one local search from ``start`` under the view's noise and budget:
+    the one-row, one-run case of the lock-step engine."""
     t = view.landscape.topology
     if not 0 <= start < t.n:
         raise ValueError(f"start node {start} out of range [0, {t.n})")
-    trace = SearchTrace(final=start)
-    if not (view.seen(start) or view.query_count < cfg.budget):
-        return trace
-    value = view.observe(start)
+    traces = [[]]
+    _climb(view._rows, cfg, lambda rows: np.full(rows.size, int(start)), 1, False, traces)
+    return traces[0][0] if traces[0] else SearchTrace(final=int(start))
 
-    # pool of evaluated-but-unexpanded nodes for continue_at_min
-    pool: list[tuple[float, int]] = []
-    expanded = set()
-    if cfg.continue_at_min:
-        heapq.heappush(pool, (value, start))
 
-    v, lv = start, value
-    trace.path.append(v)
-    while True:
-        nbrs = t.neighbors(v)
-        if cfg.query_until_lower:
-            nbrs = view.shuffle_rng.permutation(nbrs)
-        # one view call per sweep: query_until_lower stops after the first
-        # lower neighbor, the full sweep evaluates every neighbor
-        vals, k = view.observe_prefix(nbrs, cfg.budget,
-                                      lv if cfg.query_until_lower else None)
-        if cfg.continue_at_min:
-            for item in zip(vals.tolist(), nbrs[:k].tolist()):
-                if item[1] not in expanded:
-                    heapq.heappush(pool, item)
-        if cfg.query_until_lower and k and vals[k - 1] < lv:
-            v, lv = int(nbrs[k - 1]), float(vals[k - 1])
-            trace.path.append(v)
-            trace.iterations += 1
-            continue
-        if k < len(nbrs):  # out of budget mid-sweep: end without moving
-            break
-        expanded.add(v)
-        best = int(vals.argmin()) if k else 0  # the first minimum: ties go to the lower index
-        if k and vals[best] < lv:  # strict improvement only; ties do not move
-            v, lv = int(nbrs[best]), float(vals[best])
-            trace.path.append(v)
-            trace.iterations += 1
-            continue
-        # local minimum of the observed landscape
-        if cfg.continue_at_min and view.query_count < cfg.budget:
-            nxt = None
-            while pool:
-                val, u = heapq.heappop(pool)
-                if u not in expanded:
-                    nxt = (u, val)
-                    break
-            if nxt is not None:
-                v, lv = nxt
-                trace.path.append(v)
-                continue
-        trace.converged = True
-        break
+def _random_rows(batch: ViewBatch, budget: int, rngs) -> None:
+    """Random search in every row of ``batch``: each row charges ``budget``
+    distinct nodes drawn uniformly from its generator (rejection on repeats).
 
-    trace.final = v
-    return trace
+    Candidates are drawn in batches, and drawing past the last charged node
+    changes nothing observed.  The nodes of every row are picked first and
+    then observed in one call.
+    """
+    n = batch.landscape.n
+    picks = []
+    for r, rng in enumerate(rngs):
+        seen = batch.mark[r] != 0
+        count, got = int(batch.count[r]), [np.empty(0, dtype=np.int64)]
+        while count < budget:
+            # about enough draws for the remaining budget, given the share already seen
+            size = (budget - count) * n // (n - count)
+            draws = rng.integers(n, size=max(size, 16))
+            _, first = np.unique(draws, return_index=True)
+            new = draws[np.sort(first)]
+            new = new[~seen[new]][:budget - count]
+            seen[new] = True
+            got.append(new)
+            count += new.size
+        picks.append(np.concatenate(got))
+    lengths = np.array([p.size for p in picks])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    block = np.zeros(valid.shape, dtype=np.int64)
+    block[valid] = np.concatenate(picks)
+    rows = np.arange(len(picks))
+    for lo in range(0, block.shape[1], _RANDOM_COLUMNS):  # bounds the temporaries
+        batch.observe(rows, block[:, lo:lo + _RANDOM_COLUMNS], valid[:, lo:lo + _RANDOM_COLUMNS])
 
 
 def random_search(view: LandscapeView, t: Topology, budget: int, seed: int) -> RunHistory:
@@ -184,13 +339,7 @@ def random_search(view: LandscapeView, t: Topology, budget: int, seed: int) -> R
     if budget > t.n:
         warnings.warn(f"budget {budget} exceeds node count {t.n}; capped")
         budget = t.n
-    rng = spawn_rng(seed, _START_STREAM)
-    while view.query_count < budget:
-        # about enough draws for the remaining budget, given the share already seen
-        size = (budget - view.query_count) * t.n // (t.n - view.query_count)
-        draws = rng.integers(t.n, size=max(size, 16))
-        _, first = np.unique(draws, return_index=True)
-        view.observe_prefix(draws[np.sort(first)], budget)
+    _random_rows(view._rows, int(budget), [spawn_rng(seed, _START_STREAM)])
     return RunHistory.from_view(view)
 
 
@@ -202,21 +351,9 @@ def run_budgeted(view: LandscapeView, cfg: SearchConfig, seed: int) -> RunHistor
     budget remains.  Restarts share the view's observation cache, so nodes
     re-encountered across runs cost nothing.
     """
-    t = view.landscape.topology
-    rng = spawn_rng(seed, _START_STREAM)
-    while True:
-        starts = []
-        for _ in range(cfg.num_initial):
-            v = int(rng.integers(t.n))
-            if not (view.seen(v) or view.query_count < cfg.budget):
-                break
-            starts.append((view.observe(v), v))
-        if not starts:
-            break
-        local_search(view, min(starts)[1], cfg)
-        # stop when the budget is spent or every node is already charged
-        if not cfg.restart_on_convergence or view.query_count >= min(cfg.budget, t.n):
-            break
+    draw = _Starts([spawn_rng(seed, _START_STREAM)], view.landscape.n,
+                   _START_BATCH * int(cfg.num_initial))
+    _climb(view._rows, cfg, draw, int(cfg.num_initial), cfg.restart_on_convergence)
     return RunHistory.from_view(view)
 
 
@@ -233,14 +370,43 @@ def _search_config(algo: str, budget: int, num_initial: int, restart: bool) -> S
     )
 
 
-def _run_one_trial(landscape, noise, algo, budget, num_initial, restart, root_seed, trial):
-    trial_seed = mix64(root_seed, trial)
-    view = LandscapeView(landscape, noise, seed=mix64(trial_seed, 0))
-    algo_seed = mix64(trial_seed, 1)
+def _chunk_rows(n: int, limit: int) -> int:
+    """Trials per chunk whose search state fits in ``_CHUNK_BYTES``, and at
+    least ``_MIN_ROWS``: per trial, a mark per node, and a log id, value and
+    pool byte per charge."""
+    row = n * ViewBatch.mark_type(limit).itemsize + 17 * limit
+    return max(_MIN_ROWS, _CHUNK_BYTES // row)
+
+
+def _run_chunk(landscape, noise, algo, budget, num_initial, restart, root_seed, lo, hi,
+               traces=None) -> list[RunHistory]:
+    """Trials ``lo`` to ``hi - 1`` in lock-step.  Trial i's view seed is
+    ``mix64(mix64(root_seed, i), 0)`` and its starts come from
+    ``spawn_rng(mix64(mix64(root_seed, i), 1), _START_STREAM)``."""
+    trial_seeds = mix64(root_seed, np.arange(lo, hi, dtype=np.uint64))
+    batch = ViewBatch(landscape, noise, mix64(trial_seeds, 0), limit=budget)
+    rngs = [spawn_rng(int(s), _START_STREAM) for s in mix64(trial_seeds, 1).tolist()]
     if algo == "random":
-        return random_search(view, landscape.topology, budget, algo_seed)
-    cfg = _search_config(algo, budget, num_initial, restart)
-    return run_budgeted(view, cfg, algo_seed)
+        _random_rows(batch, budget, rngs)
+    else:
+        cfg = _search_config(algo, budget, num_initial, restart)
+        _climb(batch, cfg, _Starts(rngs, landscape.n, _START_BATCH * num_initial),
+               num_initial, restart, traces)
+    del batch.mark  # the histories are views of the logs: free the marks first
+    return [RunHistory._of(batch.log_ids[r, :c], batch.log_vals[r, :c], landscape.test_loss)
+            for r, c in enumerate(batch.count.tolist())]
+
+
+_WORKER: dict = {}
+
+
+def _init_worker(landscape, noise) -> None:
+    """Pool initializer: each worker receives the landscape and noise once."""
+    _WORKER.update(landscape=landscape, noise=noise)
+
+
+def _worker_chunk(args) -> list[RunHistory]:
+    return _run_chunk(_WORKER["landscape"], _WORKER["noise"], *args)
 
 
 def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
@@ -248,22 +414,36 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
                restart: bool = True, jobs: int = 1) -> list[RunHistory]:
     """Independent seeded trials of one algorithm, merged by trial index.
 
-    Each trial gets its own view with ``seed = mix64(root_seed, trial)``;
-    results are deterministic and independent of ``jobs``.
+    Trial i runs on its own view with seed ``mix64(mix64(root_seed, i), 0)``.
+    Chunks of trials run in lock-step, and with ``jobs > 1`` the chunks are
+    spread over worker processes; results are deterministic and independent
+    of ``jobs`` and of the chunking.
     """
     if algo not in _ALGOS:
         raise ValueError(f"unknown algo {algo!r}; expected one of {_ALGOS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    args = [(landscape, noise, algo, budget, num_initial, restart, root_seed, i)
-            for i in range(trials)]
-    if jobs <= 1 or trials <= 1:
-        return [_run_one_trial(*a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor
+    n = landscape.n
+    if algo == "random":
+        _check_count(budget, "budget")
+        if budget > n:
+            warnings.warn(f"budget {budget} exceeds node count {n}; capped")
+            budget = n
+    else:
+        _search_config(algo, budget, num_initial, restart)  # checks before any work
+    budget, num_initial = int(budget), int(num_initial)
+    size = _chunk_rows(n, min(budget, n))
+    if jobs > 1:
+        size = min(size, -(-trials // jobs))
+    size = -(-trials // -(-trials // size))  # equal chunks
+    bounds = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    args = [(algo, budget, num_initial, restart, root_seed, lo, hi) for lo, hi in bounds]
+    if jobs <= 1 or len(bounds) <= 1:
+        parts = [_run_chunk(landscape, noise, *a) for a in args]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_one_trial_star, args, chunksize=max(1, trials // (4 * jobs))))
-
-
-def _run_one_trial_star(args):
-    return _run_one_trial(*args)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(landscape, noise)) as pool:
+            parts = list(pool.map(_worker_chunk, args))
+    return [h for part in parts for h in part]

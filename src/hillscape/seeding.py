@@ -1,15 +1,20 @@
-"""Deterministic 64-bit seed derivation.
+"""Deterministic 64-bit seed derivation and counter-based randomness.
 
-Every stochastic component in this package draws from a numpy Generator
-seeded through ``mix64``, so that a single root seed reproduces a whole
-experiment bit-for-bit.  Per-trial seeds are derived as
+A single root seed reproduces a whole experiment bit-for-bit.  Per-trial
+seeds are derived as
 
     seed_trial = mix64(root_seed, trial_index)
 
 where ``mix64`` advances the root seed by ``(index + 1)`` golden-gamma
-increments and applies the splitmix64 finalizer.  The construction is part
-of the output contract: identical (root seed, index) pairs give identical
-streams on every platform for a fixed numpy version.
+increments and applies the splitmix64 finalizer.  Streams that are drawn in
+sequence (search starts, random-search candidates, landscape generators,
+random walks) are numpy PCG64 generators seeded through ``mix64``.
+Observation noise and the query-until-lower neighbor order are not streams:
+they are ``mix64`` itself, evaluated on arrays of counters (node ids, charge
+indices), so a value depends only on its key and never on what was drawn
+before it.  The construction is part of the output contract: identical
+(root seed, index) pairs give identical values on every platform for a
+fixed numpy version.
 """
 
 from __future__ import annotations
@@ -18,15 +23,41 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 
 
-def mix64(root_seed: int, index: int) -> int:
-    """Derive a child seed from ``root_seed`` and a non-negative ``index``."""
+def mix64(root_seed, index):
+    """Derive a child seed from ``root_seed`` and a non-negative ``index``.
+
+    With two ints the result is an int.  If either argument is a numpy
+    array the two broadcast and the result is a ``uint64`` array whose
+    entries equal the int results (uint64 arithmetic wraps modulo 2^64).
+    """
+    if isinstance(root_seed, np.ndarray) or isinstance(index, np.ndarray):
+        index = np.asarray(index)
+        if index.dtype.kind == "i" and index.size and np.minimum.reduce(index, axis=None) < 0:
+            raise ValueError("index must be non-negative")
+        if not isinstance(root_seed, np.ndarray):
+            root_seed = int(root_seed) & _MASK64
+        # at least one dimension: 0-d operands would take numpy's scalar path,
+        # which warns on the wrap-around that this hash relies on
+        shape = np.broadcast_shapes(np.shape(root_seed), index.shape)
+        z = np.array(index, dtype=np.uint64, ndmin=1)
+        z += np.uint64(1)
+        z *= np.uint64(_GAMMA)
+        z = z + np.array(root_seed, dtype=np.uint64, ndmin=1)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_M1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_M2)
+        z ^= z >> np.uint64(31)
+        return z.reshape(shape)
     if index < 0:
         raise ValueError("index must be non-negative")
     z = (int(root_seed) + (int(index) + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
 
 

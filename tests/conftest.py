@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hillscape as hs
+from hillscape import landscape as landscape_mod
 from hillscape import search
 from hillscape.seeding import spawn_rng
 from hillscape.theory import _prefix
@@ -88,9 +89,65 @@ def frozen_view(t, values, seed=0):
 
 # -- per-node search reference -------------------------------------------------
 #
-# The search loops as they were before search moved to one view call per
-# sweep: every neighbor goes through view.seen / view.query_count /
-# view.observe on its own.  Tests compare the batched search against them.
+# The search loops as they were before search ran its trials in lock-step:
+# one trial at a time, every neighbor checked and observed on its own, and
+# the continue-at-min pool a heap.  They observe through RefView, which keeps
+# its own cache and log and reads the noise from tables filled by one
+# vectorized evaluation per trial.  Tests compare the lock-step search
+# against them.
+
+
+class RefView:
+    """A view's cache contract, one node at a time: the first observation
+    of a node charges it and fixes its value; repeats are free."""
+
+    def __init__(self, landscape, noise, seed, budget):
+        self.landscape, self.noise, self.seed = landscape, noise, seed
+        # the uniforms of every counter the trial can use (node ids for frozen
+        # noise, charge indices for fresh), then one vectorized inverse CDF
+        key = hs.mix64(seed, landscape_mod._NOISE_STREAM)
+        counters = range(landscape.n if noise.frozen else min(budget, landscape.n))
+        bits = np.array([hs.mix64(key, c) >> 12 for c in counters], dtype=float)
+        self._uniform = bits * 2.0 ** -52 + 2.0 ** -53
+        self._z = landscape_mod._ndtri(self._uniform)
+        self._values, self._log = {}, []
+        self._sweeps = 0
+        self._qul_key = hs.mix64(seed, search._SHUFFLE_STREAM)
+
+    def _draw(self, v):
+        base, spec = self.landscape.val_loss, self.noise
+        if spec.kind == "uniform-replace":
+            return self._uniform[v]
+        if not np.any(spec.scale):
+            return base[v]
+        scale = spec.scale[v] if isinstance(spec.scale, np.ndarray) else spec.scale
+        return base[v] + scale * self._z[v if spec.frozen else len(self._log)]
+
+    def observe(self, v):
+        if v not in self._values:
+            self._values[v] = self._draw(v)
+            self._log.append(v)
+        return float(self._values[v])
+
+    def seen(self, v):
+        return v in self._values
+
+    @property
+    def query_count(self):
+        return len(self._log)
+
+    def observation_log(self):
+        return list(self._log)
+
+    def observed_values(self):
+        return np.asarray([self._values[v] for v in self._log], dtype=float)
+
+    def qul_order(self, nbrs):
+        """``nbrs`` ranked by their keys: the counter of neighbor u in this
+        view's sweep c is c * n + u."""
+        keys = hs.mix64(self._qul_key, np.asarray(nbrs) + self._sweeps * self.landscape.n)
+        self._sweeps += 1
+        return [nbrs[i] for i in np.argsort(keys, kind="stable")]
 
 
 def reference_local_search(view, start, cfg):
@@ -106,13 +163,12 @@ def reference_local_search(view, start, cfg):
     v, lv = start, value
     trace.path.append(v)
     while True:
-        nbrs = t.neighbors(v)
+        nbrs = [int(u) for u in t.neighbors(v)]
         if cfg.query_until_lower:
-            nbrs = view.shuffle_rng.permutation(nbrs)
+            nbrs = view.qul_order(nbrs)
         best_u, best_val = -1, np.inf
         moved = out_of_budget = False
         for u in nbrs:
-            u = int(u)
             if not (view.seen(u) or view.query_count < cfg.budget):
                 out_of_budget = True
                 break
@@ -157,7 +213,7 @@ def reference_local_search(view, start, cfg):
 def reference_trial(landscape, noise, algo, budget, num_initial, restart, root_seed, trial):
     """One ``run_trials`` trial through the per-node loops: ``(history, traces)``."""
     trial_seed = hs.mix64(root_seed, trial)
-    view = hs.LandscapeView(landscape, noise, seed=hs.mix64(trial_seed, 0))
+    view = RefView(landscape, noise, hs.mix64(trial_seed, 0), budget)
     rng = spawn_rng(hs.mix64(trial_seed, 1), search._START_STREAM)
     t, traces = landscape.topology, []
     if algo == "random":

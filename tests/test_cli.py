@@ -812,6 +812,18 @@ def test_bad_counts_leave_no_directory(small_landscape, tmp_path, capsys, comman
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["search", "analyze", "rwa"])
+@pytest.mark.parametrize("noise", ["scaled:1e300,1e300", "gaussian:1e308"])
+def test_overflowing_noise_leaves_no_directory(small_landscape, tmp_path, capsys, command,
+                                               noise):
+    # both passed every finite check and observed inf or -inf for some nodes
+    code, err = run_main(capsys, command, "--landscape", str(small_landscape),
+                         "--noise", noise, "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "must stay finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_rwa_edgeless_leaves_no_directory(tmp_path, capsys):
     # complete:1 used to exit 1 with an IndexError traceback
     scape = str(tmp_path / "l.csv")
@@ -848,11 +860,12 @@ def test_analyze_negative_export_tree_leaves_no_directory(small_landscape, tmp_p
 
 
 # sha256 of the files the row-by-row CSV writer produced for these runs,
-# before the writer formatted whole columns at once
+# before the writer formatted whole columns at once; "local/runs.csv" since
+# its frozen noise became counter-based
 _PINNED_CSV = {
     "with_test.csv": "32872e783373c55cb9e0c382c21e6c1874381af162ffcda24a596358286355f1",
     "gen/landscape.csv": "689502c13cad3b3bb46f26119ec72f3013669aadc2dc83f8a2cf5898449a8322",
-    "local/runs.csv": "020cd5c09f4ec7c44ad4790fb187a6868c3fac7a4ecc5a3a850ba9b78b49fb28",
+    "local/runs.csv": "29096447916eff5dab598a43b33578c637e83276f9b60316ded4d7599f5cc365",
     "random/runs.csv": "e039c0b888d23d4b9890a8b05253f831a20bd118a750e24e0d3973b7c811c503",
 }
 
@@ -889,12 +902,13 @@ _SUMMARY_RUNS = {
                                      "--seed", "3"]),
 }
 
-# sha256 of summary.json files of _SUMMARY_RUNS: "restart" and "random-val" as
-# the per-query loop wrote them, before the summary was taken from one
-# (queries x trials) matrix; the "ragged" ones since an ended trial counts
-# with its final best at every later query
+# sha256 of summary.json files of _SUMMARY_RUNS: "random-val" as the
+# per-query loop wrote it, before the summary was taken from one (queries x
+# trials) matrix; the "ragged" ones since an ended trial counts with its
+# final best at every later query; "restart" since its frozen noise became
+# counter-based
 _PINNED_SUMMARY = {
-    "restart": "59c51b8f7d153b6184933350c4bfb1bc2d79fae348807efd33f8615d9abf1b86",
+    "restart": "29146b028bb5ec1841613d6a1dc50c6d4444b175575522661979d4033cb805bf",
     "ragged": "fa0283316be91c1dd1b4d8d7d92c10b52f238178774f19c1e7bac079ca7df932",
     "ragged-val": "85b7a8207bdacb43a2512d4e6b3020cb47e9ba67cd75ab9698dcfc465474b271",
     "random-val": "34b85d2d52a4d3b5e13c9aa61d0c986eab69657184a5568ec8a65a0ed0b8a22c",

@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 import hillscape as hs
 from hillscape import landscape
 from hillscape.landscape import LandscapeError, _ndtr, _ndtri
-from hillscape.seeding import spawn_rng
 from hillscape.topology import _bfs_tree
 
 from conftest import custom_twin, cycle_topology
@@ -355,13 +354,14 @@ class TestObserve:
 
     @pytest.mark.parametrize("text,digest", [
         ("none", "0b4f0b6e4eb2626e89295453d7e55ce4faa13319c4fb0700de34284c8e946629"),
-        ("gaussian:0.05", "ded42ddccc46c79cf0cf1f5df1f1d824b6e93548744d120cf5d82334a011e1f4"),
-        ("scaled:2.0,0.03", "d87cab9650da0297e08a6e8c16a5e987955c1bcdf1fe3c47f65bccc0462e4888"),
-        ("uniform-replace", "a9b31caa0ed4e945954628bb38b560a0cc6763bb79c960438715d600c3f02c0e"),
+        ("gaussian:0.05", "84928da9fd6233dae75cdf8e857bde3aa0fb2504e313fc10b04a37b28e581998"),
+        ("scaled:2.0,0.03", "0ffa90074e1b30e141822bb312f102e1f5cbe9d2d788ab57ccf4eb509b7d1a68"),
+        ("uniform-replace", "441c5c0e5864f7abb036c434737325318f935c32e00e8b8ed2cb10c8339102d8"),
     ])
     def test_frozen_values_pinned(self, text, digest):
-        # sha256 of the observation vectors before every additive mode became
-        # base + scale * z
+        # sha256 of the observation vectors since the noise became counter-based;
+        # "none" is the base loss vector, unchanged since before every additive
+        # mode became base + scale * z
         scape = hs.sample_uniform(hs.make_clique_power(4, 3), 5)
         view = hs.LandscapeView(scape, hs.NoiseSpec.parse(text), seed=11)
         assert hashlib.sha256(view.frozen_values().tobytes()).hexdigest() == digest
@@ -446,11 +446,27 @@ class TestObservePrefix:
             view.observe_prefix(ids)
         assert view.query_count == 0
 
-    def test_generators_built_on_use(self, k56_uniform):
-        frozen = hs.LandscapeView(k56_uniform, hs.NoiseSpec.gaussian_frozen(0.1), seed=2)
-        assert frozen._fresh_rng is None and frozen._shuffle_rng is None
-        assert (frozen.shuffle_rng.permutation(9).tolist()
-                == spawn_rng(2, landscape._SHUFFLE_STREAM).permutation(9).tolist())
+    def test_frozen_values_equal_observations(self, k56_uniform):
+        # frozen_values evaluates all n nodes slab by slab through the function
+        # that observation uses: the two agree bit for bit in any order
+        for spec in (hs.NoiseSpec.gaussian_frozen(0.1), hs.NoiseSpec.uniform_replace(),
+                     hs.NoiseSpec.scaled(np.linspace(0.0, 0.2, k56_uniform.n), 1.5)):
+            whole = hs.LandscapeView(k56_uniform, spec, seed=4).frozen_values()
+            view = hs.LandscapeView(k56_uniform, spec, seed=4)
+            ids = np.random.default_rng(1).permutation(k56_uniform.n)[:5000]
+            assert view.observe_prefix(ids)[0].tobytes() == whole[ids].tobytes()
+
+    def test_fresh_noise_keyed_on_charge_index(self, k56_uniform):
+        # the k-th charge of a fresh view draws the k-th counter normal,
+        # whichever node it charges
+        spec = hs.NoiseSpec.gaussian_fresh(0.1)
+        a, b = (hs.LandscapeView(k56_uniform, spec, seed=9) for _ in range(2))
+        a.observe_prefix([5, 900, 77])
+        b.observe_prefix([77, 5, 900])
+        z = landscape._hashed_normal(hs.mix64(9, landscape._NOISE_STREAM), np.arange(3))
+        for view, order in ((a, [5, 900, 77]), (b, [77, 5, 900])):
+            want = k56_uniform.val_loss[order] + 0.1 * z
+            assert view.observed_values().tobytes() == want.tobytes()
 
 
 class TestNoiseSpec:
@@ -595,6 +611,56 @@ class TestLandscapeValidation:
         assert back.meta == scape.meta
         for arr in (back.val_loss, back.test_loss, back.topology._csr[1]):
             assert not arr.flags.writeable
+
+
+class TestCounterNoise:
+    def test_vectorized_mix64_equals_scalar(self):
+        rng = np.random.default_rng(5)
+        roots = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+        idx = rng.integers(0, 2**64 - 1, size=2000, dtype=np.uint64)
+        roots[:4] = [0, 2**64 - 1, 0, 2**64 - 1]
+        idx[:4] = [0, 0, 2**64 - 2, 2**64 - 2]  # index + 1 wraps at 2**64 - 1 as well
+        got = hs.mix64(roots, idx)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [hs.mix64(int(r), int(i)) for r, i in zip(roots, idx)]
+        # an int root or index broadcasts against an array
+        assert hs.mix64(7, np.arange(5)).tolist() == [hs.mix64(7, i) for i in range(5)]
+        assert hs.mix64(roots[:3], 11).tolist() == [hs.mix64(int(r), 11) for r in roots[:3]]
+        with pytest.raises(ValueError):
+            hs.mix64(1, np.array([3, -1]))
+
+    def test_counter_normals_are_standard_normal(self):
+        stats = pytest.importorskip("scipy.stats")  # scipy is the oracle only
+        z = landscape._hashed_normal(hs.mix64(2024, landscape._NOISE_STREAM),
+                                     np.arange(10**6))
+        assert stats.kstest(z, stats.norm.cdf).pvalue > 0.01
+        assert np.abs(z).max() <= landscape._Z_MAX
+
+    def test_uniform_set_is_symmetric_and_open(self):
+        # the extreme hashed uniforms are 2**-53 and 1 - 2**-53, so |z| is
+        # at most _Z_MAX on both sides
+        ends = np.array([0, 2**64 - 1], dtype=np.uint64)
+        u = (ends >> np.uint64(12)) * 2.0**-52 + 2.0**-53
+        assert u.tolist() == [2.0**-53, 1 - 2.0**-53]
+        assert _ndtri(u).tolist() == [-landscape._Z_MAX, landscape._Z_MAX]
+
+    @pytest.mark.parametrize("make", [lambda: hs.NoiseSpec.parse("scaled:1e300,1e300"),
+                                      lambda: hs.NoiseSpec.parse("gaussian:1e308"),
+                                      lambda: hs.NoiseSpec.gaussian_fresh(3e307),
+                                      lambda: hs.NoiseSpec.scaled(np.array([1.0, 1e308]), 1.0)])
+    def test_scale_that_can_overflow_rejected(self, make):
+        # used to pass and observe inf for |z| > 1.8 (gaussian:1e308)
+        with pytest.raises(LandscapeError, match="must stay finite"):
+            make()
+
+    def test_base_plus_scale_overflow_rejected(self):
+        # each alone is finite, but the largest observation would not be
+        scape = hs.Landscape(hs.make_complete(3), [1e308, 0.0, -1.0])
+        with pytest.raises(LandscapeError, match="must stay finite"):
+            hs.LandscapeView(scape, hs.NoiseSpec.gaussian_frozen(1e307))
+        hs.LandscapeView(scape, hs.NoiseSpec.gaussian_frozen(1e306)).frozen_values()
+        assert np.isfinite(hs.LandscapeView(scape, hs.NoiseSpec.uniform_replace())
+                           .frozen_values()).all()
 
 
 def test_mix64_contract():

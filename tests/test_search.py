@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import hillscape as hs
 
 from hillscape import search
+from hillscape.landscape import ViewBatch
 
 from conftest import cycle_topology, frozen_view, reference_trial
 
@@ -346,9 +347,9 @@ def _same(a, b):
 
 
 class TestMatchesPerNodeReference:
-    """One view call per sweep gives the histories and traces of the
-    per-node loops in ``conftest``, byte for byte: 3 landscapes x 4
-    algorithms x 3 noise modes x restart x num_initial x 5 budgets."""
+    """The lock-step search gives the histories and traces of the per-node
+    loops in ``conftest``, byte for byte: 3 landscapes x 4 algorithms x 3
+    noise modes x restart x num_initial x 5 budgets."""
 
     @pytest.mark.parametrize("noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.05),
                                        hs.NoiseSpec.gaussian_fresh(0.05)],
@@ -358,9 +359,14 @@ class TestMatchesPerNodeReference:
     def test_run_trials(self, grid_scapes, scape, algo, noise, monkeypatch):
         scape = grid_scapes[scape]
         traces = []
-        batched = search.local_search
-        monkeypatch.setattr(search, "local_search",
-                            lambda *args: traces.append(batched(*args)) or traces[-1])
+        climb = search._climb
+
+        def traced(batch, cfg, draw, num_initial, restart, _=None):
+            rows = [[] for _ in range(batch.seeds.size)]  # each row's runs
+            climb(batch, cfg, draw, num_initial, restart, rows)
+            traces.extend(tr for row in rows for tr in row)
+
+        monkeypatch.setattr(search, "_climb", traced)
         for restart, num_initial, budget in itertools.product(
                 (True, False), (1, 3), (3, 7, 150, scape.n, 700)):
             traces.clear()
@@ -382,17 +388,44 @@ class TestMatchesPerNodeReference:
                 assert traces
 
 
+def _history_bytes(hists):
+    return [b"".join(getattr(h, name).tobytes() for name in ("nodes", "val_loss", "best_val"))
+            for h in hists]
+
+
+class TestChunking:
+    """A trial's history does not depend on the trials it runs beside."""
+
+    @pytest.mark.parametrize("noise", [hs.NoiseSpec.gaussian_frozen(0.05),
+                                       hs.NoiseSpec.gaussian_fresh(0.05)],
+                             ids=["frozen", "fresh"])
+    @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam", "random"])
+    def test_alone_chunked_and_parallel(self, grid_scapes, algo, noise, monkeypatch):
+        scape = grid_scapes["markov"]
+        kw = dict(budget=20, trials=200, root_seed=17)
+        assert search._chunk_rows(scape.n, 20) >= 200
+        together = _history_bytes(hs.run_trials(scape, noise, algo, **kw))  # one chunk
+        for jobs in (2, 3):
+            assert _history_bytes(hs.run_trials(scape, noise, algo, **kw, jobs=jobs)) == together
+        monkeypatch.setattr(search, "_CHUNK_BYTES", 1)  # one trial per chunk
+        monkeypatch.setattr(search, "_MIN_ROWS", 1)
+        assert _history_bytes(hs.run_trials(scape, noise, algo, **kw, jobs=1)) == together
+
+    def test_chunk_state_is_capped(self):
+        # a chunk of search-k56's trials keeps its marks, logs and pools
+        # inside _CHUNK_BYTES
+        assert search._CHUNK_BYTES <= 2 << 20
+        rows = search._chunk_rows(5**6, 300)
+        batch = ViewBatch(hs.sample_uniform(hs.make_clique_power(5, 6), 1),
+                          hs.NoiseSpec.none(), np.arange(rows, dtype=np.uint64), limit=300)
+        pool = rows * 300  # continue-at-min state, one byte per log entry
+        assert (batch.mark.nbytes + batch.log_ids.nbytes + batch.log_vals.nbytes + pool
+                <= search._CHUNK_BYTES)
+        assert rows >= 100
+
+
 class TestStreamFacts:
     """Draw-stream facts the batched search relies on, on the installed numpy."""
-
-    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
-    def test_standard_normal_batch_equals_scalars(self, seed):
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for k in (0, 1, 3, 24, 300):
-            batch = a.standard_normal(k)
-            scalars = np.asarray([b.standard_normal() for _ in range(k)], dtype=float)
-            assert batch.tobytes() == scalars.tobytes()
-        assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 7, 625, 15625, 3**19])
     def test_integers_batch_equals_scalars(self, n):
@@ -401,11 +434,3 @@ class TestStreamFacts:
             batch = a.integers(n, size=k)
             assert batch.tolist() == [int(b.integers(n)) for _ in range(k)]
         assert a.bit_generator.state == b.bit_generator.state
-
-    def test_restored_state_replays(self):
-        rng = np.random.default_rng(4)
-        rng.standard_normal(5)
-        state = rng.bit_generator.state
-        first = rng.standard_normal(24)
-        rng.bit_generator.state = state
-        assert rng.standard_normal(24).tobytes() == first.tobytes()
