@@ -4,8 +4,10 @@ Subcommands: ``gen``, ``search``, ``analyze``, ``rwa``, ``theory``, ``fit``,
 ``compare``, each with one flag table in ``COMMANDS`` whose rows are its
 flags, its config-file keys and its resolved configuration.  Flag values
 override config-file values override defaults; both go through the same
-parser.  Every run writes a ``manifest.json`` with the fully resolved
-configuration before any result file.  Outputs are plot-ready CSV/JSON and
+parser.  A command only computes: it returns its outputs, and ``main``
+writes them under ``--out``, ``manifest.json`` with the fully resolved
+configuration first.  So a run that exits non-zero on its inputs or in its
+computation writes nothing.  Outputs are plot-ready CSV/JSON and
 byte-identical across reruns with the same seed.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error.
@@ -34,18 +36,22 @@ from .topology import Topology, TopologyError, _parse_spec, load_adjacency
 # -- small helpers -------------------------------------------------------------
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _prepare_out(cfg, command) -> str:
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    _write_json(os.path.join(outdir, "manifest.json"), {
-        "tool": "hillscape", "version": __version__, "command": command, "config": cfg})
-    return outdir
+def _write_outputs(outdir, outputs) -> None:
+    """The one writer: each entry of ``outputs``, a path under ``outdir``, in
+    order.  A ``(header, columns)`` table goes through ``_write_csv``, a dict
+    to JSON, a ``Landscape`` through ``save_landscape`` and a text as is."""
+    for name, value in outputs.items():
+        path = os.path.join(outdir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        if isinstance(value, dict):
+            value = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        if isinstance(value, Landscape):
+            save_landscape(value, path)
+        elif isinstance(value, tuple):
+            _write_csv(path, *value)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(value)
 
 
 def _parse_topo(spec: str) -> Topology:
@@ -83,29 +89,25 @@ def _eps_grid(cfg) -> np.ndarray:
 
 
 # -- commands -------------------------------------------------------------------
-# Each receives the resolved configuration: one typed value per row of its
-# flag table.
+# Each receives the resolved configuration, one typed value per row of its
+# flag table, and returns its outputs for ``_write_outputs``; none writes.
 
 
-def cmd_gen(cfg) -> int:
+def cmd_gen(cfg) -> dict:
     if not cfg["topo"]:
         raise ValueError("gen requires --topo")
     topo = _parse_topo(cfg["topo"])
     sample = _parse_spec(cfg["model"], _MODELS, ValueError, "generator model")
-    scape = sample(topo, cfg["seed"])
-    outdir = _prepare_out(cfg, "gen")
-    save_landscape(scape, os.path.join(outdir, "landscape.csv"))
-    return 0
+    return {"landscape.csv": sample(topo, cfg["seed"])}
 
 
-def cmd_search(cfg) -> int:
+def cmd_search(cfg) -> dict:
     scape = _load_landscape_arg(cfg, "search")
     noise = NoiseSpec.parse(cfg["noise"])
     histories = run_trials(
         scape, noise, cfg["algo"], cfg["budget"], cfg["trials"], cfg["seed"],
         num_initial=cfg["num_initial"], restart=cfg["restart"], jobs=cfg["jobs"],
     )
-    outdir = _prepare_out(cfg, "search")  # after run_trials has checked its arguments
     lengths = np.array([len(h) for h in histories])
     any_test = all(h.best_test is not None for h in histories)
 
@@ -114,11 +116,10 @@ def cmd_search(cfg) -> int:
 
     best_val = joined("best_val")
     best_test = joined("best_test") if any_test else None
-    _write_csv(os.path.join(outdir, "runs.csv"),
-               ["trial", "query", "node", "val_loss", "best_val", "best_test"],
-               [np.repeat(np.arange(len(histories)), lengths),
-                np.concatenate([np.arange(1, k + 1) for k in lengths]),
-                joined("nodes"), joined("val_loss"), best_val, best_test])
+    runs = (["trial", "query", "node", "val_loss", "best_val", "best_test"],
+            [np.repeat(np.arange(len(histories)), lengths),
+             np.concatenate([np.arange(1, k + 1) for k in lengths]),
+             joined("nodes"), joined("val_loss"), best_val, best_test])
 
     # at[q, t]: where trial t's best at query q sits in the trial-major
     # concatenation; without restarts a trial ends at convergence, so its
@@ -138,59 +139,47 @@ def cmd_search(cfg) -> int:
         "mean_best_test": best_test[at].mean(axis=1).tolist() if any_test else None,
         "final_mean_best_val": float(best[-1].mean()),
     }
-    _write_json(os.path.join(outdir, "summary.json"), summary)
-    return 0
+    return {"runs.csv": runs, "summary.json": summary}
 
 
-def cmd_analyze(cfg) -> int:
+def cmd_analyze(cfg) -> dict:
     scape = _load_landscape_arg(cfg, "analyze")
     noise = NoiseSpec.parse(cfg["noise"])
-    if not noise.frozen:
-        raise LandscapeError("analyze requires a frozen noise mode")
     eps = _eps_grid(cfg)
     if cfg["export_tree"] < 0:  # export_search_tree needs top_k >= 1; 0 means no export
         raise ValueError("export-tree must be >= 0")
-    view = LandscapeView(scape, noise, seed=cfg["seed"])  # checks the noise against the losses
-    outdir = _prepare_out(cfg, "analyze")
+    view = LandscapeView(scape, noise, seed=cfg["seed"])
     _, stats = analysis.basins(view, use_base_loss_for_global=cfg["global_from_base"])
     curve = analysis.within_epsilon_curve(view, eps)
     smap = analysis.successor_map(view)
-
-    _write_csv(os.path.join(outdir, "stats.csv"), ["metric", "value"], [
-        ("n", "num_local_minima", "avg_iterations", "pct_global_basin"),
-        (scape.n, stats.num_local_minima, stats.avg_iterations,
-         100.0 * stats.fraction_reaching_global_min),
-    ])
-    _write_csv(os.path.join(outdir, "within_eps.csv"), ["epsilon", "fraction"], zip(*curve))
     order = np.argsort(smap.values[stats.basin_minima], kind="stable")
     minima = stats.basin_minima[order]
-    _write_csv(os.path.join(outdir, "basin_sizes.csv"), ["min_id", "loss", "size"],
-               [minima, smap.values[minima], stats.basin_sizes[order]])
-
+    outputs = {
+        "stats.csv": (["metric", "value"], [
+            ("n", "num_local_minima", "avg_iterations", "pct_global_basin"),
+            (scape.n, stats.num_local_minima, stats.avg_iterations,
+             100.0 * stats.fraction_reaching_global_min)]),
+        "within_eps.csv": (["epsilon", "fraction"], zip(*curve)),
+        "basin_sizes.csv": (["min_id", "loss", "size"],
+                            [minima, smap.values[minima], stats.basin_sizes[order]]),
+    }
     if cfg["export_tree"] > 0:
         trees = analysis.export_search_tree(view, cfg["export_tree"])
-        tree_dir = os.path.join(outdir, "trees")
-        os.makedirs(tree_dir, exist_ok=True)
         for rank, tree in enumerate(trees, start=1):
-            for ext, text in (("json", analysis.tree_to_json(tree) + "\n"),
-                              ("dot", analysis.tree_to_dot(tree))):
-                with open(os.path.join(tree_dir, f"tree_{rank}.{ext}"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write(text)
-    return 0
+            outputs[f"trees/tree_{rank}.json"] = analysis.tree_to_json(tree) + "\n"
+            outputs[f"trees/tree_{rank}.dot"] = analysis.tree_to_dot(tree)
+    return outputs
 
 
-def cmd_rwa(cfg) -> int:
+def cmd_rwa(cfg) -> dict:
     scape = _load_landscape_arg(cfg, "rwa")
     noise = NoiseSpec.parse(cfg["noise"])
     view = LandscapeView(scape, noise, seed=cfg["seed"])
     rows = analysis.rwa(view, cfg["walk_len"], cfg["max_lag"], seed=cfg["seed"])
-    outdir = _prepare_out(cfg, "rwa")  # after rwa has checked its arguments
-    _write_csv(os.path.join(outdir, "rwa.csv"), ["lag", "sqrt_lag", "rho"], zip(*rows))
-    return 0
+    return {"rwa.csv": (["lag", "sqrt_lag", "rho"], zip(*rows))}
 
 
-def cmd_theory(cfg) -> int:
+def cmd_theory(cfg) -> dict:
     pdf_n = _parse_spec(cfg["pdf_n"], _PDF_N, ValueError, "global pdf")
     pdf_e = _parse_spec(cfg["pdf_e"], _PDF_E, ValueError, "local pdf")
     closed = cfg["closed_form"]
@@ -213,12 +202,11 @@ def cmd_theory(cfg) -> int:
     max_k, grid_points = cfg["max_k"], cfg["grid_points"]
     if max_k < 1:
         raise ValueError("max-k must be >= 1")
-    theory._grid(grid_points)  # rejects too few quadrature points before any output
+    theory._grid(grid_points)  # the closed form reads no grid, so check --grid-points here
     sigma, delta = cfg["noise_sigma"], cfg["delta"]
     if sigma is not None:
         bound = theory.chebyshev_minima_bound(pdf_n, pdf_e, params.s, sigma,
                                               params.n, delta, grid_points)
-    outdir = _prepare_out(cfg, "theory")
 
     if closed == "uniform":
         frac = theory.uniform_closed_form_minima(params.n, params.s) / params.n
@@ -227,11 +215,12 @@ def cmd_theory(cfg) -> int:
         frac = theory.expected_minima_fraction(pdf_n, pdf_e, params.s, grid_points)
         xs, table = theory._preimage_table(pdf_e, params, max_k, grid_points)
         curve = theory._success_from_table(pdf_n, pdf_e, params, eps, xs, table)
-    _write_csv(os.path.join(outdir, "theory_summary.csv"), ["metric", "value"], [
-        ("n", "s", "expected_minima_fraction", "expected_minima_count"),
-        (params.n, params.s, frac, frac * params.n)])
-    _write_csv(os.path.join(outdir, "theory_curve.csv"), ["epsilon", "fraction_theory"],
-               zip(*curve))
+    outputs = {
+        "theory_summary.csv": (["metric", "value"], [
+            ("n", "s", "expected_minima_fraction", "expected_minima_count"),
+            (params.n, params.s, frac, frac * params.n)]),
+        "theory_curve.csv": (["epsilon", "fraction_theory"], zip(*curve)),
+    }
 
     loss_grid = np.linspace(0.0, 1.0, 101)
     pre_rows = []
@@ -242,27 +231,25 @@ def cmd_theory(cfg) -> int:
             pre_rows.extend((x, k, v) for x, v in zip(loss_grid, np.atleast_1d(sizes)))
         gv = g.survival(loss_grid)
         bounds = [theory.full_preimage_bounds(float(x), params.s) for x in gv]
-        _write_csv(os.path.join(outdir, "theory_bounds.csv"),
-                   ["loss", "survival", "lower", "upper"], [loss_grid, gv, *zip(*bounds)])
+        outputs["theory_bounds.csv"] = (["loss", "survival", "lower", "upper"],
+                                        [loss_grid, gv, *zip(*bounds)])
     else:
         for k in range(1, max_k + 1):
             sizes = np.interp(loss_grid, xs, table[k - 1])
             pre_rows.extend((x, k, v) for x, v in zip(loss_grid, sizes))
-    _write_csv(os.path.join(outdir, "theory_preimages.csv"),
-               ["loss", "k", "expected_size"], zip(*pre_rows))
+    outputs["theory_preimages.csv"] = (["loss", "k", "expected_size"], zip(*pre_rows))
 
     if sigma is not None:
-        _write_csv(os.path.join(outdir, "theory_chebyshev.csv"),
-                   ["sigma", "delta", "bound"], [(sigma,), (delta,), (bound,)])
+        outputs["theory_chebyshev.csv"] = (["sigma", "delta", "bound"],
+                                           [(sigma,), (delta,), (bound,)])
         if not np.isfinite(bound):
             print("chebyshev bound vacuous (inf)", file=sys.stderr)
-    return 0
+    return outputs
 
 
-def cmd_fit(cfg) -> int:
+def cmd_fit(cfg) -> dict:
     if cfg["mode"] == "global":
         scape = _load_landscape_arg(cfg, "fit --mode global")
-        outdir = _prepare_out(cfg, "fit")
         fit = theory.fit_global_truncnorm(scape.val_loss)
         payload = {"mode": "global", "sigma": fit.sigma, "center": fit.center,
                    "objective": fit.objective}
@@ -272,14 +259,12 @@ def cmd_fit(cfg) -> int:
         table = _read_csv(cfg["rwa"])
         rows = np.column_stack([table.column(j, float) for j in range(len(table.header))])
         topo = _parse_topo(cfg["topo"])
-        outdir = _prepare_out(cfg, "fit")
         fit = theory.fit_local_sigma_via_rwa(
             rows, topo, cfg["candidates"], seed=cfg["seed"], walk_len=cfg["walk_len"],
             root_center=cfg["root_center"], root_sigma=cfg["root_sigma"])
         payload = {"mode": "local-rwa", "sigma_local": fit.sigma,
                    "objective": fit.objective}
-    _write_json(os.path.join(outdir, "fit.json"), payload)
-    return 0
+    return {"fit.json": payload}
 
 
 def _read_curve(path, value_column):
@@ -289,7 +274,7 @@ def _read_curve(path, value_column):
     return table.column(0, float), table.column(table.header.index(value_column), float)
 
 
-def cmd_compare(cfg) -> int:
+def cmd_compare(cfg) -> dict:
     if not cfg["sim"] or not cfg["theory"]:
         raise ValueError("compare requires --sim and --theory")
     eps_s, sim = _read_curve(cfg["sim"], "fraction")
@@ -299,13 +284,13 @@ def cmd_compare(cfg) -> int:
                for i, (a, b) in enumerate(zip_longest(eps_s, eps_t))
                if a is None or b is None or abs(a - b) > 1e-12]
         raise ValueError("epsilon grids do not match:\n  " + "\n  ".join(bad[:20]))
-    outdir = _prepare_out(cfg, "compare")
     gap = sim - the
-    _write_csv(os.path.join(outdir, "compared.csv"),
-               ["epsilon", "fraction_sim", "fraction_theory", "gap"], [eps_s, sim, the, gap])
-    _write_json(os.path.join(outdir, "compare_summary.json"), {
-        "rows": len(eps_s), "max_abs_gap": float(np.max(np.abs(gap))) if len(gap) else 0.0})
-    return 0
+    return {
+        "compared.csv": (["epsilon", "fraction_sim", "fraction_theory", "gap"],
+                         [eps_s, sim, the, gap]),
+        "compare_summary.json": {
+            "rows": len(eps_s), "max_abs_gap": float(np.max(np.abs(gap))) if len(gap) else 0.0},
+    }
 
 
 # -- flag tables -----------------------------------------------------------------
@@ -471,7 +456,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args.command, args.config, argv[argv.index(args.command) + 1:])
-        return COMMANDS[args.command].func(cfg)
+        manifest = {"tool": "hillscape", "version": __version__, "command": args.command,
+                    "config": cfg}
+        _write_outputs(cfg["out"], {"manifest.json": manifest,
+                                    **COMMANDS[args.command].func(cfg)})
+        return 0
     except (LandscapeError, TopologyError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -227,7 +227,8 @@ def truncnorm_pdf(u, center, sigma):
         raise LandscapeError("sigma must be positive")
     u = np.asarray(u, dtype=float)
     lo, hi = _cdf_ends(center, sigma)
-    phi = np.exp(-0.5 * ((u - center) / sigma) ** 2) / np.sqrt(2.0 * np.pi)
+    with np.errstate(over="ignore"):  # a square past float range: exp gives the exact 0
+        phi = np.exp(-0.5 * ((u - center) / sigma) ** 2) / np.sqrt(2.0 * np.pi)
     dens = phi / (sigma * (hi - lo))
     dens = np.where((u < 0.0) | (u > 1.0), 0.0, dens)
     return dens if dens.ndim else float(dens)

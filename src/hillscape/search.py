@@ -10,7 +10,8 @@ a local minimum.  Variants:
   neighbor appears.
 * ``continue_at_min`` -- at a local minimum, continue from the best node
   that the current run has observed and not yet expanded (ties go to the
-  lower id) until the budget runs out.
+  lower id) until the budget runs out.  It does not combine with
+  ``query_until_lower``.
 * ``num_initial`` -- draw k random nodes up front and start from the best.
 
 Budget accounting lives in the view: it charges the first observation of
@@ -86,6 +87,8 @@ class SearchConfig:
         _check_count(self.num_initial, "num_initial")
         if self.budget < self.num_initial:
             raise ValueError("budget must cover the initial random draws")
+        if self.query_until_lower and self.continue_at_min:
+            raise ValueError("query_until_lower and continue_at_min cannot be combined")
 
 
 @dataclass

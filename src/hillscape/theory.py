@@ -79,6 +79,17 @@ def _grid(points: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, points)
 
 
+def _grid_density(pdf_n: PdfSpec, xs: np.ndarray) -> np.ndarray:
+    """``pdf_n`` on the quadrature grid ``xs``; rejected when its Simpson mass
+    there is more than 1e-3 from 1, a density the grid cannot resolve."""
+    dens = pdf_n.density(xs)
+    mass = _simpson(dens, xs)
+    if not abs(mass - 1.0) <= 1e-3:
+        raise ValueError(f"global pdf has mass {mass:.6g} on the {len(xs)}-point "
+                         "quadrature grid, not 1: it needs more grid points")
+    return dens
+
+
 def _simpson(y, x) -> float:
     """Composite Simpson integral of samples ``y`` on the uniform grid ``x``.
 
@@ -328,7 +339,7 @@ def expected_minima_fraction(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
     if s < 1:
         raise ValueError("s must be >= 1")
     xs = _grid(grid_points)
-    integrand = pdf_n.density(xs) * pdf_e.survival(xs, xs) ** s
+    integrand = _grid_density(pdf_n, xs) * pdf_e.survival(xs, xs) ** s
     out = _simpson(integrand, xs)
     if not np.isfinite(out):
         raise ValueError("quadrature failed (non-finite integrand)")
@@ -448,7 +459,7 @@ def _success_from_table(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParam
     """``success_curve`` from a preimage table ``_preimage_table`` returned."""
     eps = analysis._eps_array(eps_grid)
     weight = 1.0 + E.sum(axis=0)
-    integrand = pdf_n.density(xs) * pdf_e.survival(xs, xs) ** params.s * weight
+    integrand = _grid_density(pdf_n, xs) * pdf_e.survival(xs, xs) ** params.s * weight
     integrand = np.where(xs >= params.ell_star, integrand, 0.0)
     pre = _prefix(integrand, xs)
     if not np.isfinite(pre).all():

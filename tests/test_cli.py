@@ -6,6 +6,8 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +650,8 @@ def test_config_list_settings_typed(tmp_path, capsys):
     ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "0.1", "--delta", "nan"),
     ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "nan"),
     ("theory", "--topo", "clique-power:3,2", "--noise-sigma", "0.1", "--delta", "-1"),
+    # used to exit 3 with manifest.json already written
+    ("theory", "--topo", "clique-power:3,2", "--pdf-e", "truncnorm-local:1e-300"),
 ])
 def test_non_finite_theory_inputs_exit_3(tmp_path, capsys, argv):
     code, err = run_main(capsys, *argv, "--grid-points", "33", "--out", str(tmp_path / "o"))
@@ -839,12 +843,18 @@ def test_rwa_edgeless_leaves_no_directory(tmp_path, capsys):
     (["--max-k", "0"], "max-k must be >= 1"),
     (["--max-k", "0", "--closed-form", "uniform"], "max-k must be >= 1"),
     (["--grid-points", "1"], "grid needs at least 9 points"),
-], ids=["max-k", "max-k-closed-form", "grid-points"])
+    (["--pdf-n", "truncnorm:0.5,1e-300", "--grid-points", "33"],
+     "on the 33-point quadrature grid, not 1"),
+], ids=["max-k", "max-k-closed-form", "grid-points", "pdf-n-unresolved"])
 def test_theory_bad_sizes_leave_no_directory(tmp_path, capsys, flags, message):
     # max-k 0 used to raise IndexError (or write a header-only preimage table),
-    # grid-points 1 to exit 3 with manifest.json already written
-    code, err = run_main(capsys, "theory", "--n", "100", "--s", "4", *flags,
-                         "--out", str(tmp_path / "o"))
+    # grid-points 1 to exit 3 with manifest.json already written, and a pdf-n
+    # narrower than the grid spacing to warn of an overflow and exit 0 with an
+    # expected minima fraction of 5e296
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_main(capsys, "theory", "--n", "100", "--s", "4", *flags,
+                             "--out", str(tmp_path / "o"))
     assert code == 3
     assert message in err
     assert not (tmp_path / "o").exists()
@@ -994,6 +1004,59 @@ def test_fit_rejects_non_numeric_rho(tmp_path):
     assert res.stderr.startswith(f"error: {rwa_csv}: line 3: rho 'oops' is not a number")
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "o").exists()
+
+
+def _fit_inputs(tmp_path):
+    """A 27-node landscape and RWA curves of three rows and of one row."""
+    small = str(tmp_path / "l.csv")
+    hs.save_landscape(hs.sample_uniform(hs.make_clique_power(3, 3), 1), small)
+    return {"small": small,
+            "rwa": _curve(tmp_path, "rwa.csv", "lag,sqrt_lag,rho\n0,0.0,1.0\n1,1.0,0.5\n"
+                                               "2,1.4142135623730951,0.2\n"),
+            "one-row": _curve(tmp_path, "one.csv", "lag,sqrt_lag,rho\n0,0.0,1.0\n")}
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--mode", "global", "--landscape", "{small}"], "insufficient data"),
+    (["--mode", "local-rwa", "--rwa", "{rwa}", "--topo", "complete:5", "--candidates=-1"],
+     "candidates must be positive"),
+    (["--mode", "local-rwa", "--rwa", "{one-row}", "--topo", "complete:5"],
+     "observed curve must be rows of"),
+], ids=["global-27-nodes", "negative-candidate", "one-row-rwa"])
+def test_fit_bad_inputs_leave_no_directory(tmp_path, capsys, flags, message):
+    # each used to exit 3 with manifest.json already written
+    inputs = _fit_inputs(tmp_path)
+    code, err = run_main(capsys, "fit", *[f.format_map(inputs) for f in flags],
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_command_returns_outputs_and_writes_nothing(small_landscape, tmp_path, name):
+    # commands compute and main writes: a command that created --out or a
+    # file could leave one behind when a later check fails
+    scape = str(small_landscape)
+    args = {
+        "gen": ["--topo", "clique-power:3,2"],
+        "search": ["--landscape", scape, "--trials", "3", "--budget", "20"],
+        "analyze": ["--landscape", scape, "--export-tree", "2"],
+        "rwa": ["--landscape", scape, "--walk-len", "200", "--max-lag", "5"],
+        "theory": ["--topo", "clique-power:3,2", "--pdf-n", "truncnorm:0.25,0.18",
+                   "--pdf-e", "truncnorm-local:0.35", "--grid-points", "33",
+                   "--noise-sigma", "0.05"],
+        "fit": ["--mode", "global", "--landscape", scape],
+        "compare": ["--sim", _curve(tmp_path, "sim.csv", "epsilon,fraction\n0.0,0.1\n"),
+                    "--theory", _curve(tmp_path, "t.csv", "epsilon,fraction_theory\n0.0,0.2\n")],
+    }[name]
+    out = tmp_path / "o"
+    cfg = cli._resolve(name, None, [*args, "--out", str(out)])
+    before = sorted(tmp_path.rglob("*"))
+    outputs = cli.COMMANDS[name].func(cfg)
+    assert isinstance(outputs, Mapping) and outputs
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eps_max", ["-1", "nan", "inf"])

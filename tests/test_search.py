@@ -220,6 +220,11 @@ class TestRunBudgeted:
         with pytest.raises(ValueError):
             hs.SearchConfig(budget=5, num_initial=6)
 
+    def test_config_rejects_both_variants(self):
+        # no CLI algorithm sets both, and the engine does not define the pair
+        with pytest.raises(ValueError, match="cannot be combined"):
+            hs.SearchConfig(budget=10, query_until_lower=True, continue_at_min=True)
+
     @pytest.mark.parametrize("kw", [
         {"budget": 2.5}, {"budget": math.nan}, {"budget": math.inf},
         {"budget": 10, "num_initial": 1.5}, {"budget": 10, "num_initial": math.nan}])
