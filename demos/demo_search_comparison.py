@@ -4,8 +4,9 @@
 Every algorithm gets the same evaluation budget (300 distinct nodes) and
 100 seeded trials; reported is the mean best-so-far validation loss at a
 few checkpoints.  Restarting local search dominates on a landscape with
-real locality; query_until_lower spends the budget in smaller bites;
-continue_at_min keeps digging after the first minimum.
+real locality; local-qul (query until lower) spends the budget in
+smaller bites; local-cam (continue at minimum) keeps digging after the
+first minimum.
 """
 
 import numpy as np

@@ -28,7 +28,7 @@ from . import __version__, analysis, theory
 from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec, _read_csv,
                         _write_csv, load_landscape, sample_markov_truncnorm,
                         sample_uniform, save_landscape)
-from .search import run_trials
+from .search import _ALGOS, run_trials
 from .theory import LocalPdfSpec, PdfSpec, TheoryParams
 from .topology import Topology, TopologyError, _parse_spec, load_adjacency
 
@@ -341,7 +341,7 @@ COMMANDS = {
         _SEED, _OUT)),
     "search": Command(cmd_search, "run seeded search trials", (
         _LANDSCAPE, _TOPO, _NOISE,
-        Flag("algo", ("local", "local-qul", "local-cam", "random"), "local", "search algorithm"),
+        Flag("algo", _ALGOS, "local", "search algorithm"),
         Flag("budget", int, 300, "distinct nodes charged per trial"),
         Flag("trials", int, 200, "independent seeded trials"),
         Flag("num_initial", int, 1, "random starts drawn before each descent"),

@@ -439,9 +439,9 @@ class ViewBatch:
         rows = self.seeds.size
         self.mark = np.zeros((rows, n), dtype=self.mark_type(self.limit))
         self._modulus = int(np.iinfo(self.mark.dtype).max)
-        cap = self.limit if limit is not None else min(self.limit, 64)
-        self.log_ids = np.empty((rows, cap), dtype=np.int64)
-        self.log_vals = np.empty((rows, cap))
+        # np.empty: the pages of a log stay untouched until its row charges
+        self.log_ids = np.empty((rows, self.limit), dtype=np.int64)
+        self.log_vals = np.empty((rows, self.limit))
         self.count = np.zeros(rows, dtype=np.int64)
         self.sweeps = np.zeros(rows, dtype=np.int64)
 
@@ -535,14 +535,6 @@ class ViewBatch:
         return pos
 
     def _charge(self, rows, ids, values, charges) -> None:
-        need = int(charges.max()) + 1
-        if need > self.log_ids.shape[1]:  # an open-ended view's log doubles
-            cap = min(max(need, 2 * self.log_ids.shape[1]), self.limit)
-            for name in ("log_ids", "log_vals"):
-                old = getattr(self, name)
-                grown = np.empty((old.shape[0], cap), dtype=old.dtype)
-                grown[:, :old.shape[1]] = old
-                setattr(self, name, grown)
         self.log_ids[rows, charges] = ids
         self.log_vals[rows, charges] = values
         self.mark[rows, ids] = charges % self._modulus + 1

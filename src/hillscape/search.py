@@ -4,15 +4,17 @@ The basic algorithm evaluates the full neighborhood of the current node in
 ascending id order and moves to the strictly-improving argmin; it stops at
 a local minimum.  Variants:
 
-* ``query_until_lower`` -- neighbors are evaluated in the order of
-  counter-based keys (splitmix64 of the view seed, the view's sweep count
-  and the neighbor id) and the walk moves as soon as any strictly lower
-  neighbor appears.
-* ``continue_at_min`` -- at a local minimum, continue from the best node
-  that the current run has observed and not yet expanded (ties go to the
-  lower id) until the budget runs out.  It does not combine with
-  ``query_until_lower``.
+* ``local-qul`` (query until lower) -- neighbors are evaluated in the
+  order of counter-based keys (splitmix64 of the view seed, the view's
+  sweep count and the neighbor id) and the walk moves as soon as any
+  strictly lower neighbor appears.
+* ``local-cam`` (continue at minimum) -- at a local minimum, continue from
+  the best node that the current run has observed and not yet expanded
+  (ties go to the lower id) until the budget runs out.
 * ``num_initial`` -- draw k random nodes up front and start from the best.
+
+``SearchConfig.algo`` names the variant; ``run_trials`` also takes
+``random``, the random-search baseline.
 
 Budget accounting lives in the view: it charges the first observation of
 a node one evaluation, repeats are free, and its log lists the nodes in
@@ -33,13 +35,12 @@ seed, not on the chunk it runs in or on ``jobs``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch
 from .seeding import mix64, spawn_rng
-from .topology import Topology
 
 __all__ = [
     "SearchConfig",
@@ -63,6 +64,8 @@ _MIN_ROWS = 16
 _START_BATCH = 8  # starts drawn ahead per row, times num_initial
 _RANDOM_COLUMNS = 32  # random-search picks observed per call and row
 _PAD_KEY = np.uint64((1 << 64) - 1)
+_CLIMBS = ("local", "local-qul", "local-cam")  # SearchConfig.algo
+_ALGOS = _CLIMBS + ("random",)  # run_trials and the CLI's --algo
 
 
 def _check_count(value, name: str) -> None:
@@ -76,10 +79,12 @@ def _check_count(value, name: str) -> None:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Settings of a budgeted local search; ``algo`` is ``local``,
+    ``local-qul`` or ``local-cam``."""
+
     budget: int
     num_initial: int = 1
-    query_until_lower: bool = False
-    continue_at_min: bool = False
+    algo: str = "local"
     restart_on_convergence: bool = False
 
     def __post_init__(self):
@@ -87,8 +92,8 @@ class SearchConfig:
         _check_count(self.num_initial, "num_initial")
         if self.budget < self.num_initial:
             raise ValueError("budget must cover the initial random draws")
-        if self.query_until_lower and self.continue_at_min:
-            raise ValueError("query_until_lower and continue_at_min cannot be combined")
+        if self.algo not in _CLIMBS:
+            raise ValueError(f"unknown algo {self.algo!r}; expected one of {_CLIMBS}")
 
 
 @dataclass
@@ -154,20 +159,20 @@ class _Starts:
         return out
 
 
-def _climb(batch: ViewBatch, cfg: SearchConfig, draw, num_initial: int, restart: bool,
-           traces=None) -> None:
+def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
     """Budgeted local search in every row of ``batch``, the rows in lock-step.
 
-    A row draws up to ``num_initial`` starts with ``draw(rows)``, observing
-    each while the budget allows, and climbs from the best (lowest value,
-    then lowest id).  A run ends out of budget mid-sweep or converged at a
-    local minimum.  With ``restart`` the row starts again while budget
-    remains and some node is unseen.  ``traces``, if given, holds one list
-    per row and gets a :class:`SearchTrace` per run.
+    A row draws up to ``cfg.num_initial`` starts with ``draw(rows)``,
+    observing each while the budget allows, and climbs from the best
+    (lowest value, then lowest id).  A run ends out of budget mid-sweep or
+    converged at a local minimum.  With ``cfg.restart_on_convergence`` the
+    row starts again while budget remains and some node is unseen.
+    ``traces``, if given, holds one list per row and gets a
+    :class:`SearchTrace` per run.
     """
     t = batch.landscape.topology
-    rows_n, budget = batch.seeds.size, int(cfg.budget)
-    qul, cam = cfg.query_until_lower, cfg.continue_at_min
+    rows_n, budget, num_initial = batch.seeds.size, int(cfg.budget), int(cfg.num_initial)
+    qul, cam = cfg.algo == "local-qul", cfg.algo == "local-cam"
     full_count = min(budget, t.n)
     cur = np.zeros(rows_n, dtype=np.int64)
     lv = np.zeros(rows_n)  # the value of cur
@@ -185,7 +190,7 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, num_initial: int, restart:
         if traces is not None:
             for r in rows.tolist():
                 traces[r][-1].final, traces[r][-1].converged = int(cur[r]), converged
-        if restart:  # rows with budget left and unseen nodes start again
+        if cfg.restart_on_convergence:  # rows with budget left and unseen nodes start again
             rows = rows[batch.count[rows] >= full_count]
         done[rows] = True
 
@@ -295,7 +300,8 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     if not 0 <= start < t.n:
         raise ValueError(f"start node {start} out of range [0, {t.n})")
     traces = [[]]
-    _climb(view._rows, cfg, lambda rows: np.full(rows.size, int(start)), 1, False, traces)
+    one_run = replace(cfg, num_initial=1, restart_on_convergence=False)
+    _climb(view._rows, one_run, lambda rows: np.full(rows.size, int(start)), traces)
     return traces[0][0] if traces[0] else SearchTrace(final=int(start))
 
 
@@ -332,17 +338,24 @@ def _random_rows(batch: ViewBatch, budget: int, rngs) -> None:
         batch.observe(rows, block[:, lo:lo + _RANDOM_COLUMNS], valid[:, lo:lo + _RANDOM_COLUMNS])
 
 
-def random_search(view: LandscapeView, t: Topology, budget: int, seed: int) -> RunHistory:
-    """Evaluate ``budget`` distinct uniform-random nodes (rejection on repeats).
+def _random_budget(budget, n: int) -> int:
+    """A random-search budget, checked and capped at the ``n`` nodes."""
+    _check_count(budget, "budget")
+    if budget > n:
+        warnings.warn(f"budget {budget} exceeds node count {n}; capped")
+        return n
+    return int(budget)
+
+
+def random_search(view: LandscapeView, budget: int, seed: int) -> RunHistory:
+    """Evaluate ``budget`` distinct uniform-random nodes (rejection on repeats),
+    capped at the view's node count.
 
     Candidates are drawn in batches from a generator private to the call, so
     drawing past the last charged node changes nothing observed.
     """
-    _check_count(budget, "budget")
-    if budget > t.n:
-        warnings.warn(f"budget {budget} exceeds node count {t.n}; capped")
-        budget = t.n
-    _random_rows(view._rows, int(budget), [spawn_rng(seed, _START_STREAM)])
+    budget = _random_budget(budget, view.landscape.n)
+    _random_rows(view._rows, budget, [spawn_rng(seed, _START_STREAM)])
     return RunHistory.from_view(view)
 
 
@@ -356,21 +369,8 @@ def run_budgeted(view: LandscapeView, cfg: SearchConfig, seed: int) -> RunHistor
     """
     draw = _Starts([spawn_rng(seed, _START_STREAM)], view.landscape.n,
                    _START_BATCH * int(cfg.num_initial))
-    _climb(view._rows, cfg, draw, int(cfg.num_initial), cfg.restart_on_convergence)
+    _climb(view._rows, cfg, draw)
     return RunHistory.from_view(view)
-
-
-_ALGOS = ("local", "local-qul", "local-cam", "random")
-
-
-def _search_config(algo: str, budget: int, num_initial: int, restart: bool) -> SearchConfig:
-    return SearchConfig(
-        budget=budget,
-        num_initial=num_initial,
-        query_until_lower=(algo == "local-qul"),
-        continue_at_min=(algo == "local-cam"),
-        restart_on_convergence=restart,
-    )
 
 
 def _chunk_rows(n: int, limit: int) -> int:
@@ -381,20 +381,18 @@ def _chunk_rows(n: int, limit: int) -> int:
     return max(_MIN_ROWS, _CHUNK_BYTES // row)
 
 
-def _run_chunk(landscape, noise, algo, budget, num_initial, restart, root_seed, lo, hi,
-               traces=None) -> list[RunHistory]:
-    """Trials ``lo`` to ``hi - 1`` in lock-step.  Trial i's view seed is
+def _run_chunk(landscape, noise, budget, cfg, root_seed, lo, hi) -> list[RunHistory]:
+    """Trials ``lo`` to ``hi - 1`` in lock-step: local search under ``cfg``,
+    or random search if ``cfg`` is None.  Trial i's view seed is
     ``mix64(mix64(root_seed, i), 0)`` and its starts come from
     ``spawn_rng(mix64(mix64(root_seed, i), 1), _START_STREAM)``."""
     trial_seeds = mix64(root_seed, np.arange(lo, hi, dtype=np.uint64))
     batch = ViewBatch(landscape, noise, mix64(trial_seeds, 0), limit=budget)
     rngs = [spawn_rng(int(s), _START_STREAM) for s in mix64(trial_seeds, 1).tolist()]
-    if algo == "random":
+    if cfg is None:
         _random_rows(batch, budget, rngs)
     else:
-        cfg = _search_config(algo, budget, num_initial, restart)
-        _climb(batch, cfg, _Starts(rngs, landscape.n, _START_BATCH * num_initial),
-               num_initial, restart, traces)
+        _climb(batch, cfg, _Starts(rngs, landscape.n, _START_BATCH * int(cfg.num_initial)))
     del batch.mark  # the histories are views of the logs: free the marks first
     return [RunHistory._of(batch.log_ids[r, :c], batch.log_vals[r, :c], landscape.test_loss)
             for r, c in enumerate(batch.count.tolist())]
@@ -428,19 +426,16 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
         raise ValueError("trials must be >= 1")
     n = landscape.n
     if algo == "random":
-        _check_count(budget, "budget")
-        if budget > n:
-            warnings.warn(f"budget {budget} exceeds node count {n}; capped")
-            budget = n
-    else:
-        _search_config(algo, budget, num_initial, restart)  # checks before any work
-    budget, num_initial = int(budget), int(num_initial)
+        cfg, budget = None, _random_budget(budget, n)
+    else:  # checks before any work
+        cfg = SearchConfig(budget, num_initial, algo, restart)
+        budget = int(budget)
     size = _chunk_rows(n, min(budget, n))
     if jobs > 1:
         size = min(size, -(-trials // jobs))
     size = -(-trials // -(-trials // size))  # equal chunks
     bounds = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    args = [(algo, budget, num_initial, restart, root_seed, lo, hi) for lo, hi in bounds]
+    args = [(budget, cfg, root_seed, lo, hi) for lo, hi in bounds]
     if jobs <= 1 or len(bounds) <= 1:
         parts = [_run_chunk(landscape, noise, *a) for a in args]
     else:

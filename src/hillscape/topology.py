@@ -88,9 +88,7 @@ class Topology:
         self._check_id(v)
         v = int(v)
         if self.kind == "clique_power":
-            _, offsets, moduli = self._clique_template
-            u = v + offsets
-            return u[u // moduli == v // moduli]
+            return self._clique_block(np.array([v], dtype=np.int64))[0][0]
         indptr, indices = self._csr
         return indices[indptr[v]:indptr[v + 1]]
 
@@ -110,27 +108,25 @@ class Topology:
 
     @functools.cached_property
     def _clique_template(self):
-        """``(strides, offsets, moduli)`` of (K_m)^d, built on first use.
+        """``(strides, offsets)`` of (K_m)^d, built on first use.
 
         Entry (p, k) of the template is the offset k * m^p, which changes
-        digit p by k; ``moduli`` holds its m^(p+1).  Listed as the negative
-        k of each position from the highest position down, then the
-        positive k from the lowest position up, the 2s offsets are already
-        ascending.  Node v keeps the s entries whose digit p + k stays in
-        [0, m): v + offset then has v's digits above p, and digit p is at
-        least |k| for a negative k and below m - k for a positive one.
+        digit p by k.  Listed as the negative k of each position from the
+        highest position down, then the positive k from the lowest position
+        up, the 2s offsets are already ascending.  Node v keeps the s
+        entries whose digit p + k stays in [0, m): v + offset then has v's
+        digits above p, and digit p is at least |k| for a negative k and
+        below m - k for a positive one.
         """
         m, d = self.m, self.d
         strides = m ** np.arange(d, dtype=np.int64)
         ks = np.arange(1, m, dtype=np.int64)
         steps = ks * strides[:, None]  # (d, m-1): k * m^p for k = 1..m-1
         offsets = np.concatenate([-steps[::-1, ::-1].ravel(), steps.ravel()])
-        moduli = np.concatenate([np.repeat(m * strides[::-1], m - 1),
-                                 np.repeat(m * strides, m - 1)])
-        return strides, offsets, moduli
+        return strides, offsets
 
     def _clique_block(self, vs):
-        strides, offsets, _ = self._clique_template
+        strides, offsets = self._clique_template
         m = self.m
         # digit p >= m-1, ..., 1: kept by position p's negative run, dropped by its positive run
         ge = (vs[:, None] // strides % m)[:, :, None] >= np.arange(m - 1, 0, -1)

@@ -158,13 +158,14 @@ def reference_local_search(view, start, cfg):
         return trace
     value = view.observe(start)
     pool, expanded = [], set()
-    if cfg.continue_at_min:
+    qul, cam = cfg.algo == "local-qul", cfg.algo == "local-cam"
+    if cam:
         heapq.heappush(pool, (value, start))
     v, lv = start, value
     trace.path.append(v)
     while True:
         nbrs = [int(u) for u in t.neighbors(v)]
-        if cfg.query_until_lower:
+        if qul:
             nbrs = view.qul_order(nbrs)
         best_u, best_val = -1, np.inf
         moved = out_of_budget = False
@@ -173,9 +174,9 @@ def reference_local_search(view, start, cfg):
                 out_of_budget = True
                 break
             val = view.observe(u)
-            if cfg.continue_at_min and u not in expanded:
+            if cam and u not in expanded:
                 heapq.heappush(pool, (val, u))
-            if cfg.query_until_lower and val < lv:
+            if qul and val < lv:
                 v, lv = u, val
                 trace.path.append(v)
                 trace.iterations += 1
@@ -193,7 +194,7 @@ def reference_local_search(view, start, cfg):
             trace.path.append(v)
             trace.iterations += 1
             continue
-        if cfg.continue_at_min and view.query_count < cfg.budget:
+        if cam and view.query_count < cfg.budget:
             nxt = None
             while pool:
                 val, u = heapq.heappop(pool)
@@ -223,7 +224,7 @@ def reference_trial(landscape, noise, algo, budget, num_initial, restart, root_s
             if not view.seen(v):
                 view.observe(v)
         return hs.RunHistory.from_view(view), traces
-    cfg = search._search_config(algo, budget, num_initial, restart)
+    cfg = hs.SearchConfig(budget, num_initial, algo, restart)
     while True:
         starts = []
         for _ in range(cfg.num_initial):

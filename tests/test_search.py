@@ -107,7 +107,7 @@ class TestInvariants:
         t = hs.make_clique_power(3, 3)
         scape = hs.sample_uniform(t, seed)
         view = hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=seed)
-        cfg = hs.SearchConfig(budget=27, query_until_lower=True)
+        cfg = hs.SearchConfig(budget=27, algo="local-qul")
         trace = hs.local_search(view, start, cfg)
         assert set(trace.path) <= set(view.observation_log())
         path_vals = [view.observe(v) for v in trace.path]
@@ -130,14 +130,14 @@ class TestInvariants:
 class TestContinueAtMin:
     def test_keeps_going_until_budget(self, k56_uniform):
         view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=1)
-        cfg = hs.SearchConfig(budget=300, continue_at_min=True)
+        cfg = hs.SearchConfig(budget=300, algo="local-cam")
         trace = hs.local_search(view, 4242, cfg)
         assert view.query_count == 300
         assert not trace.converged
 
     def test_exhausts_small_graph(self):
         view = frozen_view(cycle_topology(6), [0.3, 0.9, 0.1, 0.8, 0.2, 0.7])
-        cfg = hs.SearchConfig(budget=6, continue_at_min=True)
+        cfg = hs.SearchConfig(budget=6, algo="local-cam")
         trace = hs.local_search(view, 1, cfg)
         # with the whole graph evaluated and expanded the run converges
         assert view.query_count == 6
@@ -148,12 +148,12 @@ class TestRandomSearch:
         t = hs.make_clique_power(3, 2)
         scape = hs.sample_uniform(t, 5)
         view = hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=5)
-        hist = hs.random_search(view, t, budget=t.n, seed=5)
+        hist = hs.random_search(view, budget=t.n, seed=5)
         assert hist.best_val[-1] == scape.val_loss.min()
 
     def test_single_record(self, k56_uniform):
         view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=2)
-        hist = hs.random_search(view, k56_uniform.topology, budget=1, seed=2)
+        hist = hs.random_search(view, budget=1, seed=2)
         assert len(hist) == 1
 
     def test_order_statistic_mean(self):
@@ -165,7 +165,7 @@ class TestRandomSearch:
         for trial in range(10_000):
             view = hs.LandscapeView(scape, hs.NoiseSpec.uniform_replace(),
                                     seed=hs.mix64(99, trial))
-            finals.append(hs.random_search(view, t, budget=b, seed=trial).best_val[-1])
+            finals.append(hs.random_search(view, budget=b, seed=trial).best_val[-1])
         finals = np.asarray(finals)
         expect = 1.0 / (b + 1)
         se = finals.std() / math.sqrt(len(finals))
@@ -175,7 +175,7 @@ class TestRandomSearch:
     def test_rejects_non_integral_budget(self, k56_uniform, budget):
         view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=2)
         with pytest.raises(ValueError, match="whole number"):
-            hs.random_search(view, k56_uniform.topology, budget=budget, seed=2)
+            hs.random_search(view, budget=budget, seed=2)
         assert view.query_count == 0
 
     def test_budget_capped_with_warning(self):
@@ -183,8 +183,16 @@ class TestRandomSearch:
         scape = hs.sample_uniform(t, 1)
         view = hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=1)
         with pytest.warns(UserWarning, match="capped"):
-            hist = hs.random_search(view, t, budget=50, seed=1)
+            hist = hs.random_search(view, budget=50, seed=1)
         assert len(hist) == 5
+
+    def test_budget_capped_at_view_node_count(self):
+        scape = hs.sample_uniform(hs.make_complete(10), 1)
+        view = hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=1)
+        with pytest.warns(UserWarning, match="exceeds node count 10"):
+            hist = hs.random_search(view, budget=50, seed=1)
+        assert view.query_count == 10
+        assert sorted(hist.nodes.tolist()) == list(range(10))
 
 
 class TestRunBudgeted:
@@ -220,10 +228,10 @@ class TestRunBudgeted:
         with pytest.raises(ValueError):
             hs.SearchConfig(budget=5, num_initial=6)
 
-    def test_config_rejects_both_variants(self):
-        # no CLI algorithm sets both, and the engine does not define the pair
-        with pytest.raises(ValueError, match="cannot be combined"):
-            hs.SearchConfig(budget=10, query_until_lower=True, continue_at_min=True)
+    @pytest.mark.parametrize("algo", ["random", "", "local-qul+cam"])
+    def test_config_rejects_unknown_algo(self, algo):
+        with pytest.raises(ValueError, match="expected one of .*'local-cam'"):
+            hs.SearchConfig(budget=10, algo=algo)
 
     @pytest.mark.parametrize("kw", [
         {"budget": 2.5}, {"budget": math.nan}, {"budget": math.inf},
@@ -245,7 +253,7 @@ class TestRunHistory:
         rng = np.random.default_rng(2)
         scape = hs.Landscape(t, rng.random(6), test_loss=rng.random(6))
         view = hs.LandscapeView(scape, hs.NoiseSpec.none(), seed=1)
-        hist = hs.random_search(view, t, budget=6, seed=1)
+        hist = hs.random_search(view, budget=6, seed=1)
         best_idx = np.argmin(scape.val_loss)
         assert hist.best_test[-1] == scape.test_loss[best_idx]
         # best-so-far test corresponds to the argmin-so-far val node
@@ -294,7 +302,7 @@ class TestFromViewMatchesLoop:
                     cfg = hs.SearchConfig(budget=40, num_initial=2, restart_on_convergence=True)
                     hist = hs.run_budgeted(view, cfg, seed=seed)
                 else:
-                    hist = hs.random_search(view, t, budget=40, seed=seed)
+                    hist = hs.random_search(view, budget=40, seed=seed)
                 nodes, val_loss, best_val, best_test = _history_by_loop(view)
                 assert np.array_equal(hist.nodes, nodes)
                 assert np.array_equal(hist.val_loss, val_loss)
@@ -366,9 +374,9 @@ class TestMatchesPerNodeReference:
         traces = []
         climb = search._climb
 
-        def traced(batch, cfg, draw, num_initial, restart, _=None):
+        def traced(batch, cfg, draw, _=None):
             rows = [[] for _ in range(batch.seeds.size)]  # each row's runs
-            climb(batch, cfg, draw, num_initial, restart, rows)
+            climb(batch, cfg, draw, rows)
             traces.extend(tr for row in rows for tr in row)
 
         monkeypatch.setattr(search, "_climb", traced)
