@@ -5,13 +5,15 @@ A :class:`Landscape` pins a base loss to every node of a topology.  A
 :class:`NoiseSpec` and enforces the cache contract: every node is charged
 at most one evaluation no matter how often it is re-queried, and under all
 frozen modes the value observed for a node does not depend on query order.
-A :class:`ViewBatch` holds many independent views of one landscape as rows
-of arrays, so that search can advance them together; a view is its
-one-row case.
+:meth:`NoiseSpec.values` computes every observed value.  A :class:`ViewBatch`
+holds the search state of many views as rows of arrays, so that search can
+advance them together; a view builds its one-row batch when it first
+observes a node.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -393,6 +395,26 @@ class NoiseSpec:
     def frozen(self) -> bool:
         return self.kind != "fresh"
 
+    def check(self, base: np.ndarray) -> None:
+        """``LandscapeError`` unless a per-node scale has one entry per base
+        loss in ``base`` and the largest observation stays finite."""
+        if isinstance(self.scale, np.ndarray) and self.scale.shape != base.shape:
+            raise LandscapeError(f"per-node noise scale has shape {self.scale.shape}, "
+                                 f"expected {base.shape}")
+        if self.kind != "uniform-replace" and np.any(self.scale):
+            _check_reach(max(-float(base.min()), float(base.max())), self.scale, "landscape")
+
+    def values(self, base: np.ndarray, keys, ids, counters) -> np.ndarray:
+        """Observed values of nodes ``ids`` with base losses ``base``, hashed
+        from ``keys`` (one per id, or one for all) at the node ids, or under
+        ``fresh`` at the charge indices ``counters``."""
+        if self.kind == "uniform-replace":
+            return _hashed_uniform(keys, ids)
+        if not np.any(self.scale):
+            return base[ids]
+        scale = self.scale[ids] if isinstance(self.scale, np.ndarray) else self.scale
+        return base[ids] + scale * _hashed_normal(keys, ids if self.frozen else counters)
+
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
         """Parse CLI-style specs: ``none``, ``gaussian:0.1``, ``gaussian-fresh:0.1``,
@@ -409,7 +431,7 @@ class NoiseSpec:
 
 
 class ViewBatch:
-    """Independent views of one landscape under one noise spec, one per row.
+    """The search state of independent views of one landscape, one per row.
 
     Row r has the view seed ``seeds[r]`` and its own cache:
     ``log_ids[r, :count[r]]`` and ``log_vals[r, :count[r]]`` list the nodes
@@ -419,19 +441,14 @@ class ViewBatch:
     ``limit`` bounds the charges per row (at most n); the marks take the
     smallest unsigned type whose largest value is at least a quarter of
     it, so :meth:`_position` resolves a mark in at most four tries.
-    :meth:`observe` advances many rows by one call, with the budget rule of
-    :meth:`LandscapeView.observe_prefix`.  ``sweeps`` counts each row's
+    :meth:`observe` advances many rows by one call and computes what it
+    charges with :meth:`NoiseSpec.values`.  ``sweeps`` counts each row's
     query-until-lower sweeps; search keys their neighbor order on it.
     """
 
     def __init__(self, landscape: Landscape, noise: NoiseSpec, seeds, limit: int | None = None):
         n = landscape.n
-        if isinstance(noise.scale, np.ndarray) and noise.scale.shape != (n,):
-            raise LandscapeError(f"per-node noise scale has shape {noise.scale.shape}, "
-                                 f"expected ({n},)")
-        if noise.kind != "uniform-replace" and np.any(noise.scale):
-            base = landscape.val_loss
-            _check_reach(max(-float(base.min()), float(base.max())), noise.scale, "landscape")
+        noise.check(landscape.val_loss)
         self.landscape, self.noise = landscape, noise
         self.seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
         self._keys = mix64(self.seeds, _NOISE_STREAM)
@@ -452,21 +469,9 @@ class ViewBatch:
                 return np.dtype(kind)
         return np.dtype(np.uint32)
 
-    def values_at(self, rows, ids, charges) -> np.ndarray:
-        """Observed values of nodes ``ids`` in ``rows`` if charged at the
-        charge indices ``charges`` (equal-shape integer arrays)."""
-        spec, base = self.noise, self.landscape.val_loss
-        if spec.kind == "uniform-replace":
-            return _hashed_uniform(self._keys[rows], ids)
-        if not np.any(spec.scale):
-            return base[ids]
-        scale = spec.scale[ids] if isinstance(spec.scale, np.ndarray) else spec.scale
-        return base[ids] + scale * _hashed_normal(self._keys[rows],
-                                                  ids if spec.frozen else charges)
-
     def observe(self, rows, ids, valid=None, budget=None, stop_below=None):
         """Observe ``ids[i]`` left to right in row ``rows[i]``; return
-        ``(values, k, where)``.
+        ``(values, k)``.
 
         ``rows`` are distinct, ``ids`` is ``(len(rows), w)`` and each of its
         rows lists distinct node ids; ``valid`` marks the real entries of a
@@ -474,15 +479,13 @@ class ViewBatch:
         first unseen id that would bring its charged count above ``budget``
         and, given ``stop_below``, after its first value lower than
         ``stop_below[i]``.  Its first ``k[i]`` ids are observed: the unseen
-        ones are charged in order.  ``values`` holds their observations and
-        ``where`` their positions in the row's log; other entries are +inf
-        and -1.
+        ones are charged in order, as observing one at a time would.
+        ``values`` holds their observations; other entries are +inf.
         """
         rows = np.asarray(rows, dtype=np.int64)
         values = np.full(ids.shape, np.inf)
-        where = np.full(ids.shape, -1)
         if not ids.shape[1]:
-            return values, np.zeros(rows.size, dtype=np.int64), where
+            return values, np.zeros(rows.size, dtype=np.int64)
         marks = self.mark[rows[:, None], ids]
         new = marks == 0
         if valid is not None:
@@ -503,30 +506,29 @@ class ViewBatch:
             inside &= np.arange(ids.shape[1]) < k[:, None]
         i, j = inside.nonzero()
         if i.size:
-            where[i, j] = pos = self._position(rows[i], ids[i, j], marks[i, j])
+            pos = self._position(rows[i], ids[i, j])
             values[i, j] = self.log_vals[rows[i], pos]
         i, j = new.nonzero()
         charges = self.count[rows[i]] + at[i, j] - 1 if i.size else i
         if i.size:
-            values[i, j] = self.values_at(rows[i], ids[i, j], charges)
-            where[i, j] = charges
+            values[i, j] = self.noise.values(self.landscape.val_loss, self._keys[rows[i]],
+                                             ids[i, j], charges)
         if stop_below is not None:
             lower = values < stop_below[:, None]
             k = np.where(lower.any(axis=1), lower.argmax(axis=1) + 1, k)
-            past = np.arange(ids.shape[1]) >= k[:, None]
-            values[past], where[past] = np.inf, -1
+            values[np.arange(ids.shape[1]) >= k[:, None]] = np.inf
             keep = j < k[i]
             i, j, charges = i[keep], j[keep], charges[keep]
         if i.size:
             self._charge(rows[i], ids[i, j], values[i, j], charges)
             self.count[rows] += np.bincount(i, minlength=rows.size)
-        return values, k, where
+        return values, k
 
-    def _position(self, rows, ids, marks) -> np.ndarray:
+    def _position(self, rows, ids) -> np.ndarray:
         """Log positions of seen nodes ``ids``: the charge index c below the
-        row's count with c + 1 = ``marks`` modulo the mark modulus whose log
+        row's count with c + 1 = their mark modulo the mark modulus whose log
         entry is the node."""
-        pos = marks.astype(np.int64) - 1
+        pos = self.mark[rows, ids].astype(np.int64) - 1
         if self.limit > self._modulus:
             miss = (self.log_ids[rows, pos] != ids).nonzero()[0]
             while miss.size:
@@ -544,35 +546,34 @@ class LandscapeView:
     """Single-owner noisy access to a landscape.
 
     Tracks a query counter for budget accounting: the first observation of a
-    node increments it, repeats are free (cache contract).  The view is the
-    one-row case of a :class:`ViewBatch`, kept in ``_rows``.
+    node increments it, repeats are free (cache contract).  The view holds
+    no search state until it first observes a node and builds ``_rows``, its
+    one-row :class:`ViewBatch`; :meth:`frozen_values` needs none.
     """
 
     def __init__(self, landscape: Landscape, noise: NoiseSpec | None = None, seed: int = 0):
         self.landscape = landscape
         self.noise = noise if noise is not None else NoiseSpec.none()
+        self.noise.check(landscape.val_loss)
         self.seed = int(seed)
-        self._rows = ViewBatch(landscape, self.noise, [self.seed & _MASK64])
         self._values: np.ndarray | None = None  # frozen_values, built on first use
         self._successor_map = None  # analysis.successor_map's cache (frozen views)
+
+    @functools.cached_property
+    def _rows(self) -> ViewBatch:
+        return ViewBatch(self.landscape, self.noise, [self.seed & _MASK64])
 
     # -- observation ------------------------------------------------------
 
     def observe(self, v: int) -> float:
-        """Observe one node whatever the budget: :meth:`observe_prefix` of ``(v,)``."""
-        values, _ = self.observe_prefix((v,))
-        return float(values[0])
+        """Observe one node: :meth:`observe_prefix` of ``(v,)``."""
+        return float(self.observe_prefix((v,))[0][0])
 
-    def observe_prefix(self, ids, budget=None, stop_below=None) -> tuple[np.ndarray, int]:
-        """Observe the distinct node ``ids`` in order; return ``(values, k)``.
+    def observe_prefix(self, ids) -> tuple[np.ndarray, int]:
+        """Observe the distinct node ``ids`` in order; return ``(values, len(ids))``.
 
-        The walk stops before the first unseen id that would bring the charged
-        count above ``budget``, and (given ``stop_below``) after the first
-        value lower than ``stop_below``.  The first ``k`` ids are observed:
-        their unseen ones are charged and logged in order, and ``values``
-        holds the observations of all ``k``.  Ids past the stop are not
-        charged, so fresh noise gives the values that observing the ids one
-        at a time would.
+        Their unseen ids are charged and logged in order, so fresh noise
+        gives the values that observing the ids one at a time would.
         """
         ids = np.asarray(ids, dtype=np.int64)
         n = self.landscape.n
@@ -580,11 +581,8 @@ class LandscapeView:
         if ids.size and not (np.minimum.reduce(ids) >= 0 and np.maximum.reduce(ids) < n):
             v = int(ids[(ids < 0) | (ids >= n)][0])
             raise LandscapeError(f"node id {v} out of range [0, {n})")
-        values, k, _ = self._rows.observe(_ROW, ids.reshape(1, -1), budget=budget,
-                                          stop_below=None if stop_below is None
-                                          else np.array([float(stop_below)]))
-        k = int(k[0])
-        return values[0, :k], k
+        values, _ = self._rows.observe(_ROW, ids.reshape(1, -1))
+        return values[0], ids.size
 
     def seen(self, v: int) -> bool:
         return bool(self._rows.mark[0, v])
@@ -604,21 +602,20 @@ class LandscapeView:
     def frozen_values(self) -> np.ndarray:
         """The full observation vector (frozen modes only; read-only).
 
-        Every node goes through the function that observation uses, one
-        ``_SLAB`` of ids at a time.  Exhaustive analytics read this
-        directly; it does not touch the query counter, which accounts for
-        search budgets only.
+        Every node goes through :meth:`NoiseSpec.values` with the view's
+        noise key, as observation does, one ``_SLAB`` of ids at a time.
+        Exhaustive analytics read this directly; it builds no search state
+        and does not touch the query counter.
         """
         if not self.noise.frozen:
-            raise LandscapeError(
-                "fresh-noise views have no frozen observation vector"
-            )
+            raise LandscapeError("fresh-noise views have no frozen observation vector")
         if self._values is None:
-            n = self.landscape.n
+            n, base = self.landscape.n, self.landscape.val_loss
+            key = mix64(self.seed & _MASK64, _NOISE_STREAM)
             vals = np.empty(n)
             for lo in range(0, n, _SLAB):
                 ids = np.arange(lo, min(lo + _SLAB, n))
-                vals[lo:lo + _SLAB] = self._rows.values_at(_ROW, ids, ids)
+                vals[lo:lo + _SLAB] = self.noise.values(base, key, ids, None)
             vals.setflags(write=False)
             self._values = vals
         return self._values

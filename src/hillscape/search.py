@@ -25,8 +25,9 @@ than ``budget`` distinct nodes.
 Trials run in lock-step.  The views of a chunk of trials are the rows of
 one :class:`~hillscape.landscape.ViewBatch`, and each step advances every
 active row by one neighborhood sweep: one ``neighbors_block`` gather, one
-``ViewBatch.observe`` call (a row cumsum over the seen marks applies the
-budget, partial last sweeps included) and one argmin per row.
+``values, k = ViewBatch.observe(...)`` call (a row cumsum over the seen
+marks applies the budget, partial last sweeps included; row i observed its
+first ``k[i]`` neighbors) and one argmin per row.
 ``local_search``, ``run_budgeted`` and ``random_search`` run the same code
 on the one-row batch of a view.  A trial's results depend only on its
 seed, not on the chunk it runs in or on ``jobs``.
@@ -69,8 +70,8 @@ _ALGOS = _CLIMBS + ("random",)  # run_trials and the CLI's --algo
 
 
 def _check_count(value, name: str) -> None:
-    """A budget or draw count must be a whole number: ``budget=2.5`` or NaN
-    would be misread by the ``query_count < budget`` checks."""
+    """A count must be a whole number >= 1: ``budget=2.5`` or NaN would be
+    misread by the ``query_count < budget`` checks, ``jobs=0`` read as 1."""
     if not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if value < 1:
@@ -180,7 +181,6 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
     done = np.zeros(rows_n, dtype=bool)
     if cam:  # per log entry, in the current run: 1 observed, 2 expanded
         pool = np.zeros((rows_n, batch.limit), dtype=np.uint8)
-        cur_at = np.zeros(rows_n, dtype=np.int64)  # the log position of cur
     qul_keys = mix64(batch.seeds, _SHUFFLE_STREAM) if qul else None
 
     def end_runs(rows, converged: bool):
@@ -194,12 +194,10 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             rows = rows[batch.count[rows] >= full_count]
         done[rows] = True
 
-    def move(rows, to, values, at, descent: bool):
+    def move(rows, to, values, descent: bool):
         if not rows.size:
             return
         cur[rows], lv[rows] = to, values
-        if cam:
-            cur_at[rows] = at
         if traces is not None:
             for r, v in zip(rows.tolist(), to.tolist()):
                 traces[r][-1].path.append(v)
@@ -209,17 +207,17 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
         idle = (~running & ~done).nonzero()[0]
         if idle.size:  # start runs: the best of up to num_initial observed draws
             best_v = draw(idle)
-            vals, k, where = batch.observe(idle, best_v[:, None], budget=budget)
-            best, best_at, got = vals[:, 0], where[:, 0], k > 0
+            vals, k = batch.observe(idle, best_v[:, None], budget=budget)
+            best, got = vals[:, 0], k > 0
             live = got.nonzero()[0]
             for _ in range(num_initial - 1):
                 v = draw(idle[live])
-                vals, k, where = batch.observe(idle[live], v[:, None], budget=budget)
+                vals, k = batch.observe(idle[live], v[:, None], budget=budget)
                 ok = k > 0
-                live, v, val, at = live[ok], v[ok], vals[ok, 0], where[ok, 0]
+                live, v, val = live[ok], v[ok], vals[ok, 0]
                 better = (val < best[live]) | ((val == best[live]) & (v < best_v[live]))
                 live_b = live[better]
-                best[live_b], best_v[live_b], best_at[live_b] = val[better], v[better], at[better]
+                best[live_b], best_v[live_b] = val[better], v[better]
                 if not live.size:
                     break
             done[idle[~got]] = True
@@ -227,11 +225,11 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             running[rows] = True
             if cam:
                 pool[rows] = 0
-                pool[rows, best_at[got]] = 1
+                pool[rows, batch._position(rows, best_v[got])] = 1
             if traces is not None:
                 for r, v in zip(rows.tolist(), best_v[got].tolist()):
                     traces[r].append(SearchTrace(final=v))
-            move(rows, best_v[got], best[got], best_at[got], False)
+            move(rows, best_v[got], best[got], False)
         act = running.nonzero()[0]
         if not act.size:
             return
@@ -245,24 +243,23 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             block, valid = cur[act][:, None], np.zeros((act.size, 1), dtype=bool)
         if qul:  # rank by the keys of counter sweep * n + neighbor id
             keys = mix64(qul_keys[act, None], block + (batch.sweeps[act] * t.n)[:, None])
-            if valid is not None:
-                keys[~valid] = _PAD_KEY  # pads stay last: the sort is stable
+            if valid is not None:  # pads stay last (stable sort), so valid still holds
+                keys[~valid] = _PAD_KEY
             order = (np.arange(act.size)[:, None], np.argsort(keys, axis=1, kind="stable"))
             block = block[order]
-            if valid is not None:
-                valid = valid[order]
             batch.sweeps[act] += 1
-        vals, k, where = batch.observe(act, block, valid, budget, lv[act] if qul else None)
+        vals, k = batch.observe(act, block, valid, budget, lv[act] if qul else None)
         if cam:  # observed nodes join the pool unless expanded
-            i, j = (where >= 0).nonzero()
-            g, at = act[i], where[i, j]
+            i, j = (np.arange(block.shape[1]) < k[:, None]).nonzero()
+            g = act[i]
+            at = batch._position(g, block[i, j])
             first = pool[g, at] == 0
             pool[g[first], at[first]] = 1
 
         if qul:  # stopped on a lower neighbor: move there
             lowered = (k > 0) & (vals[np.arange(act.size), k - 1] < lv[act])
             up = lowered.nonzero()[0]
-            move(act[up], block[up, k[up] - 1], vals[up, k[up] - 1], where[up, k[up] - 1], True)
+            move(act[up], block[up, k[up] - 1], vals[up, k[up] - 1], True)
             swept = ~lowered & (k == width)
             end_runs(act[~lowered & ~swept], False)  # out of budget mid-sweep
         else:
@@ -270,13 +267,13 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             end_runs(act[~swept], False)
         f = swept.nonzero()[0]
         if cam:
-            pool[act[f], cur_at[act[f]]] = 2
+            pool[act[f], batch._position(act[f], cur[act[f]])] = 2
         best = vals[f].argmin(axis=1)  # the first minimum: ties go to the lower index
         bval = vals[f, best]
         improve = bval < lv[act[f]]  # strict improvement only; ties do not move
         minima = act[f[~improve]]
         fi, bi = f[improve], best[improve]
-        move(act[fi], block[fi, bi], bval[improve], where[fi, bi], True)
+        move(act[fi], block[fi, bi], bval[improve], True)
 
         if cam and minima.size:  # jump to the lowest pool node, while budget remains
             jump = minima[batch.count[minima] < budget]
@@ -288,7 +285,7 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
                 ids = batch.log_ids[jump, :upto]
                 at = np.where(inpool & (pvals == low[:, None]), ids, t.n).argmin(axis=1)
                 has = inpool.any(axis=1)
-                move(jump[has], ids[has, at[has]], low[has], at[has], False)
+                move(jump[has], ids[has, at[has]], low[has], False)
                 minima = np.setdiff1d(minima, jump[has], assume_unique=True)
         end_runs(minima, True)
 
@@ -297,8 +294,8 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     """Run one local search from ``start`` under the view's noise and budget:
     the one-row, one-run case of the lock-step engine."""
     t = view.landscape.topology
-    if not 0 <= start < t.n:
-        raise ValueError(f"start node {start} out of range [0, {t.n})")
+    if not (float(start).is_integer() and 0 <= start < t.n):
+        raise ValueError(f"start node {start!r} is not a node id in [0, {t.n})")
     traces = [[]]
     one_run = replace(cfg, num_initial=1, restart_on_convergence=False)
     _climb(view._rows, one_run, lambda rows: np.full(rows.size, int(start)), traces)
@@ -422,9 +419,9 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
     """
     if algo not in _ALGOS:
         raise ValueError(f"unknown algo {algo!r}; expected one of {_ALGOS}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = landscape.n
+    _check_count(trials, "trials")
+    _check_count(jobs, "jobs")
+    trials, jobs, n = int(trials), int(jobs), landscape.n
     if algo == "random":
         cfg, budget = None, _random_budget(budget, n)
     else:  # checks before any work
@@ -436,7 +433,7 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
     size = -(-trials // -(-trials // size))  # equal chunks
     bounds = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     args = [(budget, cfg, root_seed, lo, hi) for lo, hi in bounds]
-    if jobs <= 1 or len(bounds) <= 1:
+    if jobs == 1 or len(bounds) == 1:
         parts = [_run_chunk(landscape, noise, *a) for a in args]
     else:
         from concurrent.futures import ProcessPoolExecutor

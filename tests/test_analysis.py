@@ -211,6 +211,26 @@ class TestOneWalkPerMap:
         assert not assignment.flags.writeable  # the cached walk cannot be altered
 
 
+class TestNoSearchState:
+    """Exhaustive analytics read ``frozen_values`` and leave the view without
+    the search state (one-row ``ViewBatch``) that observing builds."""
+
+    def test_exhaustive_analytics(self, k56_uniform):
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.gaussian_frozen(0.05), seed=3)
+        assignment, _ = hs.basins(view)
+        hs.within_epsilon_curve(view, [0.0, 0.05])
+        hs.preimage_sizes(view, int(assignment[0]), max_k=3)
+        hs.export_search_tree(view, 2)
+        hs.rwa(view, 200, 5, seed=1)
+        assert "_rows" not in vars(view)
+        assert view.query_count == 0 and "_rows" in vars(view)  # built on first use
+
+    def test_fresh_rwa_observes(self, k56_uniform):
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.gaussian_fresh(0.05), seed=3)
+        hs.rwa(view, 200, 5, seed=1)
+        assert view.query_count > 0
+
+
 class TestMinimaAndBasins:
     def test_complete_unique_minimum(self):
         t = hs.make_complete(25)

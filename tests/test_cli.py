@@ -1100,6 +1100,15 @@ def test_spec_missing_parameter_exits_3(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_search_jobs_below_one_exits_3(small_landscape, tmp_path, capsys, jobs):
+    code, err = run_main(capsys, "search", "--landscape", str(small_landscape),
+                         "--jobs", jobs, "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "jobs must be >= 1" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_search_noise_spec_missing_parameter_exits_3(small_landscape, tmp_path, capsys):
     code, err = run_main(capsys, "search", "--landscape", str(small_landscape),
                          "--noise", "gaussian", "--out", str(tmp_path / "o"))

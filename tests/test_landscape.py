@@ -396,7 +396,7 @@ def observed(scape, spec, seed=3):
 
 
 def _observe_one_at_a_time(view, ids, budget, stop_below):
-    """``observe_prefix`` as a per-node loop over ``observe``."""
+    """``ViewBatch.observe`` of one row as a per-node loop over ``observe``."""
     values = []
     for u in ids:
         if budget is not None and not (view.seen(u) or view.query_count < budget):
@@ -407,37 +407,57 @@ def _observe_one_at_a_time(view, ids, budget, stop_below):
     return np.asarray(values, dtype=float), len(values)
 
 
+_ROW = np.zeros(1, dtype=np.int64)
+
+
+def _observe_row(batch, ids, budget=None, stop_below=None):
+    """``(values, k)`` of one-row ``batch`` observing ``ids``."""
+    values, k = batch.observe(_ROW, np.asarray(ids, dtype=np.int64).reshape(1, -1),
+                              budget=budget,
+                              stop_below=None if stop_below is None else np.array([stop_below]))
+    return values[0, :k[0]], int(k[0])
+
+
+def _row_log(batch):
+    return batch.log_ids[0, :batch.count[0]].tolist()
+
+
 class TestObservePrefix:
+    """``ViewBatch.observe`` on one row, and ``LandscapeView.observe_prefix``."""
+
     @pytest.mark.parametrize("noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.1),
                                        hs.NoiseSpec.gaussian_fresh(0.1)],
                              ids=["none", "frozen", "fresh"])
     @pytest.mark.parametrize("stop_below", [None, 0.2, -1.0])
     @pytest.mark.parametrize("budget", [None, 3, 8, 60])
     def test_matches_one_at_a_time(self, k56_uniform, noise, stop_below, budget):
+        # a one-row batch with a view's seed is that view's search state
         rng = np.random.default_rng(3)
-        batched, looped = (hs.LandscapeView(k56_uniform, noise, seed=8) for _ in range(2))
-        for view in (batched, looped):
-            for v in (11, 40, 12):  # seen before the sweep: free, values cached
-                view.observe(v)
+        batched = landscape.ViewBatch(k56_uniform, noise, [8])
+        looped = hs.LandscapeView(k56_uniform, noise, seed=8)
+        for v in (11, 40, 12):  # seen before the sweep: free, values cached
+            _observe_row(batched, [v])
+            looped.observe(v)
         for _ in range(6):
             ids = np.concatenate(([40, 11], rng.choice(np.arange(100, 300), 20, replace=False)))
             rng.shuffle(ids)
-            got, k = batched.observe_prefix(ids, budget, stop_below)
+            got, k = _observe_row(batched, ids, budget, stop_below)
             want, k_want = _observe_one_at_a_time(looped, ids.tolist(), budget, stop_below)
             assert k == k_want and got.tobytes() == want.tobytes()
-            assert batched.observation_log() == looped.observation_log()
+            assert _row_log(batched) == looped.observation_log()
         # fresh noise: both views left their streams at the same draw
-        assert batched.observe(5000) == looped.observe(5000)
+        assert _observe_row(batched, [5000])[0][0] == looped.observe(5000)
 
     def test_budget_cut(self):
-        view = hs.LandscapeView(hs.Landscape(hs.make_complete(10), np.arange(10) / 10.0))
-        view.observe(6)
-        view.observe(8)
-        values, k = view.observe_prefix([5, 6, 7, 8], budget=3)
+        batch = landscape.ViewBatch(hs.Landscape(hs.make_complete(10), np.arange(10) / 10.0),
+                                    hs.NoiseSpec.none(), [0])
+        _observe_row(batch, [6])
+        _observe_row(batch, [8])
+        values, k = _observe_row(batch, [5, 6, 7, 8], budget=3)
         assert k == 2 and values.tolist() == [0.5, 0.6]  # 7 would be the fourth charged
-        assert view.observation_log() == [6, 8, 5]
-        assert view.observe_prefix([6, 8], budget=3)[1] == 2  # seen ids are free
-        assert view.observe_prefix([], budget=3)[1] == 0
+        assert _row_log(batch) == [6, 8, 5]
+        assert _observe_row(batch, [6, 8], budget=3)[1] == 2  # seen ids are free
+        assert _observe_row(batch, [], budget=3)[1] == 0
 
     @pytest.mark.parametrize("ids,bad", [([3, 15625, 4], 15625), ([2, -1], -1)])
     def test_out_of_range(self, k56_uniform, ids, bad):
@@ -494,6 +514,19 @@ class TestNoiseSpec:
     def test_frozen_flag(self):
         assert hs.NoiseSpec.gaussian_frozen(0.1).frozen
         assert not hs.NoiseSpec.gaussian_fresh(0.1).frozen
+
+    def test_checked_when_the_view_is_built(self, k56_uniform):
+        # the view builds no search state up front, but a spec that does not
+        # fit the landscape still fails at construction
+        wrong = hs.NoiseSpec.scaled(np.full(k56_uniform.n - 1, 0.1), 1.0)
+        with pytest.raises(LandscapeError, match=r"shape \(15624,\), expected \(15625,\)"):
+            hs.LandscapeView(k56_uniform, wrong)
+        with pytest.raises(LandscapeError, match="shape"):
+            landscape.ViewBatch(k56_uniform, wrong, [0])
+        big = hs.Landscape(hs.make_complete(3), [0.0, 1e308, 0.5])
+        with pytest.raises(LandscapeError, match="finite"):
+            hs.LandscapeView(big, hs.NoiseSpec.gaussian_frozen(1e307))
+        hs.LandscapeView(big, hs.NoiseSpec.uniform_replace())  # replaces the base
 
 
 class TestTabular:

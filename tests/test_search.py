@@ -79,6 +79,14 @@ class TestLocalSearchBasic:
         with pytest.raises(ValueError):
             hs.local_search(four_cycle_view, 9, hs.SearchConfig(budget=4))
 
+    @pytest.mark.parametrize("start", [2.5, float("nan")])
+    def test_start_not_whole(self, start):
+        view = hs.LandscapeView(hs.sample_uniform(hs.make_clique_power(3, 3), 1))
+        with pytest.raises(ValueError, match="not a node id"):
+            hs.local_search(view, start, hs.SearchConfig(budget=4))
+        assert view.query_count == 0
+        assert hs.local_search(view, 2.0, hs.SearchConfig(budget=4)).path[0] == 2
+
 
 def _certificate(view, trace):
     """Every neighbor of the final node observes >= its loss."""
@@ -334,6 +342,19 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="algo"):
             hs.run_trials(k56_uniform, hs.NoiseSpec.none(), "tabu", 10, 2, 0)
 
+    @pytest.mark.parametrize("trials,jobs,match", [
+        (2, 0, "jobs must be >= 1"), (2, -2, "jobs must be >= 1"),
+        (2, 2.5, "jobs must be a whole number"), (2.5, 1, "trials must be a whole number"),
+        (0, 1, "trials must be >= 1")])
+    def test_counts_checked(self, k56_uniform, trials, jobs, match):
+        for algo in ("local", "random"):
+            with pytest.raises(ValueError, match=match):
+                hs.run_trials(k56_uniform, hs.NoiseSpec.none(), algo, 10, trials, 0, jobs=jobs)
+
+    def test_whole_float_counts(self, k56_uniform):
+        hists = hs.run_trials(k56_uniform, hs.NoiseSpec.none(), "local", 10, 2.0, 0, jobs=1.0)
+        assert len(hists) == 2
+
     def test_all_variants_run(self):
         t = hs.make_clique_power(3, 2)
         scape = hs.sample_uniform(t, 1)
@@ -359,46 +380,93 @@ def _same(a, b):
     return a is b is None or (a is not None and b is not None and a.tobytes() == b.tobytes())
 
 
+def _matches_reference(scape, noise, algo, budgets, trials, monkeypatch):
+    """Assert that ``run_trials`` gives the histories and traces of the
+    per-node loops in ``conftest`` for every restart x num_initial x budget."""
+    traces = []
+    climb = search._climb
+
+    def traced(batch, cfg, draw, _=None):
+        rows = [[] for _ in range(batch.seeds.size)]  # each row's runs
+        climb(batch, cfg, draw, rows)
+        traces.extend(tr for row in rows for tr in row)
+
+    monkeypatch.setattr(search, "_climb", traced)
+    for restart, num_initial, budget in itertools.product((True, False), (1, 3), budgets):
+        traces.clear()
+        root = 7 * budget + num_initial
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random search caps budgets above n
+            hists = hs.run_trials(scape, noise, algo, budget, trials, root,
+                                  num_initial=num_initial, restart=restart)
+        ref_traces = []
+        for trial, hist in enumerate(hists):
+            ref, trial_traces = reference_trial(scape, noise, algo, budget,
+                                                num_initial, restart, root, trial)
+            ref_traces += trial_traces
+            for name in ("nodes", "val_loss", "best_val", "best_test"):
+                assert _same(getattr(hist, name), getattr(ref, name)), (
+                    restart, num_initial, budget, trial, name)
+        assert traces == ref_traces, (restart, num_initial, budget)
+        if algo != "random":
+            assert traces
+
+
+_NOISES = pytest.mark.parametrize(
+    "noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.05),
+              hs.NoiseSpec.gaussian_fresh(0.05)], ids=["none", "frozen", "fresh"])
+
+
 class TestMatchesPerNodeReference:
     """The lock-step search gives the histories and traces of the per-node
     loops in ``conftest``, byte for byte: 3 landscapes x 4 algorithms x 3
     noise modes x restart x num_initial x 5 budgets."""
 
-    @pytest.mark.parametrize("noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.05),
-                                       hs.NoiseSpec.gaussian_fresh(0.05)],
-                             ids=["none", "frozen", "fresh"])
+    @_NOISES
     @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam", "random"])
     @pytest.mark.parametrize("scape", ["distinct", "tied", "markov"])
     def test_run_trials(self, grid_scapes, scape, algo, noise, monkeypatch):
         scape = grid_scapes[scape]
-        traces = []
-        climb = search._climb
+        _matches_reference(scape, noise, algo, (3, 7, 150, scape.n, 700), 2, monkeypatch)
 
-        def traced(batch, cfg, draw, _=None):
-            rows = [[] for _ in range(batch.seeds.size)]  # each row's runs
-            climb(batch, cfg, draw, rows)
-            traces.extend(tr for row in rows for tr in row)
 
-        monkeypatch.setattr(search, "_climb", traced)
-        for restart, num_initial, budget in itertools.product(
-                (True, False), (1, 3), (3, 7, 150, scape.n, 700)):
-            traces.clear()
-            root = 7 * budget + num_initial
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # random search caps budget 700
-                hists = hs.run_trials(scape, noise, algo, budget, 2, root,
-                                      num_initial=num_initial, restart=restart)
-            ref_traces = []
-            for trial, hist in enumerate(hists):
-                ref, trial_traces = reference_trial(scape, noise, algo, budget,
-                                                    num_initial, restart, root, trial)
-                ref_traces += trial_traces
-                for name in ("nodes", "val_loss", "best_val", "best_test"):
-                    assert _same(getattr(hist, name), getattr(ref, name)), (
-                        restart, num_initial, budget, trial, name)
-            assert traces == ref_traces, (restart, num_initial, budget)
-            if algo != "random":
-                assert traces
+def _irregular_graph():
+    """A connected custom graph of 40 nodes with degrees 2 to 6: a path with
+    random chords."""
+    rng = np.random.default_rng(12)
+    edges = {(v, v + 1) for v in range(39)}
+    for a, b in rng.integers(40, size=(30, 2)).tolist():
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return hs.load_adjacency("n 40\n" + "".join(f"{a} {b}\n" for a, b in sorted(edges)))
+
+
+@pytest.fixture(scope="module")
+def padded_scapes():
+    out = {}
+    for name, t in (("tree", hs.make_regular_tree(3, 4)), ("irregular", _irregular_graph())):
+        markov = hs.sample_markov_truncnorm(t, 0.35, 0.25, 0.18, seed=8)
+        test = np.random.default_rng(9).random(t.n)
+        out[name] = hs.Landscape(t, markov.val_loss, test_loss=test)
+    return out
+
+
+class TestPaddedBlocksMatchReference:
+    """The climbs on padded CSR neighbor blocks (neighborhoods of unequal
+    size, as on trees and custom graphs) against the per-node loops."""
+
+    def test_blocks_are_padded(self, padded_scapes):
+        for scape in padded_scapes.values():
+            t = scape.topology
+            _, valid = t.neighbors_block(np.arange(t.n))
+            assert not valid.all() and valid.any(axis=1).all()
+
+    @_NOISES
+    @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam"])
+    @pytest.mark.parametrize("scape", ["tree", "irregular"])
+    def test_run_trials(self, padded_scapes, scape, algo, noise, monkeypatch):
+        scape = padded_scapes[scape]
+        _matches_reference(scape, noise, algo, (3, 7, 40, scape.n), 3, monkeypatch)
 
 
 def _history_bytes(hists):
