@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -122,9 +123,12 @@ def _horner(x, coefs):
 
 def _by_slabs(kernel, a):
     """``kernel`` applied elementwise to ``a``, one ``_SLAB`` of the flattened
-    array at a time; a 0-d input gives a numpy scalar."""
+    array at a time (one call, with no copy, if ``a`` fits in one); a 0-d
+    input gives a numpy scalar."""
     a = np.asarray(a, dtype=float)
     flat = a.reshape(-1)
+    if flat.size <= _SLAB:
+        return kernel(flat).reshape(a.shape)[()]
     out = np.empty(flat.shape)
     for lo in range(0, flat.size, _SLAB):
         out[lo:lo + _SLAB] = kernel(flat[lo:lo + _SLAB])
@@ -395,13 +399,18 @@ class NoiseSpec:
     def frozen(self) -> bool:
         return self.kind != "fresh"
 
+    @functools.cached_property
+    def _any_scale(self) -> bool:
+        """Whether some scale is nonzero (:meth:`values` asks on every call)."""
+        return bool(np.any(self.scale))
+
     def check(self, base: np.ndarray) -> None:
         """``LandscapeError`` unless a per-node scale has one entry per base
         loss in ``base`` and the largest observation stays finite."""
         if isinstance(self.scale, np.ndarray) and self.scale.shape != base.shape:
             raise LandscapeError(f"per-node noise scale has shape {self.scale.shape}, "
                                  f"expected {base.shape}")
-        if self.kind != "uniform-replace" and np.any(self.scale):
+        if self.kind != "uniform-replace" and self._any_scale:
             _check_reach(max(-float(base.min()), float(base.max())), self.scale, "landscape")
 
     def values(self, base: np.ndarray, keys, ids, counters) -> np.ndarray:
@@ -410,7 +419,7 @@ class NoiseSpec:
         ``fresh`` at the charge indices ``counters``."""
         if self.kind == "uniform-replace":
             return _hashed_uniform(keys, ids)
-        if not np.any(self.scale):
+        if not self._any_scale:
             return base[ids]
         scale = self.scale[ids] if isinstance(self.scale, np.ndarray) else self.scale
         return base[ids] + scale * _hashed_normal(keys, ids if self.frozen else counters)
@@ -483,63 +492,84 @@ class ViewBatch:
         ``values`` holds their observations; other entries are +inf.
         """
         rows = np.asarray(rows, dtype=np.int64)
+        h, w = ids.shape
         values = np.full(ids.shape, np.inf)
-        if not ids.shape[1]:
-            return values, np.zeros(rows.size, dtype=np.int64)
-        marks = self.mark[rows[:, None], ids]
+        if not w:
+            return values, np.zeros(h, dtype=np.int64)
+        # marks, logs and values are read and written through flat indices
+        # into the raveled arrays: one take or put each, no 2-D fancy indexing
+        flat_ids = ids.reshape(-1)
+        at_mark = (rows * self.landscape.n)[:, None] + ids
+        marks = self.mark.reshape(-1).take(at_mark)
         new = marks == 0
-        if valid is not None:
-            new &= valid
-            k = np.count_nonzero(valid, axis=1)
+        inside = ~new
+        if valid is None:
+            k = np.full(h, w)
         else:
-            k = np.full(rows.size, ids.shape[1])
-        if new.any():
-            at = np.cumsum(new, axis=1)  # 1 + the charge offset of each new id
-            if budget is not None:
-                over = new & (at > (budget - self.count[rows])[:, None])
-                cut = over.any(axis=1)
-                if cut.any():
-                    k = np.where(cut, over.argmax(axis=1), k)
-                    new &= np.arange(ids.shape[1]) < k[:, None]
-        inside = marks != 0
-        if valid is not None or budget is not None:
-            inside &= np.arange(ids.shape[1]) < k[:, None]
-        i, j = inside.nonzero()
-        if i.size:
-            pos = self._position(rows[i], ids[i, j])
-            values[i, j] = self.log_vals[rows[i], pos]
-        i, j = new.nonzero()
-        charges = self.count[rows[i]] + at[i, j] - 1 if i.size else i
-        if i.size:
-            values[i, j] = self.noise.values(self.landscape.val_loss, self._keys[rows[i]],
-                                             ids[i, j], charges)
+            new &= valid
+            inside &= valid
+            k = np.count_nonzero(valid, axis=1)
+        at = np.cumsum(new, axis=1)  # 1 + the charge offset of each new id
+        if budget is not None:
+            # at 0 room (or less, after charges made without a budget) seen
+            # ids stay free: a row is cut only if it has a new id past the room
+            room = np.maximum(budget - self.count[rows], 0)
+            cut = at[:, -1] > room
+            if cut.any():  # stop before the first new id past the room
+                over = at > room[:, None]
+                over &= new
+                k = np.where(cut, over.argmax(axis=1), k)
+                new ^= over  # over is within new
+                inside &= np.arange(w) < k[:, None]
+        flat_values = values.reshape(-1)
+        s = np.flatnonzero(inside)
+        if s.size:
+            r = rows.take(s // w)
+            pos = self._position(r, flat_ids.take(s), marks.reshape(-1).take(s))
+            flat_values[s] = self.log_vals.reshape(-1).take(pos)
+        s = np.flatnonzero(new)
+        if s.size:
+            i = s // w
+            r = rows.take(i)
+            new_ids = flat_ids.take(s)
+            charges = self.count.take(r) + at.reshape(-1).take(s) - 1
+            flat_values[s] = self.noise.values(self.landscape.val_loss, self._keys.take(r),
+                                               new_ids, charges)
         if stop_below is not None:
             lower = values < stop_below[:, None]
             k = np.where(lower.any(axis=1), lower.argmax(axis=1) + 1, k)
-            values[np.arange(ids.shape[1]) >= k[:, None]] = np.inf
-            keep = j < k[i]
-            i, j, charges = i[keep], j[keep], charges[keep]
-        if i.size:
-            self._charge(rows[i], ids[i, j], values[i, j], charges)
-            self.count[rows] += np.bincount(i, minlength=rows.size)
+            values[np.arange(w) >= k[:, None]] = np.inf
+            if s.size:
+                keep = s - i * w < k.take(i)
+                s, i, r, new_ids, charges = s[keep], i[keep], r[keep], new_ids[keep], charges[keep]
+        if s.size:
+            self._charge(r, new_ids, flat_values.take(s), charges, at_mark.reshape(-1).take(s))
+            self.count[rows] += np.bincount(i, minlength=h)
         return values, k
 
-    def _position(self, rows, ids) -> np.ndarray:
-        """Log positions of seen nodes ``ids``: the charge index c below the
-        row's count with c + 1 = their mark modulo the mark modulus whose log
-        entry is the node."""
-        pos = self.mark[rows, ids].astype(np.int64) - 1
+    def _position(self, rows, ids, marks=None) -> np.ndarray:
+        """Flat indices into the raveled logs (``rows * limit`` plus the charge
+        index) of seen nodes ``ids``, given their ``marks`` or gathering
+        them: the charge index c below the row's count with c + 1 = the mark
+        modulo the mark modulus whose log entry is the node."""
+        if marks is None:
+            marks = self.mark.reshape(-1).take(rows * self.landscape.n + ids)
+        pos = rows * self.limit + marks - 1
         if self.limit > self._modulus:
-            miss = (self.log_ids[rows, pos] != ids).nonzero()[0]
+            log_ids = self.log_ids.reshape(-1)
+            miss = (log_ids.take(pos) != ids).nonzero()[0]
             while miss.size:
                 pos[miss] += self._modulus
-                miss = miss[self.log_ids[rows[miss], pos[miss]] != ids[miss]]
+                miss = miss[log_ids.take(pos[miss]) != ids[miss]]
         return pos
 
-    def _charge(self, rows, ids, values, charges) -> None:
-        self.log_ids[rows, charges] = ids
-        self.log_vals[rows, charges] = values
-        self.mark[rows, ids] = charges % self._modulus + 1
+    def _charge(self, rows, ids, values, charges, at_mark) -> None:
+        """Log ``ids`` with ``values`` at ``charges`` of ``rows`` and mark them
+        at the flat mark indices ``at_mark``."""
+        at = rows * self.limit + charges
+        self.log_ids.reshape(-1)[at] = ids
+        self.log_vals.reshape(-1)[at] = values
+        self.mark.reshape(-1)[at_mark] = charges % self._modulus + 1
 
 
 class LandscapeView:
@@ -585,6 +615,14 @@ class LandscapeView:
         return values[0], ids.size
 
     def seen(self, v: int) -> bool:
+        """Whether the view has observed node ``v``; ``LandscapeError``
+        unless ``v`` is an integer node id in [0, n)."""
+        try:
+            ok = 0 <= operator.index(v) < self.landscape.n
+        except TypeError:  # 2.5, "3", None
+            ok = False
+        if not ok:
+            raise LandscapeError(f"node id {v!r} is not an integer in [0, {self.landscape.n})")
         return bool(self._rows.mark[0, v])
 
     @property

@@ -64,6 +64,7 @@ _CHUNK_BYTES = 1 << 21
 _MIN_ROWS = 16
 _START_BATCH = 8  # starts drawn ahead per row, times num_initial
 _RANDOM_COLUMNS = 32  # random-search picks observed per call and row
+_PICK_KEYS = 1 << 12  # random-search draws per group of rows and round, about
 _PAD_KEY = np.uint64((1 << 64) - 1)
 _CLIMBS = ("local", "local-qul", "local-cam")  # SearchConfig.algo
 _ALGOS = _CLIMBS + ("random",)  # run_trials and the CLI's --algo
@@ -152,9 +153,10 @@ class _Starts:
         self.used = np.full(len(rngs), batch)
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        for r in rows[self.used[rows] == self.batch].tolist():
+        refill = rows[self.used[rows] == self.batch]
+        for r in refill.tolist():
             self.buf[r] = self.rngs[r].integers(self.n, size=self.batch)
-            self.used[r] = 0
+        self.used[refill] = 0
         out = self.buf[rows, self.used[rows]]
         self.used[rows] += 1
         return out
@@ -181,6 +183,7 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
     done = np.zeros(rows_n, dtype=bool)
     if cam:  # per log entry, in the current run: 1 observed, 2 expanded
         pool = np.zeros((rows_n, batch.limit), dtype=np.uint8)
+        flat_pool = pool.reshape(-1)  # indexed by ViewBatch._position
     qul_keys = mix64(batch.seeds, _SHUFFLE_STREAM) if qul else None
 
     def end_runs(rows, converged: bool):
@@ -225,7 +228,7 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             running[rows] = True
             if cam:
                 pool[rows] = 0
-                pool[rows, batch._position(rows, best_v[got])] = 1
+                flat_pool[batch._position(rows, best_v[got])] = 1
             if traces is not None:
                 for r, v in zip(rows.tolist(), best_v[got].tolist()):
                     traces[r].append(SearchTrace(final=v))
@@ -250,11 +253,9 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             batch.sweeps[act] += 1
         vals, k = batch.observe(act, block, valid, budget, lv[act] if qul else None)
         if cam:  # observed nodes join the pool unless expanded
-            i, j = (np.arange(block.shape[1]) < k[:, None]).nonzero()
-            g = act[i]
-            at = batch._position(g, block[i, j])
-            first = pool[g, at] == 0
-            pool[g[first], at[first]] = 1
+            s = np.flatnonzero(np.arange(block.shape[1]) < k[:, None])
+            at = batch._position(act.take(s // block.shape[1]), block.reshape(-1).take(s))
+            flat_pool[at[flat_pool.take(at) == 0]] = 1
 
         if qul:  # stopped on a lower neighbor: move there
             lowered = (k > 0) & (vals[np.arange(act.size), k - 1] < lv[act])
@@ -267,7 +268,7 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             end_runs(act[~swept], False)
         f = swept.nonzero()[0]
         if cam:
-            pool[act[f], batch._position(act[f], cur[act[f]])] = 2
+            flat_pool[batch._position(act[f], cur[act[f]])] = 2
         best = vals[f].argmin(axis=1)  # the first minimum: ties go to the lower index
         bval = vals[f, best]
         improve = bval < lv[act[f]]  # strict improvement only; ties do not move
@@ -276,7 +277,8 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
         move(act[fi], block[fi, bi], bval[improve], True)
 
         if cam and minima.size:  # jump to the lowest pool node, while budget remains
-            jump = minima[batch.count[minima] < budget]
+            left = batch.count[minima] < budget
+            jump = minima[left]
             if jump.size:
                 upto = int(batch.count[jump].max())
                 inpool = pool[jump, :upto] == 1
@@ -286,7 +288,7 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
                 at = np.where(inpool & (pvals == low[:, None]), ids, t.n).argmin(axis=1)
                 has = inpool.any(axis=1)
                 move(jump[has], ids[has, at[has]], low[has], False)
-                minima = np.setdiff1d(minima, jump[has], assume_unique=True)
+                minima = np.concatenate((minima[~left], jump[~has]))
         end_runs(minima, True)
 
 
@@ -302,35 +304,62 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     return traces[0][0] if traces[0] else SearchTrace(final=int(start))
 
 
+def _random_picks(batch: ViewBatch, budget: int, rngs, block, lo: int) -> None:
+    """Fill ``block`` with the picks of rows ``lo`` to ``lo + len(block) - 1``
+    of ``batch`` for :func:`_random_rows`: row r lists ``budget`` minus its
+    count distinct nodes that it has not seen; the rest of the row is 0.
+
+    Candidates are drawn in rounds, each row from its own generator, about
+    enough for its remaining budget.  A round keeps, per row, the first draw
+    of each node that the row has neither seen nor picked, up to the
+    remaining budget.  It handles the rows at once on the keys
+    ``row * n + node``, which index the raveled marks.
+    """
+    n, rows = batch.landscape.n, np.arange(lo, lo + len(block))
+    need = np.maximum(budget - batch.count[rows], 0)  # picks per row
+    got = np.zeros_like(need)
+    cols = np.arange(block.shape[1])
+    active = need.nonzero()[0]
+    while active.size:
+        # about enough draws for the remaining budget, given the share already seen
+        sizes = [max(k * n // (n - budget + k), 16) for k in (need - got)[active].tolist()]
+        keys = np.empty(sum(sizes), dtype=np.int64)
+        at = 0
+        for r, size in zip(rows[active].tolist(), sizes):
+            np.add(rngs[r].integers(n, size=size), r * n, out=keys[at:at + size])
+            at += size
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]  # first draws first
+        fresh = batch.mark.reshape(-1).take(keys) == 0
+        if got.any():  # not picked in an earlier round
+            picked = np.sort((rows[:, None] * n + block)[cols < got[:, None]])
+            fresh &= picked.take(np.searchsorted(picked, keys), mode="clip") != keys
+        keys = keys[fresh]
+        row = keys // n - lo
+        per_row = np.bincount(row, minlength=need.size)
+        take = np.minimum(per_row, need - got)
+        # a row keeps the candidates before its group's start plus its take
+        keys = keys[np.arange(keys.size) < (np.cumsum(per_row) - per_row + take).take(row)]
+        # and they fill its next columns in order
+        block[(cols >= got[:, None]) & (cols < (got + take)[:, None])] = keys % n
+        got += take
+        active = (got < need).nonzero()[0]
+
+
 def _random_rows(batch: ViewBatch, budget: int, rngs) -> None:
     """Random search in every row of ``batch``: each row charges ``budget``
     distinct nodes drawn uniformly from its generator (rejection on repeats).
 
-    Candidates are drawn in batches, and drawing past the last charged node
-    changes nothing observed.  The nodes of every row are picked first and
-    then observed in one call.
+    Drawing past the last charged node changes nothing observed.  The nodes
+    of every row are picked first (:func:`_random_picks`, in groups of rows
+    whose draws stay near ``_PICK_KEYS``) and then observed.
     """
-    n = batch.landscape.n
-    picks = []
-    for r, rng in enumerate(rngs):
-        seen = batch.mark[r] != 0
-        count, got = int(batch.count[r]), [np.empty(0, dtype=np.int64)]
-        while count < budget:
-            # about enough draws for the remaining budget, given the share already seen
-            size = (budget - count) * n // (n - count)
-            draws = rng.integers(n, size=max(size, 16))
-            _, first = np.unique(draws, return_index=True)
-            new = draws[np.sort(first)]
-            new = new[~seen[new]][:budget - count]
-            seen[new] = True
-            got.append(new)
-            count += new.size
-        picks.append(np.concatenate(got))
-    lengths = np.array([p.size for p in picks])
-    valid = np.arange(lengths.max()) < lengths[:, None]
+    need = np.maximum(budget - batch.count, 0)
+    valid = np.arange(need.max()) < need[:, None]
     block = np.zeros(valid.shape, dtype=np.int64)
-    block[valid] = np.concatenate(picks)
-    rows = np.arange(len(picks))
+    group = max(1, _PICK_KEYS // max(valid.shape[1], 1))
+    for lo in range(0, len(block), group):  # bounds the temporaries
+        _random_picks(batch, budget, rngs, block[lo:lo + group], lo)
+    rows = np.arange(len(block))
     for lo in range(0, block.shape[1], _RANDOM_COLUMNS):  # bounds the temporaries
         batch.observe(rows, block[:, lo:lo + _RANDOM_COLUMNS], valid[:, lo:lo + _RANDOM_COLUMNS])
 

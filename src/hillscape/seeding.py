@@ -25,6 +25,9 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+# the same constants as numpy scalars, for the array form of mix64
+_U1, _U_GAMMA, _U_M1, _U_M2 = (np.uint64(c) for c in (1, _GAMMA, _M1, _M2))
+_U27, _U30, _U31 = (np.uint64(c) for c in (27, 30, 31))
 
 
 def mix64(root_seed, index):
@@ -42,17 +45,16 @@ def mix64(root_seed, index):
             root_seed = int(root_seed) & _MASK64
         # at least one dimension: 0-d operands would take numpy's scalar path,
         # which warns on the wrap-around that this hash relies on
-        shape = np.broadcast_shapes(np.shape(root_seed), index.shape)
         z = np.array(index, dtype=np.uint64, ndmin=1)
-        z += np.uint64(1)
-        z *= np.uint64(_GAMMA)
+        z += _U1
+        z *= _U_GAMMA
         z = z + np.array(root_seed, dtype=np.uint64, ndmin=1)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_M1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_M2)
-        z ^= z >> np.uint64(31)
-        return z.reshape(shape)
+        z ^= z >> _U30
+        z *= _U_M1
+        z ^= z >> _U27
+        z *= _U_M2
+        z ^= z >> _U31
+        return z.reshape(()) if index.ndim == np.ndim(root_seed) == 0 else z
     if index < 0:
         raise ValueError("index must be non-negative")
     z = (int(root_seed) + (int(index) + 1) * _GAMMA) & _MASK64

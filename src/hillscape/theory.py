@@ -594,7 +594,7 @@ def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
     if sigma == 0.0:
         return 0.0
     xs = _grid(grid_points)
-    dens_n, dens_e = pdf_n.density(xs), pdf_e.density(xs, xs)
+    dens_n, dens_e = _grid_density(pdf_n, xs), pdf_e.density(xs, xs)
     inner = np.empty(len(xs))
     for r0 in range(0, len(xs), _ROW_BLOCK):
         rows = slice(r0, r0 + _ROW_BLOCK)

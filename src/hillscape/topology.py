@@ -231,7 +231,8 @@ class Topology:
     def _check_id(self, v):
         """Raise TopologyError unless node id ``v``, or every id of array ``v``, is in [0, n)."""
         if isinstance(v, np.ndarray):
-            if not v.size or (v.min() >= 0 and v.max() < self.n):
+            # ufunc reductions: ndarray.min/max cost twice as much on a small array
+            if not v.size or (np.minimum.reduce(v) >= 0 and np.maximum.reduce(v) < self.n):
                 return
             v = v[(v < 0) | (v >= self.n)][0]
         if not 0 <= int(v) < self.n:

@@ -144,6 +144,31 @@ class TestNormalCdf:
         assert np.array_equal(_ndtr(xs).ravel()[picks], [_ndtr(xs[i, 0]) for i in picks])
         assert np.array_equal(_ndtri(ps)[picks], [_ndtri(ps[i]) for i in picks])
 
+    @pytest.mark.parametrize("f", [_ndtr, _ndtri], ids=["ndtr", "ndtri"])
+    def test_one_slab_and_slab_loop_match_each_element(self, f):
+        # an input within one _SLAB takes one kernel call, with no copy, and a
+        # longer one the slab loop; both give every element the bits of a 0-d call
+        rng = np.random.default_rng(21)
+        n = landscape._SLAB + 1
+        if f is _ndtr:
+            a = rng.uniform(-12.0, 12.0, n)  # |x| >= 8 takes erfc's far branch
+        else:
+            a = rng.random(n)
+            a[::97] *= 1e-20  # AS241's far tail
+        want = np.array([f(x) for x in a])
+
+        def bits(v):
+            return np.asarray(v, dtype=float).view(np.uint64)
+
+        for x, w in ((a[3], want[3]), (a[:0], want[:0]), (a[:1], want[:1]),
+                     (a[:-1], want[:-1]), (a, want),
+                     (a[:-1].reshape(128, -1), want[:-1].reshape(128, -1)),
+                     (a.reshape(5, -1), want.reshape(5, -1))):
+            got = f(x)
+            assert np.shape(got) == np.shape(w)
+            assert np.array_equal(bits(got), bits(w))
+        assert isinstance(f(a[3]), np.float64)
+
     def test_agrees_with_scipy(self):
         special = pytest.importorskip("scipy.special")
         xs = np.linspace(-8.0, 8.0, 4001)
@@ -388,6 +413,15 @@ class TestObserve:
         with pytest.raises(LandscapeError):
             view.observe(15625)
 
+    @pytest.mark.parametrize("bad", [-1, 5, 7, 2.5, "3"])
+    def test_seen_checks_the_id(self, bad):
+        # seen(-1) used to wrap to node 4 and seen(7) raised a bare IndexError
+        view = hs.LandscapeView(hs.sample_uniform(hs.make_complete(5), 1), hs.NoiseSpec.none())
+        view.observe(4)
+        with pytest.raises(LandscapeError, match=rf"node id {bad!r} is not an integer in \[0, 5\)"):
+            view.seen(bad)
+        assert view.seen(4) and not view.seen(np.int64(3))
+
 
 def observed(scape, spec, seed=3):
     """The bytes a view of ``spec`` observes for every node, in id order."""
@@ -458,6 +492,17 @@ class TestObservePrefix:
         assert _row_log(batch) == [6, 8, 5]
         assert _observe_row(batch, [6, 8], budget=3)[1] == 2  # seen ids are free
         assert _observe_row(batch, [], budget=3)[1] == 0
+
+    def test_seen_ids_free_past_the_budget(self):
+        # a row that charged more than the budget still observes its seen ids
+        batch = landscape.ViewBatch(hs.Landscape(hs.make_complete(10), np.arange(10) / 10.0),
+                                    hs.NoiseSpec.none(), [0])
+        _observe_row(batch, [6, 8, 5])
+        values, k = _observe_row(batch, [6, 8], budget=2)
+        assert k == 2 and values.tolist() == [0.6, 0.8]
+        values, k = _observe_row(batch, [5, 9, 6], budget=2)
+        assert k == 1 and values.tolist() == [0.5]
+        assert _row_log(batch) == [6, 8, 5]
 
     @pytest.mark.parametrize("ids,bad", [([3, 15625, 4], 15625), ([2, -1], -1)])
     def test_out_of_range(self, k56_uniform, ids, bad):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import warnings
@@ -11,6 +12,7 @@ import hillscape as hs
 
 from hillscape import search
 from hillscape.landscape import ViewBatch
+from hillscape.seeding import spawn_rng
 
 from conftest import cycle_topology, frozen_view, reference_trial
 
@@ -201,6 +203,70 @@ class TestRandomSearch:
             hist = hs.random_search(view, budget=50, seed=1)
         assert view.query_count == 10
         assert sorted(hist.nodes.tolist()) == list(range(10))
+
+
+def _random_picks_by_row(batch, budget, rngs):
+    """The picks of each row by the per-row loop that ``_random_rows``
+    replaced, and the number of draw rounds each row took."""
+    n = batch.landscape.n
+    picks, rounds = [], []
+    for r, rng in enumerate(rngs):
+        seen = batch.mark[r] != 0
+        count, got = int(batch.count[r]), [np.empty(0, dtype=np.int64)]
+        rounds.append(0)
+        while count < budget:
+            size = (budget - count) * n // (n - count)
+            draws = rng.integers(n, size=max(size, 16))
+            _, first = np.unique(draws, return_index=True)
+            new = draws[np.sort(first)]
+            new = new[~seen[new]][:budget - count]
+            seen[new] = True
+            got.append(new)
+            count += new.size
+            rounds[-1] += 1
+        picks.append(np.concatenate(got))
+    return picks, rounds
+
+
+class TestRandomPicks:
+    """All rows' random picks at once equal the per-row loop, row by row."""
+
+    @pytest.mark.parametrize("pick_keys", [search._PICK_KEYS, 1], ids=["together", "alone"])
+    @pytest.mark.parametrize("budget", [40, 80, 81])
+    def test_rows_with_charged_prefixes(self, budget, pick_keys, monkeypatch):
+        monkeypatch.setattr(search, "_PICK_KEYS", pick_keys)  # 1: one row per group
+        scape = hs.sample_uniform(hs.make_clique_power(3, 4), 2)  # 81 nodes
+        prefixes = [0, 1, 7, 30, budget - 1, budget]  # charged before the picks
+        batch = ViewBatch(scape, hs.NoiseSpec.gaussian_fresh(0.05),
+                          np.arange(len(prefixes), dtype=np.uint64), limit=budget)
+        order = np.random.default_rng(4).permutation(scape.n)
+        for r, size in enumerate(prefixes):
+            batch.observe(np.array([r]), order[None, :size])
+        before = batch.count.copy()
+        ref_rngs = [np.random.default_rng(r) for r in range(len(prefixes))]
+        want, rounds = _random_picks_by_row(batch, budget, ref_rngs)
+        rngs = [np.random.default_rng(r) for r in range(len(prefixes))]
+        search._random_rows(batch, budget, rngs)
+        assert batch.count.tolist() == [budget] * len(prefixes)
+        for r, c in enumerate(batch.count.tolist()):
+            logged = batch.log_ids[r, :c]
+            assert logged[:before[r]].tolist() == order[:before[r]].tolist()
+            assert logged[before[r]:].tolist() == want[r].tolist()
+            assert np.unique(logged).size == c
+            # the same draws from each generator: its state after the call matches
+            assert rngs[r].bit_generator.state == ref_rngs[r].bit_generator.state
+        if budget > 40:
+            assert max(rounds) >= 3
+
+    def test_random_search_after_charges(self):
+        scape = hs.sample_uniform(hs.make_clique_power(3, 4), 2)
+        view = hs.LandscapeView(scape, hs.NoiseSpec.gaussian_frozen(0.05), seed=5)
+        view.observe_prefix([3, 9, 27, 80])
+        want, rounds = _random_picks_by_row(copy.deepcopy(view._rows), 78,
+                                            [spawn_rng(11, search._START_STREAM)])
+        hist = hs.random_search(view, 78, 11)
+        assert hist.nodes.tolist() == [3, 9, 27, 80] + want[0].tolist()
+        assert rounds[0] >= 3
 
 
 class TestRunBudgeted:
@@ -503,6 +569,33 @@ class TestChunking:
         assert (batch.mark.nbytes + batch.log_ids.nbytes + batch.log_vals.nbytes + pool
                 <= search._CHUNK_BYTES)
         assert rows >= 100
+
+
+class TestStepStructure:
+    """``ViewBatch.observe`` calls of ``run_trials`` on a toy search-k56 op:
+    (K_5)^4, 10 trials of budget 60, Gaussian noise 0.05.  The counts are
+    pinned, so a change to the number of lock-step steps shows here apart
+    from a change to what one step costs."""
+
+    CALLS = {("local", "frozen"): 10, ("local", "fresh"): 10,
+             ("local-qul", "frozen"): 26, ("local-qul", "fresh"): 24,
+             ("local-cam", "frozen"): 8, ("local-cam", "fresh"): 7,
+             ("random", "frozen"): 2, ("random", "fresh"): 2}
+
+    @pytest.mark.parametrize("algo,noise", sorted(CALLS))
+    def test_observe_calls_pinned(self, algo, noise, monkeypatch):
+        scape = hs.sample_markov_truncnorm(hs.make_clique_power(5, 4), 0.35, 0.25, 0.18, seed=3)
+        spec = {"frozen": hs.NoiseSpec.gaussian_frozen, "fresh": hs.NoiseSpec.gaussian_fresh}
+        calls = []
+        observe = ViewBatch.observe
+
+        def counted(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return observe(self, *args, **kwargs)
+
+        monkeypatch.setattr(ViewBatch, "observe", counted)
+        hs.run_trials(scape, spec[noise](0.05), algo, 60, 10, 11)
+        assert len(calls) == self.CALLS[algo, noise]
 
 
 class TestStreamFacts:

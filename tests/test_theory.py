@@ -577,9 +577,23 @@ class TestChebyshevBound:
             (pdf_n, UNIFORM_LOCAL, 128, 0.1, 15625, 1e-7),
         ]
         for args in cases:
+            if args[0] is pdf_n and points == 9:
+                # its step has Simpson mass 1.146 on 9 points: the grid cannot resolve it
+                with pytest.raises(ValueError, match="needs more grid points"):
+                    hs.chebyshev_minima_bound(*args, grid_points=points)
+                continue
             got = hs.chebyshev_minima_bound(*args, grid_points=points)
             assert got == whole_grid_bound(*args, points)
         assert (got == float("inf")) == (points > _ROW_BLOCK)
+
+    def test_unresolved_pdf_n_rejected_as_in_minima_fraction(self):
+        # a spike of width 0.003 on 129 points: the bound used to return 21.56
+        # (22.90 at 8193 points) where expected_minima_fraction raises
+        pdf_n = hs.PdfSpec.truncnorm(0.5, 0.003)
+        for f, args in ((hs.chebyshev_minima_bound, (4, 0.1, 100, 0.05)),
+                        (hs.expected_minima_fraction, (4,))):
+            with pytest.raises(ValueError, match="needs more grid points"):
+                f(pdf_n, UNIFORM_LOCAL, *args, grid_points=129)
 
     def test_holds_no_grid_squared_array(self):
         pdf_n = hs.PdfSpec.truncnorm(0.25, 0.18)
