@@ -206,8 +206,8 @@ class TestRandomSearch:
 
 
 def _random_picks_by_row(batch, budget, rngs):
-    """The picks of each row by the per-row loop that ``_random_rows``
-    replaced, and the number of draw rounds each row took."""
+    """Reference for ``_random_rows``: each row's picks, one row at a time
+    with its own seen copy, and the number of draw rounds each row took."""
     n = batch.landscape.n
     picks, rounds = [], []
     for r, rng in enumerate(rngs):
