@@ -156,18 +156,15 @@ def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
 
 def _chunked_successor(values: np.ndarray, t) -> np.ndarray:
     """Successor map from ``neighbors_block`` row chunks, which bound the gather
-    to O(chunk * s) memory; a tree first builds its O(n) CSR arrays."""
+    to O(chunk * s) memory; a tree first builds its O(n) CSR arrays.  A pad
+    holds the node's own value, so it never wins the strict comparison."""
     succ = np.arange(t.n)
-    maxdeg = t.max_degree()
-    rows = max(1, _CHUNK_ENTRIES // max(maxdeg, 1))
-    for lo in range(0, t.n if maxdeg else 0, rows):  # no edges: every node stays
-        hi = min(lo + rows, t.n)
-        ids = np.arange(lo, hi)
-        block, mask = t.neighbors_block(ids)
-        gathered = np.where(mask, values[block], np.inf)
-        k = np.argmin(gathered, axis=1)
-        at = np.arange(hi - lo)
-        succ[lo:hi] = np.where(gathered[at, k] < values[lo:hi], block[at, k], ids)
+    rows = max(1, _CHUNK_ENTRIES // max(t.max_degree(), 1))
+    for lo in range(0, t.n, rows):
+        ids = np.arange(lo, min(lo + rows, t.n))
+        block = t.neighbors_block(ids)
+        best = block[np.arange(ids.size), values[block].argmin(axis=1)]  # the lowest id on ties
+        succ[lo:lo + ids.size] = np.where(values[best] < values[ids], best, ids)
     return succ
 
 
@@ -261,16 +258,6 @@ def preimage_sizes(view: LandscapeView, v: int, max_k: int):
     return counts, sum(per_level)
 
 
-def _observe_walk(view: LandscapeView, walk: np.ndarray) -> np.ndarray:
-    """Fresh-noise observations along ``walk`` in one view call: each node
-    is observed at its first visit, as observing step by step would."""
-    nodes, first, inverse = np.unique(walk, return_index=True, return_inverse=True)
-    by_visit = np.argsort(first)
-    values = np.empty(nodes.size)
-    values[by_visit] = view.observe_prefix(nodes[by_visit])[0]
-    return values[inverse]
-
-
 def _clique_power_walk(t, pos: int, draws: np.ndarray) -> np.ndarray:
     """Walk on (K_m)^d: draw u picks j = int(u * s), which adds
     k = j % (m-1) + 1 (mod m) to digit p = j // (m-1).  Every neighbor is
@@ -317,7 +304,7 @@ def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
     rng = spawn_rng(seed, _WALK_STREAM)
     kernel = _clique_power_walk if t.kind == "clique_power" else _csr_walk
     walk = kernel(t, int(rng.integers(t.n)), rng.random(walk_len))  # start, then steps
-    xs = view.frozen_values()[walk] if view.noise.frozen else _observe_walk(view, walk)
+    xs = view.frozen_values()[walk] if view.noise.frozen else view.observe_prefix(walk)[0]
     xs = xs - xs.mean()
     # einsum, not BLAS: a BLAS dot's result depends on its thread count
     c0 = float(np.einsum("i,i->", xs, xs)) / walk_len

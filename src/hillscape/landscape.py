@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .seeding import _MASK64, mix64
-from .topology import Topology, _bfs_tree, _parse_spec
+from .topology import Topology, TopologyError, _bfs_tree, _parse_spec
 
 __all__ = [
     "Landscape",
@@ -478,13 +478,13 @@ class ViewBatch:
                 return np.dtype(kind)
         return np.dtype(np.uint32)
 
-    def observe(self, rows, ids, valid=None, budget=None, stop_below=None):
+    def observe(self, rows, ids, budget=None, stop_below=None):
         """Observe ``ids[i]`` left to right in row ``rows[i]``; return
         ``(values, k)``.
 
-        ``rows`` are distinct, ``ids`` is ``(len(rows), w)`` and each of its
-        rows lists distinct node ids; ``valid`` marks the real entries of a
-        padded block, which come first in each row.  Row i stops before its
+        ``rows`` are distinct, ``ids`` is ``(len(rows), w)`` and the ids a
+        row has not seen are distinct; a seen id, such as a neighbor block's
+        pad, may repeat and is a free cache read.  Row i stops before its
         first unseen id that would bring its charged count above ``budget``
         and, given ``stop_below``, after its first value lower than
         ``stop_below[i]``.  Its first ``k[i]`` ids are observed: the unseen
@@ -503,12 +503,7 @@ class ViewBatch:
         marks = self.mark.reshape(-1).take(at_mark)
         new = marks == 0
         inside = ~new
-        if valid is None:
-            k = np.full(h, w)
-        else:
-            new &= valid
-            inside &= valid
-            k = np.count_nonzero(valid, axis=1)
+        k = np.full(h, w)
         at = np.cumsum(new, axis=1)  # 1 + the charge offset of each new id
         if budget is not None:
             # at 0 room (or less, after charges made without a budget) seen
@@ -600,19 +595,26 @@ class LandscapeView:
         return float(self.observe_prefix((v,))[0][0])
 
     def observe_prefix(self, ids) -> tuple[np.ndarray, int]:
-        """Observe the distinct node ``ids`` in order; return ``(values, len(ids))``.
+        """Observe the node ``ids`` in order; return ``(values, len(ids))``.
 
-        Their unseen ids are charged and logged in order, so fresh noise
-        gives the values that observing the ids one at a time would.
+        A repeated id is observed at its first visit and gets that value
+        again.  Unseen ids are charged and logged in first-visit order, so
+        fresh noise gives the values that observing the ids one at a time
+        would.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        n = self.landscape.n
-        # ufunc reductions: ndarray.min/max cost twice as much on a neighborhood
-        if ids.size and not (np.minimum.reduce(ids) >= 0 and np.maximum.reduce(ids) < n):
-            v = int(ids[(ids < 0) | (ids >= n)][0])
-            raise LandscapeError(f"node id {v} out of range [0, {n})")
-        values, _ = self._rows.observe(_ROW, ids.reshape(1, -1))
-        return values[0], ids.size
+        ids = np.asarray(ids).reshape(-1)
+        try:
+            self.landscape.topology._check_id(ids)  # an empty list is float64: it passes
+        except TopologyError as exc:
+            raise LandscapeError(str(exc)) from None
+        ids = ids.astype(np.int64, copy=False)
+        if ids.size < 2:  # one id: nothing repeats
+            return self._rows.observe(_ROW, ids[None])[0][0], ids.size
+        nodes, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        by_visit = np.argsort(first)
+        values = np.empty(nodes.size)
+        values[by_visit] = self._rows.observe(_ROW, nodes[by_visit][None])[0][0]
+        return values[inverse], ids.size
 
     def seen(self, v: int) -> bool:
         """Whether the view has observed node ``v``; ``LandscapeError``

@@ -27,7 +27,9 @@ one :class:`~hillscape.landscape.ViewBatch`, and each step advances every
 active row by one neighborhood sweep: one ``neighbors_block`` gather, one
 ``values, k = ViewBatch.observe(...)`` call (a row cumsum over the seen
 marks applies the budget, partial last sweeps included; row i observed its
-first ``k[i]`` neighbors) and one argmin per row.
+first ``k[i]`` neighbors) and one argmin per row.  A block pads short rows
+with the row's current node, which the row has seen: observing it is free
+and its value is never strictly lower, so a pad needs no mask.
 ``local_search``, ``run_budgeted`` and ``random_search`` run the same code
 on the one-row batch of a view.  A trial's results depend only on its
 seed, not on the chunk it runs in or on ``jobs``.
@@ -65,7 +67,6 @@ _MIN_ROWS = 16
 _START_BATCH = 8  # starts drawn ahead per row, times num_initial
 _RANDOM_COLUMNS = 32  # random-search picks observed per call and row
 _PICK_KEYS = 1 << 12  # random-search draws per group of rows and round, about
-_PAD_KEY = np.uint64((1 << 64) - 1)
 _CLIMBS = ("local", "local-qul", "local-cam")  # SearchConfig.algo
 _ALGOS = _CLIMBS + ("random",)  # run_trials and the CLI's --algo
 
@@ -237,21 +238,15 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
         if not act.size:
             return
 
-        block, valid = t.neighbors_block(cur[act])
-        if t.kind == "clique_power":
-            valid, width = None, block.shape[1]
-        else:
-            width = np.count_nonzero(valid, axis=1)
+        block = t.neighbors_block(cur[act])  # pads are cur: free, and never below lv
         if not block.shape[1]:  # (K_1)^1: one padded column
-            block, valid = cur[act][:, None], np.zeros((act.size, 1), dtype=bool)
+            block = cur[act][:, None]
         if qul:  # rank by the keys of counter sweep * n + neighbor id
             keys = mix64(qul_keys[act, None], block + (batch.sweeps[act] * t.n)[:, None])
-            if valid is not None:  # pads stay last (stable sort), so valid still holds
-                keys[~valid] = _PAD_KEY
             order = (np.arange(act.size)[:, None], np.argsort(keys, axis=1, kind="stable"))
             block = block[order]
             batch.sweeps[act] += 1
-        vals, k = batch.observe(act, block, valid, budget, lv[act] if qul else None)
+        vals, k = batch.observe(act, block, budget, lv[act] if qul else None)
         if cam:  # observed nodes join the pool unless expanded
             s = np.flatnonzero(np.arange(block.shape[1]) < k[:, None])
             at = batch._position(act.take(s // block.shape[1]), block.reshape(-1).take(s))
@@ -261,10 +256,10 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             lowered = (k > 0) & (vals[np.arange(act.size), k - 1] < lv[act])
             up = lowered.nonzero()[0]
             move(act[up], block[up, k[up] - 1], vals[up, k[up] - 1], True)
-            swept = ~lowered & (k == width)
+            swept = ~lowered & (k == block.shape[1])
             end_runs(act[~lowered & ~swept], False)  # out of budget mid-sweep
         else:
-            swept = k == width
+            swept = k == block.shape[1]
             end_runs(act[~swept], False)
         f = swept.nonzero()[0]
         if cam:
@@ -307,7 +302,7 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
 def _random_picks(batch: ViewBatch, budget: int, rngs, block, lo: int) -> None:
     """Fill ``block`` with the picks of rows ``lo`` to ``lo + len(block) - 1``
     of ``batch`` for :func:`_random_rows`: row r lists ``budget`` minus its
-    count distinct nodes that it has not seen; the rest of the row is 0.
+    count distinct nodes that it has not seen; the rest of the row is kept.
 
     Candidates are drawn in rounds, each row from its own generator, about
     enough for its remaining budget.  A round keeps, per row, the first draw
@@ -351,17 +346,18 @@ def _random_rows(batch: ViewBatch, budget: int, rngs) -> None:
 
     Drawing past the last charged node changes nothing observed.  The nodes
     of every row are picked first (:func:`_random_picks`, in groups of rows
-    whose draws stay near ``_PICK_KEYS``) and then observed.
+    whose draws stay near ``_PICK_KEYS``) and then observed.  A row that
+    needs fewer picks than the widest has charged, and pads with its first
+    charged node, which is free to observe again.
     """
     need = np.maximum(budget - batch.count, 0)
-    valid = np.arange(need.max()) < need[:, None]
-    block = np.zeros(valid.shape, dtype=np.int64)
-    group = max(1, _PICK_KEYS // max(valid.shape[1], 1))
+    block = np.repeat(batch.log_ids[:, :1], need.max(), axis=1)
+    group = max(1, _PICK_KEYS // max(block.shape[1], 1))
     for lo in range(0, len(block), group):  # bounds the temporaries
         _random_picks(batch, budget, rngs, block[lo:lo + group], lo)
     rows = np.arange(len(block))
     for lo in range(0, block.shape[1], _RANDOM_COLUMNS):  # bounds the temporaries
-        batch.observe(rows, block[:, lo:lo + _RANDOM_COLUMNS], valid[:, lo:lo + _RANDOM_COLUMNS])
+        batch.observe(rows, block[:, lo:lo + _RANDOM_COLUMNS])
 
 
 def _random_budget(budget, n: int) -> int:

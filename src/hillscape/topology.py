@@ -2,7 +2,9 @@
 
 Nodes are dense integer ids ``0..n-1`` and every neighbor list is returned
 in ascending id order -- the tie-breaking contract everything downstream
-(successor maps, search traces) relies on.
+(successor maps, search traces) relies on.  A batch of neighbor lists is
+one block whose short rows are padded with the row's own node id, which is
+never its own neighbor: no mask goes with it.
 
 Generated kinds:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import inspect
 import io
+import numbers
 
 import numpy as np
 
@@ -88,20 +91,21 @@ class Topology:
         self._check_id(v)
         v = int(v)
         if self.kind == "clique_power":
-            return self._clique_block(np.array([v], dtype=np.int64))[0][0]
+            return self._clique_block(np.array([v], dtype=np.int64))[0]
         indptr, indices = self._csr
         return indices[indptr[v]:indptr[v + 1]]
 
     def neighbors_block(self, vs: np.ndarray):
-        """Neighbors for a batch of nodes.
+        """Neighbors for a batch of nodes: one ``(len(vs), w)`` int64 block.
 
-        Returns ``(block, mask)`` where ``block`` has one row per node,
-        sorted ascending and padded with the node's own id, and ``mask``
-        marks real neighbors.  (K_m)^d rows hold the degree s; CSR rows are
-        as wide as the largest degree in the batch (at least 1).
+        Row i lists the neighbors of ``vs[i]`` in ascending order, then
+        ``vs[i]`` itself as padding; the real entries of a row are the ones
+        that differ from its node.  (K_m)^d rows hold the degree s; CSR rows
+        are as wide as the largest degree in the batch (at least 1).
         """
-        vs = np.asarray(vs, dtype=np.int64)
+        vs = np.asarray(vs)
         self._check_id(vs)
+        vs = vs.astype(np.int64, copy=False)
         if self.kind == "clique_power":
             return self._clique_block(vs)
         return self._csr_block(vs)
@@ -135,7 +139,7 @@ class Topology:
         out = np.broadcast_to(offsets, keep.shape)[keep].reshape(len(vs), self.degree)
         del keep
         out += vs[:, None]
-        return out, np.ones(out.shape, dtype=bool)
+        return out
 
     @functools.cached_property
     def _csr(self):
@@ -170,7 +174,7 @@ class Topology:
         mask = np.arange(width) < degs[:, None]
         block = np.repeat(vs[:, None], width, axis=1)
         block[mask] = indices[(starts[:, None] + np.arange(width))[mask]]
-        return block, mask
+        return block
 
     def padded_neighbors(self):
         """Full ``(n, max_degree)`` neighbor matrix padded with self ids.
@@ -229,14 +233,22 @@ class Topology:
                            TopologyError, "topology")
 
     def _check_id(self, v):
-        """Raise TopologyError unless node id ``v``, or every id of array ``v``, is in [0, n)."""
+        """Raise TopologyError unless ``v``, or each id of a non-empty array
+        ``v``, is an integer in [0, n)."""
         if isinstance(v, np.ndarray):
+            if v.size and v.dtype.kind not in "iu":
+                raise self._not_an_id(v.flat[0].item())
             # ufunc reductions: ndarray.min/max cost twice as much on a small array
             if not v.size or (np.minimum.reduce(v) >= 0 and np.maximum.reduce(v) < self.n):
                 return
             v = v[(v < 0) | (v >= self.n)][0]
-        if not 0 <= int(v) < self.n:
+        if not isinstance(v, numbers.Integral):  # 2.5, "3", None
+            raise self._not_an_id(v)
+        if not 0 <= v < self.n:
             raise TopologyError(f"node id {v} out of range [0, {self.n})")
+
+    def _not_an_id(self, v) -> TopologyError:
+        return TopologyError(f"node id {v!r} is not an integer in [0, {self.n})")
 
 
 def _parse_spec(text: str, kinds: dict, error, what: str):
@@ -407,12 +419,12 @@ def _bfs_tree(t: Topology, root: int = 0):
     levels = [np.asarray([root], dtype=np.int64)]
     while True:
         frontier = levels[-1]
-        block, mask = t.neighbors_block(frontier)
-        mask &= ~seen[block]
-        uniq, first = np.unique(block[mask], return_index=True)
+        block = t.neighbors_block(frontier)
+        new = ~seen[block]  # a pad is its frontier node: seen
+        uniq, first = np.unique(block[new], return_index=True)
         if uniq.size == 0:
             return np.concatenate(levels), parent, np.asarray([lv.size for lv in levels])
-        parent[uniq] = frontier[np.nonzero(mask)[0][first]]  # rows are frontier nodes
+        parent[uniq] = frontier[np.nonzero(new)[0][first]]  # rows are frontier nodes
         seen[uniq] = True
         levels.append(uniq)
 

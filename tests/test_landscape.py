@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pickle
+import re
 import statistics
 import warnings
 
@@ -511,6 +512,35 @@ class TestObservePrefix:
             view.observe_prefix(ids)
         assert view.query_count == 0
 
+    @pytest.mark.parametrize("bad,shown", [(2.5, "2.5"), ("3", "'3'"), (np.array([3.9]), "3.9")],
+                             ids=["float", "str", "float-array"])
+    def test_non_integer_ids_rejected(self, bad, shown):
+        # observe(2.5) observed node 2 and observe("3") node 3, and charged it
+        view = hs.LandscapeView(hs.sample_uniform(hs.make_complete(5), 1),
+                                hs.NoiseSpec.gaussian_fresh(0.1), seed=2)
+        message = rf"node id {re.escape(shown)} is not an integer in \[0, 5\)"
+        with pytest.raises(LandscapeError, match=message):
+            view.observe(bad)
+        with pytest.raises(LandscapeError, match=message):
+            view.observe_prefix(bad if isinstance(bad, np.ndarray) else [bad])
+        assert view.query_count == 0 and view.observation_log() == []
+        values, k = view.observe_prefix([])  # an empty list is float64: accepted
+        assert values.size == k == view.query_count == 0
+
+    @pytest.mark.parametrize("noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.1),
+                                       hs.NoiseSpec.gaussian_fresh(0.1)],
+                             ids=["none", "frozen", "fresh"])
+    def test_repeats_charged_once(self, noise):
+        # observe_prefix([3, 3, 1]) charged node 3 twice and gave it two values
+        scape = hs.sample_uniform(hs.make_complete(5), 1)
+        view, looped = (hs.LandscapeView(scape, noise, seed=2) for _ in range(2))
+        ids = [3, 3, 1, 4, 3, 1, 0]
+        values, k = view.observe_prefix(ids)
+        want = np.asarray([looped.observe(v) for v in ids])
+        assert k == len(ids) and values.tobytes() == want.tobytes()
+        assert view.query_count == 4 and view.observation_log() == [3, 1, 4, 0]
+        assert view.observation_log() == looped.observation_log()
+
     def test_frozen_values_equal_observations(self, k56_uniform):
         # frozen_values evaluates all n nodes slab by slab through the function
         # that observation uses: the two agree bit for bit in any order
@@ -532,6 +562,39 @@ class TestObservePrefix:
         for view, order in ((a, [5, 900, 77]), (b, [77, 5, 900])):
             want = k56_uniform.val_loss[order] + 0.1 * z
             assert view.observed_values().tobytes() == want.tobytes()
+
+
+class TestPads:
+    """A seen id repeated after a row's real ids, as a neighbor block pads a
+    row with its current node, is a free cache read in ``ViewBatch.observe``."""
+
+    @pytest.mark.parametrize("rows,block", [
+        ([0], [[7, 8, 4, 4]]),
+        ([1, 0], [[7, 8, 4, 4], [9, 2, 2, 2]]),
+    ], ids=["one-row", "two-row"])
+    def test_pad_is_a_free_cache_read(self, rows, block):
+        scape = hs.Landscape(hs.make_complete(10), np.arange(10) / 10.0)
+        rows, block = np.asarray(rows), np.asarray(block)
+        cur = block[:, -1]
+        batch = landscape.ViewBatch(scape, hs.NoiseSpec.gaussian_fresh(0.01), [5, 6][:len(rows)])
+        lv = batch.observe(rows, cur[:, None])[0][:, 0]  # each row charges its current node
+        pads = block == cur[:, None]
+        real = [row[~pad].tolist() for row, pad in zip(block, pads)]
+        width = [block.shape[1]] * len(rows)
+
+        # no value is below stop_below, the pads' own: the rows sweep to the end
+        values, k = batch.observe(rows, block, stop_below=lv)
+        assert k.tolist() == width  # the pads are counted
+        assert (values[pads] == np.broadcast_to(lv[:, None], block.shape)[pads]).all()
+        assert batch.count[rows].tolist() == [1 + len(r) for r in real]  # pads charge nothing
+        for r, c, rest in zip(rows, cur, real):
+            assert batch.log_ids[r, :batch.count[r]].tolist() == [c] + rest
+
+        # at 0 room the pads, like the seen real ids, are never cut
+        counts = batch.count[rows].copy()
+        again, k = batch.observe(rows, block, budget=int(counts.min()))
+        assert k.tolist() == width and batch.count[rows].tolist() == counts.tolist()
+        assert again.tobytes() == values.tobytes()
 
 
 class TestNoiseSpec:

@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -380,28 +381,33 @@ def test_template_not_built_by_constructor():
 @given(m=st.integers(2, 6), d=st.integers(1, 5))
 def test_clique_generators_match_digit_oracle(m, d):
     t = hs.make_clique_power(m, d)
-    block, mask = t.neighbors_block(np.arange(t.n))
+    vs = np.arange(t.n)
+    block = t.neighbors_block(vs)
+    mask = block != vs[:, None]  # a pad is the node itself
     assert block.shape == (t.n, t.degree) and mask.all()
     for v in range(t.n):
         expected = clique_neighbors_oracle(v, m, d)
         assert block[v].tolist() == expected
         assert t.neighbors(v).tolist() == expected
-    empty_block, empty_mask = t.neighbors_block(np.zeros(0, dtype=np.int64))
+    empty = np.zeros(0, dtype=np.int64)
+    empty_block = t.neighbors_block(empty)
+    empty_mask = empty_block != empty[:, None]
     assert empty_block.shape == empty_mask.shape == (0, t.degree)
 
 
 def test_single_node_complete_generators():
     t = hs.make_complete(1)
     assert t.neighbors(0).tolist() == clique_neighbors_oracle(0, 1, 1) == []
-    block, mask = t.neighbors_block([0, 0])
+    block = t.neighbors_block([0, 0])
+    mask = block != np.zeros((2, 1), dtype=np.int64)
     assert block.shape == mask.shape == (2, 0)
-    assert t.neighbors_block([])[0].shape == (0, 0)
+    assert t.neighbors_block([]).shape == (0, 0)
 
 
 def test_clique_block_rows_in_any_order():
     t = hs.make_clique_power(4, 3)
     vs = np.asarray([63, 0, 17, 17, 42])
-    block, _ = t.neighbors_block(vs)
+    block = t.neighbors_block(vs)
     for row, v in zip(block, vs):
         assert row.tolist() == clique_neighbors_oracle(int(v), 4, 3)
 
@@ -430,7 +436,8 @@ def test_tree_generators_match_parent_child_oracle(arity, depth):
     expected = tree_oracle(arity, depth)
     assert t.n == len(expected)
     vs = np.arange(t.n)[::-1]  # an unsorted batch
-    block, mask = t.neighbors_block(vs)
+    block = t.neighbors_block(vs)
+    mask = block != vs[:, None]
     assert block.shape == (t.n, arity)
     for row, keep, v in zip(block, mask, vs):
         v = int(v)
@@ -448,7 +455,8 @@ def test_tree_generators_match_parent_child_oracle(arity, depth):
 def test_custom_blocks_equal_csr_slices(text):
     t = hs.load_adjacency(text)
     for vs in (np.arange(t.n), np.asarray([t.n - 1, 0, t.n - 1]), np.zeros(0, dtype=np.int64)):
-        block, mask = t.neighbors_block(vs)
+        block = t.neighbors_block(vs)
+        mask = block != vs[:, None]
         assert block.shape[0] == mask.shape[0] == len(vs)
         for row, keep, v in zip(block, mask, vs):
             v = int(v)
@@ -469,6 +477,23 @@ def test_neighbors_block_rejects_out_of_range_ids(spec, bad):
         t.neighbors_block(np.asarray(bad))
     with pytest.raises(TopologyError, match=rf"node id {first} out of range"):
         t.neighbors(first)
+
+
+_NON_INTEGER_IDS = pytest.mark.parametrize("bad,shown", [
+    (2.5, "2.5"), ("3", "'3'"), (np.array([3.9, 1.0]), "3.9")], ids=["float", "str", "float-array"])
+
+
+@_NON_INTEGER_IDS
+@pytest.mark.parametrize("spec", ["complete:5", "tree:2,2", "custom"])
+def test_non_integer_ids_rejected(spec, bad, shown):
+    # these were truncated or parsed: neighbors(2.5) listed node 2's neighbors
+    t = hs.load_adjacency("n 5\n0 1\n1 2\n") if spec == "custom" else hs.Topology.from_spec(spec)
+    message = rf"node id {re.escape(shown)} is not an integer in \[0, {t.n}\)"
+    with pytest.raises(TopologyError, match=message):
+        t.neighbors(bad)
+    with pytest.raises(TopologyError, match=message):
+        t.neighbors_block(bad if isinstance(bad, np.ndarray) else [bad])
+    assert t.neighbors_block([]).shape[0] == 0  # an empty list is float64: accepted
 
 
 class TestNodeCountBound:
