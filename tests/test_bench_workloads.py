@@ -50,11 +50,16 @@ def _traced_names():
     return {(id(owner), key): value for owner in owners for key, value in vars(owner).items()}
 
 
-@pytest.mark.parametrize("name", ["search-k56", "exhaustive-k58", "cli-k56"])
-def test_traced_toy_pass_has_no_problems(workloads, name, tmp_path):
+@pytest.fixture(scope="module")
+def tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("name", ["search-k56", "exhaustive-k58", "cli-k56"])
+def test_traced_toy_pass_has_no_problems(workloads, tracing, name, tmp_path):
     wl = workloads.make(name, 3, toy=True, workdir=str(tmp_path))
     wl.in_process = True
     wl.setup()
