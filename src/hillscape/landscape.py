@@ -608,8 +608,6 @@ class LandscapeView:
         except TopologyError as exc:
             raise LandscapeError(str(exc)) from None
         ids = ids.astype(np.int64, copy=False)
-        if ids.size < 2:  # one id: nothing repeats
-            return self._rows.observe(_ROW, ids[None])[0][0], ids.size
         nodes, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         by_visit = np.argsort(first)
         values = np.empty(nodes.size)
@@ -620,7 +618,7 @@ class LandscapeView:
         """Whether the view has observed node ``v``; ``LandscapeError``
         unless ``v`` is an integer node id in [0, n)."""
         try:
-            ok = 0 <= operator.index(v) < self.landscape.n
+            ok = not isinstance(v, bool) and 0 <= operator.index(v) < self.landscape.n
         except TypeError:  # 2.5, "3", None
             ok = False
         if not ok:

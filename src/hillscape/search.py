@@ -348,7 +348,9 @@ def _random_rows(batch: ViewBatch, budget: int, rngs) -> None:
     of every row are picked first (:func:`_random_picks`, in groups of rows
     whose draws stay near ``_PICK_KEYS``) and then observed.  A row that
     needs fewer picks than the widest has charged, and pads with its first
-    charged node, which is free to observe again.
+    charged node, which is free to observe again.  A row that has charged
+    nothing is the widest: its picks overwrite every column, including the
+    pad read from its unwritten log.
     """
     need = np.maximum(budget - batch.count, 0)
     block = np.repeat(batch.log_ids[:, :1], need.max(), axis=1)

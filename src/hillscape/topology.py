@@ -242,7 +242,7 @@ class Topology:
             if not v.size or (np.minimum.reduce(v) >= 0 and np.maximum.reduce(v) < self.n):
                 return
             v = v[(v < 0) | (v >= self.n)][0]
-        if not isinstance(v, numbers.Integral):  # 2.5, "3", None
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):  # True, 2.5, "3", None
             raise self._not_an_id(v)
         if not 0 <= v < self.n:
             raise TopologyError(f"node id {v} out of range [0, {self.n})")

@@ -414,9 +414,10 @@ class TestObserve:
         with pytest.raises(LandscapeError):
             view.observe(15625)
 
-    @pytest.mark.parametrize("bad", [-1, 5, 7, 2.5, "3"])
+    @pytest.mark.parametrize("bad", [-1, 5, 7, 2.5, "3", True])
     def test_seen_checks_the_id(self, bad):
-        # seen(-1) used to wrap to node 4 and seen(7) raised a bare IndexError
+        # seen(-1) used to wrap to node 4, seen(7) raised a bare IndexError
+        # and seen(True) a bare ValueError
         view = hs.LandscapeView(hs.sample_uniform(hs.make_complete(5), 1), hs.NoiseSpec.none())
         view.observe(4)
         with pytest.raises(LandscapeError, match=rf"node id {bad!r} is not an integer in \[0, 5\)"):
@@ -512,8 +513,9 @@ class TestObservePrefix:
             view.observe_prefix(ids)
         assert view.query_count == 0
 
-    @pytest.mark.parametrize("bad,shown", [(2.5, "2.5"), ("3", "'3'"), (np.array([3.9]), "3.9")],
-                             ids=["float", "str", "float-array"])
+    @pytest.mark.parametrize("bad,shown", [(2.5, "2.5"), ("3", "'3'"), (np.array([3.9]), "3.9"),
+                                           (True, "True")],
+                             ids=["float", "str", "float-array", "bool"])
     def test_non_integer_ids_rejected(self, bad, shown):
         # observe(2.5) observed node 2 and observe("3") node 3, and charged it
         view = hs.LandscapeView(hs.sample_uniform(hs.make_complete(5), 1),

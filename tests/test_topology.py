@@ -480,13 +480,15 @@ def test_neighbors_block_rejects_out_of_range_ids(spec, bad):
 
 
 _NON_INTEGER_IDS = pytest.mark.parametrize("bad,shown", [
-    (2.5, "2.5"), ("3", "'3'"), (np.array([3.9, 1.0]), "3.9")], ids=["float", "str", "float-array"])
+    (2.5, "2.5"), ("3", "'3'"), (np.array([3.9, 1.0]), "3.9"), (True, "True")],
+    ids=["float", "str", "float-array", "bool"])
 
 
 @_NON_INTEGER_IDS
 @pytest.mark.parametrize("spec", ["complete:5", "tree:2,2", "custom"])
 def test_non_integer_ids_rejected(spec, bad, shown):
-    # these were truncated or parsed: neighbors(2.5) listed node 2's neighbors
+    # these were truncated or parsed: neighbors(2.5) listed node 2's neighbors,
+    # and neighbors(True) node 1's
     t = hs.load_adjacency("n 5\n0 1\n1 2\n") if spec == "custom" else hs.Topology.from_spec(spec)
     message = rf"node id {re.escape(shown)} is not an integer in \[0, {t.n}\)"
     with pytest.raises(TopologyError, match=message):
