@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import LandscapeError, LandscapeView
+from .landscape import LandscapeError, LandscapeView, _eps_array, _whole
 from .seeding import spawn_rng
 
 __all__ = [
@@ -209,16 +209,6 @@ def basins(view: LandscapeView, use_base_loss_for_global: bool = False):
     return assignment, stats
 
 
-def _eps_array(eps_grid) -> np.ndarray:
-    """``eps_grid`` as a float array; it must be non-empty, 1-d, finite,
-    non-negative and ascending."""
-    eps = np.asarray(eps_grid, dtype=float)
-    if (eps.ndim != 1 or len(eps) == 0 or not np.isfinite(eps).all()
-            or (eps < 0).any() or (np.diff(eps) < 0).any()):
-        raise ValueError("eps grid must be ascending, finite and non-negative")
-    return eps
-
-
 def within_epsilon_curve(view: LandscapeView, eps_grid) -> list[tuple[float, float]]:
     """Fraction of starts whose terminal minimum lies within eps of the best."""
     eps = _eps_array(eps_grid)
@@ -242,6 +232,7 @@ def preimage_sizes(view: LandscapeView, v: int, max_k: int):
     smap = successor_map(view)
     if not 0 <= v < smap.n:
         raise LandscapeError(f"node id {v} out of range")
+    max_k = _whole(max_k, "max_k")
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     order, starts = smap.predecessors()
@@ -292,6 +283,7 @@ def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
     follows the convention that a walk reaches mean distance sqrt(N) after
     N steps.
     """
+    walk_len, max_lag = _whole(walk_len, "walk_len"), _whole(max_lag, "max_lag")
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     if walk_len < 2 * max_lag:

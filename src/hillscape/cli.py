@@ -8,7 +8,9 @@ parser.  A command only computes: it returns its outputs, and ``main``
 writes them under ``--out``, ``manifest.json`` with the fully resolved
 configuration first.  So a run that exits non-zero on its inputs or in its
 computation writes nothing.  Outputs are plot-ready CSV/JSON and
-byte-identical across reruns with the same seed.
+byte-identical across reruns with the same seed.  Each command imports the
+modules it runs (``analysis``, ``search`` or ``theory``) when it is called,
+so ``gen`` and ``compare`` load none of them.
 
 Exit codes: 0 success, 2 usage error, 3 data/validation error.
 """
@@ -24,12 +26,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, analysis, theory
-from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec, _read_csv,
-                        _write_csv, load_landscape, sample_markov_truncnorm,
+from . import _ALGOS, DEFAULT_GRID_POINTS, __version__
+from .landscape import (Landscape, LandscapeError, LandscapeView, NoiseSpec, _eps_array,
+                        _read_csv, _write_csv, load_landscape, sample_markov_truncnorm,
                         sample_uniform, save_landscape)
-from .search import _ALGOS, run_trials
-from .theory import LocalPdfSpec, PdfSpec, TheoryParams
 from .topology import Topology, TopologyError, _parse_spec, load_adjacency
 
 
@@ -65,13 +65,24 @@ def _markov_model(sigma_local, root_center=0.25, root_sigma=0.18):
                                                       root_sigma, seed)
 
 
-# spec tables for --model, --pdf-n and --pdf-e (grammar: topology._parse_spec)
+def _theory():
+    """``theory``, imported when a pdf factory below is first called."""
+    from . import theory
+    return theory
+
+
+# spec tables for --model, --pdf-n and --pdf-e (grammar: topology._parse_spec);
+# the pdf factories import theory when they are called, and keep the
+# parameter names of the constructors they call
 _MODELS = {"uniform": (lambda: sample_uniform,),
            "markov-tn": (_markov_model, float, float, float)}
-_PDF_N = {"uniform": (PdfSpec.uniform01,),
-          "truncnorm": (PdfSpec.truncnorm, float, float)}
-_PDF_E = {"uniform": (lambda: LocalPdfSpec.independent(PdfSpec.uniform01()),),
-          "truncnorm-local": (LocalPdfSpec.truncnorm_centered, float)}
+_PDF_N = {"uniform": (lambda: _theory().PdfSpec.uniform01(),),
+          "truncnorm": (lambda center, sigma: _theory().PdfSpec.truncnorm(center, sigma),
+                        float, float)}
+_PDF_E = {"uniform": (lambda: _theory().LocalPdfSpec.independent(
+                          _theory().PdfSpec.uniform01()),),
+          "truncnorm-local": (lambda sigma: _theory().LocalPdfSpec.truncnorm_centered(sigma),
+                              float)}
 
 
 def _load_landscape_arg(cfg, command: str) -> Landscape:
@@ -85,7 +96,7 @@ def _eps_grid(cfg) -> np.ndarray:
         raise ValueError("eps-points must be >= 2")
     with np.errstate(invalid="ignore"):  # an infinite eps-max gives nan: rejected below
         grid = np.linspace(0.0, cfg["eps_max"], cfg["eps_points"])
-    return analysis._eps_array(grid)
+    return _eps_array(grid)
 
 
 # -- commands -------------------------------------------------------------------
@@ -102,6 +113,8 @@ def cmd_gen(cfg) -> dict:
 
 
 def cmd_search(cfg) -> dict:
+    from .search import run_trials
+
     scape = _load_landscape_arg(cfg, "search")
     noise = NoiseSpec.parse(cfg["noise"])
     histories = run_trials(
@@ -143,6 +156,8 @@ def cmd_search(cfg) -> dict:
 
 
 def cmd_analyze(cfg) -> dict:
+    from . import analysis
+
     scape = _load_landscape_arg(cfg, "analyze")
     noise = NoiseSpec.parse(cfg["noise"])
     eps = _eps_grid(cfg)
@@ -172,6 +187,8 @@ def cmd_analyze(cfg) -> dict:
 
 
 def cmd_rwa(cfg) -> dict:
+    from . import analysis
+
     scape = _load_landscape_arg(cfg, "rwa")
     noise = NoiseSpec.parse(cfg["noise"])
     view = LandscapeView(scape, noise, seed=cfg["seed"])
@@ -180,6 +197,8 @@ def cmd_rwa(cfg) -> dict:
 
 
 def cmd_theory(cfg) -> dict:
+    from . import theory
+
     pdf_n = _parse_spec(cfg["pdf_n"], _PDF_N, ValueError, "global pdf")
     pdf_e = _parse_spec(cfg["pdf_e"], _PDF_E, ValueError, "local pdf")
     closed = cfg["closed_form"]
@@ -191,13 +210,13 @@ def cmd_theory(cfg) -> dict:
         if cfg["n"] is not None or cfg["s"] is not None or cfg["b"] != [1.0]:  # [1.0]: --b default
             raise ValueError("theory --topo takes n, s and b from the topology; "
                              "--n, --s and --b apply only without it")
-        params = TheoryParams.from_topology(_parse_topo(cfg["topo"]),
-                                            ell_star=cfg["ell_star"])
+        params = theory.TheoryParams.from_topology(_parse_topo(cfg["topo"]),
+                                                   ell_star=cfg["ell_star"])
     else:
         if cfg["n"] is None or cfg["s"] is None:
             raise ValueError("theory requires --topo or both --n and --s")
-        params = TheoryParams(n=cfg["n"], s=cfg["s"], b=cfg["b"],
-                              ell_star=cfg["ell_star"])
+        params = theory.TheoryParams(n=cfg["n"], s=cfg["s"], b=cfg["b"],
+                                     ell_star=cfg["ell_star"])
     eps = _eps_grid(cfg)
     max_k, grid_points = cfg["max_k"], cfg["grid_points"]
     if max_k < 1:
@@ -248,6 +267,8 @@ def cmd_theory(cfg) -> dict:
 
 
 def cmd_fit(cfg) -> dict:
+    from . import theory
+
     if cfg["mode"] == "global":
         scape = _load_landscape_arg(cfg, "fit --mode global")
         fit = theory.fit_global_truncnorm(scape.val_loss)
@@ -370,7 +391,7 @@ COMMANDS = {
         Flag("ell_star", float, 0.0, "loss floor"),
         _EPS_MAX, _EPS_POINTS,
         Flag("max_k", int, 5, "deepest preimage level"),
-        Flag("grid_points", int, theory.DEFAULT_GRID_POINTS, "quadrature grid points"),
+        Flag("grid_points", int, DEFAULT_GRID_POINTS, "quadrature grid points"),
         Flag("closed_form", ("uniform",), None, "use the closed form for uniform losses"),
         Flag("noise_sigma", float, None, "noise sigma of the Chebyshev minima bound"),
         Flag("delta", float, 1e-3, "diagonal band the Chebyshev bound leaves out, in (0, 1)"),

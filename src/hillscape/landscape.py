@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field
@@ -47,6 +48,32 @@ _NOISE_STREAM = 0xA1
 
 class LandscapeError(ValueError):
     """Malformed landscape data or an invalid observation request."""
+
+
+# -- argument checks shared by analysis, search, theory and the CLI ----------
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a whole number: an
+    integer, or a float with an integral value of at most 2**53, up to which
+    floats hold every integer.  So 2.5, NaN, 1e300 and True are rejected,
+    7.0 accepted."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()
+            and abs(value) <= 2**53):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _eps_array(eps_grid) -> np.ndarray:
+    """``eps_grid`` as a float array; it must be non-empty, 1-d, finite,
+    non-negative and ascending."""
+    eps = np.asarray(eps_grid, dtype=float)
+    if (eps.ndim != 1 or len(eps) == 0 or not np.isfinite(eps).all()
+            or (eps < 0).any() or (np.diff(eps) < 0).any()):
+        raise ValueError("eps grid must be ascending, finite and non-negative")
+    return eps
 
 
 # -- truncated normal on [0, 1] --------------------------------------------

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch
+from . import _ALGOS, _CLIMBS
+from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch, _whole
 from .seeding import mix64, spawn_rng
 
 __all__ = [
@@ -67,15 +68,12 @@ _MIN_ROWS = 16
 _START_BATCH = 8  # starts drawn ahead per row, times num_initial
 _RANDOM_COLUMNS = 32  # random-search picks observed per call and row
 _PICK_KEYS = 1 << 12  # random-search draws per group of rows and round, about
-_CLIMBS = ("local", "local-qul", "local-cam")  # SearchConfig.algo
-_ALGOS = _CLIMBS + ("random",)  # run_trials and the CLI's --algo
 
 
 def _check_count(value, name: str) -> None:
     """A count must be a whole number >= 1: ``budget=2.5`` or NaN would be
     misread by the ``query_count < budget`` checks, ``jobs=0`` read as 1."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    _whole(value, name)
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
 

@@ -41,9 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis
-from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, sample_markov_truncnorm,
-                        truncnorm_pdf, truncnorm_sf)
+from . import DEFAULT_GRID_POINTS
+from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, _eps_array, _whole,
+                        sample_markov_truncnorm, truncnorm_pdf, truncnorm_sf)
 from .seeding import mix64
 from .topology import Topology, _clique_power_branching, branching_fractions
 
@@ -67,13 +67,13 @@ __all__ = [
     "RwaFit",
 ]
 
-DEFAULT_GRID_POINTS = 2049  # even interval count for Simpson
 _PDF_TOL = 1e-6
 _ROW_BLOCK = 128  # grid rows per block of the grid-by-grid quadratures
 _MAX_TERMS = 512  # longest independence series
 
 
 def _grid(points: int) -> np.ndarray:
+    points = _whole(points, "grid_points")
     if points < 9:
         raise ValueError("grid needs at least 9 points")
     return np.linspace(0.0, 1.0, points)
@@ -283,6 +283,8 @@ class TheoryParams:
     ell_star: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole(self.n, "n"))
+        object.__setattr__(self, "s", _whole(self.s, "s"))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         if self.n < 1 or self.s < 1:
             raise ValueError("n and s must be >= 1")
@@ -336,6 +338,7 @@ def expected_minima_fraction(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
 
     Quadrature of  integral pdf_n(x) * (integral_x^1 pdf_e(x, y) dy)^s dx.
     """
+    s = _whole(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")
     xs = _grid(grid_points)
@@ -353,6 +356,9 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
                     grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """E[|LS^-k|](x) for k = 1..max_k on the shared grid: the closed form for
     a center-independent local pdf, the quadrature recursion otherwise."""
+    max_k = _whole(max_k, "max_k")
+    if max_k < 1:
+        raise ValueError("max_k must be >= 1")
     xs = _grid(grid_points)
     s = params.s
     n_pts = len(xs)
@@ -404,6 +410,7 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
 
 def independent_closed_form(g: PdfSpec, params: TheoryParams, x, k: int):
     """c_k G(x)^{sk} for center-independent pdfs (see ``_series_coeffs``)."""
+    k = _whole(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     coeffs = _series_coeffs(params)
@@ -430,6 +437,7 @@ def full_preimage_bounds(G_val: float, s: int) -> tuple[float, float]:
     """
     if not 0.0 <= G_val <= 1.0:
         raise ValueError("G_val must lie in [0, 1]")
+    s = _whole(s, "s")
     if s < 1:
         raise ValueError("s must be >= 1")
     core = s * G_val**s
@@ -448,7 +456,7 @@ def success_curve(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParams,
     pdf_n(x) * survival(x)^s * (1 + sum_k E[|LS^-k|](x)) dx,
     with preimage depth capped at ``max_k``.
     """
-    analysis._eps_array(eps_grid)  # reject a bad grid before building the table
+    _eps_array(eps_grid)  # reject a bad grid before building the table
     xs, E = _preimage_table(pdf_e, params, max_k, grid_points)
     return _success_from_table(pdf_n, pdf_e, params, eps_grid, xs, E)
 
@@ -457,7 +465,7 @@ def _success_from_table(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParam
                         eps_grid, xs: np.ndarray,
                         E: np.ndarray) -> list[tuple[float, float]]:
     """``success_curve`` from a preimage table ``_preimage_table`` returned."""
-    eps = analysis._eps_array(eps_grid)
+    eps = _eps_array(eps_grid)
     weight = 1.0 + E.sum(axis=0)
     integrand = _grid_density(pdf_n, xs) * pdf_e.survival(xs, xs) ** params.s * weight
     integrand = np.where(xs >= params.ell_star, integrand, 0.0)
@@ -474,6 +482,7 @@ def _success_from_table(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParam
 
 def uniform_closed_form_minima(n: int, s: int) -> float:
     """Expected number of local minima under fully uniform losses: n / (s + 1)."""
+    n, s = _whole(n, "n"), _whole(s, "s")
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
     return n / (s + 1)
@@ -509,7 +518,7 @@ def uniform_closed_form_curve(n: int, s: int, b, eps_grid) -> list[tuple[float, 
     Losses lie in [0, 1], so an eps above 1 gives the value at eps = 1.
     """
     params = TheoryParams(n=n, s=s, b=np.asarray(b, dtype=float))
-    eps = analysis._eps_array(eps_grid)
+    eps = _eps_array(eps_grid)
     total, _, _ = _uniform_series(params, np.minimum(eps, 1.0))
     return [(float(e), float(v)) for e, v in zip(eps, total)]
 
@@ -556,7 +565,7 @@ def clique_power_uniform_curve(m: int, d: int, eps_grid) -> list[tuple[float, fl
         raise ValueError("clique power needs m >= 2")
     if d < 1:
         raise ValueError("clique power needs d >= 1")
-    eps = analysis._eps_array(eps_grid)
+    eps = _eps_array(eps_grid)
     clipped = np.minimum(eps, 1.0)
     depths = _clique_power_depths(m, d)
     total = np.zeros_like(eps)
@@ -586,6 +595,7 @@ def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
     finely than one cell.  Returns ``inf`` when the integral overflows float
     range (bound vacuous).  The grid is summed one row block at a time.
     """
+    s = _whole(s, "s")
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError("sigma must be finite and >= 0")
     if not 0.0 < delta < 1.0:  # also rejects NaN
@@ -601,10 +611,11 @@ def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
         diff = xs[rows, None] - xs[None, :]
         dens = dens_n[rows, None] * dens_e
         mask = (np.abs(diff) >= delta) & (dens > 0.0)
-        integrand = np.zeros_like(dens)
-        with np.errstate(over="ignore", divide="ignore"):
-            core = (2.0 * diff[mask] ** 2) ** (-float(s))
-            integrand[mask] = dens[mask] * core
+        # the whole block, then zero outside the mask: the diagonal's 0 ** -s
+        # and a zero density times inf are masked out
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            core = (2.0 * diff ** 2) ** (-float(s))
+            integrand = np.where(mask, dens * core, 0.0)
         if not np.isfinite(integrand).all():
             return float("inf")
         inner[rows] = np.trapezoid(integrand, xs, axis=1)
@@ -677,6 +688,8 @@ def fit_local_sigma_via_rwa(observed_rwa, t: Topology, candidates, seed: int,
     lag_mask = rho_obs > 0.05
     if not lag_mask.any():
         lag_mask = np.ones_like(lag_mask, dtype=bool)
+    from . import analysis  # imported here: no other theory function needs it
+
     best = None
     for i, sig in enumerate(cand):
         scape = sample_markov_truncnorm(t, sig, root_center, root_sigma,

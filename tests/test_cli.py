@@ -377,15 +377,20 @@ class TestCompare:
         assert not (tmp_path / "c" / "compared.csv").exists()
 
 
-def _scipy_imports(*args, cwd=None):
-    """Modules named scipy or scipy.* that a fresh interpreter imports."""
+def _imports(*args, cwd=None):
+    """Names of the modules that a fresh interpreter imports, by -X importtime."""
     res = subprocess.run([sys.executable, "-X", "importtime", *args],
                          capture_output=True, text=True, cwd=cwd)
     assert res.returncode == 0, res.stderr
     names = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
              if line.startswith("import time:")]
     assert "hillscape" in names
-    return [n for n in names if n == "scipy" or n.startswith("scipy.")]
+    return names
+
+
+def _scipy_imports(*args, cwd=None):
+    """Modules named scipy or scipy.* that a fresh interpreter imports."""
+    return [n for n in _imports(*args, cwd=cwd) if n == "scipy" or n.startswith("scipy.")]
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +465,42 @@ class TestImportFloor:
             res = subprocess.run([sys.executable, "-c", code, *argv,
                                   "--out", str(tmp_path / name)], capture_output=True, text=True)
             assert res.returncode == 0, (name, res.stderr)
+
+    # the hillscape modules each command loads beyond the package, cli and the
+    # three that every command reads (landscape, seeding, topology)
+    @pytest.mark.parametrize("name,extra", [
+        ("version", ()), ("gen", ()), ("compare", ()), ("search", ("search",)),
+        ("analyze", ("analysis",)), ("rwa", ("analysis",)), ("theory", ("theory",)),
+        ("fit", ("theory", "analysis")),
+    ])
+    def test_command_loads_only_its_modules(self, small_landscape, markov_inputs,
+                                            tmp_path, name, extra):
+        sim, theo = tmp_path / "sim.csv", tmp_path / "theory.csv"
+        sim.write_text("epsilon,fraction\n0.0,0.0\n0.1,0.5\n")
+        theo.write_text("epsilon,fraction_theory\n0.0,0.0\n0.1,0.4\n")
+        landscape = ["--landscape", str(small_landscape)]
+        argv = {
+            "version": ["--version"],
+            "gen": ["gen", "--topo", "clique-power:5,3"],
+            "compare": ["compare", "--sim", str(sim), "--theory", str(theo)],
+            "search": ["search", *landscape, "--budget", "40", "--trials", "5"],
+            "analyze": ["analyze", *landscape],
+            "rwa": ["rwa", *landscape, "--walk-len", "2000", "--max-lag", "5"],
+            "theory": ["theory", "--topo", "clique-power:5,3", "--grid-points", "129",
+                       "--noise-sigma", "0.05"],
+            "fit": _truncnorm_commands(markov_inputs)["fit-local-rwa"],
+        }[name]
+        out = [] if name == "version" else ["--out", str(tmp_path / "o")]
+        loaded = {n for n in _imports("-m", "hillscape", *argv, *out)
+                  if n.startswith("hillscape")}
+        expected = {"hillscape", "hillscape.cli", "hillscape.landscape", "hillscape.seeding",
+                    "hillscape.topology", *(f"hillscape.{m}" for m in extra)}
+        assert loaded == expected
+
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        names = _imports("-c", "import hillscape")
+        assert [n for n in names if n.startswith("hillscape")] == ["hillscape"]
+        assert "numpy" not in names
 
     def test_no_module_imports_scipy(self):
         paths = sorted((REPO / "src" / "hillscape").rglob("*.py"))

@@ -192,6 +192,67 @@ class TestTheoryParams:
         assert k56_params.b_at(7) == 0.0
 
 
+def _whole_number_cases():
+    """(call, message) pairs: each call passes a count that is no whole
+    number >= 1, and each used to return a number or raise a bare error."""
+    params = hs.TheoryParams(n=125, s=12, b=[1.0])
+    local = hs.LocalPdfSpec.truncnorm_centered(0.35)
+    view = frozen_view(hs.make_clique_power(3, 2), np.arange(9) / 9)
+    return {
+        "params-n": (lambda: hs.TheoryParams(n=2.5, s=2, b=[1]),
+                     "n must be a whole number, got 2.5"),
+        "params-s-bool": (lambda: hs.TheoryParams(n=10, s=True, b=[1]),
+                          "s must be a whole number, got True"),
+        "params-n-huge": (lambda: hs.TheoryParams(n=1e300, s=2, b=[1]),
+                          "n must be a whole number, got 1e+300"),
+        "minima-s": (lambda: hs.expected_minima_fraction(UNIFORM, UNIFORM_LOCAL, 2.5),
+                     "s must be a whole number, got 2.5"),
+        "minima-grid": (lambda: hs.expected_minima_fraction(UNIFORM, UNIFORM_LOCAL, 2,
+                                                            grid_points=33.5),
+                        "grid_points must be a whole number, got 33.5"),
+        "chebyshev-s": (lambda: hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 2.5, 0.1,
+                                                          100),
+                        "s must be a whole number, got 2.5"),
+        "uniform-minima-n": (lambda: hs.uniform_closed_form_minima(2.5, 4),
+                             "n must be a whole number, got 2.5"),
+        "bounds-s": (lambda: hs.full_preimage_bounds(0.5, 2.5),
+                     "s must be a whole number, got 2.5"),
+        "curve-max-k-0": (lambda: hs.success_curve(UNIFORM, local, params, [0.0, 0.1], max_k=0,
+                                                   grid_points=33),
+                          "max_k must be >= 1"),
+        "curve-max-k": (lambda: hs.success_curve(UNIFORM, local, params, [0.0, 0.1], max_k=2.5,
+                                                 grid_points=33),
+                        "max_k must be a whole number, got 2.5"),
+        "closed-form-k": (lambda: hs.independent_closed_form(UNIFORM, params, 0.5, 1.5),
+                          "k must be a whole number, got 1.5"),
+        "preimage-max-k": (lambda: hs.preimage_sizes(view, 0, 2.5),
+                           "max_k must be a whole number, got 2.5"),
+        "rwa-max-lag": (lambda: hs.rwa(view, 100, 1.5, seed=0),
+                        "max_lag must be a whole number, got 1.5"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_whole_number_cases()))
+def test_counts_must_be_whole_numbers(case):
+    call, message = _whole_number_cases()[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_whole_float_counts_accepted():
+    # the check is SearchConfig's: an integral float counts as its integer
+    assert hs.expected_minima_fraction(UNIFORM, UNIFORM_LOCAL, 2.0, grid_points=33.0) == \
+        hs.expected_minima_fraction(UNIFORM, UNIFORM_LOCAL, 2, grid_points=33)
+    params = hs.TheoryParams(n=125.0, s=12.0, b=[1.0])
+    assert (params.n, params.s) == (125, 12)
+    assert hs.independent_closed_form(UNIFORM, params, 0.5, 2.0) == \
+        hs.independent_closed_form(UNIFORM, params, 0.5, 2)
+    view = frozen_view(hs.make_clique_power(3, 2), np.arange(9) / 9)
+    assert hs.preimage_sizes(view, 0, 3.0) == hs.preimage_sizes(view, 0, 3)
+    assert hs.rwa(view, 100.0, 4.0, seed=0) == hs.rwa(view, 100, 4, seed=0)
+
+
 class TestExpectedMinimaFraction:
     @pytest.mark.parametrize("s", [2, 5, 24])
     def test_uniform_closed_form(self, s):
@@ -585,6 +646,22 @@ class TestChebyshevBound:
             got = hs.chebyshev_minima_bound(*args, grid_points=points)
             assert got == whole_grid_bound(*args, points)
         assert (got == float("inf")) == (points > _ROW_BLOCK)
+
+    @pytest.mark.parametrize("points", [9, 129, 2048, 2049])
+    @pytest.mark.parametrize("delta", [1e-3, 0.3])
+    @pytest.mark.parametrize("local", ["uniform", "truncnorm-local"])
+    @pytest.mark.parametrize("s", [24, 64])
+    def test_equals_masked_index_formula(self, points, delta, local, s):
+        # each row block is np.where(mask, dens * core, 0.0) with core taken
+        # over the whole block; whole_grid_bound gathers and scatters the
+        # masked cells, as the blocks did before
+        pdf_n = hs.PdfSpec.truncnorm(0.25, 0.18)
+        pdf_e = UNIFORM_LOCAL if local == "uniform" else hs.LocalPdfSpec.truncnorm_centered(0.35)
+        args = (pdf_n, pdf_e, s, 0.05, 15625, delta)
+        got = hs.chebyshev_minima_bound(*args, grid_points=points)
+        assert got == whole_grid_bound(*args, points)
+        # at s = 64 a block next to the diagonal overflows once cells are fine enough
+        assert (got == float("inf")) == (s == 64 and delta == 1e-3 and points > 129)
 
     def test_unresolved_pdf_n_rejected_as_in_minima_fraction(self):
         # a spike of width 0.003 on 129 points: the bound used to return 21.56

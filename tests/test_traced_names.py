@@ -9,6 +9,7 @@ and checks the names it wrapped.
 import importlib.util
 from pathlib import Path
 
+import hillscape as hs
 from hillscape import search
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -43,3 +44,17 @@ def test_tracer_wraps_every_metric_span():
     finally:
         tracer.uninstall()
     assert search.run_trials is orig
+
+
+def test_package_lookup_while_installed_leaves_no_wrapper():
+    # the package resolves its names in the home module on each access and
+    # stores nothing, so a lookup through it while the tracer is installed
+    # hands out the wrapper then and the original after uninstall
+    tracer = _load_tracing().Tracer()
+    orig = search.run_trials
+    tracer.install()
+    try:
+        assert hs.run_trials is search.run_trials is not orig
+    finally:
+        tracer.uninstall()
+    assert hs.run_trials is search.run_trials is orig
