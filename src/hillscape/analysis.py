@@ -70,7 +70,12 @@ class SuccessorMap:
         """``(order, starts)``: the nodes u with ``succ[u] == v`` are
         ``order[starts[v]:starts[v + 1]]``, ascending."""
         if self._preds is None:
-            order = np.argsort(self.succ, kind="stable")
+            # the keys succ * n + u are unique and fit int64 while n < 3·10^9,
+            # so sorting them equals the stable argsort of succ
+            order = np.multiply(self.succ, self.n, dtype=np.int64)
+            order += np.arange(self.n)
+            order.sort()
+            order %= self.n
             starts = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.succ, minlength=self.n), out=starts[1:])
             self._preds = (order, starts)

@@ -59,11 +59,14 @@ __all__ = [
 _START_STREAM = 0xB1
 _SHUFFLE_STREAM = 0xA2  # query-until-lower keys, derived from the view seed
 # bytes of per-chunk search state (seen marks, logs, continue-at-min pools):
-# run_trials sizes its chunks of trials to it.  Past 2 MiB / _MIN_ROWS per
-# trial (n above about 130k nodes) a chunk still takes _MIN_ROWS trials: a
-# step costs about the same for one trial as for many, so lone trials on
-# low-degree graphs would pay it for every sweep.
-_CHUNK_BYTES = 1 << 21
+# run_trials sizes its chunks of trials to it.  The cap is a memory guard,
+# not a cache fit: a lock-step step has a fixed cost in numpy calls, so the
+# cost per trial keeps falling as chunks grow past the L2 cache (on (K_5)^8
+# at budget 300, one chunk of 64 trials costs about 30% less per trial than
+# two of 32).  Past 32 MiB / _MIN_ROWS per trial (2 MiB of marks, n above
+# about 2M nodes) a chunk still takes _MIN_ROWS trials, so lone trials on
+# large graphs do not pay that fixed cost for every sweep.
+_CHUNK_BYTES = 32 << 20
 _MIN_ROWS = 16
 _START_BATCH = 8  # starts drawn ahead per row, times num_initial
 _RANDOM_COLUMNS = 32  # random-search picks observed per call and row
@@ -463,7 +466,8 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+        workers = min(jobs, len(bounds))  # a fork pool starts every worker up front
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(landscape, noise)) as pool:
             parts = list(pool.map(_worker_chunk, args))
     return [h for part in parts for h in part]

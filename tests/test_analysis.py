@@ -330,6 +330,25 @@ class TestPreimages:
         assert counts == [0, 0, 0]
         assert full == 0
 
+    @pytest.mark.parametrize("landscape", ["uniform", "markov", "fixed-points"])
+    @pytest.mark.parametrize("kind", ["clique-power:5,6", "tree:3,6", "complete:40", "custom"])
+    def test_predecessors_equal_stable_argsort(self, kind, landscape):
+        # custom: a tree's twin, connected (for markov) with uneven degrees
+        t = (custom_twin(hs.make_regular_tree(3, 5)) if kind == "custom"
+             else hs.Topology.from_spec(kind))
+        if landscape == "uniform":
+            scape = hs.sample_uniform(t, 3)
+        elif landscape == "markov":
+            scape = hs.sample_markov_truncnorm(t, 0.35, 0.25, 0.18, seed=3)
+        else:  # nine in ten nodes tie at the lowest value: each is a fixed point
+            scape = hs.Landscape(t, (np.random.default_rng(3).random(t.n) < 0.1) * 1.0)
+        smap = hs.successor_map(hs.LandscapeView(scape, hs.NoiseSpec.none()))
+        if landscape == "fixed-points":
+            assert smap.minima().size > t.n // 2
+        order, starts = smap.predecessors()
+        assert np.array_equal(order, np.argsort(smap.succ, kind="stable"))
+        assert np.array_equal(np.diff(starts), np.bincount(smap.succ, minlength=t.n))
+
     def test_complete_argmin(self):
         t = hs.make_complete(25)
         vals = np.random.default_rng(4).permutation(np.linspace(0.01, 0.99, 25))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import itertools
 import math
@@ -404,6 +405,33 @@ class TestRunTrials:
             assert np.array_equal(a.nodes, b.nodes)
             assert np.array_equal(a.val_loss, b.val_loss)
 
+    def test_pool_forks_no_more_workers_than_chunks(self, k56_uniform, monkeypatch):
+        # a fork pool starts all max_workers processes up front; the fake maps
+        # serially and starts none
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                workers.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(search, "_WORKER", {})
+        none = hs.NoiseSpec.none()
+        hists = hs.run_trials(k56_uniform, none, "local", 10, trials=2, root_seed=5, jobs=4)
+        assert workers == [2]
+        serial = hs.run_trials(k56_uniform, none, "local", 10, trials=2, root_seed=5)
+        assert _history_bytes(hists) == _history_bytes(serial)
+
     def test_unknown_algo(self, k56_uniform):
         with pytest.raises(ValueError, match="algo"):
             hs.run_trials(k56_uniform, hs.NoiseSpec.none(), "tabu", 10, 2, 0)
@@ -536,6 +564,11 @@ class TestPaddedBlocksMatchReference:
         _matches_reference(scape, noise, algo, (3, 7, 40, scape.n), 3, monkeypatch)
 
 
+@pytest.fixture(scope="module")
+def k56_markov(k56):
+    return hs.sample_markov_truncnorm(k56, 0.35, 0.25, 0.18, seed=23)
+
+
 def _history_bytes(hists):
     return [b"".join(getattr(h, name).tobytes() for name in ("nodes", "val_loss", "best_val"))
             for h in hists]
@@ -559,17 +592,41 @@ class TestChunking:
         monkeypatch.setattr(search, "_MIN_ROWS", 1)
         assert _history_bytes(hs.run_trials(scape, noise, algo, **kw, jobs=1)) == together
 
+    @pytest.mark.parametrize("noise", [hs.NoiseSpec.gaussian_frozen(0.05),
+                                       hs.NoiseSpec.gaussian_fresh(0.05)],
+                             ids=["frozen", "fresh"])
+    @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam", "random"])
+    def test_bench_shape_one_chunk_or_two(self, k56_markov, algo, noise, monkeypatch):
+        # search-k56's 200 trials of budget 300 run as one chunk, and as the
+        # two chunks of 100 that a 2 MiB cap gave, with the same histories
+        assert search._chunk_rows(k56_markov.n, 300) >= 200
+        kw = dict(budget=300, trials=200, root_seed=29)
+        together = _history_bytes(hs.run_trials(k56_markov, noise, algo, **kw))
+        monkeypatch.setattr(search, "_CHUNK_BYTES", 2 << 20)
+        assert search._chunk_rows(k56_markov.n, 300) < 200
+        assert _history_bytes(hs.run_trials(k56_markov, noise, algo, **kw)) == together
+
+    @staticmethod
+    def _state_bytes(scape, rows, limit):
+        """Marks, logs and continue-at-min pools of a chunk of ``rows`` trials."""
+        batch = ViewBatch(scape, hs.NoiseSpec.none(), np.arange(rows, dtype=np.uint64),
+                          limit=limit)
+        pool = rows * batch.limit  # one byte per log entry
+        return batch.mark.nbytes + batch.log_ids.nbytes + batch.log_vals.nbytes + pool
+
     def test_chunk_state_is_capped(self):
-        # a chunk of search-k56's trials keeps its marks, logs and pools
-        # inside _CHUNK_BYTES
-        assert search._CHUNK_BYTES <= 2 << 20
-        rows = search._chunk_rows(5**6, 300)
-        batch = ViewBatch(hs.sample_uniform(hs.make_clique_power(5, 6), 1),
-                          hs.NoiseSpec.none(), np.arange(rows, dtype=np.uint64), limit=300)
-        pool = rows * 300  # continue-at-min state, one byte per log entry
-        assert (batch.mark.nbytes + batch.log_ids.nbytes + batch.log_vals.nbytes + pool
-                <= search._CHUNK_BYTES)
-        assert rows >= 100
+        # the cap guards memory: search-k56's 200 trials run as one chunk
+        # inside it, and on (K_5)^8 a chunk still takes _MIN_ROWS trials
+        cap = search._CHUNK_BYTES
+        assert cap <= 32 << 20
+        k56, k58 = (hs.sample_uniform(hs.make_clique_power(5, d), 1) for d in (6, 8))
+        rows = search._chunk_rows(k56.n, 300)
+        assert rows >= 200
+        assert self._state_bytes(k56, rows, 300) <= cap
+        rows = search._chunk_rows(k58.n, 300)
+        assert rows >= search._MIN_ROWS
+        row = self._state_bytes(k58, 1, 300)
+        assert self._state_bytes(k58, rows, 300) <= max(cap, search._MIN_ROWS * row)
 
 
 class TestStepStructure:
@@ -583,10 +640,8 @@ class TestStepStructure:
              ("local-cam", "frozen"): 8, ("local-cam", "fresh"): 7,
              ("random", "frozen"): 2, ("random", "fresh"): 2}
 
-    @pytest.mark.parametrize("algo,noise", sorted(CALLS))
-    def test_observe_calls_pinned(self, algo, noise, monkeypatch):
-        scape = hs.sample_markov_truncnorm(hs.make_clique_power(5, 4), 0.35, 0.25, 0.18, seed=3)
-        spec = {"frozen": hs.NoiseSpec.gaussian_frozen, "fresh": hs.NoiseSpec.gaussian_fresh}
+    @staticmethod
+    def _observe_calls(monkeypatch, *args):
         calls = []
         observe = ViewBatch.observe
 
@@ -595,8 +650,21 @@ class TestStepStructure:
             return observe(self, *args, **kwargs)
 
         monkeypatch.setattr(ViewBatch, "observe", counted)
-        hs.run_trials(scape, spec[noise](0.05), algo, 60, 10, 11)
-        assert len(calls) == self.CALLS[algo, noise]
+        hs.run_trials(*args)
+        return len(calls)
+
+    @pytest.mark.parametrize("algo,noise", sorted(CALLS))
+    def test_observe_calls_pinned(self, algo, noise, monkeypatch):
+        scape = hs.sample_markov_truncnorm(hs.make_clique_power(5, 4), 0.35, 0.25, 0.18, seed=3)
+        spec = {"frozen": hs.NoiseSpec.gaussian_frozen, "fresh": hs.NoiseSpec.gaussian_fresh}
+        calls = self._observe_calls(monkeypatch, scape, spec[noise](0.05), algo, 60, 10, 11)
+        assert calls == self.CALLS[algo, noise]
+
+    def test_observe_calls_pinned_at_bench_shape(self, k56_markov, monkeypatch):
+        # search-k56's 200 trials of budget 300 run as one chunk: one call
+        # per lock-step step, not one per step of each chunk
+        noise = hs.NoiseSpec.gaussian_frozen(0.05)
+        assert self._observe_calls(monkeypatch, k56_markov, noise, "local", 300, 200, 31) == 33
 
 
 class TestStreamFacts:
