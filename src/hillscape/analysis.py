@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import LandscapeError, LandscapeView, _eps_array, _whole
+from .landscape import LandscapeError, LandscapeView, _eps_array
 from .seeding import spawn_rng
+from .topology import _count, _whole
 
 __all__ = [
     "SuccessorMap",
@@ -234,13 +235,9 @@ def preimage_sizes(view: LandscapeView, v: int, max_k: int):
     The full preimage counts every level until exhaustion (not just max_k)
     and excludes ``v`` itself.
     """
-    smap = successor_map(view)
-    if not 0 <= v < smap.n:
-        raise LandscapeError(f"node id {v} out of range")
-    max_k = _whole(max_k, "max_k")
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
-    order, starts = smap.predecessors()
+    view.landscape.topology._check_id(v)
+    max_k = _count(max_k, "max_k")
+    order, starts = successor_map(view).predecessors()
     per_level = []
     level = order[starts[v]:starts[v + 1]]
     level = level[level != v]
@@ -288,13 +285,10 @@ def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
     follows the convention that a walk reaches mean distance sqrt(N) after
     N steps.
     """
-    walk_len, max_lag = _whole(walk_len, "walk_len"), _whole(max_lag, "max_lag")
-    if max_lag < 0:
-        raise ValueError("max_lag must be >= 0")
-    if walk_len < 2 * max_lag:
+    walk_len, max_lag = _whole(walk_len, "walk_len"), _count(max_lag, "max_lag", 0)
+    if walk_len < 2 * max_lag:  # reported before the bound of walk_len
         raise ValueError("walk_len must be at least 2 * max_lag")
-    if walk_len < 1:
-        raise ValueError("walk_len must be >= 1")
+    walk_len = _count(walk_len, "walk_len")
     t = view.landscape.topology
     if t.n < 2 or not t.is_connected():
         raise LandscapeError("random walk requires a connected topology with at least one edge")
@@ -321,8 +315,7 @@ def export_search_tree(view: LandscapeView, top_k: int) -> list[dict]:
     child -> parent correspond to one search iteration.  ``top_k`` beyond
     the number of minima is capped with a warning.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    top_k = _count(top_k, "top_k")
     smap = successor_map(view)
     minima = smap.minima()
     if top_k > minima.size:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import operator
 import os
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .seeding import _MASK64, mix64
-from .topology import Topology, TopologyError, _bfs_tree, _parse_spec
+from .topology import Topology, TopologyError, _bfs_tree, _count, _parse_spec
 
 __all__ = [
     "Landscape",
@@ -50,20 +49,7 @@ class LandscapeError(ValueError):
     """Malformed landscape data or an invalid observation request."""
 
 
-# -- argument checks shared by analysis, search, theory and the CLI ----------
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int; ``ValueError`` unless it is a whole number: an
-    integer, or a float with an integral value of at most 2**53, up to which
-    floats hold every integer.  So 2.5, NaN, 1e300 and True are rejected,
-    7.0 accepted."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Integral)
-            or isinstance(value, numbers.Real) and float(value).is_integer()
-            and abs(value) <= 2**53):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+# -- argument checks shared by analysis, theory and the CLI -----------------
 
 
 def _eps_array(eps_grid) -> np.ndarray:
@@ -245,9 +231,17 @@ _Z_MAX = float(-_ndtri(_HALF_ULP))
 
 def _cdf_ends(center, sigma):
     """Phi(-center / sigma) and Phi((1 - center) / sigma): the normal mass
-    below 0 and below 1."""
+    below 0 and below 1.  The one check of truncated-normal parameters:
+    ``LandscapeError`` unless ``sigma > 0`` and each ``center`` leaves normal
+    mass on [0, 1], which also rejects NaN and infinite parameters."""
+    if not sigma > 0:  # also rejects NaN
+        raise LandscapeError("sigma must be positive")
     center = np.asarray(center, dtype=float)
     lo, hi = _ndtr(np.stack([(0.0 - center) / sigma, (1.0 - center) / sigma]))
+    has_mass = hi - lo > 0
+    if not has_mass.all():
+        raise LandscapeError(f"truncated normal ({center.flat[np.argmin(has_mass)]}, {sigma}) "
+                             "has no normal mass on [0, 1]")
     return lo, hi
 
 
@@ -256,8 +250,6 @@ def truncnorm_pdf(u, center, sigma):
 
     Zero outside [0, 1].  Broadcasts over ``u`` and ``center``.
     """
-    if not sigma > 0:  # also rejects NaN
-        raise LandscapeError("sigma must be positive")
     u = np.asarray(u, dtype=float)
     lo, hi = _cdf_ends(center, sigma)
     with np.errstate(over="ignore"):  # a square past float range: exp gives the exact 0
@@ -273,8 +265,6 @@ def truncnorm_sf(x, center, sigma):
     ``x`` is clipped to [0, 1], so the result is 1 below 0 and 0 above 1.
     Broadcasts over ``x`` and ``center``.
     """
-    if not sigma > 0:  # also rejects NaN
-        raise LandscapeError("sigma must be positive")
     xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     lo, hi = _cdf_ends(center, sigma)
     out = (hi - _ndtr((xc - center) / sigma)) / (hi - lo)
@@ -296,10 +286,7 @@ def _truncnorm_ppf_at(q, center, sigma, lo, span):
 
 def sample_truncnorm(center, sigma, rng, size=None):
     """Inverse-CDF sample(s) from the [0, 1]-truncated normal."""
-    if not sigma > 0:  # also rejects NaN
-        raise LandscapeError("sigma must be positive")
-    q = rng.random(size)
-    return _truncnorm_ppf(q, center, sigma)
+    return _truncnorm_ppf(rng.random(size), center, sigma)
 
 
 # -- landscape container ----------------------------------------------------
@@ -407,9 +394,8 @@ class NoiseSpec:
     @classmethod
     def seed_average(cls, sigma, k):
         sigma = float(_finite_nonneg(sigma, "sigma"))
-        if int(k) < 1:
-            raise LandscapeError("seed-average k must be >= 1")
-        return cls("frozen", float(sigma / np.sqrt(int(k))))
+        k = _count(k, "seed-average k", 1, LandscapeError)
+        return cls("frozen", float(sigma / np.sqrt(k)))
 
     @classmethod
     def uniform_replace(cls):
@@ -710,19 +696,15 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
     level, so the structure and draw order are deterministic for a fixed
     seed.
     """
-    if not (sigma_local > 0 and root_sigma > 0):  # also rejects NaN
-        raise LandscapeError("sigma must be positive")
     root_lo, root_hi = _cdf_ends(root_center, root_sigma)
-    if not root_hi - root_lo > 0:  # also rejects a NaN or infinite center
-        raise LandscapeError(f"root truncated normal ({root_center}, {root_sigma}) "
-                             "has no normal mass on [0, 1]")
-    order, parent, sizes = _bfs_tree(t)
-    if sizes.sum() != t.n:
-        raise LandscapeError("topology is disconnected")
     rng = np.random.default_rng(int(seed))
     vals = np.empty(t.n)
     vals[0] = _truncnorm_ppf_at(rng.random(), root_center, root_sigma, root_lo,
                                 root_hi - root_lo)
+    _cdf_ends(vals[0], sigma_local)  # rejects a bad sigma_local before the BFS, complete:1 too
+    order, parent, sizes = _bfs_tree(t)
+    if sizes.sum() != t.n:
+        raise LandscapeError("topology is disconnected")
     # each parent's normalizing CDFs are taken once, then gathered per child
     has_child = np.zeros(t.n, dtype=bool)
     has_child[parent] = True

@@ -43,8 +43,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _ALGOS, _CLIMBS
-from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch, _whole
+from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch
 from .seeding import mix64, spawn_rng
+from .topology import _count
 
 __all__ = [
     "SearchConfig",
@@ -73,14 +74,6 @@ _RANDOM_COLUMNS = 32  # random-search picks observed per call and row
 _PICK_KEYS = 1 << 12  # random-search draws per group of rows and round, about
 
 
-def _check_count(value, name: str) -> None:
-    """A count must be a whole number >= 1: ``budget=2.5`` or NaN would be
-    misread by the ``query_count < budget`` checks, ``jobs=0`` read as 1."""
-    _whole(value, name)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of a budgeted local search; ``algo`` is ``local``,
@@ -92,8 +85,9 @@ class SearchConfig:
     restart_on_convergence: bool = False
 
     def __post_init__(self):
-        _check_count(self.budget, "budget")
-        _check_count(self.num_initial, "num_initial")
+        # stored as ints: a budget of 2.5 or NaN would be misread by the count < budget checks
+        object.__setattr__(self, "budget", _count(self.budget, "budget"))
+        object.__setattr__(self, "num_initial", _count(self.num_initial, "num_initial"))
         if self.budget < self.num_initial:
             raise ValueError("budget must cover the initial random draws")
         if self.algo not in _CLIMBS:
@@ -176,7 +170,7 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
     :class:`SearchTrace` per run.
     """
     t = batch.landscape.topology
-    rows_n, budget, num_initial = batch.seeds.size, int(cfg.budget), int(cfg.num_initial)
+    rows_n, budget, num_initial = batch.seeds.size, cfg.budget, cfg.num_initial
     qul, cam = cfg.algo == "local-qul", cfg.algo == "local-cam"
     full_count = min(budget, t.n)
     cur = np.zeros(rows_n, dtype=np.int64)
@@ -292,7 +286,7 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     """Run one local search from ``start`` under the view's noise and budget:
     the one-row, one-run case of the lock-step engine."""
     t = view.landscape.topology
-    if not (float(start).is_integer() and 0 <= start < t.n):
+    if isinstance(start, bool) or not (float(start).is_integer() and 0 <= start < t.n):
         raise ValueError(f"start node {start!r} is not a node id in [0, {t.n})")
     traces = [[]]
     one_run = replace(cfg, num_initial=1, restart_on_convergence=False)
@@ -365,11 +359,11 @@ def _random_rows(batch: ViewBatch, budget: int, rngs) -> None:
 
 def _random_budget(budget, n: int) -> int:
     """A random-search budget, checked and capped at the ``n`` nodes."""
-    _check_count(budget, "budget")
+    budget = _count(budget, "budget")
     if budget > n:
         warnings.warn(f"budget {budget} exceeds node count {n}; capped")
         return n
-    return int(budget)
+    return budget
 
 
 def random_search(view: LandscapeView, budget: int, seed: int) -> RunHistory:
@@ -393,7 +387,7 @@ def run_budgeted(view: LandscapeView, cfg: SearchConfig, seed: int) -> RunHistor
     re-encountered across runs cost nothing.
     """
     draw = _Starts([spawn_rng(seed, _START_STREAM)], view.landscape.n,
-                   _START_BATCH * int(cfg.num_initial))
+                   _START_BATCH * cfg.num_initial)
     _climb(view._rows, cfg, draw)
     return RunHistory.from_view(view)
 
@@ -417,7 +411,7 @@ def _run_chunk(landscape, noise, budget, cfg, root_seed, lo, hi) -> list[RunHist
     if cfg is None:
         _random_rows(batch, budget, rngs)
     else:
-        _climb(batch, cfg, _Starts(rngs, landscape.n, _START_BATCH * int(cfg.num_initial)))
+        _climb(batch, cfg, _Starts(rngs, landscape.n, _START_BATCH * cfg.num_initial))
     del batch.mark  # the histories are views of the logs: free the marks first
     return [RunHistory._of(batch.log_ids[r, :c], batch.log_vals[r, :c], landscape.test_loss)
             for r, c in enumerate(batch.count.tolist())]
@@ -447,14 +441,12 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
     """
     if algo not in _ALGOS:
         raise ValueError(f"unknown algo {algo!r}; expected one of {_ALGOS}")
-    _check_count(trials, "trials")
-    _check_count(jobs, "jobs")
-    trials, jobs, n = int(trials), int(jobs), landscape.n
+    trials, jobs, n = _count(trials, "trials"), _count(jobs, "jobs"), landscape.n
     if algo == "random":
         cfg, budget = None, _random_budget(budget, n)
     else:  # checks before any work
         cfg = SearchConfig(budget, num_initial, algo, restart)
-        budget = int(budget)
+        budget = cfg.budget
     size = _chunk_rows(n, min(budget, n))
     if jobs > 1:
         size = min(size, -(-trials // jobs))

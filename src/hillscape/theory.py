@@ -42,10 +42,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DEFAULT_GRID_POINTS
-from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, _eps_array, _whole,
+from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, _eps_array,
                         sample_markov_truncnorm, truncnorm_pdf, truncnorm_sf)
 from .seeding import mix64
-from .topology import Topology, _clique_power_branching, branching_fractions
+from .topology import Topology, _clique_power_branching, _count, _whole, branching_fractions
 
 __all__ = [
     "PdfSpec",
@@ -174,12 +174,7 @@ class PdfSpec:
     def truncnorm(cls, center: float, sigma: float):
         if not (np.isfinite(center) and np.isfinite(sigma)):
             raise ValueError("center and sigma must be finite")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        lo, hi = _cdf_ends(center, sigma)
-        if not hi - lo > 0:
-            raise ValueError(f"truncated normal ({center}, {sigma}) has no normal "
-                             "mass on [0, 1]")
+        _cdf_ends(center, sigma)  # sigma > 0 and normal mass on [0, 1]
         return cls("truncnorm", center=float(center), sigma=float(sigma))
 
     @classmethod
@@ -283,11 +278,9 @@ class TheoryParams:
     ell_star: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _whole(self.n, "n"))
-        object.__setattr__(self, "s", _whole(self.s, "s"))
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        object.__setattr__(self, "s", _count(self.s, "s"))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.n < 1 or self.s < 1:
-            raise ValueError("n and s must be >= 1")
         if not np.isfinite(self.b).all():
             raise ValueError("branching fractions must be finite")
         if self.b.size and not np.isclose(self.b[0], 1.0):
@@ -338,9 +331,7 @@ def expected_minima_fraction(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
 
     Quadrature of  integral pdf_n(x) * (integral_x^1 pdf_e(x, y) dy)^s dx.
     """
-    s = _whole(s, "s")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    s = _count(s, "s")
     xs = _grid(grid_points)
     integrand = _grid_density(pdf_n, xs) * pdf_e.survival(xs, xs) ** s
     out = _simpson(integrand, xs)
@@ -356,9 +347,7 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
                     grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """E[|LS^-k|](x) for k = 1..max_k on the shared grid: the closed form for
     a center-independent local pdf, the quadrature recursion otherwise."""
-    max_k = _whole(max_k, "max_k")
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
+    max_k = _count(max_k, "max_k")
     xs = _grid(grid_points)
     s = params.s
     n_pts = len(xs)
@@ -410,9 +399,7 @@ def _preimage_table(pdf_e: LocalPdfSpec, params: TheoryParams, max_k: int,
 
 def independent_closed_form(g: PdfSpec, params: TheoryParams, x, k: int):
     """c_k G(x)^{sk} for center-independent pdfs (see ``_series_coeffs``)."""
-    k = _whole(k, "k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count(k, "k")
     coeffs = _series_coeffs(params)
     c = coeffs[k] if k < len(coeffs) else 0.0
     G = g.survival(np.asarray(x, dtype=float))
@@ -437,9 +424,7 @@ def full_preimage_bounds(G_val: float, s: int) -> tuple[float, float]:
     """
     if not 0.0 <= G_val <= 1.0:
         raise ValueError("G_val must lie in [0, 1]")
-    s = _whole(s, "s")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    s = _count(s, "s")
     core = s * G_val**s
     return core * np.exp(core / (s + 1)), core * np.exp(G_val**s)
 
@@ -482,9 +467,7 @@ def _success_from_table(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, params: TheoryParam
 
 def uniform_closed_form_minima(n: int, s: int) -> float:
     """Expected number of local minima under fully uniform losses: n / (s + 1)."""
-    n, s = _whole(n, "n"), _whole(s, "s")
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be >= 1")
+    n, s = _count(n, "n"), _count(s, "s")
     return n / (s + 1)
 
 
@@ -561,10 +544,7 @@ def clique_power_uniform_curve(m: int, d: int, eps_grid) -> list[tuple[float, fl
     the paper's series terms i >= 3, normalized to unit mass.  Losses lie
     in [0, 1], so the fraction is 1 for eps >= 1.
     """
-    if m < 2:
-        raise ValueError("clique power needs m >= 2")
-    if d < 1:
-        raise ValueError("clique power needs d >= 1")
+    m, d = _count(m, "clique power m", 2), _count(d, "clique power d")
     eps = _eps_array(eps_grid)
     clipped = np.minimum(eps, 1.0)
     depths = _clique_power_depths(m, d)
@@ -595,7 +575,7 @@ def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
     finely than one cell.  Returns ``inf`` when the integral overflows float
     range (bound vacuous).  The grid is summed one row block at a time.
     """
-    s = _whole(s, "s")
+    s = _count(s, "s")
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError("sigma must be finite and >= 0")
     if not 0.0 < delta < 1.0:  # also rejects NaN
@@ -683,7 +663,9 @@ def fit_local_sigma_via_rwa(observed_rwa, t: Topology, candidates, seed: int,
     cand = sorted(float(c) for c in candidates)
     if not cand or min(cand) <= 0:
         raise ValueError("candidates must be positive")
-    max_lag = int(obs[-1, 0])
+    max_lag = len(obs) - 1
+    if not np.array_equal(obs[:, 0], np.arange(max_lag + 1)):
+        raise ValueError("observed curve's lags must be 0, 1, ..., max_lag in order")
     rho_obs = obs[1:, 2]
     lag_mask = rho_obs > 0.05
     if not lag_mask.any():

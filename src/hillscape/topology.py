@@ -251,6 +251,29 @@ class Topology:
         return TopologyError(f"node id {v!r} is not an integer in [0, {self.n})")
 
 
+def _whole(value, name: str, error=ValueError) -> int:
+    """``value`` as an int; ``error`` unless it is a whole number: an
+    integer, or a float with an integral value of at most 2**53, up to which
+    floats hold every integer.  So 2.5, NaN, 1e300 and True are rejected,
+    7.0 accepted."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()
+            and abs(value) <= 2**53):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _count(value, name: str, lo: int = 1, error=ValueError) -> int:
+    """``value`` as an int; ``error`` unless it is a whole number (see
+    :func:`_whole`) of at least ``lo``.  The one lower-bound check on a
+    count: a size, budget, depth or number of trials."""
+    value = _whole(value, name, error)
+    if value < lo:
+        raise error(f"{name} must be >= {lo}")
+    return value
+
+
 def _parse_spec(text: str, kinds: dict, error, what: str):
     """Build an object from a ``name`` or ``name:p1,p2,...`` spec.
 
@@ -290,10 +313,8 @@ def _check_node_count(n: int, what: str) -> None:
 
 def make_clique_power(m: int, d: int) -> Topology:
     """(K_m)^d: nodes are d-digit base-m strings, adjacent iff they differ in one digit."""
-    if m < 2:
-        raise TopologyError("clique power needs m >= 2")
-    if d < 1:
-        raise TopologyError("clique power needs d >= 1")
+    m = _count(m, "clique power m", 2, TopologyError)
+    d = _count(d, "clique power d", 1, TopologyError)
     n = m**d
     _check_node_count(n, f"clique-power:{m},{d} has")
     return Topology("clique_power", n, d * (m - 1), m=m, d=d)
@@ -301,17 +322,14 @@ def make_clique_power(m: int, d: int) -> Topology:
 
 def make_complete(n: int) -> Topology:
     """K_n, the clique power (K_n)^1."""
-    if n < 1:
-        raise TopologyError("complete graph needs n >= 1")
+    n = _count(n, "complete graph n", 1, TopologyError)
     _check_node_count(n, f"complete:{n} has")
     return Topology("clique_power", n, n - 1, m=n, d=1)
 
 
 def make_regular_tree(arity: int, depth: int) -> Topology:
-    if arity < 2:
-        raise TopologyError("regular tree needs arity >= 2")
-    if depth < 1:
-        raise TopologyError("regular tree needs depth >= 1")
+    arity = _count(arity, "regular tree arity", 2, TopologyError)
+    depth = _count(depth, "regular tree depth", 1, TopologyError)
     n = width = 1
     for level in range(depth):
         width *= arity if level == 0 else arity - 1
@@ -445,8 +463,7 @@ def branching_fraction(t: Topology, k: int, reference: int = 0) -> float:
     Custom graphs, and trees from a non-root reference, are BFS-derived.
     Any k beyond the reference's eccentricity yields 0.0.
     """
-    if k < 1:
-        raise ValueError("branching fraction needs k >= 1")
+    k = _count(k, "branching fraction k")
     b = branching_fractions(t, reference)
     return float(b[k - 1]) if k <= b.size else 0.0
 

@@ -349,6 +349,17 @@ class TestPreimages:
         assert np.array_equal(order, np.argsort(smap.succ, kind="stable"))
         assert np.array_equal(np.diff(starts), np.bincount(smap.succ, minlength=t.n))
 
+    @pytest.mark.parametrize("v,message", [
+        (2.5, r"node id 2.5 is not an integer in \[0, 9\)"),
+        (True, r"node id True is not an integer in \[0, 9\)"),
+        (-1, r"node id -1 out of range \[0, 9\)"),
+        (9, r"node id 9 out of range \[0, 9\)")])
+    def test_bad_node_id_rejected(self, v, message):
+        # 2.5 used to raise a bare IndexError and True to count node 1's preimages
+        view = frozen_view(hs.make_clique_power(3, 2), np.arange(9) / 9)
+        with pytest.raises(topology.TopologyError, match=message):
+            hs.preimage_sizes(view, v, 3)
+
     def test_complete_argmin(self):
         t = hs.make_complete(25)
         vals = np.random.default_rng(4).permutation(np.linspace(0.01, 0.99, 25))

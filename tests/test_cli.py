@@ -1074,6 +1074,21 @@ def test_fit_bad_inputs_leave_no_directory(tmp_path, capsys, flags, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("lags", ["0,2,4", "0,1,2.7", "3,1,2"])
+def test_fit_rejects_rwa_lags_other_than_0_to_max_lag(tmp_path, capsys, lags):
+    # 0,2,4 used to exit 1 with an IndexError traceback; 0,1,2.7 and 3,1,2
+    # were fitted as lags 0, 1, 2
+    rows = "".join(f"{lag},{float(lag) ** 0.5!r},{rho}\n"
+                   for lag, rho in zip(lags.split(","), (1.0, 0.5, 0.2)))
+    rwa_csv = _curve(tmp_path, "rwa.csv", "lag,sqrt_lag,rho\n" + rows)
+    code, err = run_main(capsys, "fit", "--mode", "local-rwa", "--rwa", rwa_csv,
+                         "--topo", "complete:5", "--walk-len", "100",
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err == "error: observed curve's lags must be 0, 1, ..., max_lag in order\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_command_returns_outputs_and_writes_nothing(small_landscape, tmp_path, name):
     # commands compute and main writes: a command that created --out or a

@@ -191,6 +191,30 @@ def test_nan_sigma_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("center,sigma", [(0.5, math.inf), (50.0, 0.1)],
+                         ids=["inf-sigma", "far-center"])
+@pytest.mark.parametrize("call", [
+    lambda c, s: hs.truncnorm_pdf(0.5, c, s),
+    lambda c, s: hs.truncnorm_sf(0.5, c, s),
+    lambda c, s: hs.sample_truncnorm(c, s, np.random.default_rng(0), size=2),
+], ids=["pdf", "sf", "sample"])
+def test_no_mass_on_unit_interval_rejected(call, center, sigma):
+    # these used to return NaN after a division-by-zero RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LandscapeError, match="no normal mass"):
+            call(center, sigma)
+
+
+def test_markov_local_sigma_checked_like_the_root():
+    # an infinite sigma_local used to fail later, as "val_loss contains non-finite values"
+    with pytest.raises(LandscapeError, match="no normal mass"):
+        hs.sample_markov_truncnorm(hs.make_complete(3), math.inf, 0.25, 0.18, seed=0)
+    # complete:1 draws no child, and still rejects a bad sigma_local
+    with pytest.raises(LandscapeError, match="sigma must be positive"):
+        hs.sample_markov_truncnorm(hs.make_complete(1), math.nan, 0.25, 0.18, seed=0)
+
+
 class TestSampleTruncnorm:
     def test_ks_against_analytic_cdf(self):
         rng = np.random.default_rng(5)
@@ -691,6 +715,15 @@ class TestPersistence:
         assert np.array_equal(back.val_loss, scape.val_loss)
         assert back.meta == scape.meta
         assert back.topology.to_spec() == t.to_spec()
+
+    def test_whole_float_sizes_round_trip(self, tmp_path):
+        # clique-power:3,2.0 used to be saved, and could not be read back
+        scape = hs.sample_uniform(hs.make_clique_power(3, 2.0), 1)
+        path = str(tmp_path / "s.csv")
+        hs.save_landscape(scape, path)
+        back = hs.load_landscape(path)
+        assert back.topology.to_spec() == "clique-power:3,2"
+        assert np.array_equal(back.val_loss, scape.val_loss)
 
     def test_test_loss_round_trip(self, tmp_path):
         t = hs.make_complete(5)

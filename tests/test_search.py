@@ -82,7 +82,7 @@ class TestLocalSearchBasic:
         with pytest.raises(ValueError):
             hs.local_search(four_cycle_view, 9, hs.SearchConfig(budget=4))
 
-    @pytest.mark.parametrize("start", [2.5, float("nan")])
+    @pytest.mark.parametrize("start", [2.5, float("nan"), True])
     def test_start_not_whole(self, start):
         view = hs.LandscapeView(hs.sample_uniform(hs.make_clique_power(3, 3), 1))
         with pytest.raises(ValueError, match="not a node id"):

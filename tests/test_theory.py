@@ -229,6 +229,24 @@ def _whole_number_cases():
                            "max_k must be a whole number, got 2.5"),
         "rwa-max-lag": (lambda: hs.rwa(view, 100, 1.5, seed=0),
                         "max_lag must be a whole number, got 1.5"),
+        "clique-power-m": (lambda: hs.make_clique_power(2.5, 2),
+                           "clique power m must be a whole number, got 2.5"),
+        "clique-power-d": (lambda: hs.make_clique_power(3, 2.5),
+                           "clique power d must be a whole number, got 2.5"),
+        "complete-n": (lambda: hs.make_complete(3.5),
+                       "complete graph n must be a whole number, got 3.5"),
+        "tree-arity": (lambda: hs.make_regular_tree(2.5, 3),
+                       "regular tree arity must be a whole number, got 2.5"),
+        "seed-average-k": (lambda: hs.NoiseSpec.seed_average(0.1, 2.5),
+                           "seed-average k must be a whole number, got 2.5"),
+        "export-top-k": (lambda: hs.export_search_tree(view, 2.5),
+                         "top_k must be a whole number, got 2.5"),
+        "branching-k": (lambda: hs.branching_fraction(view.landscape.topology, 1.5),
+                        "branching fraction k must be a whole number, got 1.5"),
+        "clique-curve-m": (lambda: hs.clique_power_uniform_curve(2.5, 2, [0.0, 0.1]),
+                           "clique power m must be a whole number, got 2.5"),
+        "chebyshev-s-0": (lambda: hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 0, 0.1, 100),
+                          "s must be >= 1"),
     }
 
 
@@ -241,7 +259,7 @@ def test_counts_must_be_whole_numbers(case):
 
 
 def test_whole_float_counts_accepted():
-    # the check is SearchConfig's: an integral float counts as its integer
+    # the check is topology._whole's: an integral float counts as its integer
     assert hs.expected_minima_fraction(UNIFORM, UNIFORM_LOCAL, 2.0, grid_points=33.0) == \
         hs.expected_minima_fraction(UNIFORM, UNIFORM_LOCAL, 2, grid_points=33)
     params = hs.TheoryParams(n=125.0, s=12.0, b=[1.0])
@@ -251,6 +269,12 @@ def test_whole_float_counts_accepted():
     view = frozen_view(hs.make_clique_power(3, 2), np.arange(9) / 9)
     assert hs.preimage_sizes(view, 0, 3.0) == hs.preimage_sizes(view, 0, 3)
     assert hs.rwa(view, 100.0, 4.0, seed=0) == hs.rwa(view, 100, 4, seed=0)
+    assert hs.make_regular_tree(3.0, 2.0).to_spec() == "tree:3,2"
+    assert hs.make_complete(4.0).to_spec() == "complete:4"
+    assert hs.NoiseSpec.seed_average(0.1, 4.0).scale == hs.NoiseSpec.seed_average(0.1, 4).scale
+    assert hs.branching_fraction(view.landscape.topology, 2.0) == 0.25
+    assert hs.clique_power_uniform_curve(3.0, 2.0, [0.1]) == \
+        hs.clique_power_uniform_curve(3, 2, [0.1])
 
 
 class TestExpectedMinimaFraction:
