@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .landscape import LandscapeError, LandscapeView, _eps_array
-from .seeding import spawn_rng
+from .seeding import _seed, spawn_rng
 from .topology import _count, _whole
 
 __all__ = [
@@ -267,14 +267,17 @@ def _clique_power_walk(t, pos: int, draws: np.ndarray) -> np.ndarray:
 
 
 def _csr_walk(t, pos: int, draws: np.ndarray) -> np.ndarray:
-    """Walk on a CSR kind: draw u steps to neighbor int(u * degree) in ascending order."""
+    """Walk on a CSR kind: draw u steps to neighbor int(u * degree) in ascending order.
+
+    The loop runs on Python lists and floats, which cost a fraction of
+    numpy's scalar lookups, with the same products."""
     indptr, indices = t._csr
-    walk = np.empty(draws.size, dtype=np.int64)
-    for i, u in enumerate(draws):
-        lo = indptr[pos]
-        pos = indices[lo + int(u * (indptr[pos + 1] - lo))]
-        walk[i] = pos
-    return walk
+    starts, degree, nbrs = indptr[:-1].tolist(), np.diff(indptr).tolist(), indices.tolist()
+    walk = []
+    for u in draws.tolist():
+        pos = nbrs[starts[pos] + int(u * degree[pos])]
+        walk.append(pos)
+    return np.array(walk, dtype=np.int64)
 
 
 def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
@@ -292,7 +295,7 @@ def rwa(view: LandscapeView, walk_len: int, max_lag: int, seed: int):
     t = view.landscape.topology
     if t.n < 2 or not t.is_connected():
         raise LandscapeError("random walk requires a connected topology with at least one edge")
-    rng = spawn_rng(seed, _WALK_STREAM)
+    rng = spawn_rng(_seed(seed), _WALK_STREAM)
     kernel = _clique_power_walk if t.kind == "clique_power" else _csr_walk
     walk = kernel(t, int(rng.integers(t.n)), rng.random(walk_len))  # start, then steps
     xs = view.frozen_values()[walk] if view.noise.frozen else view.observe_prefix(walk)[0]

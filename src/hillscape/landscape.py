@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import _MASK64, mix64
+from .seeding import _MASK64, _seed, mix64
 from .topology import Topology, TopologyError, _bfs_tree, _count, _parse_spec
 
 __all__ = [
@@ -209,9 +209,10 @@ def _ndtri(p):
     return _by_slabs(_ndtri_slab, p)
 
 
-# Counter-based noise: a uniform in (0, 1) is the top 52 bits of a splitmix64
-# hash plus one half, over 2^52.  That set of values is symmetric about 1/2
-# and excludes 0 and 1, so its _ndtri is finite, at most _Z_MAX in size.
+# Counter-based noise, search starts and random-search candidates: a uniform
+# in (0, 1) is the top 52 bits of a splitmix64 hash plus one half, over 2^52.
+# That set of values is symmetric about 1/2 and excludes 0 and 1, so its
+# _ndtri is finite, at most _Z_MAX in size.
 _HALF_ULP = 2.0 ** -53
 
 
@@ -593,7 +594,7 @@ class LandscapeView:
         self.landscape = landscape
         self.noise = noise if noise is not None else NoiseSpec.none()
         self.noise.check(landscape.val_loss)
-        self.seed = int(seed)
+        self.seed = _seed(seed)
         self._values: np.ndarray | None = None  # frozen_values, built on first use
         self._successor_map = None  # analysis.successor_map's cache (frozen views)
 
@@ -680,9 +681,10 @@ _ROW = np.zeros(1, dtype=np.int64)
 
 def sample_uniform(t: Topology, seed: int) -> Landscape:
     """I.i.d. uniform [0, 1] losses; deterministic for a fixed seed."""
-    rng = np.random.default_rng(int(seed))
+    seed = _seed(seed)
+    rng = np.random.default_rng(seed)
     vals = rng.random(t.n)
-    meta = {"generator": "uniform", "params": {}, "seed": int(seed)}
+    meta = {"generator": "uniform", "params": {}, "seed": seed}
     return Landscape(t, vals, meta=meta)
 
 
@@ -696,8 +698,9 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
     level, so the structure and draw order are deterministic for a fixed
     seed.
     """
+    seed = _seed(seed)
     root_lo, root_hi = _cdf_ends(root_center, root_sigma)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     vals = np.empty(t.n)
     vals[0] = _truncnorm_ppf_at(rng.random(), root_center, root_sigma, root_lo,
                                 root_hi - root_lo)
@@ -726,7 +729,7 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
             "root_center": float(root_center),
             "root_sigma": float(root_sigma),
         },
-        "seed": int(seed),
+        "seed": seed,
     }
     return Landscape(t, vals, meta=meta)
 

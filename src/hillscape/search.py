@@ -33,6 +33,11 @@ and its value is never strictly lower, so a pad needs no mask.
 ``local_search``, ``run_budgeted`` and ``random_search`` run the same code
 on the one-row batch of a view.  A trial's results depend only on its
 seed, not on the chunk it runs in or on ``jobs``.
+
+All search randomness is counter-based, as the noise is: each row has a
+start key, and its draw j, a start or a random-search candidate, is node
+``floor(u * n)`` of the hashed uniform u of (key, j).  Draws take one hash
+call for all rows, and search builds no numpy generator.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _ALGOS, _CLIMBS
-from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch
-from .seeding import mix64, spawn_rng
+from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch, _hashed_uniform
+from .seeding import _seed, mix64
 from .topology import _count
 
 __all__ = [
@@ -69,9 +74,8 @@ _SHUFFLE_STREAM = 0xA2  # query-until-lower keys, derived from the view seed
 # large graphs do not pay that fixed cost for every sweep.
 _CHUNK_BYTES = 32 << 20
 _MIN_ROWS = 16
-_START_BATCH = 8  # starts drawn ahead per row, times num_initial
 _RANDOM_COLUMNS = 32  # random-search picks observed per call and row
-_PICK_KEYS = 1 << 12  # random-search draws per group of rows and round, about
+_PICK_KEYS = 1 << 12  # random-search candidates per group of rows and round, about
 
 
 @dataclass(frozen=True)
@@ -139,23 +143,25 @@ class RunHistory:
         return cls(nodes, vals, best_val, best_test)
 
 
-class _Starts:
-    """Start nodes per row from the row's own generator, drawn ``batch`` at
-    a time (numpy's batched ``integers`` equal its one-at-a-time draws)."""
+def _nodes(keys, counters, n: int) -> np.ndarray:
+    """Draw ``counters`` of the start ``keys``: node ``floor(u * n)`` of the
+    hashed uniform u of each (key, counter) pair.  The largest u is
+    1 - 2^-53, whose product with any n below 2^53 rounds below n."""
+    return (_hashed_uniform(keys, counters) * n).astype(np.int64)
 
-    def __init__(self, rngs, n: int, batch: int):
-        self.rngs, self.n, self.batch = rngs, n, batch
-        self.buf = np.empty((len(rngs), batch), dtype=np.int64)
-        self.used = np.full(len(rngs), batch)
+
+class _Starts:
+    """Start nodes per row: a row's draw j is :func:`_nodes` of its start key
+    and j, and each call advances the counters of its rows by one."""
+
+    def __init__(self, keys: np.ndarray, n: int):
+        self.keys, self.n = keys, n
+        self.drawn = np.zeros(keys.size, dtype=np.int64)
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        refill = rows[self.used[rows] == self.batch]
-        for r in refill.tolist():
-            self.buf[r] = self.rngs[r].integers(self.n, size=self.batch)
-        self.used[refill] = 0
-        out = self.buf[rows, self.used[rows]]
-        self.used[rows] += 1
-        return out
+        j = self.drawn[rows]
+        self.drawn[rows] += 1
+        return _nodes(self.keys[rows], j, self.n)
 
 
 def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
@@ -294,30 +300,33 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     return traces[0][0] if traces[0] else SearchTrace(final=int(start))
 
 
-def _random_picks(batch: ViewBatch, budget: int, rngs, block, lo: int) -> None:
+def _random_picks(batch: ViewBatch, budget: int, start_keys, block, lo: int) -> None:
     """Fill ``block`` with the picks of rows ``lo`` to ``lo + len(block) - 1``
     of ``batch`` for :func:`_random_rows`: row r lists ``budget`` minus its
-    count distinct nodes that it has not seen; the rest of the row is kept.
+    count distinct nodes that it has not seen, the first such draws of its
+    start key ``start_keys[r]`` in counter order; the rest of the row is kept.
 
-    Candidates are drawn in rounds, each row from its own generator, about
-    enough for its remaining budget.  A round keeps, per row, the first draw
-    of each node that the row has neither seen nor picked, up to the
-    remaining budget.  It handles the rows at once on the keys
-    ``row * n + node``, which index the raveled marks.
+    Candidates are hashed in rounds, for all active rows in one call, about
+    enough for each row's remaining budget.  A round keeps, per row, the
+    first draw of each node that the row has neither seen nor picked, up to
+    the remaining budget, so the picks do not depend on the round sizes.  It
+    handles the rows at once on the keys ``row * n + node``, which index
+    the raveled marks.
     """
     n, rows = batch.landscape.n, np.arange(lo, lo + len(block))
     need = np.maximum(budget - batch.count[rows], 0)  # picks per row
     got = np.zeros_like(need)
+    drawn = np.zeros_like(need)  # counters hashed per row
     cols = np.arange(block.shape[1])
     active = need.nonzero()[0]
     while active.size:
         # about enough draws for the remaining budget, given the share already seen
-        sizes = [max(k * n // (n - budget + k), 16) for k in (need - got)[active].tolist()]
-        keys = np.empty(sum(sizes), dtype=np.int64)
-        at = 0
-        for r, size in zip(rows[active].tolist(), sizes):
-            np.add(rngs[r].integers(n, size=size), r * n, out=keys[at:at + size])
-            at += size
+        left = (need - got)[active]
+        sizes = np.maximum(left * n // (n - budget + left), 16)
+        row = np.repeat(active, sizes)
+        j = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + drawn[row]
+        drawn[active] += sizes
+        keys = (row + lo) * n + _nodes(start_keys[row + lo], j, n)
         keys = keys[np.sort(np.unique(keys, return_index=True)[1])]  # first draws first
         fresh = batch.mark.reshape(-1).take(keys) == 0
         if got.any():  # not picked in an earlier round
@@ -335,23 +344,23 @@ def _random_picks(batch: ViewBatch, budget: int, rngs, block, lo: int) -> None:
         active = (got < need).nonzero()[0]
 
 
-def _random_rows(batch: ViewBatch, budget: int, rngs) -> None:
+def _random_rows(batch: ViewBatch, budget: int, keys) -> None:
     """Random search in every row of ``batch``: each row charges ``budget``
-    distinct nodes drawn uniformly from its generator (rejection on repeats).
+    distinct nodes, the first unseen draws of its start key ``keys[r]``
+    (rejection on repeats).
 
-    Drawing past the last charged node changes nothing observed.  The nodes
-    of every row are picked first (:func:`_random_picks`, in groups of rows
-    whose draws stay near ``_PICK_KEYS``) and then observed.  A row that
-    needs fewer picks than the widest has charged, and pads with its first
-    charged node, which is free to observe again.  A row that has charged
-    nothing is the widest: its picks overwrite every column, including the
-    pad read from its unwritten log.
+    The nodes of every row are picked first (:func:`_random_picks`, in
+    groups of rows whose draws stay near ``_PICK_KEYS``) and then observed.
+    A row that needs fewer picks than the widest has charged, and pads with
+    its first charged node, which is free to observe again.  A row that has
+    charged nothing is the widest: its picks overwrite every column,
+    including the pad read from its unwritten log.
     """
     need = np.maximum(budget - batch.count, 0)
     block = np.repeat(batch.log_ids[:, :1], need.max(), axis=1)
     group = max(1, _PICK_KEYS // max(block.shape[1], 1))
     for lo in range(0, len(block), group):  # bounds the temporaries
-        _random_picks(batch, budget, rngs, block[lo:lo + group], lo)
+        _random_picks(batch, budget, keys, block[lo:lo + group], lo)
     rows = np.arange(len(block))
     for lo in range(0, block.shape[1], _RANDOM_COLUMNS):  # bounds the temporaries
         batch.observe(rows, block[:, lo:lo + _RANDOM_COLUMNS])
@@ -366,15 +375,21 @@ def _random_budget(budget, n: int) -> int:
     return budget
 
 
+def _view_keys(seed) -> np.ndarray:
+    """The start key of a single-view call: ``mix64(seed, _START_STREAM)``."""
+    return np.array([mix64(_seed(seed), _START_STREAM)], dtype=np.uint64)
+
+
 def random_search(view: LandscapeView, budget: int, seed: int) -> RunHistory:
     """Evaluate ``budget`` distinct uniform-random nodes (rejection on repeats),
     capped at the view's node count.
 
-    Candidates are drawn in batches from a generator private to the call, so
-    drawing past the last charged node changes nothing observed.
+    Candidates are counter-based draws of the start key
+    ``mix64(seed, _START_STREAM)``, so drawing past the last charged node
+    changes nothing observed.
     """
     budget = _random_budget(budget, view.landscape.n)
-    _random_rows(view._rows, budget, [spawn_rng(seed, _START_STREAM)])
+    _random_rows(view._rows, budget, _view_keys(seed))
     return RunHistory.from_view(view)
 
 
@@ -384,11 +399,10 @@ def run_budgeted(view: LandscapeView, cfg: SearchConfig, seed: int) -> RunHistor
     Draws ``cfg.num_initial`` random starts, seeds local search from the best,
     and (with ``restart_on_convergence``) keeps starting fresh runs while
     budget remains.  Restarts share the view's observation cache, so nodes
-    re-encountered across runs cost nothing.
+    re-encountered across runs cost nothing.  Starts are counter-based draws
+    of the start key ``mix64(seed, _START_STREAM)``.
     """
-    draw = _Starts([spawn_rng(seed, _START_STREAM)], view.landscape.n,
-                   _START_BATCH * cfg.num_initial)
-    _climb(view._rows, cfg, draw)
+    _climb(view._rows, cfg, _Starts(_view_keys(seed), view.landscape.n))
     return RunHistory.from_view(view)
 
 
@@ -403,15 +417,17 @@ def _chunk_rows(n: int, limit: int) -> int:
 def _run_chunk(landscape, noise, budget, cfg, root_seed, lo, hi) -> list[RunHistory]:
     """Trials ``lo`` to ``hi - 1`` in lock-step: local search under ``cfg``,
     or random search if ``cfg`` is None.  Trial i's view seed is
-    ``mix64(mix64(root_seed, i), 0)`` and its starts come from
-    ``spawn_rng(mix64(mix64(root_seed, i), 1), _START_STREAM)``."""
+    ``mix64(mix64(root_seed, i), 0)`` and its start key
+    ``mix64(mix64(mix64(root_seed, i), 1), _START_STREAM)``: its starts and
+    random-search candidates are counter-based draws of that key, so no
+    trial builds a generator."""
     trial_seeds = mix64(root_seed, np.arange(lo, hi, dtype=np.uint64))
     batch = ViewBatch(landscape, noise, mix64(trial_seeds, 0), limit=budget)
-    rngs = [spawn_rng(int(s), _START_STREAM) for s in mix64(trial_seeds, 1).tolist()]
+    keys = mix64(mix64(trial_seeds, 1), _START_STREAM)
     if cfg is None:
-        _random_rows(batch, budget, rngs)
+        _random_rows(batch, budget, keys)
     else:
-        _climb(batch, cfg, _Starts(rngs, landscape.n, _START_BATCH * cfg.num_initial))
+        _climb(batch, cfg, _Starts(keys, landscape.n))
     del batch.mark  # the histories are views of the logs: free the marks first
     return [RunHistory._of(batch.log_ids[r, :c], batch.log_vals[r, :c], landscape.test_loss)
             for r, c in enumerate(batch.count.tolist())]
@@ -442,6 +458,7 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
     if algo not in _ALGOS:
         raise ValueError(f"unknown algo {algo!r}; expected one of {_ALGOS}")
     trials, jobs, n = _count(trials, "trials"), _count(jobs, "jobs"), landscape.n
+    root_seed = _seed(root_seed, "root_seed")
     if algo == "random":
         cfg, budget = None, _random_budget(budget, n)
     else:  # checks before any work

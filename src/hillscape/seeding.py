@@ -6,20 +6,22 @@ seeds are derived as
     seed_trial = mix64(root_seed, trial_index)
 
 where ``mix64`` advances the root seed by ``(index + 1)`` golden-gamma
-increments and applies the splitmix64 finalizer.  Streams that are drawn in
-sequence (search starts, random-search candidates, landscape generators,
-random walks) are numpy PCG64 generators seeded through ``mix64``.
-Observation noise and the query-until-lower neighbor order are not streams:
-they are ``mix64`` itself, evaluated on arrays of counters (node ids, charge
-indices), so a value depends only on its key and never on what was drawn
-before it.  The construction is part of the output contract: identical
-(root seed, index) pairs give identical values on every platform for a
-fixed numpy version.
+increments and applies the splitmix64 finalizer.  Only landscape generators
+and random walks draw from streams: numpy PCG64 generators seeded through
+``mix64``.  All search randomness is counter-based instead: observation
+noise, the query-until-lower neighbor order, search starts and
+random-search candidates are ``mix64`` itself, evaluated on arrays of
+counters (node ids, charge indices, draw indices), so a value depends only
+on its key and never on what was drawn before it.  The construction is part
+of the output contract: identical (root seed, index) pairs give identical
+values on every platform for a fixed numpy version.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .topology import _whole
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -30,19 +32,28 @@ _U1, _U_GAMMA, _U_M1, _U_M2 = (np.uint64(c) for c in (1, _GAMMA, _M1, _M2))
 _U27, _U30, _U31 = (np.uint64(c) for c in (27, 30, 31))
 
 
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as an int: the one check of a seed.  ``ValueError`` unless
+    it is a whole number (see :func:`~hillscape.topology._whole`), so 2.5,
+    NaN, inf and True are rejected and 7.0 accepted.  A negative seed
+    passes: ``mix64`` wraps it to 64 bits, and numpy's generators reject it."""
+    return _whole(value, name)
+
+
 def mix64(root_seed, index):
     """Derive a child seed from ``root_seed`` and a non-negative ``index``.
 
     With two ints the result is an int.  If either argument is a numpy
     array the two broadcast and the result is a ``uint64`` array whose
     entries equal the int results (uint64 arithmetic wraps modulo 2^64).
+    A ``root_seed`` that is not an array must be a whole number (:func:`_seed`).
     """
     if isinstance(root_seed, np.ndarray) or isinstance(index, np.ndarray):
         index = np.asarray(index)
         if index.dtype.kind == "i" and index.size and np.minimum.reduce(index, axis=None) < 0:
             raise ValueError("index must be non-negative")
         if not isinstance(root_seed, np.ndarray):
-            root_seed = int(root_seed) & _MASK64
+            root_seed = _seed(root_seed, "root_seed") & _MASK64
         # at least one dimension: 0-d operands would take numpy's scalar path,
         # which warns on the wrap-around that this hash relies on
         z = np.array(index, dtype=np.uint64, ndmin=1)
@@ -57,7 +68,7 @@ def mix64(root_seed, index):
         return z.reshape(()) if index.ndim == np.ndim(root_seed) == 0 else z
     if index < 0:
         raise ValueError("index must be non-negative")
-    z = (int(root_seed) + (int(index) + 1) * _GAMMA) & _MASK64
+    z = (_seed(root_seed, "root_seed") + (int(index) + 1) * _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _M1) & _MASK64
     z = ((z ^ (z >> 27)) * _M2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

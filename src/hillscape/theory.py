@@ -44,7 +44,7 @@ import numpy as np
 from . import DEFAULT_GRID_POINTS
 from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, _eps_array,
                         sample_markov_truncnorm, truncnorm_pdf, truncnorm_sf)
-from .seeding import mix64
+from .seeding import _seed, mix64
 from .topology import Topology, _clique_power_branching, _count, _whole, branching_fractions
 
 __all__ = [
@@ -243,6 +243,7 @@ class LocalPdfSpec:
     def truncnorm_centered(cls, sigma: float):
         if not np.isfinite(sigma) or sigma <= 0:
             raise ValueError("sigma must be finite and positive")
+        _cdf_ends(0.5, sigma)  # normal mass on [0, 1] at the center where it is largest
         return cls("truncnorm_centered", sigma=float(sigma))
 
     def density(self, center, y):
@@ -657,6 +658,7 @@ def fit_local_sigma_via_rwa(observed_rwa, t: Topology, candidates, seed: int,
     none do, so a white-noise input selects the flattest curve).  Exact ties
     go to the smallest sigma.
     """
+    seed = _seed(seed)
     obs = np.asarray(observed_rwa, dtype=float)
     if obs.ndim != 2 or obs.shape[1] < 3 or obs.shape[0] < 2:
         raise ValueError("observed curve must be rows of (lag, sqrt_lag, rho)")

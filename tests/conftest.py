@@ -8,7 +8,6 @@ import pytest
 import hillscape as hs
 from hillscape import landscape as landscape_mod
 from hillscape import search
-from hillscape.seeding import spawn_rng
 from hillscape.theory import _prefix
 
 # subprocesses (the CLI and demo tests) import hillscape from this checkout
@@ -211,16 +210,30 @@ def reference_local_search(view, start, cfg):
     return trace
 
 
+def counter_node(key, j, n):
+    """Draw ``j`` of the start key ``key``: node floor(u * n) of the uniform
+    u of (key, j), in Python ints and floats."""
+    return int(((hs.mix64(key, j) >> 12) * 2.0 ** -52 + 2.0 ** -53) * n)
+
+
+def counter_draws(key, n):
+    """The draws 0, 1, 2, ... of the start key ``key``, one at a time."""
+    j = 0
+    while True:
+        yield counter_node(key, j, n)
+        j += 1
+
+
 def reference_trial(landscape, noise, algo, budget, num_initial, restart, root_seed, trial):
     """One ``run_trials`` trial through the per-node loops: ``(history, traces)``."""
     trial_seed = hs.mix64(root_seed, trial)
     view = RefView(landscape, noise, hs.mix64(trial_seed, 0), budget)
-    rng = spawn_rng(hs.mix64(trial_seed, 1), search._START_STREAM)
     t, traces = landscape.topology, []
+    draws = counter_draws(hs.mix64(hs.mix64(trial_seed, 1), search._START_STREAM), t.n)
     if algo == "random":
         budget = min(budget, t.n)
         while view.query_count < budget:
-            v = int(rng.integers(t.n))
+            v = next(draws)
             if not view.seen(v):
                 view.observe(v)
         return hs.RunHistory.from_view(view), traces
@@ -228,7 +241,7 @@ def reference_trial(landscape, noise, algo, budget, num_initial, restart, root_s
     while True:
         starts = []
         for _ in range(cfg.num_initial):
-            v = int(rng.integers(t.n))
+            v = next(draws)
             if not (view.seen(v) or view.query_count < cfg.budget):
                 break
             starts.append((view.observe(v), v))

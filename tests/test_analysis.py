@@ -499,6 +499,37 @@ class TestRwa:
         assert hs.rwa(frozen_view(t, values), walk_len=3000, max_lag=9, seed=11) == \
             _rho_rows(values[walk], 9)
 
+    @pytest.mark.parametrize("spec", ["tree:3,6", "custom"])
+    def test_csr_walk_matches_numpy_scalar_loop(self, spec):
+        # the list-based loop against the loop of numpy scalar lookups that it
+        # replaced, on the same draws, the extremes 0 and 1 - 2^-53 included
+        if spec == "custom":  # a path with random chords: degrees 1 to 8
+            rng = np.random.default_rng(6)
+            edges = {(v, v + 1) for v in range(199)}
+            edges |= {tuple(sorted(e)) for e in rng.integers(200, size=(150, 2)).tolist()
+                      if e[0] != e[1]}
+            t = hs.load_adjacency("n 200\n" + "".join(f"{a} {b}\n" for a, b in sorted(edges)))
+            assert len(set(np.diff(t._csr[0]).tolist())) > 4
+        else:
+            t = hs.Topology.from_spec(spec)
+        draws = np.random.default_rng(8).random(20_000)
+        draws[::97] = 0.0
+        draws[::89] = 1.0 - 2.0 ** -53
+
+        def numpy_scalar_walk(pos):
+            indptr, indices = t._csr
+            walk = np.empty(draws.size, dtype=np.int64)
+            for i, u in enumerate(draws):
+                lo = indptr[pos]
+                pos = indices[lo + int(u * (indptr[pos + 1] - lo))]
+                walk[i] = pos
+            return walk
+
+        for pos in (0, t.n - 1):
+            got = analysis._csr_walk(t, pos, draws)
+            assert got.dtype == np.int64
+            assert got.tobytes() == numpy_scalar_walk(pos).tobytes()
+
     def test_clique_walk_is_uniform_over_neighbors(self):
         # (K_3)^2: from every node, each of its 4 neighbors takes about 1/4 of the steps
         t = hs.make_clique_power(3, 2)

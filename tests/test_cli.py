@@ -911,13 +911,13 @@ def test_analyze_negative_export_tree_leaves_no_directory(small_landscape, tmp_p
 
 
 # sha256 of the files the row-by-row CSV writer produced for these runs,
-# before the writer formatted whole columns at once; "local/runs.csv" since
-# its frozen noise became counter-based
+# before the writer formatted whole columns at once; the two runs.csv files
+# since search starts and random-search candidates became counter-based
 _PINNED_CSV = {
     "with_test.csv": "32872e783373c55cb9e0c382c21e6c1874381af162ffcda24a596358286355f1",
     "gen/landscape.csv": "689502c13cad3b3bb46f26119ec72f3013669aadc2dc83f8a2cf5898449a8322",
-    "local/runs.csv": "29096447916eff5dab598a43b33578c637e83276f9b60316ded4d7599f5cc365",
-    "random/runs.csv": "e039c0b888d23d4b9890a8b05253f831a20bd118a750e24e0d3973b7c811c503",
+    "local/runs.csv": "1c8e7a662d79905d812dcd89c638b421b64bc2cebe8d3bc2b9f18bfc3b983ea7",
+    "random/runs.csv": "e8a73e701679ca063fc08fa90253410b51037a724300cdf4df82b7f3b30a2bf9",
 }
 
 
@@ -953,16 +953,14 @@ _SUMMARY_RUNS = {
                                      "--seed", "3"]),
 }
 
-# sha256 of summary.json files of _SUMMARY_RUNS: "random-val" as the
-# per-query loop wrote it, before the summary was taken from one (queries x
-# trials) matrix; the "ragged" ones since an ended trial counts with its
-# final best at every later query; "restart" since its frozen noise became
-# counter-based
+# sha256 of summary.json files of _SUMMARY_RUNS, all four since search
+# starts and random-search candidates became counter-based; the summaries
+# themselves are checked against the per-query loop below
 _PINNED_SUMMARY = {
-    "restart": "29146b028bb5ec1841613d6a1dc50c6d4444b175575522661979d4033cb805bf",
-    "ragged": "fa0283316be91c1dd1b4d8d7d92c10b52f238178774f19c1e7bac079ca7df932",
-    "ragged-val": "85b7a8207bdacb43a2512d4e6b3020cb47e9ba67cd75ab9698dcfc465474b271",
-    "random-val": "34b85d2d52a4d3b5e13c9aa61d0c986eab69657184a5568ec8a65a0ed0b8a22c",
+    "restart": "412299f7bc52a54aa784cc8619ad9e844fec5ab4c67f0539679d33fb66429893",
+    "ragged": "93c43269b96608a641f477dc7cf02955e6a92e31bc6357bb968973a75cd81e6b",
+    "ragged-val": "933c3a3624bd80461cda2fc2f4276bea05768ad673c525a34dc2f17a95f6dec5",
+    "random-val": "5793ada57799a9dfea4dde4eac2497839f853dc8acba00b899246720325fc00d",
 }
 
 

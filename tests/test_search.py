@@ -13,9 +13,8 @@ import hillscape as hs
 
 from hillscape import search
 from hillscape.landscape import ViewBatch
-from hillscape.seeding import spawn_rng
 
-from conftest import cycle_topology, frozen_view, reference_trial
+from conftest import counter_draws, counter_node, cycle_topology, frozen_view, reference_trial
 
 
 @pytest.fixture
@@ -206,27 +205,24 @@ class TestRandomSearch:
         assert sorted(hist.nodes.tolist()) == list(range(10))
 
 
-def _random_picks_by_row(batch, budget, rngs):
-    """Reference for ``_random_rows``: each row's picks, one row at a time
-    with its own seen copy, and the number of draw rounds each row took."""
+def _random_picks_by_row(batch, budget, keys):
+    """Reference for ``_random_rows``: each row's picks, one row and one
+    candidate at a time with its own seen copy: the first unseen draws of
+    the row's start key."""
     n = batch.landscape.n
-    picks, rounds = [], []
-    for r, rng in enumerate(rngs):
+    picks = []
+    for r, key in enumerate(keys.tolist()):
         seen = batch.mark[r] != 0
-        count, got = int(batch.count[r]), [np.empty(0, dtype=np.int64)]
-        rounds.append(0)
-        while count < budget:
-            size = (budget - count) * n // (n - count)
-            draws = rng.integers(n, size=max(size, 16))
-            _, first = np.unique(draws, return_index=True)
-            new = draws[np.sort(first)]
-            new = new[~seen[new]][:budget - count]
-            seen[new] = True
-            got.append(new)
-            count += new.size
-            rounds[-1] += 1
-        picks.append(np.concatenate(got))
-    return picks, rounds
+        count, got = int(batch.count[r]), []
+        for v in counter_draws(key, n):
+            if count >= budget:
+                break
+            if not seen[v]:
+                seen[v] = True
+                got.append(v)
+                count += 1
+        picks.append(got)
+    return picks
 
 
 class TestRandomPicks:
@@ -244,30 +240,48 @@ class TestRandomPicks:
         for r, size in enumerate(prefixes):
             batch.observe(np.array([r]), order[None, :size])
         before = batch.count.copy()
-        ref_rngs = [np.random.default_rng(r) for r in range(len(prefixes))]
-        want, rounds = _random_picks_by_row(batch, budget, ref_rngs)
-        rngs = [np.random.default_rng(r) for r in range(len(prefixes))]
-        search._random_rows(batch, budget, rngs)
+        keys = hs.mix64(np.arange(len(prefixes), dtype=np.uint64), search._START_STREAM)
+        want = _random_picks_by_row(batch, budget, keys)
+        rounds = _count_rounds(monkeypatch)
+        search._random_rows(batch, budget, keys)
         assert batch.count.tolist() == [budget] * len(prefixes)
         for r, c in enumerate(batch.count.tolist()):
             logged = batch.log_ids[r, :c]
             assert logged[:before[r]].tolist() == order[:before[r]].tolist()
-            assert logged[before[r]:].tolist() == want[r].tolist()
+            assert logged[before[r]:].tolist() == want[r]
             assert np.unique(logged).size == c
-            # the same draws from each generator: its state after the call matches
-            assert rngs[r].bit_generator.state == ref_rngs[r].bit_generator.state
         if budget > 40:
             assert max(rounds) >= 3
 
-    def test_random_search_after_charges(self):
+    def test_random_search_after_charges(self, monkeypatch):
         scape = hs.sample_uniform(hs.make_clique_power(3, 4), 2)
         view = hs.LandscapeView(scape, hs.NoiseSpec.gaussian_frozen(0.05), seed=5)
         view.observe_prefix([3, 9, 27, 80])
-        want, rounds = _random_picks_by_row(copy.deepcopy(view._rows), 78,
-                                            [spawn_rng(11, search._START_STREAM)])
+        keys = np.array([hs.mix64(11, search._START_STREAM)], dtype=np.uint64)
+        want = _random_picks_by_row(copy.deepcopy(view._rows), 78, keys)
+        rounds = _count_rounds(monkeypatch)
         hist = hs.random_search(view, 78, 11)
-        assert hist.nodes.tolist() == [3, 9, 27, 80] + want[0].tolist()
-        assert rounds[0] >= 3
+        assert hist.nodes.tolist() == [3, 9, 27, 80] + want[0]
+        assert rounds == [rounds[0]] and rounds[0] >= 3
+
+
+def _count_rounds(monkeypatch):
+    """A list that gets, per ``_random_picks`` call, its number of rounds:
+    one candidate hash per round."""
+    rounds = []
+    picks, nodes = search._random_picks, search._nodes
+
+    def counted_picks(*args):
+        rounds.append(0)
+        return picks(*args)
+
+    def counted_nodes(*args):
+        rounds[-1] += 1
+        return nodes(*args)
+
+    monkeypatch.setattr(search, "_random_picks", counted_picks)
+    monkeypatch.setattr(search, "_nodes", counted_nodes)
+    return rounds
 
 
 class TestRunBudgeted:
@@ -635,8 +649,8 @@ class TestStepStructure:
     pinned, so a change to the number of lock-step steps shows here apart
     from a change to what one step costs."""
 
-    CALLS = {("local", "frozen"): 10, ("local", "fresh"): 10,
-             ("local-qul", "frozen"): 26, ("local-qul", "fresh"): 24,
+    CALLS = {("local", "frozen"): 9, ("local", "fresh"): 9,
+             ("local-qul", "frozen"): 22, ("local-qul", "fresh"): 26,
              ("local-cam", "frozen"): 8, ("local-cam", "fresh"): 7,
              ("random", "frozen"): 2, ("random", "fresh"): 2}
 
@@ -664,16 +678,57 @@ class TestStepStructure:
         # search-k56's 200 trials of budget 300 run as one chunk: one call
         # per lock-step step, not one per step of each chunk
         noise = hs.NoiseSpec.gaussian_frozen(0.05)
-        assert self._observe_calls(monkeypatch, k56_markov, noise, "local", 300, 200, 31) == 33
+        assert self._observe_calls(monkeypatch, k56_markov, noise, "local", 300, 200, 31) == 34
 
 
-class TestStreamFacts:
-    """Draw-stream facts the batched search relies on, on the installed numpy."""
+class TestNodeDraws:
+    """Starts and random-search candidates: draw j of a start key is node
+    floor(u * n) of the hashed uniform u of (key, j)."""
 
-    @pytest.mark.parametrize("n", [1, 7, 625, 15625, 3**19])
-    def test_integers_batch_equals_scalars(self, n):
-        a, b = np.random.default_rng(n), np.random.default_rng(n)
-        for k in (1, 16, 300):
-            batch = a.integers(n, size=k)
-            assert batch.tolist() == [int(b.integers(n)) for _ in range(k)]
-        assert a.bit_generator.state == b.bit_generator.state
+    @pytest.mark.parametrize("n", [1, 7, 2, 2**20, 2**52, 3**19])
+    def test_largest_uniform_maps_below_n(self, n, monkeypatch):
+        top = (np.uint64(2**64 - 1) >> np.uint64(12)) * 2.0 ** -52 + 2.0 ** -53
+        assert top == 1.0 - 2.0 ** -53  # the largest hashed uniform
+        monkeypatch.setattr(search, "_hashed_uniform", lambda key, j: np.full(j.shape, top))
+        assert search._nodes(np.zeros(2, dtype=np.uint64), np.arange(2), n).tolist() == [n - 1] * 2
+
+    def test_equals_the_python_draw(self):
+        keys = hs.mix64(np.arange(3, dtype=np.uint64), search._START_STREAM)
+        for n in (1, 7, 81, 3**19):
+            got = search._nodes(keys[:, None], np.arange(50)[None, :], n)
+            want = [[counter_node(k, j, n) for j in range(50)] for k in keys.tolist()]
+            assert got.tolist() == want
+
+    def test_uniform_on_small_n(self):
+        # chi-square with 6 degrees of freedom: 22.46 is its 0.999 quantile
+        n, size = 7, 70_000
+        counts = np.bincount(search._nodes(np.uint64(12345), np.arange(size), n), minlength=n)
+        chi2 = float(((counts - size / n) ** 2 / (size / n)).sum())
+        assert chi2 < 22.46, counts
+
+    def test_starts_advance_each_rows_counter(self):
+        keys = hs.mix64(np.arange(4, dtype=np.uint64), search._START_STREAM)
+        starts = search._Starts(keys, 81)
+        got = [starts(np.array([0, 1, 2, 3])), starts(np.array([2])), starts(np.array([0, 2]))]
+        assert [g.tolist() for g in got] == [
+            [counter_node(k, 0, 81) for k in keys.tolist()],
+            [counter_node(keys[2], 1, 81)],
+            [counter_node(keys[0], 1, 81), counter_node(keys[2], 2, 81)]]
+
+
+def test_search_builds_no_generator(monkeypatch):
+    """Search draws all its randomness from counters: no numpy generator."""
+    scape = hs.sample_markov_truncnorm(hs.make_clique_power(3, 4), 0.35, 0.25, 0.18, seed=3)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("search built a numpy generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    for algo in ("local", "local-qul", "local-cam", "random"):
+        hists = hs.run_trials(scape, hs.NoiseSpec.gaussian_fresh(0.05), algo, 30, 3, 5,
+                              num_initial=2)
+        assert [len(h) for h in hists] == [30] * 3
+    cfg = hs.SearchConfig(30, num_initial=2, restart_on_convergence=True)
+    assert len(hs.run_budgeted(hs.LandscapeView(scape, seed=1), cfg, 2)) == 30
+    assert len(hs.random_search(hs.LandscapeView(scape, seed=1), 30, 2)) == 30

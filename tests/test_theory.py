@@ -153,6 +153,13 @@ class TestPdfSpec:
         with pytest.raises(ValueError, match="no normal mass"):
             hs.PdfSpec.truncnorm(center, sigma)
 
+    def test_centered_truncnorm_without_mass_rejected_at_construction(self):
+        # sigma 1e20 used to construct, and every density or survival call raised
+        with pytest.raises(ValueError, match="no normal mass"):
+            hs.LocalPdfSpec.truncnorm_centered(1e20)
+        spec = hs.LocalPdfSpec.truncnorm_centered(1e3)  # wide, but with mass at every center
+        assert np.isfinite(spec.density(np.linspace(0, 1, 5), np.linspace(0, 1, 5))).all()
+
     def test_truncnorm_far_center_with_mass_accepted(self):
         spec = hs.PdfSpec.truncnorm(3.0, 0.1)  # mass Phi(-20) - Phi(-30), about 2.8e-89
         xs = np.linspace(0.0, 1.0, 2049)
@@ -275,6 +282,59 @@ def test_whole_float_counts_accepted():
     assert hs.branching_fraction(view.landscape.topology, 2.0) == 0.25
     assert hs.clique_power_uniform_curve(3.0, 2.0, [0.1]) == \
         hs.clique_power_uniform_curve(3, 2, [0.1])
+
+
+def _seed_calls():
+    """One call per public seed parameter, as a function of the seed."""
+    t = hs.make_clique_power(3, 2)
+    scape = hs.sample_uniform(t, 1)
+    rwa_rows = [(0, 0.0, 1.0), (1, 1.0, 0.4), (2, 2 ** 0.5, 0.1)]
+
+    def history(h):
+        return h.nodes.tolist(), h.val_loss.tolist()
+
+    return {
+        "sample_uniform": lambda s: hs.sample_uniform(t, s).val_loss.tolist(),
+        "sample_markov_truncnorm": lambda s: hs.sample_markov_truncnorm(
+            t, 0.35, 0.25, 0.18, seed=s).val_loss.tolist(),
+        "LandscapeView": lambda s: hs.LandscapeView(scape, seed=s).seed,
+        "random_search": lambda s: history(hs.random_search(hs.LandscapeView(scape), 5, s)),
+        "run_budgeted": lambda s: history(hs.run_budgeted(
+            hs.LandscapeView(scape), hs.SearchConfig(5, restart_on_convergence=True), s)),
+        "run_trials": lambda s: [history(h) for h in hs.run_trials(
+            scape, hs.NoiseSpec.none(), "local", 5, 2, s)],
+        "rwa": lambda s: hs.rwa(hs.LandscapeView(scape), 40, 2, seed=s),
+        "fit_local_sigma_via_rwa": lambda s: hs.fit_local_sigma_via_rwa(
+            rwa_rows, t, [0.35], s, walk_len=40),
+        "mix64": lambda s: hs.mix64(s, 3),
+        "mix64-array": lambda s: hs.mix64(s, np.arange(3)).tolist(),
+        "spawn_rng": lambda s: hs.spawn_rng(s, 3).random(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_seed_calls()))
+@pytest.mark.parametrize("seed", [2.5, True, math.nan, math.inf, 1e300, "3", None],
+                         ids=["2.5", "True", "nan", "inf", "1e300", "str", "None"])
+def test_seeds_must_be_whole_numbers(name, seed):
+    # 2.5 used to run as seed 2 and True as seed 1
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        _seed_calls()[name](seed)
+
+
+@pytest.mark.parametrize("name", list(_seed_calls()))
+def test_whole_float_seed_accepted(name):
+    call = _seed_calls()[name]
+    assert call(7.0) == call(7)
+
+
+def test_negative_seeds_unchanged():
+    # search wraps a negative seed to 64 bits; numpy's generators reject it
+    scape = hs.sample_uniform(hs.make_clique_power(3, 2), 1)
+    assert hs.LandscapeView(scape, seed=-1).seed == -1
+    assert len(hs.run_trials(scape, hs.NoiseSpec.none(), "random", 5, 2, -1)[0]) == 5
+    assert hs.mix64(-1, 3) == hs.mix64(2**64 - 1, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        hs.sample_uniform(scape.topology, -1)
 
 
 class TestExpectedMinimaFraction:
