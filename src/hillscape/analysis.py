@@ -37,6 +37,9 @@ _WALK_STREAM = 0xC1
 # successor_map gathers neighbor blocks of about this many (row x degree)
 # entries, so its memory is O(chunk * s) at any graph size
 _CHUNK_ENTRIES = 1 << 18
+# up to this clique size the (K_m)^d kernel takes a line minimum as m - 1
+# elementwise minima of slices, not as one reduction over the axis
+_SLICED_MIN_M = 16
 
 
 @dataclass
@@ -108,8 +111,9 @@ def _frozen(view: LandscapeView) -> np.ndarray:
 def successor_map(view: LandscapeView) -> SuccessorMap:
     """Full n-length successor map with ascending-id tie-breaking.
 
-    Closed form on clique powers (complete graphs are (K_n)^1), row chunks
-    of ``neighbors_block`` on trees and custom graphs; cached on the view.
+    Closed form on clique powers (complete graphs are (K_n)^1), where one
+    ranking of the nodes by (value, id) breaks every tie; row chunks of
+    ``neighbors_block`` on trees and custom graphs.  Cached on the view.
     """
     if view._successor_map is not None:
         return view._successor_map
@@ -125,38 +129,43 @@ def successor_map(view: LandscapeView) -> SuccessorMap:
 
 
 def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Successor map of (K_m)^d from one minimum per line of the ``(m,)*d`` cube.
+    """Successor map of (K_m)^d from one minimum rank per line of the ``(m,)*d`` cube.
 
-    The d lines through v hold all its neighbors.  Ids are little-endian, so
-    axis d-1-p holds digit p, and a line's first minimum along the axis is
-    its lowest-id minimum.  The lines are combined by (value, id); v moves
-    only to a strictly lower value, so a line minimum at v itself never wins.
+    The nodes are ranked once by (value, id): ``argsort``, stable only when
+    the sorted values hold an exact tie, so that a tie goes to the lower id.
+    The d lines through v hold v and all its neighbors, so the lowest rank on
+    them names v's best closed-neighborhood node.  That node is v itself
+    unless a neighbor is strictly lower, or, with ties, unless a lower-id
+    neighbor holds v's value; v moves only to a strictly lower value.
     """
     n = values.size
-    cube = values.reshape((m,) * d)
-    line = np.arange(n // m, dtype=np.int64)  # the lines along one axis, in C order
-    best_val = best_id = None
-    for p in range(d):
-        axis, stride = d - 1 - p, m**p
-        low = cube.min(axis=axis, keepdims=True)
-        # k = the first q with cube[..., q, ...] == low: the slices before the match
-        found = np.zeros(low.shape, dtype=bool)
-        k = np.zeros(low.shape, dtype=np.int64)
-        for q in range(m - 1):
-            found |= cube[(slice(None),) * axis + (slice(q, q + 1),)] == low
-            k += ~found
-        # the line's id with digit p = 0, plus the minimum's digit p
-        ids = ((line // stride) * (stride * m) + line % stride).reshape(k.shape) + k * stride
-        if best_val is None:
-            best_val = np.broadcast_to(low, cube.shape).copy()
-            best_id = np.broadcast_to(ids, cube.shape).copy()
-            continue
-        better = (low < best_val) | ((low == best_val) & (ids < best_id))
-        np.minimum(best_val, low, out=best_val)
-        np.copyto(best_id, ids, where=better)
-    succ = best_id.reshape(n)
-    stay = best_val.reshape(n) >= values
-    succ[stay] = np.flatnonzero(stay)
+    order = np.argsort(values)
+    ranked = values.take(order)
+    tied = bool((ranked[1:] == ranked[:-1]).any())
+    del ranked
+    if tied:
+        order = np.argsort(values, kind="stable")
+    rank = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+    rank[order] = np.arange(n, dtype=rank.dtype)
+    cube = rank.reshape((m,) * d)
+    best = None
+    for axis in range(d):
+        if m <= _SLICED_MIN_M:
+            # numpy reduces a short inner axis row by row; m slices are faster
+            sl = (slice(None),) * axis
+            low = cube[sl + (slice(0, 1),)]
+            for q in range(1, m):
+                low = np.minimum(low, cube[sl + (slice(q, q + 1),)])
+        else:
+            low = cube.min(axis=axis, keepdims=True)
+        if best is None:
+            best = np.broadcast_to(low, cube.shape).copy()
+        else:
+            np.minimum(best, low, out=best)
+    succ = order[best.reshape(n)]
+    if tied:
+        stay = values[succ] == values  # the best is never higher than v itself
+        succ[stay] = np.flatnonzero(stay)
     return succ
 
 
@@ -180,16 +189,26 @@ def find_local_minima(view: LandscapeView) -> np.ndarray:
 
 
 def _fixed_points_and_depth(succ: np.ndarray):
-    """(terminal node, step count) for every start, by iterating the map."""
-    cur = succ.copy()
-    depth = (cur != np.arange(len(succ))).astype(np.int64)
-    while True:
-        nxt = succ[cur]
-        moving = nxt != cur
-        if not moving.any():
-            return cur, depth
-        depth[moving] += 1
-        cur = nxt
+    """(terminal node, step count) for every start, by iterating the map.
+
+    The first two steps run on every start; after that only the starts that
+    still move are carried, so a pass costs the total descent length, not
+    n times the longest descent.
+    """
+    term = succ.take(succ)
+    depth = (succ != np.arange(len(succ))).astype(np.int64)
+    live = np.flatnonzero(term != succ)  # starts that make a second move
+    depth[live] = 2
+    cur = term.take(live)
+    steps = 3
+    while live.size:
+        nxt = succ.take(cur)
+        keep = np.flatnonzero(nxt != cur)
+        live, cur = live.take(keep), nxt.take(keep)
+        term[live] = cur
+        depth[live] = steps
+        steps += 1
+    return term, depth
 
 
 def basins(view: LandscapeView, use_base_loss_for_global: bool = False):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import _MASK64, _seed, mix64
+from .seeding import _seed, mix64
 from .topology import Topology, TopologyError, _bfs_tree, _count, _parse_spec
 
 __all__ = [
@@ -600,7 +600,7 @@ class LandscapeView:
 
     @functools.cached_property
     def _rows(self) -> ViewBatch:
-        return ViewBatch(self.landscape, self.noise, [self.seed & _MASK64])
+        return ViewBatch(self.landscape, self.noise, [self.seed])
 
     # -- observation ------------------------------------------------------
 
@@ -663,7 +663,7 @@ class LandscapeView:
             raise LandscapeError("fresh-noise views have no frozen observation vector")
         if self._values is None:
             n, base = self.landscape.n, self.landscape.val_loss
-            key = mix64(self.seed & _MASK64, _NOISE_STREAM)
+            key = mix64(self.seed, _NOISE_STREAM)
             vals = np.empty(n)
             for lo in range(0, n, _SLAB):
                 ids = np.arange(lo, min(lo + _SLAB, n))

@@ -33,11 +33,15 @@ _U27, _U30, _U31 = (np.uint64(c) for c in (27, 30, 31))
 
 
 def _seed(value, name: str = "seed") -> int:
-    """``value`` as an int: the one check of a seed.  ``ValueError`` unless
-    it is a whole number (see :func:`~hillscape.topology._whole`), so 2.5,
-    NaN, inf and True are rejected and 7.0 accepted.  A negative seed
-    passes: ``mix64`` wraps it to 64 bits, and numpy's generators reject it."""
-    return _whole(value, name)
+    """``value`` as an int: the one check of a seed (and of a scalar
+    ``mix64`` index).  ``ValueError`` unless it is a whole number (see
+    :func:`~hillscape.topology._whole`) in [0, 2^64), the seeds numpy's
+    generators take: 2.5, NaN, inf, True, -1 and 2**64 are rejected, 7.0
+    accepted."""
+    value = _whole(value, name)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
 def mix64(root_seed, index):
@@ -46,32 +50,36 @@ def mix64(root_seed, index):
     With two ints the result is an int.  If either argument is a numpy
     array the two broadcast and the result is a ``uint64`` array whose
     entries equal the int results (uint64 arithmetic wraps modulo 2^64).
-    A ``root_seed`` that is not an array must be a whole number (:func:`_seed`).
+    A ``root_seed`` or ``index`` that is not an array must be a whole
+    number in [0, 2^64) (:func:`_seed`); an ``index`` array must have an
+    integer dtype and no negative entry.
     """
-    if isinstance(root_seed, np.ndarray) or isinstance(index, np.ndarray):
-        index = np.asarray(index)
+    if isinstance(index, np.ndarray):
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"index array must have an integer dtype, got {index.dtype}")
         if index.dtype.kind == "i" and index.size and np.minimum.reduce(index, axis=None) < 0:
             raise ValueError("index must be non-negative")
-        if not isinstance(root_seed, np.ndarray):
-            root_seed = _seed(root_seed, "root_seed") & _MASK64
-        # at least one dimension: 0-d operands would take numpy's scalar path,
-        # which warns on the wrap-around that this hash relies on
-        z = np.array(index, dtype=np.uint64, ndmin=1)
-        z += _U1
-        z *= _U_GAMMA
-        z = z + np.array(root_seed, dtype=np.uint64, ndmin=1)
-        z ^= z >> _U30
-        z *= _U_M1
-        z ^= z >> _U27
-        z *= _U_M2
-        z ^= z >> _U31
-        return z.reshape(()) if index.ndim == np.ndim(root_seed) == 0 else z
-    if index < 0:
-        raise ValueError("index must be non-negative")
-    z = (_seed(root_seed, "root_seed") + (int(index) + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _M2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    else:
+        index = _seed(index, "index")
+    if not isinstance(root_seed, np.ndarray):
+        root_seed = _seed(root_seed, "root_seed")
+    if isinstance(root_seed, int) and isinstance(index, int):
+        z = (root_seed + (index + 1) * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _M1) & _MASK64
+        z = ((z ^ (z >> 27)) * _M2) & _MASK64
+        return (z ^ (z >> 31)) & _MASK64
+    # at least one dimension: 0-d operands would take numpy's scalar path,
+    # which warns on the wrap-around that this hash relies on
+    z = np.array(index, dtype=np.uint64, ndmin=1)
+    z += _U1
+    z *= _U_GAMMA
+    z = z + np.array(root_seed, dtype=np.uint64, ndmin=1)
+    z ^= z >> _U30
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
+    return z.reshape(()) if np.ndim(index) == np.ndim(root_seed) == 0 else z
 
 
 def spawn_rng(root_seed: int, index: int) -> np.random.Generator:

@@ -148,8 +148,9 @@ class TestStreamedSuccessorMap:
 
 
 class TestCliquePowerKernel:
-    """The axis-argmin map of (K_m)^d against the loop oracle and against the
-    chunked gather over the same graph loaded as a custom topology."""
+    """The ranked map of (K_m)^d against the loop oracle, the kernel it
+    replaced, and the chunked gather over the same graph loaded as a custom
+    topology."""
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(2, 5), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
@@ -162,6 +163,87 @@ class TestCliquePowerKernel:
         succ = hs.successor_map(frozen_view(t, values)).succ
         assert np.array_equal(succ, brute_successor(t, values))
         assert np.array_equal(succ, hs.successor_map(frozen_view(custom_twin(t), values)).succ)
+        assert np.array_equal(succ, reference_clique_power_successor(values, m, d))
+
+
+def reference_clique_power_successor(values, m, d):
+    """The (K_m)^d successor kernel before ranks, kept bit for bit: per axis a
+    line minimum, its first match along the axis, and a (value, id) merge."""
+    n = values.size
+    cube = values.reshape((m,) * d)
+    line = np.arange(n // m, dtype=np.int64)
+    best_val = best_id = None
+    for p in range(d):
+        axis, stride = d - 1 - p, m**p
+        low = cube.min(axis=axis, keepdims=True)
+        found = np.zeros(low.shape, dtype=bool)
+        k = np.zeros(low.shape, dtype=np.int64)
+        for q in range(m - 1):
+            found |= cube[(slice(None),) * axis + (slice(q, q + 1),)] == low
+            k += ~found
+        ids = ((line // stride) * (stride * m) + line % stride).reshape(k.shape) + k * stride
+        if best_val is None:
+            best_val = np.broadcast_to(low, cube.shape).copy()
+            best_id = np.broadcast_to(ids, cube.shape).copy()
+            continue
+        better = (low < best_val) | ((low == best_val) & (ids < best_id))
+        np.minimum(best_val, low, out=best_val)
+        np.copyto(best_id, ids, where=better)
+    succ = best_id.reshape(n)
+    stay = best_val.reshape(n) >= values
+    succ[stay] = np.flatnonzero(stay)
+    return succ
+
+
+def reference_fixed_points_and_depth(succ):
+    """The basin walk before it carried only moving starts: every start, every step."""
+    cur = succ.copy()
+    depth = (cur != np.arange(len(succ))).astype(np.int64)
+    while True:
+        nxt = succ[cur]
+        moving = nxt != cur
+        if not moving.any():
+            return cur, depth
+        depth[moving] += 1
+        cur = nxt
+
+
+def _kernel_values(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random(n)
+    if kind == "rounded":
+        return np.round(rng.random(n) * 8) / 8
+    if kind == "equal":
+        return np.full(n, 0.25)
+    return np.where(rng.random(n) < 0.5, -0.0, 0.0)  # "signed-zero": equal values
+
+
+class TestKernelsMatchReference:
+    """The ranked successor kernel and the moving-start walk equal the kernels
+    they replaced, element for element and dtype for dtype."""
+
+    @pytest.mark.parametrize("kind", ["random", "rounded", "equal", "signed-zero"])
+    # (300, 1) and (17, 2) take the axis reduction, the rest the sliced minima
+    @pytest.mark.parametrize("m,d", [(1, 1), (300, 1), (2, 9), (5, 6), (17, 2), (3, 1)])
+    def test_successor(self, m, d, kind):
+        values = _kernel_values(kind, m**d, m * 100 + d)
+        got = analysis._clique_power_successor(values, m, d)
+        want = reference_clique_power_successor(values, m, d)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(1000),  # the identity map: every start is a minimum
+        lambda: np.maximum(np.arange(1000) - 1, 0),  # one chain of 999 moves
+        lambda: analysis._clique_power_successor(
+            hs.LandscapeView(hs.sample_uniform(hs.make_clique_power(5, 6), 7),
+                             hs.NoiseSpec.gaussian_frozen(0.05), seed=3).frozen_values(), 5, 6),
+    ], ids=["identity", "chain", "k56"])
+    def test_walk(self, make):
+        succ = make()
+        for got, want in zip(analysis._fixed_points_and_depth(succ),
+                             reference_fixed_points_and_depth(succ)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestCompleteGraphKernel:

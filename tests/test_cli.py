@@ -569,6 +569,16 @@ def run_main(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_u64_exits_3(small_landscape, tmp_path, capsys, seed):
+    # search used to run --seed -1 as seed 2**64 - 1 and 2**64 as seed 0
+    for argv in (["gen", "--topo", "clique-power:3,2"],
+                 ["search", "--landscape", str(small_landscape), "--trials", "2"]):
+        code, err = run_main(capsys, *argv, "--seed", seed, "--out", str(tmp_path / argv[0]))
+        assert code == 3 and "must be in [0, 2**64)" in err
+        assert not (tmp_path / argv[0]).exists()
+
+
 def test_manifest_config_keys_are_the_table_rows(tmp_path, capsys):
     o = str(tmp_path)
     scape = f"{o}/gen/landscape.csv"

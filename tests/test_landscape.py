@@ -850,6 +850,22 @@ def test_mix64_contract():
         hs.mix64(1, -1)
 
 
+@pytest.mark.parametrize("index", [2.5, True, math.nan, np.array([2.5]), np.array([True])],
+                         ids=["2.5", "True", "nan", "float-array", "bool-array"])
+@pytest.mark.parametrize("root", [1, np.array([1], dtype=np.uint64)], ids=["int", "array"])
+def test_mix64_rejects_non_integer_index(root, index):
+    # 2.5 used to hash as 2, True as 1, and a float array was cast to uint64
+    with pytest.raises(ValueError, match="index"):
+        hs.mix64(root, index)
+
+
+def test_mix64_index_keeps_exact_values():
+    assert hs.mix64(1, 7.0) == hs.mix64(1, 7) == hs.mix64(1, np.int64(7))
+    big = 2**64 - 2
+    assert hs.mix64(1, np.array([big], dtype=np.uint64)).tolist() == [hs.mix64(1, big)]
+    assert hs.mix64(1, np.array([3], dtype=np.int32)).tolist() == [hs.mix64(1, 3)]
+
+
 class TestCsvReader:
     @pytest.mark.parametrize("text,message", [
         ("id,val_loss\n0,0.1\n1,0.2,0.3\n", "line 3: expected 2 cells"),

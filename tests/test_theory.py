@@ -327,14 +327,20 @@ def test_whole_float_seed_accepted(name):
     assert call(7.0) == call(7)
 
 
-def test_negative_seeds_unchanged():
-    # search wraps a negative seed to 64 bits; numpy's generators reject it
-    scape = hs.sample_uniform(hs.make_clique_power(3, 2), 1)
-    assert hs.LandscapeView(scape, seed=-1).seed == -1
-    assert len(hs.run_trials(scape, hs.NoiseSpec.none(), "random", 5, 2, -1)[0]) == 5
-    assert hs.mix64(-1, 3) == hs.mix64(2**64 - 1, 3)
-    with pytest.raises(ValueError, match="non-negative"):
-        hs.sample_uniform(scape.topology, -1)
+@pytest.mark.parametrize("name", list(_seed_calls()))
+@pytest.mark.parametrize("seed", [-1, -2**63, 2**64, 2**70])
+def test_seed_outside_u64_rejected(name, seed):
+    # -1 used to run in views and search (wrapped to 2**64 - 1) but fail in
+    # the generators; 2**64 aliased seed 0 in views and search
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        _seed_calls()[name](seed)
+
+
+@pytest.mark.parametrize("name", list(_seed_calls()))
+def test_seed_range_ends_accepted(name):
+    call = _seed_calls()[name]
+    call(0)
+    call(2**64 - 1)
 
 
 class TestExpectedMinimaFraction:
