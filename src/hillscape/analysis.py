@@ -17,7 +17,7 @@ import numpy as np
 
 from .landscape import LandscapeError, LandscapeView, _eps_array
 from .seeding import _seed, spawn_rng
-from .topology import _count, _whole
+from .topology import _count, _read_only, _whole
 
 __all__ = [
     "SuccessorMap",
@@ -40,19 +40,24 @@ _CHUNK_ENTRIES = 1 << 18
 # up to this clique size the (K_m)^d kernel takes a line minimum as m - 1
 # elementwise minima of slices, not as one reduction over the axis
 _SLICED_MIN_M = 16
+# ids and keys below 2^31 pack into one int64 word (key << bits) | id
+_PACK_BITS = 31
 
 
 @dataclass
 class SuccessorMap:
     """One hill-climbing step for every node of a frozen view.
 
-    The basin walk and the predecessor index are derived from ``succ`` on
-    first use and kept here, so the view's one cached map carries them too.
+    The minima, the basin walk, the basin sizes and the predecessor index
+    are derived from ``succ`` on first use and kept here, read-only, so the
+    view's one cached map carries them too.
     """
 
     succ: np.ndarray
     values: np.ndarray
+    _minima: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _sizes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _preds: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -60,30 +65,51 @@ class SuccessorMap:
         return len(self.succ)
 
     def minima(self) -> np.ndarray:
-        return np.flatnonzero(self.succ == np.arange(self.n))
+        """The fixed points of ``succ`` (the local minima), ascending, read-only."""
+        if self._minima is None:
+            self._minima, = _read_only(np.flatnonzero(self.succ == np.arange(self.n)))
+        return self._minima
 
     def walk(self):
         """(terminal minimum, move count) of every start, read-only."""
         if self._walk is None:
-            self._walk = _fixed_points_and_depth(self.succ)
-            for arr in self._walk:
-                arr.setflags(write=False)
+            self._walk = _read_only(*_fixed_points_and_depth(self.succ))
         return self._walk
+
+    def basin_sizes(self) -> np.ndarray:
+        """The number of starts whose walk ends at each of :meth:`minima`, read-only."""
+        if self._sizes is None:
+            sizes = np.bincount(self.walk()[0], minlength=self.n)[self.minima()]
+            self._sizes, = _read_only(sizes)
+        return self._sizes
 
     def predecessors(self):
         """``(order, starts)``: the nodes u with ``succ[u] == v`` are
-        ``order[starts[v]:starts[v + 1]]``, ascending."""
+        ``order[starts[v]:starts[v + 1]]``, ascending; read-only."""
         if self._preds is None:
-            # the keys succ * n + u are unique and fit int64 while n < 3·10^9,
-            # so sorting them equals the stable argsort of succ
-            order = np.multiply(self.succ, self.n, dtype=np.int64)
-            order += np.arange(self.n)
-            order.sort()
-            order %= self.n
+            order = _sort_by_key(self.succ, np.arange(self.n))
             starts = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.succ, minlength=self.n), out=starts[1:])
-            self._preds = (order, starts)
+            self._preds = _read_only(order, starts)
         return self._preds
+
+
+def _sort_by_key(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``ids`` in ascending ``(key, id)`` order, for int arrays ``keys`` and
+    ``ids`` of n entries each in [0, n).
+
+    With ``bits = (n - 1).bit_length()`` this is one sort of the words
+    ``(key << bits) | id``, decoded with a mask.  The words fit int64 for
+    n <= 2^31 (``_PACK_BITS``); a larger n takes ``np.lexsort``.
+    """
+    bits = (ids.size - 1).bit_length()
+    if bits > _PACK_BITS:
+        return ids[np.lexsort((ids, keys))]
+    words = np.left_shift(keys, bits, dtype=np.int64)
+    words |= ids
+    words.sort()
+    words &= (1 << bits) - 1
+    return words
 
 
 @dataclass
@@ -93,6 +119,8 @@ class LandscapeStats:
     ``avg_iterations`` counts neighborhood sweeps until convergence,
     including the final sweep that certifies the minimum: a start already
     at a local minimum counts 1, a start one move away counts 2, and so on.
+    ``basin_minima`` and ``basin_sizes`` are the successor map's cached,
+    read-only :meth:`SuccessorMap.minima` and :meth:`SuccessorMap.basin_sizes`.
     """
 
     num_local_minima: int
@@ -131,20 +159,26 @@ def successor_map(view: LandscapeView) -> SuccessorMap:
 def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
     """Successor map of (K_m)^d from one minimum rank per line of the ``(m,)*d`` cube.
 
-    The nodes are ranked once by (value, id): ``argsort``, stable only when
-    the sorted values hold an exact tie, so that a tie goes to the lower id.
-    The d lines through v hold v and all its neighbors, so the lowest rank on
-    them names v's best closed-neighborhood node.  That node is v itself
-    unless a neighbor is strictly lower, or, with ties, unless a lower-id
-    neighbor holds v's value; v moves only to a strictly lower value.
+    The nodes are ranked once by (value, id): ``argsort``, then, only when
+    the sorted values hold an exact tie (``-0.0`` ties ``0.0``), the tie
+    groups are numbered in value order and :func:`_sort_by_key` puts each
+    in id order, so that a tie goes to the lower id.  The d lines through v
+    hold v and all its neighbors, so the lowest rank on them names v's best
+    closed-neighborhood node.  That node is v itself unless a neighbor is
+    strictly lower, or, with ties, unless a lower-id neighbor holds v's
+    value; v moves only to a strictly lower value.
     """
     n = values.size
     order = np.argsort(values)
     ranked = values.take(order)
-    tied = bool((ranked[1:] == ranked[:-1]).any())
+    fresh = ranked[1:] != ranked[:-1]  # a new value starts here
     del ranked
+    tied = not fresh.all()
     if tied:
-        order = np.argsort(values, kind="stable")
+        group = np.zeros(n, dtype=np.int64)
+        np.cumsum(fresh, out=group[1:])
+        order = _sort_by_key(group, order)
+    del fresh
     rank = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
     rank[order] = np.arange(n, dtype=rank.dtype)
     cube = rank.reshape((m,) * d)
@@ -184,7 +218,8 @@ def _chunked_successor(values: np.ndarray, t) -> np.ndarray:
 
 
 def find_local_minima(view: LandscapeView) -> np.ndarray:
-    """Ids of nodes strictly below their whole neighborhood, ascending."""
+    """Ids of nodes strictly below their whole neighborhood, ascending: the
+    view's cached, read-only :meth:`SuccessorMap.minima`."""
     return successor_map(view).minima()
 
 
@@ -221,7 +256,6 @@ def basins(view: LandscapeView, use_base_loss_for_global: bool = False):
     smap = successor_map(view)
     assignment, depth = smap.walk()
     minima = smap.minima()
-    sizes = np.bincount(assignment, minlength=smap.n)[minima]
     ref = view.landscape.val_loss if use_base_loss_for_global else smap.values
     global_node = int(np.argmin(ref))
     stats = LandscapeStats(
@@ -229,7 +263,7 @@ def basins(view: LandscapeView, use_base_loss_for_global: bool = False):
         avg_iterations=float(depth.mean()) + 1.0,  # moves + the certifying sweep
         fraction_reaching_global_min=float((assignment == global_node).mean()),
         basin_minima=minima,
-        basin_sizes=sizes,
+        basin_sizes=smap.basin_sizes(),
     )
     return assignment, stats
 
@@ -238,11 +272,10 @@ def within_epsilon_curve(view: LandscapeView, eps_grid) -> list[tuple[float, flo
     """Fraction of starts whose terminal minimum lies within eps of the best."""
     eps = _eps_array(eps_grid)
     smap = successor_map(view)
-    assignment, _ = smap.walk()
     minima = smap.minima()
     gap = smap.values[minima] - smap.values.min()
     by_gap = np.argsort(gap)
-    sizes = np.bincount(assignment, minlength=smap.n)[minima][by_gap]
+    sizes = smap.basin_sizes()[by_gap]
     reached = np.concatenate([[0], np.cumsum(sizes)])  # starts in the j best basins
     counts = reached[np.searchsorted(gap[by_gap], eps, side="right")]
     return [(float(e), float(c / smap.n)) for e, c in zip(eps, counts)]

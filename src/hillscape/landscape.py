@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .seeding import _seed, mix64
-from .topology import Topology, TopologyError, _bfs_tree, _count, _parse_spec
+from .topology import (Topology, TopologyError, _bfs_tree, _clique_power_levels, _count,
+                       _parse_spec)
 
 __all__ = [
     "Landscape",
@@ -704,7 +705,23 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
     vals = np.empty(t.n)
     vals[0] = _truncnorm_ppf_at(rng.random(), root_center, root_sigma, root_lo,
                                 root_hi - root_lo)
-    _cdf_ends(vals[0], sigma_local)  # rejects a bad sigma_local before the BFS, complete:1 too
+    _cdf_ends(vals[0], sigma_local)  # rejects a bad sigma_local before any level, complete:1 too
+    fill = _clique_power_markov if t.kind == "clique_power" else _frontier_markov
+    fill(t, vals, sigma_local, rng)
+    meta = {
+        "generator": "markov-truncnorm",
+        "params": {
+            "sigma_local": float(sigma_local),
+            "root_center": float(root_center),
+            "root_sigma": float(root_sigma),
+        },
+        "seed": seed,
+    }
+    return Landscape(t, vals, meta=meta)
+
+
+def _frontier_markov(t: Topology, vals: np.ndarray, sigma_local: float, rng) -> None:
+    """Fill ``vals[1:]`` level by level along :func:`_bfs_tree`."""
     order, parent, sizes = _bfs_tree(t)
     if sizes.sum() != t.n:
         raise LandscapeError("topology is disconnected")
@@ -722,16 +739,38 @@ def sample_markov_truncnorm(t: Topology, sigma_local: float, root_center: float,
         vals[ids] = _truncnorm_ppf_at(rng.random(size), vals[up], sigma_local,
                                       below0[up], span[up])
         lo, prev = lo + size, ids
-    meta = {
-        "generator": "markov-truncnorm",
-        "params": {
-            "sigma_local": float(sigma_local),
-            "root_center": float(root_center),
-            "root_sigma": float(root_sigma),
-        },
-        "seed": seed,
-    }
-    return Landscape(t, vals, meta=meta)
+
+
+def _clique_power_markov(t: Topology, vals: np.ndarray, sigma_local: float, rng) -> None:
+    """Fill ``vals[1:]`` of (K_m)^d with the draws of :func:`_frontier_markov`.
+
+    Block p, the ids ``[m^p, m^(p+1))`` viewed as an ``(m - 1, m^p)`` array,
+    has the parent row ``vals[:m^p]`` in every row (a node's discoverer is
+    the node with its highest non-zero digit set to 0), so one quantile call
+    per block runs against the broadcast parent row, and the CDF ends of
+    each parent block are taken once.  The uniforms of a level are drawn in
+    one call, as the frontier loop draws them, and spent in ascending id:
+    for each k, the rows of block p in turn take the next uniforms of level
+    k + 1 for the columns at level k.
+    """
+    m, d = t.m, t.d
+    level = _clique_power_levels(m, d)
+    draws = [rng.random(math.comb(d, k) * (m - 1) ** k) for k in range(1, d + 1)]
+    used = [0] * d
+    below0, span = np.empty(m ** (d - 1)), np.empty(m ** (d - 1))
+    lo, width = 0, 1
+    for p in range(d):
+        a, b = _cdf_ends(vals[lo:width], sigma_local)  # the parents new to this block
+        below0[lo:width], span[lo:width] = a, b - a
+        block = vals[width:m * width].reshape(m - 1, width)  # holds the uniforms first
+        for k in range(p + 1):
+            cols = np.flatnonzero(level[:width] == k)
+            take = (m - 1) * cols.size
+            block[:, cols] = draws[k][used[k]:used[k] + take].reshape(m - 1, cols.size)
+            used[k] += take
+        block[:] = _truncnorm_ppf_at(block, vals[:width], sigma_local, below0[:width],
+                                     span[:width])
+        lo, width = width, m * width
 
 
 # -- tabular ingestion and persistence ----------------------------------------

@@ -409,28 +409,35 @@ def _read_only(*arrays):
 # -- module-level operations ----------------------------------------------
 
 
+def _clique_power_levels(m: int, d: int) -> np.ndarray:
+    """BFS level from node 0 of every node of (K_m)^d: its count of non-zero
+    digits, as int8.  The ids in ``[m^p, m^(p+1))``, whose highest non-zero
+    digit is digit p, are m - 1 rows of ``[0, m^p)`` one level further out."""
+    level = np.zeros(m**d, dtype=np.int8)
+    width = 1
+    for _ in range(d):
+        level[width:m * width].reshape(m - 1, width)[:] = level[:width] + 1
+        width *= m
+    return level
+
+
 def _bfs_tree(t: Topology, root: int = 0):
     """Breadth-first tree from ``root``: ``(order, parent, sizes)``.
 
     ``order`` lists the reached nodes level by level, ascending within a
     level, and ``sizes`` holds the level sizes.  ``parent[v]`` is v's
     discoverer: its lowest-id neighbor one level up.  On (K_m)^d from node
-    0 a node's level is its count of non-zero digits and its discoverer is
-    the node with its highest non-zero digit set to 0; otherwise the
+    0 the levels are :func:`_clique_power_levels` and a node's discoverer
+    is the node with its highest non-zero digit set to 0; otherwise the
     frontier loop runs.
     """
     t._check_id(root)
     n = t.n
     parent = np.zeros(n, dtype=np.int64)
     if t.kind == "clique_power" and root == 0:
-        m = t.m
-        level = np.zeros(n, dtype=np.int8)
-        width = 1
-        for _ in range(t.d):
-            # ids in [width, m * width) have their highest non-zero digit here
-            level[width:m * width] = np.tile(level[:width] + 1, m - 1)
-            parent[width:m * width] = np.tile(np.arange(width), m - 1)
-            width *= m
+        level = _clique_power_levels(t.m, t.d)
+        widths = t.m ** np.arange(t.d)  # v in [w, m * w) drops its top digit as v % w
+        parent[1:] = np.arange(1, n) % np.repeat(widths, (t.m - 1) * widths)
         return np.argsort(level, kind="stable"), parent, np.bincount(level)
     seen = np.zeros(n, dtype=bool)
     seen[root] = True

@@ -1,8 +1,9 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hillscape as hs
@@ -246,6 +247,28 @@ class TestKernelsMatchReference:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+class TestSortByKey:
+    """The packed-word sort equals the stable argsort, and so does its
+    ``np.lexsort`` branch for words that would not fit int64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(st.integers(0, 3), min_size=1, max_size=200), permuted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(keys=[0], permuted=False, seed=0)  # n = 1
+    @example(keys=[3] * 200, permuted=False, seed=0)  # all keys equal
+    @example(keys=[0] * 200, permuted=True, seed=1)
+    def test_equals_stable_argsort(self, keys, permuted, seed):
+        n = len(keys)
+        keys = np.minimum(np.asarray(keys, dtype=np.int64), n - 1)
+        ids = np.random.default_rng(seed).permutation(n) if permuted else np.arange(n)
+        by_id = np.argsort(ids)  # (key, id) order is the stable key order of the ids ascending
+        want = ids[by_id][np.argsort(keys[by_id], kind="stable")]
+        for pack_bits in (analysis._PACK_BITS, 0):
+            with mock.patch.object(analysis, "_PACK_BITS", pack_bits):
+                got = analysis._sort_by_key(keys, ids)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 class TestCompleteGraphKernel:
     """Complete graphs are (K_n)^1, so the closed-form kernel serves them."""
 
@@ -291,6 +314,36 @@ class TestOneWalkPerMap:
         hs.basins(view)
         assert len(calls) == 1
         assert not assignment.flags.writeable  # the cached walk cannot be altered
+
+    def test_minima_sizes_and_predecessors_once(self, k56_uniform, monkeypatch):
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=0)
+        smap = hs.successor_map(view)
+        counts = {"sort": 0, "bincount": 0}
+        sort, bincount = analysis._sort_by_key, np.bincount
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(analysis, "_sort_by_key", counted("sort", sort))
+        monkeypatch.setattr(np, "bincount", counted("bincount", bincount))
+        minima, sizes, preds = smap.minima(), smap.basin_sizes(), smap.predecessors()
+        for _ in range(2):
+            _, stats = hs.basins(view)
+            assert stats.basin_minima is minima and stats.basin_sizes is sizes
+            assert hs.find_local_minima(view) is minima
+            hs.within_epsilon_curve(view, [0.0, 0.05])
+            hs.preimage_sizes(view, int(minima[0]), max_k=3)
+            hs.export_search_tree(view, 2)
+            assert smap.minima() is minima and smap.basin_sizes() is sizes
+            assert smap.predecessors() is preds
+        # one bincount for the basin sizes, one for the predecessor starts
+        assert counts == {"sort": 1, "bincount": 2}
+        for arr in (minima, sizes) + preds:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 class TestNoSearchState:

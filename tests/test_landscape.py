@@ -281,9 +281,14 @@ class TestMarkovTruncnorm:
 
     @pytest.mark.parametrize("topo", [
         lambda: hs.make_clique_power(5, 4),
+        lambda: hs.make_clique_power(2, 10),
+        lambda: hs.make_complete(1),
+        lambda: hs.make_complete(2),
+        lambda: hs.make_complete(40),
         lambda: hs.Topology.from_spec("tree:3,5"),
         lambda: hs.load_adjacency("n 9\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n5 6\n6 4\n2 7\n7 8\n"),
-    ], ids=["clique-power-5-4", "tree-3-5", "custom"])
+    ], ids=["clique-power-5-4", "clique-power-2-10", "complete-1", "complete-2", "complete-40",
+            "tree-3-5", "custom"])
     def test_per_parent_cdfs_equal_per_child_loop(self, topo):
         t = topo()
         for sigma_local, seed in ((0.35, 0), (0.1, 5), (1e-6, 2), (100.0, 7)):
@@ -291,16 +296,26 @@ class TestMarkovTruncnorm:
             got = hs.sample_markov_truncnorm(t, sigma_local, 0.25, 0.18, seed=seed)
             assert got.val_loss.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("m,d", [(5, 3), (3, 5), (2, 7), (7, 2), (4, 1)])
+    @pytest.mark.parametrize("m,d", [(5, 3), (3, 5), (2, 7), (7, 2), (4, 1), (2, 10),
+                                     (1, 1), (2, 1), (40, 1)])
     def test_clique_power_matches_custom_twin(self, m, d):
-        # the closed-form BFS tree of (K_m)^d against the frontier loop: same
-        # discoverers and the same draw order, so the same bits
-        t = hs.make_clique_power(m, d)
+        # the digit blocks of (K_m)^d against the frontier loop on the same
+        # graph: same discoverers and the same draw order, so the same bits
+        t = hs.make_complete(m) if d == 1 else hs.make_clique_power(m, d)
         twin = custom_twin(t)
-        for seed in (0, 1, 9):
-            a = hs.sample_markov_truncnorm(t, 0.35, 0.25, 0.18, seed=seed)
-            b = hs.sample_markov_truncnorm(twin, 0.35, 0.25, 0.18, seed=seed)
-            assert a.val_loss.tobytes() == b.val_loss.tobytes()
+        for sigma_local in (0.35, 1e-6, 100.0):
+            for seed in (0, 1, 9):
+                a = hs.sample_markov_truncnorm(t, sigma_local, 0.25, 0.18, seed=seed)
+                b = hs.sample_markov_truncnorm(twin, sigma_local, 0.25, 0.18, seed=seed)
+                assert a.val_loss.tobytes() == b.val_loss.tobytes()
+
+    def test_clique_power_builds_no_bfs_tree(self, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("(K_m)^d reached the frontier loop")
+
+        monkeypatch.setattr(landscape, "_bfs_tree", no_tree)
+        for t in (hs.make_clique_power(3, 4), hs.make_complete(1), hs.make_complete(6)):
+            assert np.isfinite(hs.sample_markov_truncnorm(t, 0.35, 0.25, 0.18, seed=1).val_loss).all()
 
 
 class TestObserve:
