@@ -29,7 +29,10 @@ active row by one neighborhood sweep: one ``neighbors_block`` gather, one
 marks applies the budget, partial last sweeps included; row i observed its
 first ``k[i]`` neighbors) and one argmin per row.  A block pads short rows
 with the row's current node, which the row has seen: observing it is free
-and its value is never strictly lower, so a pad needs no mask.
+and its value is never strictly lower, so a pad needs no mask.  Random
+search needs no sweep: each round of candidate draws charges every row's
+first unseen draws, up to its budget, straight into the logs and marks
+with ``ViewBatch._charge``, and the next round skips them as seen.
 ``local_search``, ``run_budgeted`` and ``random_search`` run the same code
 on the one-row batch of a view.  A trial's results depend only on its
 seed, not on the chunk it runs in or on ``jobs``.
@@ -74,7 +77,6 @@ _SHUFFLE_STREAM = 0xA2  # query-until-lower keys, derived from the view seed
 # large graphs do not pay that fixed cost for every sweep.
 _CHUNK_BYTES = 32 << 20
 _MIN_ROWS = 16
-_RANDOM_COLUMNS = 32  # random-search picks observed per call and row
 _PICK_KEYS = 1 << 12  # random-search candidates per group of rows and round, about
 
 
@@ -300,70 +302,46 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     return traces[0][0] if traces[0] else SearchTrace(final=int(start))
 
 
-def _random_picks(batch: ViewBatch, budget: int, start_keys, block, lo: int) -> None:
-    """Fill ``block`` with the picks of rows ``lo`` to ``lo + len(block) - 1``
-    of ``batch`` for :func:`_random_rows`: row r lists ``budget`` minus its
-    count distinct nodes that it has not seen, the first such draws of its
-    start key ``start_keys[r]`` in counter order; the rest of the row is kept.
-
-    Candidates are hashed in rounds, for all active rows in one call, about
-    enough for each row's remaining budget.  A round keeps, per row, the
-    first draw of each node that the row has neither seen nor picked, up to
-    the remaining budget, so the picks do not depend on the round sizes.  It
-    handles the rows at once on the keys ``row * n + node``, which index
-    the raveled marks.
-    """
-    n, rows = batch.landscape.n, np.arange(lo, lo + len(block))
-    need = np.maximum(budget - batch.count[rows], 0)  # picks per row
-    got = np.zeros_like(need)
-    drawn = np.zeros_like(need)  # counters hashed per row
-    cols = np.arange(block.shape[1])
-    active = need.nonzero()[0]
-    while active.size:
-        # about enough draws for the remaining budget, given the share already seen
-        left = (need - got)[active]
-        sizes = np.maximum(left * n // (n - budget + left), 16)
-        row = np.repeat(active, sizes)
-        j = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + drawn[row]
-        drawn[active] += sizes
-        keys = (row + lo) * n + _nodes(start_keys[row + lo], j, n)
-        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]  # first draws first
-        fresh = batch.mark.reshape(-1).take(keys) == 0
-        if got.any():  # not picked in an earlier round
-            picked = np.sort((rows[:, None] * n + block)[cols < got[:, None]])
-            fresh &= picked.take(np.searchsorted(picked, keys), mode="clip") != keys
-        keys = keys[fresh]
-        row = keys // n - lo
-        per_row = np.bincount(row, minlength=need.size)
-        take = np.minimum(per_row, need - got)
-        # a row keeps the candidates before its group's start plus its take
-        keys = keys[np.arange(keys.size) < (np.cumsum(per_row) - per_row + take).take(row)]
-        # and they fill its next columns in order
-        block[(cols >= got[:, None]) & (cols < (got + take)[:, None])] = keys % n
-        got += take
-        active = (got < need).nonzero()[0]
-
-
 def _random_rows(batch: ViewBatch, budget: int, keys) -> None:
-    """Random search in every row of ``batch``: each row charges ``budget``
-    distinct nodes, the first unseen draws of its start key ``keys[r]``
-    (rejection on repeats).
+    """Random search in every row of ``batch``: row r charges the first draws
+    of its start key ``keys[r]`` that it has not seen, in counter order,
+    until it has charged ``budget`` nodes (rejection on repeats).
 
-    The nodes of every row are picked first (:func:`_random_picks`, in
-    groups of rows whose draws stay near ``_PICK_KEYS``) and then observed.
-    A row that needs fewer picks than the widest has charged, and pads with
-    its first charged node, which is free to observe again.  A row that has
-    charged nothing is the widest: its picks overwrite every column,
-    including the pad read from its unwritten log.
+    Candidates are hashed in rounds, for the active rows of a group of rows
+    (whose draws stay near ``_PICK_KEYS``) in one call, about enough for
+    each row's remaining budget.  A round keeps, per row, the first draw of
+    each node that the row has not seen, up to the remaining budget, and
+    charges them at once, so the next round sees them as marked and the
+    picks do not depend on the round sizes.  It handles the rows at once on
+    the keys ``row * n + node``, which index the raveled marks.
     """
-    need = np.maximum(budget - batch.count, 0)
-    block = np.repeat(batch.log_ids[:, :1], need.max(), axis=1)
-    group = max(1, _PICK_KEYS // max(block.shape[1], 1))
-    for lo in range(0, len(block), group):  # bounds the temporaries
-        _random_picks(batch, budget, keys, block[lo:lo + group], lo)
-    rows = np.arange(len(block))
-    for lo in range(0, block.shape[1], _RANDOM_COLUMNS):  # bounds the temporaries
-        batch.observe(rows, block[:, lo:lo + _RANDOM_COLUMNS])
+    n, count, flat_mark = batch.landscape.n, batch.count, batch.mark.reshape(-1)
+    need = np.maximum(budget - count, 0)
+    group = max(1, _PICK_KEYS // max(int(need.max()), 1))
+    drawn = np.zeros_like(need)  # counters hashed per row
+    for lo in range(0, need.size, group):  # bounds the temporaries
+        active = lo + need[lo:lo + group].nonzero()[0]
+        while active.size:
+            # about enough draws for the remaining budget, given the share already seen
+            left = budget - count[active]
+            sizes = np.maximum(left * n // (n - budget + left), 16)
+            row = np.repeat(active, sizes)
+            j = np.arange(row.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + drawn[row]
+            drawn[active] += sizes
+            at = row * n + _nodes(keys[row], j, n)
+            at = at[np.sort(np.unique(at, return_index=True)[1])]  # first draws first
+            at = at[flat_mark.take(at) == 0]
+            row = at // n
+            per_row = np.bincount(row, minlength=count.size)
+            # charge index: the row's count plus the candidate's rank in the row
+            charges = np.arange(at.size) - (np.cumsum(per_row) - per_row - count).take(row)
+            keep = charges < budget
+            row, at, charges = row[keep], at[keep], charges[keep]
+            ids = at % n
+            vals = batch.noise.values(batch.landscape.val_loss, batch._keys[row], ids, charges)
+            batch._charge(row, ids, vals, charges, at)
+            count += np.bincount(row, minlength=count.size)
+            active = active[count[active] < budget]
 
 
 def _random_budget(budget, n: int) -> int:
@@ -420,7 +398,9 @@ def _run_chunk(landscape, noise, budget, cfg, root_seed, lo, hi) -> list[RunHist
     ``mix64(mix64(root_seed, i), 0)`` and its start key
     ``mix64(mix64(mix64(root_seed, i), 1), _START_STREAM)``: its starts and
     random-search candidates are counter-based draws of that key, so no
-    trial builds a generator."""
+    trial builds a generator.  Random search charges each round's picks
+    into the batch directly (:func:`_random_rows`); local search observes
+    one sweep per lock-step step."""
     trial_seeds = mix64(root_seed, np.arange(lo, hi, dtype=np.uint64))
     batch = ViewBatch(landscape, noise, mix64(trial_seeds, 0), limit=budget)
     keys = mix64(mix64(trial_seeds, 1), _START_STREAM)

@@ -106,8 +106,9 @@ def _simpson(y, x) -> float:
                  - h / 12.0 * y[-3])
 
 
-def _prefix(y, x, axis=-1):
-    """Cumulative integral of samples ``y`` along the uniform grid ``x``.
+def _prefix(y, x):
+    """Cumulative integral of samples ``y`` along the uniform grid ``x``, on
+    the last axis.
 
     Endpoint-corrected trapezoid: the h^2/12 Euler-Maclaurin term is removed
     using second-order numerical derivatives, leaving O(h^4) error for
@@ -115,13 +116,11 @@ def _prefix(y, x, axis=-1):
     """
     y = np.asarray(y, dtype=float)
     h = float(x[1] - x[0])
-    yc = np.moveaxis(y, axis, -1)
-    cells = 0.5 * h * (yc[..., 1:] + yc[..., :-1])
-    zeros = np.zeros(yc.shape[:-1] + (1,))
+    cells = 0.5 * h * (y[..., 1:] + y[..., :-1])
+    zeros = np.zeros(y.shape[:-1] + (1,))
     trap = np.concatenate([zeros, np.cumsum(cells, axis=-1)], axis=-1)
-    dy = np.gradient(yc, h, axis=-1, edge_order=2)
-    out = trap - (h * h / 12.0) * (dy - dy[..., :1])
-    return np.moveaxis(out, -1, axis)
+    dy = np.gradient(y, h, axis=-1, edge_order=2)
+    return trap - (h * h / 12.0) * (dy - dy[..., :1])
 
 
 def _weight_blocks(xs):

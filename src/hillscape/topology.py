@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import inspect
 import io
+import math
 import numbers
 
 import numpy as np
@@ -426,19 +427,11 @@ def _bfs_tree(t: Topology, root: int = 0):
 
     ``order`` lists the reached nodes level by level, ascending within a
     level, and ``sizes`` holds the level sizes.  ``parent[v]`` is v's
-    discoverer: its lowest-id neighbor one level up.  On (K_m)^d from node
-    0 the levels are :func:`_clique_power_levels` and a node's discoverer
-    is the node with its highest non-zero digit set to 0; otherwise the
-    frontier loop runs.
+    discoverer: its lowest-id neighbor one level up.
     """
     t._check_id(root)
     n = t.n
     parent = np.zeros(n, dtype=np.int64)
-    if t.kind == "clique_power" and root == 0:
-        level = _clique_power_levels(t.m, t.d)
-        widths = t.m ** np.arange(t.d)  # v in [w, m * w) drops its top digit as v % w
-        parent[1:] = np.arange(1, n) % np.repeat(widths, (t.m - 1) * widths)
-        return np.argsort(level, kind="stable"), parent, np.bincount(level)
     seen = np.zeros(n, dtype=bool)
     seen[root] = True
     levels = [np.asarray([root], dtype=np.int64)]
@@ -455,8 +448,13 @@ def _bfs_tree(t: Topology, root: int = 0):
 
 
 def shell_sizes(t: Topology, v: int) -> list[int]:
-    """[|N_0(v)|, |N_1(v)|, ...] by breadth-first search from ``v``."""
-    return _bfs_tree(t, v)[2].tolist()
+    """[|N_0(v)|, |N_1(v)|, ...] by breadth-first search from ``v``; on
+    (K_m)^d, which looks the same from every node, C(d, k) (m - 1)^k."""
+    if t.kind != "clique_power":
+        return _bfs_tree(t, v)[2].tolist()
+    t._check_id(v)
+    sizes = [math.comb(t.d, k) * (t.m - 1) ** k for k in range(t.d + 1)]
+    return [s for s in sizes if s]  # complete:1 has no level 1
 
 
 def branching_fraction(t: Topology, k: int, reference: int = 0) -> float:

@@ -265,11 +265,11 @@ def dense_preimage_table(pdf_e, params, max_k, grid_points):
     E = np.zeros((max_k, grid_points))
     P = pdf_e.density(xs[:, None], xs[None, :])
     tail = pdf_e.survival(xs[None, :], xs[:, None])
-    pre = _prefix(P * tail ** (s - 1), xs, axis=1)
+    pre = _prefix(P * tail ** (s - 1), xs)
     E[0] = s * np.diagonal(pre[:, -1][:, None] - pre)
     denom = pdf_e.survival(xs, xs)
     for k in range(2, max_k + 1):
-        pre = _prefix(P * E[k - 2][None, :], xs, axis=1)
+        pre = _prefix(P * E[k - 2][None, :], xs)
         numer = np.diagonal(pre[:, -1][:, None] - pre)
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(denom > 1e-300, numer / denom, 0.0)

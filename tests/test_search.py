@@ -264,22 +264,59 @@ class TestRandomPicks:
         assert hist.nodes.tolist() == [3, 9, 27, 80] + want[0]
         assert rounds == [rounds[0]] and rounds[0] >= 3
 
+    def test_every_node(self, monkeypatch):
+        # budget n: the last unseen nodes take many rounds to draw
+        scape = hs.sample_uniform(hs.make_clique_power(3, 4), 2)
+        view = hs.LandscapeView(scape, hs.NoiseSpec.gaussian_fresh(0.05), seed=5)
+        keys = np.array([hs.mix64(12, search._START_STREAM)], dtype=np.uint64)
+        want = _random_picks_by_row(copy.deepcopy(view._rows), scape.n, keys)
+        rounds = _count_rounds(monkeypatch)
+        hist = hs.random_search(view, scape.n, 12)
+        assert hist.nodes.tolist() == want[0]
+        assert sorted(want[0]) == list(range(scape.n))
+        assert rounds == [rounds[0]] and rounds[0] >= 5
+        fresh = hs.NoiseSpec.gaussian_fresh(0.05)
+        assert hist.val_loss.tolist() == fresh.values(
+            scape.val_loss, view._rows._keys, hist.nodes, np.arange(scape.n)).tolist()
+
+    def test_rows_at_or_over_the_budget_keep_their_charges(self):
+        scape = hs.sample_uniform(hs.make_clique_power(3, 4), 2)
+        prefixes = [0, 40, 55, 20]  # charged before the picks, without a budget
+        batch = ViewBatch(scape, hs.NoiseSpec.gaussian_fresh(0.05),
+                          np.arange(len(prefixes), dtype=np.uint64))
+        order = np.random.default_rng(4).permutation(scape.n)
+        for r, size in enumerate(prefixes):
+            batch.observe(np.array([r]), order[None, :size])
+        full = copy.deepcopy(batch)
+        keys = hs.mix64(np.arange(len(prefixes), dtype=np.uint64), search._START_STREAM)
+        want = _random_picks_by_row(batch, 40, keys)
+        search._random_rows(batch, 40, keys)
+        assert batch.count.tolist() == [40, 40, 55, 40]
+        for r in (1, 2):
+            assert want[r] == []
+            c = prefixes[r]
+            assert np.array_equal(batch.mark[r], full.mark[r])
+            assert np.array_equal(batch.log_ids[r, :c], full.log_ids[r, :c])
+            assert np.array_equal(batch.log_vals[r, :c], full.log_vals[r, :c])
+        for r in (0, 3):
+            assert batch.log_ids[r, prefixes[r]:40].tolist() == want[r]
+
 
 def _count_rounds(monkeypatch):
-    """A list that gets, per ``_random_picks`` call, its number of rounds:
-    one candidate hash per round."""
+    """A list that gets, per ``_random_rows`` call, its number of rounds:
+    one candidate hash per round, summed over its groups of rows."""
     rounds = []
-    picks, nodes = search._random_picks, search._nodes
+    rows, nodes = search._random_rows, search._nodes
 
-    def counted_picks(*args):
+    def counted_rows(*args):
         rounds.append(0)
-        return picks(*args)
+        return rows(*args)
 
     def counted_nodes(*args):
         rounds[-1] += 1
         return nodes(*args)
 
-    monkeypatch.setattr(search, "_random_picks", counted_picks)
+    monkeypatch.setattr(search, "_random_rows", counted_rows)
     monkeypatch.setattr(search, "_nodes", counted_nodes)
     return rounds
 
@@ -652,7 +689,8 @@ class TestStepStructure:
     CALLS = {("local", "frozen"): 9, ("local", "fresh"): 9,
              ("local-qul", "frozen"): 22, ("local-qul", "fresh"): 26,
              ("local-cam", "frozen"): 8, ("local-cam", "fresh"): 7,
-             ("random", "frozen"): 2, ("random", "fresh"): 2}
+             # random search charges its picks with ViewBatch._charge, not observe
+             ("random", "frozen"): 0, ("random", "fresh"): 0}
 
     @staticmethod
     def _observe_calls(monkeypatch, *args):

@@ -157,6 +157,19 @@ def test_generated_kinds_connected_without_bfs(spec, monkeypatch):
     assert hs.Topology.from_spec(spec).is_connected()
 
 
+@pytest.mark.parametrize("spec", ["clique-power:5,8", "complete:1", "complete:40"])
+def test_clique_power_shells_without_bfs(spec, monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("shell_sizes ran a BFS")
+
+    monkeypatch.setattr(hs.Topology, "neighbors_block", no_bfs)
+    t = hs.Topology.from_spec(spec)
+    for v in (0, t.n // 3, t.n - 1):
+        shells = hs.shell_sizes(t, v)
+        assert shells == [math.comb(t.d, k) * (t.m - 1) ** k for k in range(len(shells))]
+        assert sum(shells) == t.n
+
+
 def test_custom_connectivity_by_bfs():
     assert hs.load_adjacency("n 3\n0 1\n1 2\n").is_connected()
     assert not hs.load_adjacency("n 4\n0 1\n2 3\n").is_connected()
