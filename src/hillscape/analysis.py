@@ -96,7 +96,8 @@ class SuccessorMap:
 
 def _sort_by_key(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """``ids`` in ascending ``(key, id)`` order, for int arrays ``keys`` and
-    ``ids`` of n entries each in [0, n).
+    ``ids`` of n entries each in [0, n): the predecessor index's sort, with
+    ``succ`` as the keys.
 
     With ``bits = (n - 1).bit_length()`` this is one sort of the words
     ``(key << bits) | id``, decoded with a mask.  The words fit int64 for
@@ -156,32 +157,59 @@ def successor_map(view: LandscapeView) -> SuccessorMap:
     return view._successor_map
 
 
+def _rank_order(values: np.ndarray):
+    """``(order, tied)``: the node ids in ascending (value, id) order, and
+    whether two nodes hold equal values (``-0.0`` equals ``0.0``).
+
+    One in-place sort of int64 words ranks the nodes.  A word is the float's
+    order-preserving bits (``-0.0`` made ``+0.0``, the non-sign bits of a
+    negative flipped) with the low ``(n - 1).bit_length()`` bits replaced by
+    the node id, so distinct truncated keys are already in value order and
+    equal ones in id order.  Only the runs of equal truncated keys can hold
+    distinct values out of order; one ``np.lexsort`` by (value, id) of the
+    nodes in those runs puts them right, and every exact tie lies in such a
+    run, so that pass also finds the ties.
+    """
+    n = values.size
+    bits = (n - 1).bit_length()
+    words = np.add(values, 0.0, dtype=np.float64).view(np.int64)
+    np.bitwise_xor(words, np.int64(2**63 - 1), out=words, where=words < 0)
+    words &= -(1 << bits)
+    words |= np.arange(n)
+    words.sort()
+    prefix = words >> bits
+    same = prefix[1:] == prefix[:-1]  # adjacent truncated keys collide
+    del prefix
+    order = words
+    order &= (1 << bits) - 1
+    if not same.any():
+        return order, False
+    run = np.zeros(n, dtype=bool)  # in a run of colliding keys
+    run[1:] = same
+    run[:-1] |= same
+    del same
+    ids = order[run]
+    vals = values.take(ids)
+    by = np.lexsort((ids, vals))
+    order[run] = ids.take(by)
+    vals = vals.take(by)
+    return order, bool((vals[1:] == vals[:-1]).any())
+
+
 def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
     """Successor map of (K_m)^d from one minimum rank per line of the ``(m,)*d`` cube.
 
-    The nodes are ranked once by (value, id): ``argsort``, then, only when
-    the sorted values hold an exact tie (``-0.0`` ties ``0.0``), the tie
-    groups are numbered in value order and :func:`_sort_by_key` puts each
-    in id order, so that a tie goes to the lower id.  The d lines through v
-    hold v and all its neighbors, so the lowest rank on them names v's best
-    closed-neighborhood node.  That node is v itself unless a neighbor is
-    strictly lower, or, with ties, unless a lower-id neighbor holds v's
-    value; v moves only to a strictly lower value.
+    The nodes are ranked once by (value, id), so that a tie goes to the
+    lower id (``-0.0`` ties ``0.0``): :func:`_rank_order`.  The d lines
+    through v hold v and all its neighbors, so the lowest rank on them
+    names v's best closed-neighborhood node.  That node is v itself unless
+    a neighbor is strictly lower, or, with ties, unless a lower-id neighbor
+    holds v's value; v moves only to a strictly lower value.
     """
     n = values.size
-    order = np.argsort(values)
-    ranked = values.take(order)
-    fresh = ranked[1:] != ranked[:-1]  # a new value starts here
-    del ranked
-    tied = not fresh.all()
-    if tied:
-        group = np.zeros(n, dtype=np.int64)
-        np.cumsum(fresh, out=group[1:])
-        order = _sort_by_key(group, order)
-    del fresh
-    rank = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
-    rank[order] = np.arange(n, dtype=rank.dtype)
-    cube = rank.reshape((m,) * d)
+    order, tied = _rank_order(values)
+    cube = np.empty((m,) * d, dtype=np.int32 if n < 2**31 else np.int64)
+    cube.reshape(n)[order] = np.arange(n, dtype=cube.dtype)  # each node's rank
     best = None
     for axis in range(d):
         if m <= _SLICED_MIN_M:
@@ -196,6 +224,7 @@ def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
             best = np.broadcast_to(low, cube.shape).copy()
         else:
             np.minimum(best, low, out=best)
+    del cube, low  # freed before the gather, which holds the map's peak
     succ = order[best.reshape(n)]
     if tied:
         stay = values[succ] == values  # the best is never higher than v itself

@@ -1,5 +1,6 @@
 import heapq
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,17 @@ def k56():
 @pytest.fixture(scope="session")
 def k56_uniform(k56):
     return hs.sample_uniform(k56, seed=7)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates above what was live at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def digits_base(v, m, d):

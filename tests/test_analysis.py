@@ -12,7 +12,7 @@ from hillscape.landscape import LandscapeError
 from hillscape.seeding import spawn_rng
 
 from conftest import (brute_successor, clique_neighbors_oracle, custom_twin,
-                      cycle_topology, frozen_view)
+                      cycle_topology, frozen_view, traced_peak)
 
 
 def _recursive_tree(smap, node, depth):
@@ -217,21 +217,60 @@ def _kernel_values(kind, n, seed):
         return np.round(rng.random(n) * 8) / 8
     if kind == "equal":
         return np.full(n, 0.25)
-    return np.where(rng.random(n) < 0.5, -0.0, 0.0)  # "signed-zero": equal values
+    if kind == "signed-zero":  # equal values
+        return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "zeros-below":  # +-0.0 ties below 0.5, so a 0.5 picks the lowest-id zero
+        return np.where(rng.random(n) < 0.5, 0.5, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    if kind == "ulp-close":  # distinct values 3 ulps apart, shuffled over the ids
+        return 0.5 + rng.permutation(n) * 3 * 2.0**-53
+    if kind == "negative":
+        return rng.random(n) - 0.75
+    # "huge": +-1e300 plus up to 2n ulps, so with ties and ulp-close pairs
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return sign * (1e300 + rng.integers(0, 2 * n, n) * np.spacing(1e300))
+
+
+def _truncated_keys_collide(values):
+    """Whether two distinct values share the prefix that the ranking's packed
+    words keep, above the low ``(n - 1).bit_length()`` bits of the id."""
+    bits = (values.size - 1).bit_length()
+    prefix = np.unique(values).view(np.int64) >> bits  # these values are positive
+    return np.unique(prefix).size < prefix.size
 
 
 class TestKernelsMatchReference:
     """The ranked successor kernel and the moving-start walk equal the kernels
     they replaced, element for element and dtype for dtype."""
 
-    @pytest.mark.parametrize("kind", ["random", "rounded", "equal", "signed-zero"])
-    # (300, 1) and (17, 2) take the axis reduction, the rest the sliced minima
+    @pytest.mark.parametrize("kind", ["random", "rounded", "equal", "signed-zero",
+                                      "zeros-below", "ulp-close", "negative", "huge"])
+    # (300, 1) and (17, 2) take the axis reduction, the rest the sliced minima;
+    # (1, 1) is complete:1, whose packed words have an id field of 0 bits, and
+    # (300, 1) is complete:300
     @pytest.mark.parametrize("m,d", [(1, 1), (300, 1), (2, 9), (5, 6), (17, 2), (3, 1)])
     def test_successor(self, m, d, kind):
         values = _kernel_values(kind, m**d, m * 100 + d)
+        if kind == "ulp-close" and values.size > 1:
+            assert _truncated_keys_collide(values)
         got = analysis._clique_power_successor(values, m, d)
         want = reference_clique_power_successor(values, m, d)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("values,m,d", [([0.5, 0.0, -0.0], 3, 1),
+                                            ([-0.0, 0.5, 0.0, 0.25], 2, 2)])
+    def test_successor_lone_signed_zeros(self, values, m, d):
+        # one 0.0 and one -0.0: the two tie only if the ranking counts -0.0 as 0.0
+        values = np.array(values)
+        got = analysis._clique_power_successor(values, m, d)
+        assert np.array_equal(got, reference_clique_power_successor(values, m, d))
+
+    def test_successor_traced_peak(self):
+        # a noisy (K_5)^8 view, as exhaustive-k58 ranks it: the kernel that
+        # ranked by argsort peaked at 9.3 MiB here
+        t = hs.make_clique_power(5, 8)
+        values = hs.LandscapeView(hs.sample_uniform(t, 7), hs.NoiseSpec.gaussian_frozen(0.05),
+                                  seed=3).frozen_values()
+        assert traced_peak(analysis._clique_power_successor, values, 5, 8) <= 9.3 * 2**20
 
     @pytest.mark.parametrize("make", [
         lambda: np.arange(1000),  # the identity map: every start is a minimum

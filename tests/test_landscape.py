@@ -170,6 +170,28 @@ class TestNormalCdf:
             assert np.array_equal(bits(got), bits(w))
         assert isinstance(f(a[3]), np.float64)
 
+    def test_bits_pinned_across_branches_and_slabs(self):
+        # sha256 of _ndtri and _ndtr over inputs spanning three slabs, taken
+        # before the kernels gathered their tails by flat index.  _ndtri:
+        # hashed uniforms (central and tail), exp(-k) and 1 - exp(-k) for k
+        # up to 700 and 36 (tail and far tail on both sides), and the edge
+        # values.  _ndtr: |x / sqrt 2| below 1, from 1 to 8 and from 8 to 48
+        # (clamped at 40), signs alternating, then +-0, +-inf and NaN.
+        n = 2 * landscape._SLAB + 4099
+        u = landscape._hashed_uniform(1234, np.arange(n, dtype=np.uint64))
+        ps = np.concatenate([u, np.exp(-700.0 * u[:2000]), 1.0 - np.exp(-36.0 * u[:2000]),
+                             [0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 1e-300, 0.075, 0.925, np.nan]])
+        w = landscape._hashed_uniform(5678, np.arange(n, dtype=np.uint64))
+        third, rt2 = n // 3, math.sqrt(2.0)
+        xs = np.concatenate([w[:third] * rt2, rt2 + w[third:2 * third] * 7 * rt2,
+                             8 * rt2 + w[2 * third:] * 40 * rt2])
+        xs[::2] *= -1.0
+        xs = np.concatenate([xs, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        assert (hashlib.sha256(_ndtri(ps).tobytes()).hexdigest()
+                == "f6f479d273b06753f546fda1ffb84d4e355712e1062aa16e347842795739c8cc")
+        assert (hashlib.sha256(_ndtr(xs).tobytes()).hexdigest()
+                == "c5fbee67a85139c90e824048446526d5b5e8ee7b0b770d8c8e6b849ff764a8d1")
+
     def test_agrees_with_scipy(self):
         special = pytest.importorskip("scipy.special")
         xs = np.linspace(-8.0, 8.0, 4001)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hillscape.analysis import _fixed_points_and_depth
 from hillscape.theory import (_ROW_BLOCK, _clique_power_depths, _preimage_table,
                               _prefix, _simpson, _weight_blocks)
 
-from conftest import dense_preimage_table, frozen_view
+from conftest import dense_preimage_table, frozen_view, traced_peak
 
 
 def Phi(z):
@@ -78,17 +77,6 @@ def whole_grid_bound(pdf_n, pdf_e, s, sigma, n, delta, grid_points):
     with np.errstate(over="ignore"):
         bound = float(sigma) ** (2 * s) * n * value
     return bound if np.isfinite(bound) else float("inf")
-
-
-def traced_peak(fn, *args):
-    """Peak bytes that ``fn(*args)`` allocates above what was live at the call."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 # 9: one partial block; 257 and 2049: a last block of one row; 2048: even
