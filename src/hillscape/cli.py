@@ -65,24 +65,9 @@ def _markov_model(sigma_local, root_center=0.25, root_sigma=0.18):
                                                       root_sigma, seed)
 
 
-def _theory():
-    """``theory``, imported when a pdf factory below is first called."""
-    from . import theory
-    return theory
-
-
-# spec tables for --model, --pdf-n and --pdf-e (grammar: topology._parse_spec);
-# the pdf factories import theory when they are called, and keep the
-# parameter names of the constructors they call
+# spec table for --model (grammar: topology._parse_spec)
 _MODELS = {"uniform": (lambda: sample_uniform,),
            "markov-tn": (_markov_model, float, float, float)}
-_PDF_N = {"uniform": (lambda: _theory().PdfSpec.uniform01(),),
-          "truncnorm": (lambda center, sigma: _theory().PdfSpec.truncnorm(center, sigma),
-                        float, float)}
-_PDF_E = {"uniform": (lambda: _theory().LocalPdfSpec.independent(
-                          _theory().PdfSpec.uniform01()),),
-          "truncnorm-local": (lambda sigma: _theory().LocalPdfSpec.truncnorm_centered(sigma),
-                              float)}
 
 
 def _load_landscape_arg(cfg, command: str) -> Landscape:
@@ -199,13 +184,8 @@ def cmd_rwa(cfg) -> dict:
 def cmd_theory(cfg) -> dict:
     from . import theory
 
-    pdf_n = _parse_spec(cfg["pdf_n"], _PDF_N, ValueError, "global pdf")
-    pdf_e = _parse_spec(cfg["pdf_e"], _PDF_E, ValueError, "local pdf")
-    closed = cfg["closed_form"]
-    if closed == "uniform" and not (pdf_n.kind == "uniform" and pdf_e.kind == "independent"
-                                    and pdf_e.g.kind == "uniform"):
-        raise ValueError("theory --closed-form uniform assumes uniform losses; "
-                         "--pdf-n and --pdf-e must both be uniform with it")
+    pdf_n = theory.PdfSpec.parse(cfg["pdf_n"])
+    pdf_e = theory.LocalPdfSpec.parse(cfg["pdf_e"])
     if cfg["topo"]:
         if cfg["n"] is not None or cfg["s"] is not None or cfg["b"] != [1.0]:  # [1.0]: --b default
             raise ValueError("theory --topo takes n, s and b from the topology; "
@@ -218,47 +198,15 @@ def cmd_theory(cfg) -> dict:
         params = theory.TheoryParams(n=cfg["n"], s=cfg["s"], b=cfg["b"],
                                      ell_star=cfg["ell_star"])
     eps = _eps_grid(cfg)
-    max_k, grid_points = cfg["max_k"], cfg["grid_points"]
-    if max_k < 1:
+    if cfg["max_k"] < 1:
         raise ValueError("max-k must be >= 1")
-    theory._grid(grid_points)  # the closed form reads no grid, so check --grid-points here
+    record = theory.ROUTES[cfg["closed_form"]](pdf_n, pdf_e, params, eps, cfg["max_k"],
+                                               cfg["grid_points"])
+    outputs = {f"theory_{name}.csv": table for name, table in record.items()}
     sigma, delta = cfg["noise_sigma"], cfg["delta"]
     if sigma is not None:
-        bound = theory.chebyshev_minima_bound(pdf_n, pdf_e, params.s, sigma,
-                                              params.n, delta, grid_points)
-
-    if closed == "uniform":
-        frac = theory.uniform_closed_form_minima(params.n, params.s) / params.n
-        curve = theory.uniform_closed_form_curve(params.n, params.s, params.b, eps)
-    else:
-        frac = theory.expected_minima_fraction(pdf_n, pdf_e, params.s, grid_points)
-        xs, table = theory._preimage_table(pdf_e, params, max_k, grid_points)
-        curve = theory._success_from_table(pdf_n, pdf_e, params, eps, xs, table)
-    outputs = {
-        "theory_summary.csv": (["metric", "value"], [
-            ("n", "s", "expected_minima_fraction", "expected_minima_count"),
-            (params.n, params.s, frac, frac * params.n)]),
-        "theory_curve.csv": (["epsilon", "fraction_theory"], zip(*curve)),
-    }
-
-    loss_grid = np.linspace(0.0, 1.0, 101)
-    pre_rows = []
-    if pdf_e.kind == "independent":
-        g = pdf_e.g
-        for k in range(1, max_k + 1):
-            sizes = theory.independent_closed_form(g, params, loss_grid, k)
-            pre_rows.extend((x, k, v) for x, v in zip(loss_grid, np.atleast_1d(sizes)))
-        gv = g.survival(loss_grid)
-        bounds = [theory.full_preimage_bounds(float(x), params.s) for x in gv]
-        outputs["theory_bounds.csv"] = (["loss", "survival", "lower", "upper"],
-                                        [loss_grid, gv, *zip(*bounds)])
-    else:
-        for k in range(1, max_k + 1):
-            sizes = np.interp(loss_grid, xs, table[k - 1])
-            pre_rows.extend((x, k, v) for x, v in zip(loss_grid, sizes))
-    outputs["theory_preimages.csv"] = (["loss", "k", "expected_size"], zip(*pre_rows))
-
-    if sigma is not None:
+        bound = theory.chebyshev_minima_bound(pdf_n, pdf_e, params.s, sigma, params.n,
+                                              delta, cfg["grid_points"])
         outputs["theory_chebyshev.csv"] = (["sigma", "delta", "bound"],
                                            [(sigma,), (delta,), (bound,)])
         if not np.isfinite(bound):

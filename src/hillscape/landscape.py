@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -279,22 +278,18 @@ def truncnorm_sf(x, center, sigma):
     return np.clip(out, 0.0, 1.0)
 
 
-def _truncnorm_ppf(q, center, sigma):
-    """Quantile ``q`` of the [0, 1]-truncated normal around ``center``."""
-    lo, hi = _cdf_ends(center, sigma)
-    return _truncnorm_ppf_at(q, center, sigma, lo, hi - lo)
-
-
 def _truncnorm_ppf_at(q, center, sigma, lo, span):
-    """:func:`_truncnorm_ppf` given the :func:`_cdf_ends` ``lo`` and
-    ``lo + span`` of ``center``."""
+    """Quantile ``q`` of the [0, 1]-truncated normal around ``center``, given
+    the :func:`_cdf_ends` ``lo`` and ``lo + span`` of ``center``."""
     x = center + sigma * _ndtri(lo + q * span)
     return np.clip(x, 0.0, 1.0)
 
 
 def sample_truncnorm(center, sigma, rng, size=None):
     """Inverse-CDF sample(s) from the [0, 1]-truncated normal."""
-    return _truncnorm_ppf(rng.random(size), center, sigma)
+    q = rng.random(size)  # drawn first, so a rejected center or sigma still advances rng
+    lo, hi = _cdf_ends(center, sigma)
+    return _truncnorm_ppf_at(q, center, sigma, lo, hi - lo)
 
 
 # -- landscape container ----------------------------------------------------
@@ -634,17 +629,6 @@ class LandscapeView:
         values = np.empty(nodes.size)
         values[by_visit] = self._rows.observe(_ROW, nodes[by_visit][None])[0][0]
         return values[inverse], ids.size
-
-    def seen(self, v: int) -> bool:
-        """Whether the view has observed node ``v``; ``LandscapeError``
-        unless ``v`` is an integer node id in [0, n)."""
-        try:
-            ok = not isinstance(v, bool) and 0 <= operator.index(v) < self.landscape.n
-        except TypeError:  # 2.5, "3", None
-            ok = False
-        if not ok:
-            raise LandscapeError(f"node id {v!r} is not an integer in [0, {self.landscape.n})")
-        return bool(self._rows.mark[0, v])
 
     @property
     def query_count(self) -> int:

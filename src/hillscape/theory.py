@@ -45,7 +45,8 @@ from . import DEFAULT_GRID_POINTS
 from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, _eps_array,
                         sample_markov_truncnorm, truncnorm_pdf, truncnorm_sf)
 from .seeding import _seed, mix64
-from .topology import Topology, _clique_power_branching, _count, _whole, branching_fractions
+from .topology import (Topology, _clique_power_branching, _count, _parse_spec, _whole,
+                       branching_fractions)
 
 __all__ = [
     "PdfSpec",
@@ -191,6 +192,13 @@ class PdfSpec:
             raise ValueError(f"tabulated density integrates to {total}, not 1")
         return cls("tabulated", xs=xs, ys=ys)
 
+    @classmethod
+    def parse(cls, text: str) -> "PdfSpec":
+        """Parse CLI-style specs: ``uniform``, ``truncnorm:center,sigma``."""
+        return _parse_spec(text, {"uniform": (cls.uniform01,),
+                                  "truncnorm": (cls.truncnorm, float, float)},
+                           ValueError, "global pdf")
+
     def density(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "uniform":
@@ -244,6 +252,13 @@ class LocalPdfSpec:
             raise ValueError("sigma must be finite and positive")
         _cdf_ends(0.5, sigma)  # normal mass on [0, 1] at the center where it is largest
         return cls("truncnorm_centered", sigma=float(sigma))
+
+    @classmethod
+    def parse(cls, text: str) -> "LocalPdfSpec":
+        """Parse CLI-style specs: ``uniform`` (center-independent), ``truncnorm-local:sigma``."""
+        return _parse_spec(text, {"uniform": (lambda: cls.independent(PdfSpec.uniform01()),),
+                                  "truncnorm-local": (cls.truncnorm_centered, float)},
+                           ValueError, "local pdf")
 
     def density(self, center, y):
         """pdf_e(center, y); ``center`` and ``y`` broadcast elementwise."""
@@ -603,6 +618,59 @@ def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
     with np.errstate(over="ignore"):
         bound = float(sigma) ** (2 * s) * n * value
     return bound if np.isfinite(bound) else float("inf")
+
+
+# -- prediction routes ----------------------------------------------------------------
+
+
+def _record(params, frac, curve, pdf_e, max_k, table=None) -> dict:
+    """A route's record of named (header, columns) tables: ``summary``, ``curve``,
+    ``preimages`` at 101 losses and, for a center-independent ``pdf_e``, ``bounds``."""
+    losses = np.linspace(0.0, 1.0, 101)
+    record = {
+        "summary": (["metric", "value"], [
+            ("n", "s", "expected_minima_fraction", "expected_minima_count"),
+            (params.n, params.s, frac, frac * params.n)]),
+        "curve": (["epsilon", "fraction_theory"], zip(*curve)),
+    }
+    if pdf_e.kind == "independent":  # the closed form
+        sizes = [independent_closed_form(pdf_e.g, params, losses, k)
+                 for k in range(1, max_k + 1)]
+        survival = pdf_e.g.survival(losses)
+        bounds = [full_preimage_bounds(float(x), params.s) for x in survival]
+        record["bounds"] = (["loss", "survival", "lower", "upper"],
+                            [losses, survival, *zip(*bounds)])
+    else:  # interpolated in the (xs, E) of _preimage_table
+        xs, E = table
+        sizes = [np.interp(losses, xs, row) for row in E]
+    record["preimages"] = (["loss", "k", "expected_size"],
+                           [np.tile(losses, max_k), np.repeat(np.arange(1, max_k + 1), 101),
+                            np.concatenate(sizes)])
+    return record
+
+
+def _quadrature_route(pdf_n, pdf_e, params, eps, max_k, grid_points) -> dict:
+    """The quadratures, for any pair of pdfs."""
+    frac = expected_minima_fraction(pdf_n, pdf_e, params.s, grid_points)
+    xs, E = _preimage_table(pdf_e, params, max_k, grid_points)
+    curve = _success_from_table(pdf_n, pdf_e, params, eps, xs, E)
+    return _record(params, frac, curve, pdf_e, max_k, (xs, E))
+
+
+def _uniform_route(pdf_n, pdf_e, params, eps, max_k, grid_points) -> dict:
+    """The paper's closed forms, for uniform losses only."""
+    if not (pdf_n.kind == "uniform" and pdf_e.kind == "independent"
+            and pdf_e.g.kind == "uniform"):
+        raise ValueError("theory --closed-form uniform assumes uniform losses; "
+                         "--pdf-n and --pdf-e must both be uniform with it")
+    _grid(grid_points)  # read by no closed form, but checked on every route
+    frac = uniform_closed_form_minima(params.n, params.s) / params.n
+    curve = uniform_closed_form_curve(params.n, params.s, params.b, eps)
+    return _record(params, frac, curve, pdf_e, max_k)
+
+
+# each ``theory --closed-form`` value (None: the default) and its route
+ROUTES = {None: _quadrature_route, "uniform": _uniform_route}
 
 
 # -- fitting procedures ----------------------------------------------------------------

@@ -771,6 +771,50 @@ def test_theory_closed_form_bytes_pinned(tmp_path, capsys):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of every non-manifest file of three more theory runs: the closed form's
+# preimages, the benchmark's quadrature ``theory`` run at 513 grid points, and a
+# quadrature run with a center-independent local pdf, which writes the bounds
+_PINNED_THEORY = {
+    "closed-form": (["--pdf-n", "uniform", "--pdf-e", "uniform", "--topo", "clique-power:5,6",
+                     "--closed-form", "uniform"], {
+        "theory_preimages.csv":
+            "50a3716e3246aff8ecd2c513d712e7df108eb3f4b1c3abe37bdddbe1aeda9d78",
+        "theory_curve.csv": _PINNED_THEORY_CF["theory_curve.csv"],
+        "theory_summary.csv": _PINNED_THEORY_CF["theory_summary.csv"],
+        "theory_bounds.csv": _PINNED_THEORY_CF["theory_bounds.csv"]}),
+    "quadrature": (["--pdf-n", "truncnorm:0.25,0.18", "--pdf-e", "truncnorm-local:0.35",
+                    "--topo", "clique-power:5,6", "--noise-sigma", "0.05",
+                    "--grid-points", "513"], {
+        "theory_summary.csv":
+            "af89346bb16e409a9ab81dc70c5cd00a03eb6f01510eeb11ea4ea89b3da2d194",
+        "theory_curve.csv": "d6670fb566d9ca56b7ad79714db3b80ea630bd68eb5e476efce3081865b6cc45",
+        "theory_preimages.csv":
+            "f20ad142fd077b68d3035c467a06583676520282c0c1e416ebe3f6a56c8f21bf",
+        "theory_chebyshev.csv":
+            "da2e8efd0ee19a563e92835f154b83891854afe2aa4d23494b11518b9ddbe3cd"}),
+    "quadrature-independent": (["--pdf-n", "truncnorm:0.25,0.18", "--pdf-e", "uniform",
+                                "--n", "100", "--s", "4", "--b", "1,0.5"], {
+        "theory_summary.csv":
+            "73c790c760a6d100653fff9a8035f12c4589d4d5e588f34f4c7690a16b75f739",
+        "theory_curve.csv": "d9f0e010ae0f74890c752ef25a9029fadebca3379b76d7ea4396b85ae2590650",
+        "theory_preimages.csv":
+            "6ce8e326d0c3ef134c6c8cfa0208bbe087d7ecad3133095e07d0019600c32d59",
+        "theory_bounds.csv":
+            "3c2b064b00cd2e27403f170d745ef3ffba6854b75afaa72c107e1c0d14acf8f1"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_THEORY))
+def test_theory_bytes_pinned(tmp_path, capsys, name):
+    argv, digests = _PINNED_THEORY[name]
+    code, err = run_main(capsys, "theory", *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert written == set(digests)
+    for file, digest in digests.items():
+        assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest, file
+
+
 @pytest.mark.parametrize("noise", ["gaussian:nan", "gaussian-fresh:inf", "scaled:nan"])
 def test_non_finite_noise_exits_3(small_landscape, tmp_path, capsys, noise):
     code, err = run_main(capsys, "search", "--landscape", str(small_landscape),
@@ -1196,15 +1240,25 @@ def test_model_spellings(text, args):
     assert uniform(t, 4).val_loss.tobytes() == hs.sample_uniform(t, 4).val_loss.tobytes()
 
 
-def test_pdf_spellings():
-    parse = cli._parse_spec
-    assert parse("uniform", cli._PDF_N, ValueError, "global pdf").kind == "uniform"
-    pdf = parse("truncnorm:0.25,0.18", cli._PDF_N, ValueError, "global pdf")
-    assert (pdf.kind, pdf.center, pdf.sigma) == ("truncnorm", 0.25, 0.18)
-    local = parse("uniform", cli._PDF_E, ValueError, "local pdf")
-    assert (local.kind, local.g.kind) == ("independent", "uniform")
-    local = parse("truncnorm-local:0.35", cli._PDF_E, ValueError, "local pdf")
-    assert (local.kind, local.sigma) == ("truncnorm_centered", 0.35)
+def test_closed_form_choices_are_the_theory_routes():
+    # the flag table is built without importing theory, so it repeats the names
+    from hillscape import theory
+    flag = next(f for f in cli.COMMANDS["theory"].flags if f.name == "closed_form")
+    assert flag.default is None and None in theory.ROUTES
+    assert set(flag.type) == set(theory.ROUTES) - {None}
+
+
+def test_cli_leaves_the_theory_choices_to_theory():
+    # which formulas a theory run evaluates, and for which pdfs, is decided in
+    # theory: cli names no private theory attribute and reads no pdf kind
+    tree = ast.parse((REPO / "src" / "hillscape" / "cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "theory":
+            assert not [a.name for a in node.names if a.name.startswith("_")], node.lineno
+        if isinstance(node, ast.Attribute):
+            private = (isinstance(node.value, ast.Name) and node.value.id == "theory"
+                       and node.attr.startswith("_"))
+            assert not private and node.attr != "kind", (node.lineno, node.attr)
 
 
 @pytest.mark.parametrize("model", ["markov-tn:0", "markov-tn:nan,0.25"])

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -253,6 +254,17 @@ class TestSampleTruncnorm:
         x = hs.sample_truncnorm(0.5, 1e-6, rng)
         assert abs(x - 0.5) < 1e-4
 
+    @pytest.mark.parametrize("center,sigma", [(0.25, 0.18), (0.25, math.nan), (50.0, 0.1)],
+                             ids=["valid", "nan-sigma", "no-mass"])
+    def test_generator_state_on_every_path(self, center, sigma):
+        # the uniforms are drawn before the parameters are checked, so a
+        # rejected call leaves the generator where an accepted one does
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        with contextlib.suppress(LandscapeError):
+            hs.sample_truncnorm(center, sigma, rng, size=3)
+        ref.random(3)
+        assert rng.random() == ref.random()
+
 
 def per_child_markov(t, sigma_local, root_center, root_sigma, seed):
     """sample_markov_truncnorm with both normalizing CDFs of a child's parent
@@ -260,11 +272,11 @@ def per_child_markov(t, sigma_local, root_center, root_sigma, seed):
     order, parent, sizes = _bfs_tree(t)
     rng = np.random.default_rng(seed)
     vals = np.empty(t.n)
-    vals[0] = landscape._truncnorm_ppf(rng.random(), root_center, root_sigma)
+    vals[0] = hs.sample_truncnorm(root_center, root_sigma, rng)
     lo = 1
     for size in sizes[1:].tolist():
         ids = order[lo:lo + size]
-        vals[ids] = landscape._truncnorm_ppf(rng.random(size), vals[parent[ids]], sigma_local)
+        vals[ids] = hs.sample_truncnorm(vals[parent[ids]], sigma_local, rng, size)
         lo += size
     return vals
 
@@ -475,16 +487,6 @@ class TestObserve:
         with pytest.raises(LandscapeError):
             view.observe(15625)
 
-    @pytest.mark.parametrize("bad", [-1, 5, 7, 2.5, "3", True])
-    def test_seen_checks_the_id(self, bad):
-        # seen(-1) used to wrap to node 4, seen(7) raised a bare IndexError
-        # and seen(True) a bare ValueError
-        view = hs.LandscapeView(hs.sample_uniform(hs.make_complete(5), 1), hs.NoiseSpec.none())
-        view.observe(4)
-        with pytest.raises(LandscapeError, match=rf"node id {bad!r} is not an integer in \[0, 5\)"):
-            view.seen(bad)
-        assert view.seen(4) and not view.seen(np.int64(3))
-
 
 def observed(scape, spec, seed=3):
     """The bytes a view of ``spec`` observes for every node, in id order."""
@@ -492,13 +494,15 @@ def observed(scape, spec, seed=3):
     return view.observe_prefix(np.arange(scape.n))[0].tobytes()
 
 
-def _observe_one_at_a_time(view, ids, budget, stop_below):
-    """``ViewBatch.observe`` of one row as a per-node loop over ``observe``."""
+def _observe_one_at_a_time(view, ids, budget, stop_below, seen):
+    """``ViewBatch.observe`` of one row as a per-node loop over ``observe``;
+    ``seen`` is the set of nodes the view has observed, and is updated."""
     values = []
     for u in ids:
-        if budget is not None and not (view.seen(u) or view.query_count < budget):
+        if budget is not None and not (u in seen or view.query_count < budget):
             break
         values.append(view.observe(u))
+        seen.add(u)
         if stop_below is not None and values[-1] < stop_below:
             break
     return np.asarray(values, dtype=float), len(values)
@@ -531,15 +535,17 @@ class TestObservePrefix:
         # a one-row batch with a view's seed is that view's search state
         rng = np.random.default_rng(3)
         batched = landscape.ViewBatch(k56_uniform, noise, [8])
-        looped = hs.LandscapeView(k56_uniform, noise, seed=8)
+        looped, seen = hs.LandscapeView(k56_uniform, noise, seed=8), set()
         for v in (11, 40, 12):  # seen before the sweep: free, values cached
             _observe_row(batched, [v])
             looped.observe(v)
+            seen.add(v)
         for _ in range(6):
             ids = np.concatenate(([40, 11], rng.choice(np.arange(100, 300), 20, replace=False)))
             rng.shuffle(ids)
             got, k = _observe_row(batched, ids, budget, stop_below)
-            want, k_want = _observe_one_at_a_time(looped, ids.tolist(), budget, stop_below)
+            want, k_want = _observe_one_at_a_time(looped, ids.tolist(), budget, stop_below,
+                                                    seen)
             assert k == k_want and got.tobytes() == want.tobytes()
             assert _row_log(batched) == looped.observation_log()
         # fresh noise: both views left their streams at the same draw

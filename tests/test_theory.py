@@ -99,6 +99,15 @@ class TestSimpson:
 
 
 class TestPdfSpec:
+    def test_pdf_spellings(self):
+        assert hs.PdfSpec.parse("uniform").kind == "uniform"
+        pdf = hs.PdfSpec.parse("truncnorm:0.25,0.18")
+        assert (pdf.kind, pdf.center, pdf.sigma) == ("truncnorm", 0.25, 0.18)
+        local = hs.LocalPdfSpec.parse("uniform")
+        assert (local.kind, local.g.kind) == ("independent", "uniform")
+        local = hs.LocalPdfSpec.parse("truncnorm-local:0.35")
+        assert (local.kind, local.sigma) == ("truncnorm_centered", 0.35)
+
     def test_uniform_density_and_survival(self):
         xs = np.asarray([-0.5, 0.0, 0.3, 1.0, 1.5])
         assert np.array_equal(UNIFORM.density(xs), [0, 1, 1, 1, 0])
