@@ -44,10 +44,24 @@ _SLICED_MIN_M = 16
 _PACK_BITS = 31
 
 
+def _index_dtype(n: int) -> type:
+    """The dtype of every node-index array of an n-node graph: int32 when
+    n < 2^31, int64 otherwise.
+
+    Arrays are gathered by such an index as ``a[index]``, which casts it in
+    small buffers; ``a.take(index)`` would first copy an int32 index to a
+    whole int64 array.
+    """
+    return np.int32 if n < 2**31 else np.int64
+
+
 @dataclass
 class SuccessorMap:
     """One hill-climbing step for every node of a frozen view.
 
+    ``succ``, the walk's terminals and move counts, and the predecessor
+    index's ``order`` and ``starts`` hold node indices of one type,
+    :func:`_index_dtype` of n: int32 below 2^31 nodes, int64 from there.
     The minima, the basin walk, the basin sizes and the predecessor index
     are derived from ``succ`` on first use and kept here, read-only, so the
     view's one cached map carries them too.
@@ -67,7 +81,8 @@ class SuccessorMap:
     def minima(self) -> np.ndarray:
         """The fixed points of ``succ`` (the local minima), ascending, read-only."""
         if self._minima is None:
-            self._minima, = _read_only(np.flatnonzero(self.succ == np.arange(self.n)))
+            ids = np.arange(self.n, dtype=self.succ.dtype)
+            self._minima, = _read_only(np.flatnonzero(self.succ == ids))
         return self._minima
 
     def walk(self):
@@ -79,38 +94,48 @@ class SuccessorMap:
     def basin_sizes(self) -> np.ndarray:
         """The number of starts whose walk ends at each of :meth:`minima`, read-only."""
         if self._sizes is None:
-            sizes = np.bincount(self.walk()[0], minlength=self.n)[self.minima()]
-            self._sizes, = _read_only(sizes)
+            counts = _tally(np.zeros(self.n, dtype=np.int64), self.walk()[0])
+            self._sizes, = _read_only(counts[self.minima()])
         return self._sizes
 
     def predecessors(self):
         """``(order, starts)``: the nodes u with ``succ[u] == v`` are
         ``order[starts[v]:starts[v + 1]]``, ascending; read-only."""
         if self._preds is None:
-            order = _sort_by_key(self.succ, np.arange(self.n))
-            starts = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.succ, minlength=self.n), out=starts[1:])
+            idx = _index_dtype(self.n)
+            starts = np.zeros(self.n + 1, dtype=idx)
+            np.cumsum(_tally(starts[1:], self.succ), out=starts[1:])
+            order = _sort_by_key(self.succ, np.arange(self.n, dtype=idx))
             self._preds = _read_only(order, starts)
         return self._preds
 
 
-def _sort_by_key(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``ids`` in ascending ``(key, id)`` order, for int arrays ``keys`` and
-    ``ids`` of n entries each in [0, n): the predecessor index's sort, with
-    ``succ`` as the keys.
+def _tally(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``counts`` after adding to ``counts[v]`` the number of times v occurs
+    in ``ids``: one ``np.add.at``, which reads int32 ids in buffers where
+    ``np.bincount`` would copy them to int64 first."""
+    np.add.at(counts, ids, counts.dtype.type(1))  # a Python int 1 takes the slow loop
+    return counts
 
-    With ``bits = (n - 1).bit_length()`` this is one sort of the words
+
+def _sort_by_key(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``ids`` in ascending ``(key, id)`` order, as the index type of n, for
+    int arrays ``keys`` and ``ids`` of n entries each in [0, n): the
+    predecessor index's sort, with ``succ`` as the keys.
+
+    With ``bits = (n - 1).bit_length()`` this is one sort of the int64 words
     ``(key << bits) | id``, decoded with a mask.  The words fit int64 for
     n <= 2^31 (``_PACK_BITS``); a larger n takes ``np.lexsort``.
     """
+    idx = _index_dtype(ids.size)
     bits = (ids.size - 1).bit_length()
     if bits > _PACK_BITS:
-        return ids[np.lexsort((ids, keys))]
+        return ids[np.lexsort((ids, keys))].astype(idx, copy=False)
     words = np.left_shift(keys, bits, dtype=np.int64)
     words |= ids
     words.sort()
     words &= (1 << bits) - 1
-    return words
+    return words.astype(idx)
 
 
 @dataclass
@@ -158,30 +183,34 @@ def successor_map(view: LandscapeView) -> SuccessorMap:
 
 
 def _rank_order(values: np.ndarray):
-    """``(order, tied)``: the node ids in ascending (value, id) order, and
-    whether two nodes hold equal values (``-0.0`` equals ``0.0``).
+    """``(order, tied)``: the node ids in ascending (value, id) order, as the
+    index type, and whether two nodes hold equal values (``-0.0`` equals
+    ``0.0``).
 
     One in-place sort of int64 words ranks the nodes.  A word is the float's
     order-preserving bits (``-0.0`` made ``+0.0``, the non-sign bits of a
     negative flipped) with the low ``(n - 1).bit_length()`` bits replaced by
     the node id, so distinct truncated keys are already in value order and
-    equal ones in id order.  Only the runs of equal truncated keys can hold
+    equal ones in id order.  The ids are decoded into the index type before
+    the words are shifted down to their truncated keys in place, so no third
+    n-length array is live.  Only the runs of equal truncated keys can hold
     distinct values out of order; one ``np.lexsort`` by (value, id) of the
     nodes in those runs puts them right, and every exact tie lies in such a
     run, so that pass also finds the ties.
     """
     n = values.size
+    idx = _index_dtype(n)
     bits = (n - 1).bit_length()
     words = np.add(values, 0.0, dtype=np.float64).view(np.int64)
     np.bitwise_xor(words, np.int64(2**63 - 1), out=words, where=words < 0)
     words &= -(1 << bits)
-    words |= np.arange(n)
+    words |= np.arange(n, dtype=idx)
     words.sort()
-    prefix = words >> bits
-    same = prefix[1:] == prefix[:-1]  # adjacent truncated keys collide
-    del prefix
-    order = words
-    order &= (1 << bits) - 1
+    order = np.empty(n, dtype=idx)
+    np.bitwise_and(words, (1 << bits) - 1, out=order, casting="unsafe")  # ids fit idx
+    words >>= bits
+    same = words[1:] == words[:-1]  # adjacent truncated keys collide
+    del words
     if not same.any():
         return order, False
     run = np.zeros(n, dtype=bool)  # in a run of colliding keys
@@ -189,7 +218,7 @@ def _rank_order(values: np.ndarray):
     run[:-1] |= same
     del same
     ids = order[run]
-    vals = values.take(ids)
+    vals = values[ids]
     by = np.lexsort((ids, vals))
     order[run] = ids.take(by)
     vals = vals.take(by)
@@ -207,9 +236,10 @@ def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
     holds v's value; v moves only to a strictly lower value.
     """
     n = values.size
+    idx = _index_dtype(n)
     order, tied = _rank_order(values)
-    cube = np.empty((m,) * d, dtype=np.int32 if n < 2**31 else np.int64)
-    cube.reshape(n)[order] = np.arange(n, dtype=cube.dtype)  # each node's rank
+    cube = np.empty((m,) * d, dtype=idx)
+    cube.reshape(n)[order] = np.arange(n, dtype=idx)  # each node's rank
     best = None
     for axis in range(d):
         if m <= _SLICED_MIN_M:
@@ -236,7 +266,7 @@ def _chunked_successor(values: np.ndarray, t) -> np.ndarray:
     """Successor map from ``neighbors_block`` row chunks, which bound the gather
     to O(chunk * s) memory; a tree first builds its O(n) CSR arrays.  A pad
     holds the node's own value, so it never wins the strict comparison."""
-    succ = np.arange(t.n)
+    succ = np.arange(t.n, dtype=_index_dtype(t.n))
     rows = max(1, _CHUNK_ENTRIES // max(t.max_degree(), 1))
     for lo in range(0, t.n, rows):
         ids = np.arange(lo, min(lo + rows, t.n))
@@ -255,18 +285,21 @@ def find_local_minima(view: LandscapeView) -> np.ndarray:
 def _fixed_points_and_depth(succ: np.ndarray):
     """(terminal node, step count) for every start, by iterating the map.
 
-    The first two steps run on every start; after that only the starts that
-    still move are carried, so a pass costs the total descent length, not
-    n times the longest descent.
+    Both arrays hold :func:`_index_dtype` of n, whatever the integer type of
+    ``succ``.  The first two steps run on every start; after that only the
+    starts that still move are carried, so a pass costs the total descent
+    length, not n times the longest descent.
     """
-    term = succ.take(succ)
-    depth = (succ != np.arange(len(succ))).astype(np.int64)
+    idx = _index_dtype(len(succ))
+    succ = succ.astype(idx, copy=False)
+    term = succ[succ]
+    depth = (succ != np.arange(len(succ), dtype=idx)).astype(idx)
     live = np.flatnonzero(term != succ)  # starts that make a second move
     depth[live] = 2
     cur = term.take(live)
     steps = 3
     while live.size:
-        nxt = succ.take(cur)
+        nxt = succ[cur]
         keep = np.flatnonzero(nxt != cur)
         live, cur = live.take(keep), nxt.take(keep)
         term[live] = cur

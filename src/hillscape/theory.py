@@ -36,8 +36,7 @@ evaluated in numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -47,6 +46,9 @@ from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, _eps_array,
 from .seeding import _seed, mix64
 from .topology import (Topology, _clique_power_branching, _count, _parse_spec, _whole,
                        branching_fractions)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PdfSpec",
@@ -540,6 +542,8 @@ def _clique_power_depths(m: int, d: int) -> list[tuple[Fraction, int]]:
     The masses are exact rationals, so their shortfall from 1 is the exact
     mass of depths >= 3 (zero on a single clique).
     """
+    from fractions import Fraction  # imported by its only user: it costs the CLI about 2 ms
+
     s = d * (m - 1)
     a1 = 2 * s - m + 2
     a2 = 3 * s - 2 * m + 2
