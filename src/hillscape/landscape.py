@@ -502,7 +502,8 @@ class ViewBatch:
         row has not seen are distinct; a seen id, such as a neighbor block's
         pad, may repeat and is a free cache read.  Row i stops before its
         first unseen id that would bring its charged count above ``budget``
-        and, given ``stop_below``, after its first value lower than
+        or its log's ``limit`` (``budget=None`` is the log), and, given
+        ``stop_below``, after its first value lower than
         ``stop_below[i]``.  Its first ``k[i]`` ids are observed: the unseen
         ones are charged in order, as observing one at a time would.
         ``values`` holds their observations; other entries are +inf.
@@ -521,17 +522,17 @@ class ViewBatch:
         inside = ~new
         k = np.full(h, w)
         at = np.cumsum(new, axis=1)  # 1 + the charge offset of each new id
-        if budget is not None:
-            # at 0 room (or less, after charges made without a budget) seen
-            # ids stay free: a row is cut only if it has a new id past the room
-            room = np.maximum(budget - self.count[rows], 0)
-            cut = at[:, -1] > room
-            if cut.any():  # stop before the first new id past the room
-                over = at > room[:, None]
-                over &= new
-                k = np.where(cut, over.argmax(axis=1), k)
-                new ^= over  # over is within new
-                inside &= np.arange(w) < k[:, None]
+        # at 0 room (or less, after charges under a larger budget) seen ids
+        # stay free: a row is cut only if it has a new id past the room
+        cap = self.limit if budget is None else min(budget, self.limit)
+        room = np.maximum(cap - self.count[rows], 0)
+        cut = at[:, -1] > room
+        if cut.any():  # stop before the first new id past the room
+            over = at > room[:, None]
+            over &= new
+            k = np.where(cut, over.argmax(axis=1), k)
+            new ^= over  # over is within new
+            inside &= np.arange(w) < k[:, None]
         flat_values = values.reshape(-1)
         s = np.flatnonzero(inside)
         if s.size:
@@ -555,7 +556,6 @@ class ViewBatch:
                 s, i, r, new_ids, charges = s[keep], i[keep], r[keep], new_ids[keep], charges[keep]
         if s.size:
             self._charge(r, new_ids, flat_values.take(s), charges, at_mark.reshape(-1).take(s))
-            self.count[rows] += np.bincount(i, minlength=h)
         return values, k
 
     def _position(self, rows, ids, marks=None) -> np.ndarray:
@@ -575,12 +575,15 @@ class ViewBatch:
         return pos
 
     def _charge(self, rows, ids, values, charges, at_mark) -> None:
-        """Log ``ids`` with ``values`` at ``charges`` of ``rows`` and mark them
-        at the flat mark indices ``at_mark``."""
+        """Log ``ids`` with ``values`` at charge indices ``charges`` of
+        ``rows`` (a row's indices continue its count), mark them at the flat
+        mark indices ``at_mark``, and advance each row's count by its
+        charges: the one place that counts advance."""
         at = rows * self.limit + charges
         self.log_ids.reshape(-1)[at] = ids
         self.log_vals.reshape(-1)[at] = values
         self.mark.reshape(-1)[at_mark] = charges % self._modulus + 1
+        self.count += np.bincount(rows, minlength=self.count.size)
 
 
 class LandscapeView:

@@ -27,12 +27,12 @@ one :class:`~hillscape.landscape.ViewBatch`, and each step advances every
 active row by one neighborhood sweep: one ``neighbors_block`` gather, one
 ``values, k = ViewBatch.observe(...)`` call (a row cumsum over the seen
 marks applies the budget, partial last sweeps included; row i observed its
-first ``k[i]`` neighbors) and one argmin per row.  A block pads short rows
-with the row's current node, which the row has seen: observing it is free
-and its value is never strictly lower, so a pad needs no mask.  Random
-search needs no sweep: each round of candidate draws charges every row's
-first unseen draws, up to its budget, straight into the logs and marks
-with ``ViewBatch._charge``, and the next round skips them as seen.
+first ``k[i]`` neighbors) and one argmin per row, which also moves a
+``local-qul`` row that stopped on a lower neighbor.  A block pads short
+rows with the row's current node, which the row has seen: observing it is
+free and never strictly lower, so a pad needs no mask.  Random search
+needs no sweep: each round charges every row's first unseen draws, up to
+its budget, with ``ViewBatch._charge``, and the next round skips them.
 ``local_search``, ``run_budgeted`` and ``random_search`` run the same code
 on the one-row batch of a view.  A trial's results depend only on its
 seed, not on the chunk it runs in or on ``jobs``.
@@ -169,11 +169,12 @@ class _Starts:
 def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
     """Budgeted local search in every row of ``batch``, the rows in lock-step.
 
-    A row draws up to ``cfg.num_initial`` starts with ``draw(rows)``,
-    observing each while the budget allows, and climbs from the best
-    (lowest value, then lowest id).  A run ends out of budget mid-sweep or
-    converged at a local minimum.  With ``cfg.restart_on_convergence`` the
-    row starts again while budget remains and some node is unseen.
+    A row draws up to ``cfg.num_initial`` starts with ``draw(rows)`` in one
+    loop, dropping out at its first draw past the budget, and climbs from
+    the best (lowest value, then lowest id).  A run ends out of budget
+    mid-sweep or converged at a local minimum (a ``local-qul`` stop on a
+    lower neighbor is a full sweep).  With ``cfg.restart_on_convergence``
+    the row starts again while budget remains and some node is unseen.
     ``traces``, if given, holds one list per row and gets a
     :class:`SearchTrace` per run.
     """
@@ -202,8 +203,6 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
         done[rows] = True
 
     def move(rows, to, values, descent: bool):
-        if not rows.size:
-            return
         cur[rows], lv[rows] = to, values
         if traces is not None:
             for r, v in zip(rows.tolist(), to.tolist()):
@@ -213,11 +212,9 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
     while True:
         idle = (~running & ~done).nonzero()[0]
         if idle.size:  # start runs: the best of up to num_initial observed draws
-            best_v = draw(idle)
-            vals, k = batch.observe(idle, best_v[:, None], budget=budget)
-            best, got = vals[:, 0], k > 0
-            live = got.nonzero()[0]
-            for _ in range(num_initial - 1):
+            best, best_v = np.full(idle.size, np.inf), np.zeros(idle.size, dtype=np.int64)
+            live = np.arange(idle.size)  # the rows whose draws are still observed
+            for _ in range(num_initial):
                 v = draw(idle[live])
                 vals, k = batch.observe(idle[live], v[:, None], budget=budget)
                 ok = k > 0
@@ -227,12 +224,12 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
                 best[live_b], best_v[live_b] = val[better], v[better]
                 if not live.size:
                     break
+            got = best < np.inf  # observed values are finite
             done[idle[~got]] = True
             rows = idle[got]
             running[rows] = True
             if cam:
                 pool[rows] = 0
-                flat_pool[batch._position(rows, best_v[got])] = 1
             if traces is not None:
                 for r, v in zip(rows.tolist(), best_v[got].tolist()):
                     traces[r].append(SearchTrace(final=v))
@@ -255,15 +252,10 @@ def _climb(batch: ViewBatch, cfg: SearchConfig, draw, traces=None) -> None:
             at = batch._position(act.take(s // block.shape[1]), block.reshape(-1).take(s))
             flat_pool[at[flat_pool.take(at) == 0]] = 1
 
-        if qul:  # stopped on a lower neighbor: move there
-            lowered = (k > 0) & (vals[np.arange(act.size), k - 1] < lv[act])
-            up = lowered.nonzero()[0]
-            move(act[up], block[up, k[up] - 1], vals[up, k[up] - 1], True)
-            swept = ~lowered & (k == block.shape[1])
-            end_runs(act[~lowered & ~swept], False)  # out of budget mid-sweep
-        else:
-            swept = k == block.shape[1]
-            end_runs(act[~swept], False)
+        swept = k == block.shape[1]
+        if qul:  # stopped on a lower neighbor: the argmin below moves there
+            swept |= (k > 0) & (vals[np.arange(act.size), k - 1] < lv[act])
+        end_runs(act[~swept], False)  # out of budget mid-sweep
         f = swept.nonzero()[0]
         if cam:
             flat_pool[batch._position(act[f], cur[act[f]])] = 2
@@ -340,7 +332,6 @@ def _random_rows(batch: ViewBatch, budget: int, keys) -> None:
             ids = at % n
             vals = batch.noise.values(batch.landscape.val_loss, batch._keys[row], ids, charges)
             batch._charge(row, ids, vals, charges, at)
-            count += np.bincount(row, minlength=count.size)
             active = active[count[active] < budget]
 
 

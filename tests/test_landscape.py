@@ -666,6 +666,28 @@ class TestPads:
         assert again.tobytes() == values.tobytes()
 
 
+class TestLogRoom:
+    """``ViewBatch.observe`` without a budget charges a row up to its log's
+    ``limit``, never into the next row's log."""
+
+    def test_no_budget_stops_at_the_log(self):
+        scape = hs.sample_uniform(hs.make_complete(10), 1)
+        batch = landscape.ViewBatch(scape, hs.NoiseSpec.none(), [1, 2], limit=2)
+        seven = batch.observe(np.array([1]), np.array([[7]]))[0][0, 0]
+        values, k = batch.observe(np.array([0]), np.array([[3, 4, 5]]))
+        assert k.tolist() == [2] and batch.count.tolist() == [2, 1]
+        assert values[0, :2].tolist() == scape.val_loss[[3, 4]].tolist()
+        assert values[0, 2] == np.inf
+        assert batch.log_ids[0].tolist() == [3, 4] and batch.log_ids[1, :1].tolist() == [7]
+        # row 1 re-reads node 7 from its own log, at its first value
+        again, k = batch.observe(np.array([1]), np.array([[7]]))
+        assert k.tolist() == [1] and again[0, 0] == seven == scape.val_loss[7]
+        # a full log still reads its seen nodes for free
+        values, k = batch.observe(np.array([0]), np.array([[4, 3, 6]]))
+        assert k.tolist() == [2] and batch.count.tolist() == [2, 1]
+        assert values[0, :2].tolist() == scape.val_loss[[4, 3]].tolist()
+
+
 class TestNoiseSpec:
     def test_validation(self):
         with pytest.raises(LandscapeError):
