@@ -21,6 +21,8 @@ DEFAULT_GRID_POINTS = 2049  # quadrature grid points (an even interval count for
 _CLIMBS = ("local", "local-qul", "local-cam")  # SearchConfig.algo
 _ALGOS = _CLIMBS + ("random",)  # run_trials and the CLI's --algo
 
+# The one list of public names: each home module sets its ``__all__`` from
+# its entry here, so a name added here is exported by both at once.
 _HOMES = {
     "analysis": ("LandscapeStats", "SuccessorMap", "basins", "export_search_tree",
                  "find_local_minima", "preimage_sizes", "rwa", "successor_map",

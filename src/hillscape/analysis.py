@@ -15,23 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _HOMES
 from .landscape import LandscapeError, LandscapeView, _eps_array
 from .seeding import _seed, spawn_rng
 from .topology import _count, _read_only, _whole
 
-__all__ = [
-    "SuccessorMap",
-    "LandscapeStats",
-    "successor_map",
-    "find_local_minima",
-    "basins",
-    "within_epsilon_curve",
-    "preimage_sizes",
-    "rwa",
-    "export_search_tree",
-    "tree_to_dot",
-    "tree_to_json",
-]
+__all__ = list(_HOMES["analysis"])
 
 _WALK_STREAM = 0xC1
 # successor_map gathers neighbor blocks of about this many (row x degree)

@@ -12,7 +12,8 @@ byte-identical across reruns with the same seed.  Each command imports the
 modules it runs (``analysis``, ``search`` or ``theory``) when it is called,
 so ``gen`` and ``compare`` load none of them.
 
-Exit codes: 0 success, 2 usage error, 3 data/validation error.
+Exit codes: 0 success, 2 usage error, 3 data/validation error; a
+computation that cannot allocate its arrays also exits 3.
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
         _write_outputs(cfg["out"], {"manifest.json": manifest,
                                     **COMMANDS[args.command].func(cfg)})
         return 0
-    except (LandscapeError, TopologyError, ValueError, OSError,
+    except (LandscapeError, TopologyError, ValueError, OSError, MemoryError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,24 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _HOMES
 from .seeding import _seed, mix64
 from .topology import (Topology, TopologyError, _bfs_tree, _clique_power_levels, _count,
                        _parse_spec)
 
-__all__ = [
-    "Landscape",
-    "LandscapeError",
-    "LandscapeView",
-    "NoiseSpec",
-    "sample_uniform",
-    "sample_markov_truncnorm",
-    "truncnorm_pdf",
-    "truncnorm_sf",
-    "sample_truncnorm",
-    "load_tabular",
-    "save_landscape",
-    "load_landscape",
-]
+__all__ = list(_HOMES["landscape"])
 
 _FORMAT = "hillscape-landscape/v1"
 _NOISE_STREAM = 0xA1

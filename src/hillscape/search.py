@@ -50,20 +50,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _ALGOS, _CLIMBS
+from . import _ALGOS, _CLIMBS, _HOMES
 from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch, _hashed_uniform
 from .seeding import _seed, mix64
 from .topology import _count
 
-__all__ = [
-    "SearchConfig",
-    "SearchTrace",
-    "RunHistory",
-    "local_search",
-    "run_budgeted",
-    "random_search",
-    "run_trials",
-]
+__all__ = list(_HOMES["search"])
 
 _START_STREAM = 0xB1
 _SHUFFLE_STREAM = 0xA2  # query-until-lower keys, derived from the view seed

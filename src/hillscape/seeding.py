@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _HOMES
 from .topology import _whole
+
+__all__ = list(_HOMES["seeding"])
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

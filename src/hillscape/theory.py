@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_GRID_POINTS
+from . import _HOMES, DEFAULT_GRID_POINTS
 from .landscape import (LandscapeView, NoiseSpec, _cdf_ends, _eps_array,
                         sample_markov_truncnorm, truncnorm_pdf, truncnorm_sf)
 from .seeding import _seed, mix64
@@ -50,25 +50,7 @@ from .topology import (Topology, _clique_power_branching, _count, _parse_spec, _
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "PdfSpec",
-    "LocalPdfSpec",
-    "TheoryParams",
-    "DEFAULT_GRID_POINTS",
-    "expected_minima_fraction",
-    "independent_closed_form",
-    "full_preimage_series",
-    "full_preimage_bounds",
-    "success_curve",
-    "uniform_closed_form_minima",
-    "uniform_closed_form_curve",
-    "clique_power_uniform_curve",
-    "chebyshev_minima_bound",
-    "fit_global_truncnorm",
-    "fit_local_sigma_via_rwa",
-    "GlobalFit",
-    "RwaFit",
-]
+__all__ = list(_HOMES["theory"])
 
 _PDF_TOL = 1e-6
 _ROW_BLOCK = 128  # grid rows per block of the grid-by-grid quadratures
@@ -594,7 +576,7 @@ def chebyshev_minima_bound(pdf_n: PdfSpec, pdf_e: LocalPdfSpec, s: int,
     finely than one cell.  Returns ``inf`` when the integral overflows float
     range (bound vacuous).  The grid is summed one row block at a time.
     """
-    s = _count(s, "s")
+    s, n = _count(s, "s"), _count(n, "n")
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError("sigma must be finite and >= 0")
     if not 0.0 < delta < 1.0:  # also rejects NaN
@@ -701,7 +683,7 @@ def fit_global_truncnorm(losses) -> GlobalFit:
     losses = np.asarray(losses, dtype=float)
     if losses.size < 100:
         raise ValueError("insufficient data: need at least 100 losses")
-    if (losses < 0).any() or (losses > 1).any():
+    if not ((losses >= 0) & (losses <= 1)).all():  # also rejects NaN
         raise ValueError("losses must lie in [0, 1]")
     hist, edges = np.histogram(losses, bins=50, range=(0.0, 1.0), density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])

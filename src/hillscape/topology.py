@@ -33,17 +33,9 @@ import numbers
 
 import numpy as np
 
-__all__ = [
-    "Topology",
-    "TopologyError",
-    "make_clique_power",
-    "make_complete",
-    "make_regular_tree",
-    "load_adjacency",
-    "shell_sizes",
-    "branching_fraction",
-    "branching_fractions",
-]
+from . import _HOMES
+
+__all__ = list(_HOMES["topology"])
 
 # ids must stay comfortably inside int64 for array indexing
 _MAX_NODES = 1 << 62

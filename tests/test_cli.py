@@ -579,6 +579,16 @@ def test_seed_outside_u64_exits_3(small_landscape, tmp_path, capsys, seed):
         assert not (tmp_path / argv[0]).exists()
 
 
+def test_unallocatable_landscape_exits_3(tmp_path, capsys):
+    # 2^59 float64 values (4 EiB) exceed any 64-bit address space, so the
+    # allocation fails at once; it used to exit 1 with a numpy traceback
+    code, err = run_main(capsys, "gen", "--topo", "clique-power:2,59",
+                         "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "error: Unable to allocate" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_manifest_config_keys_are_the_table_rows(tmp_path, capsys):
     o = str(tmp_path)
     scape = f"{o}/gen/landscape.csv"

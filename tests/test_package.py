@@ -26,6 +26,16 @@ def test_every_public_name_is_its_home_modules_object():
     assert set(hs.__all__) <= set(dir(hs))
 
 
+@pytest.mark.parametrize("key", list(hs._HOMES))
+def test_module_all_is_read_from_homes(key):
+    # _HOMES is the one list of public names: a module exports exactly its
+    # entry, and each name is defined there rather than re-exported into it
+    module = importlib.import_module(f"hillscape.{key}")
+    assert module.__all__ == list(hs._HOMES[key])
+    for name in module.__all__:
+        assert getattr(module, name).__module__ == module.__name__, name
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from hillscape import *", namespace)

@@ -217,6 +217,10 @@ def _whole_number_cases():
         "chebyshev-s": (lambda: hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 2.5, 0.1,
                                                           100),
                         "s must be a whole number, got 2.5"),
+        "chebyshev-n": (lambda: hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 2, 0.1, 2.5),
+                        "n must be a whole number, got 2.5"),
+        "chebyshev-n-0": (lambda: hs.chebyshev_minima_bound(UNIFORM, UNIFORM_LOCAL, 2, 0.1, 0),
+                          "n must be >= 1"),
         "uniform-minima-n": (lambda: hs.uniform_closed_form_minima(2.5, 4),
                              "n must be a whole number, got 2.5"),
         "bounds-s": (lambda: hs.full_preimage_bounds(0.5, 2.5),
@@ -848,6 +852,12 @@ class TestFits:
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient data"):
             hs.fit_global_truncnorm(np.linspace(0, 1, 10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.1])
+    def test_losses_outside_unit_interval(self, bad):
+        # a NaN used to pass the range check and fit with a NaN objective
+        with pytest.raises(ValueError, match=r"losses must lie in \[0, 1\]"):
+            hs.fit_global_truncnorm(np.full(100, bad))
 
     @pytest.mark.parametrize("losses", [
         lambda: hs.sample_truncnorm(0.25, 0.18, np.random.default_rng(11), size=5000),
