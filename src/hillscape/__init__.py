@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 # Read by the modules that use them and by the CLI's flag table, which every
 # command builds, so they live here rather than in ``search`` and ``theory``.
 DEFAULT_GRID_POINTS = 2049  # quadrature grid points (an even interval count for Simpson)
-_CLIMBS = ("local", "local-qul", "local-cam")  # SearchConfig.algo
-_ALGOS = _CLIMBS + ("random",)  # run_trials and the CLI's --algo
+_ALGOS = ("local", "local-qul", "local-cam", "random")  # SearchConfig.algo and --algo
 
 # The one list of public names: each home module sets its ``__all__`` from
 # its entry here, so a name added here is exported by both at once.

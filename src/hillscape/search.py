@@ -13,8 +13,8 @@ a local minimum.  Variants:
   (ties go to the lower id) until the budget runs out.
 * ``num_initial`` -- draw k random nodes up front and start from the best.
 
-``SearchConfig.algo`` names the variant; ``run_trials`` also takes
-``random``, the random-search baseline.
+``SearchConfig.algo`` names a variant or ``random``, the random-search
+baseline, which reads only the budget.
 
 Budget accounting lives in the view: it charges the first observation of
 a node one evaluation, repeats are free, and its log lists the nodes in
@@ -33,9 +33,10 @@ rows with the row's current node, which the row has seen: observing it is
 free and never strictly lower, so a pad needs no mask.  Random search
 needs no sweep: each round charges every row's first unseen draws, up to
 its budget, with ``ViewBatch._charge``, and the next round skips them.
-``local_search``, ``run_budgeted`` and ``random_search`` run the same code
-on the one-row batch of a view.  A trial's results depend only on its
-seed, not on the chunk it runs in or on ``jobs``.
+``run_trials`` calls the row kernel ``_KERNELS[cfg.algo]`` on chunks of
+trials, and ``run_budgeted`` and ``random_search`` on the one-row batch of
+a view, where ``local_search`` runs one climb.  A trial's results depend
+only on its seed, not on the chunk it runs in or on ``jobs``.
 
 All search randomness is counter-based, as the noise is: each row has a
 start key, and its draw j, a start or a random-search candidate, is node
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _ALGOS, _CLIMBS, _HOMES
+from . import _ALGOS, _HOMES
 from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch, _hashed_uniform
 from .seeding import _seed, mix64
 from .topology import _count
@@ -74,8 +75,8 @@ _PICK_KEYS = 1 << 12  # random-search candidates per group of rows and round, ab
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of a budgeted local search; ``algo`` is ``local``,
-    ``local-qul`` or ``local-cam``."""
+    """Settings of a budgeted search; ``algo`` is a name of ``_ALGOS``, and
+    ``random`` reads only ``budget``."""
 
     budget: int
     num_initial: int = 1
@@ -88,8 +89,11 @@ class SearchConfig:
         object.__setattr__(self, "num_initial", _count(self.num_initial, "num_initial"))
         if self.budget < self.num_initial:
             raise ValueError("budget must cover the initial random draws")
-        if self.algo not in _CLIMBS:
-            raise ValueError(f"unknown algo {self.algo!r}; expected one of {_CLIMBS}")
+        if self.algo not in _ALGOS:
+            raise ValueError(f"unknown algo {self.algo!r}; expected one of {_ALGOS}")
+        if not isinstance(self.restart_on_convergence, (bool, np.bool_)):  # "false" is truthy
+            raise ValueError(f"restart_on_convergence must be a bool, "
+                             f"not {self.restart_on_convergence!r}")
 
 
 @dataclass
@@ -278,6 +282,8 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     """Run one local search from ``start`` under the view's noise and budget:
     the one-row, one-run case of the lock-step engine."""
     t = view.landscape.topology
+    if _KERNELS[cfg.algo] is not _climb:
+        raise ValueError(f"local_search runs a climb, not {cfg.algo!r}")
     if isinstance(start, bool) or not (float(start).is_integer() and 0 <= start < t.n):
         raise ValueError(f"start node {start!r} is not a node id in [0, {t.n})")
     traces = [[]]
@@ -286,10 +292,11 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     return traces[0][0] if traces[0] else SearchTrace(final=int(start))
 
 
-def _random_rows(batch: ViewBatch, budget: int, keys) -> None:
+def _random_rows(batch: ViewBatch, cfg: SearchConfig, draw: _Starts) -> None:
     """Random search in every row of ``batch``: row r charges the first draws
-    of its start key ``keys[r]`` that it has not seen, in counter order,
-    until it has charged ``budget`` nodes (rejection on repeats).
+    of its start key ``draw.keys[r]`` that it has not seen, in counter
+    order, until it has charged ``cfg.budget`` nodes, capped at the n
+    nodes (rejection on repeats).  ``draw.drawn`` counts each row's draws.
 
     Candidates are hashed in rounds, for the active rows of a group of rows
     (whose draws stay near ``_PICK_KEYS``) in one call, about enough for
@@ -300,9 +307,9 @@ def _random_rows(batch: ViewBatch, budget: int, keys) -> None:
     the keys ``row * n + node``, which index the raveled marks.
     """
     n, count, flat_mark = batch.landscape.n, batch.count, batch.mark.reshape(-1)
+    budget, keys, drawn = min(cfg.budget, n), draw.keys, draw.drawn
     need = np.maximum(budget - count, 0)
     group = max(1, _PICK_KEYS // max(int(need.max()), 1))
-    drawn = np.zeros_like(need)  # counters hashed per row
     for lo in range(0, need.size, group):  # bounds the temporaries
         active = lo + need[lo:lo + group].nonzero()[0]
         while active.size:
@@ -327,44 +334,45 @@ def _random_rows(batch: ViewBatch, budget: int, keys) -> None:
             active = active[count[active] < budget]
 
 
-def _random_budget(budget, n: int) -> int:
-    """A random-search budget, checked and capped at the ``n`` nodes."""
-    budget = _count(budget, "budget")
-    if budget > n:
-        warnings.warn(f"budget {budget} exceeds node count {n}; capped")
-        return n
-    return budget
+# every search algorithm: its row kernel, called as kernel(batch, cfg, draw)
+_KERNELS = {"local": _climb, "local-qul": _climb, "local-cam": _climb, "random": _random_rows}
 
 
-def _view_keys(seed) -> np.ndarray:
-    """The start key of a single-view call: ``mix64(seed, _START_STREAM)``."""
-    return np.array([mix64(_seed(seed), _START_STREAM)], dtype=np.uint64)
+def _warn_cap(cfg: SearchConfig, n: int) -> None:
+    """Warn if random search will cap ``cfg.budget`` at the ``n`` nodes."""
+    if cfg.algo == "random" and cfg.budget > n:
+        warnings.warn(f"budget {cfg.budget} exceeds node count {n}; capped")
+
+
+def _one_view(view: LandscapeView, cfg: SearchConfig, seed) -> RunHistory:
+    """The search ``cfg`` on the one-row batch of ``view``, drawing from the
+    start key ``mix64(seed, _START_STREAM)``."""
+    _warn_cap(cfg, view.landscape.n)
+    keys = np.array([mix64(_seed(seed), _START_STREAM)], dtype=np.uint64)
+    _KERNELS[cfg.algo](view._rows, cfg, _Starts(keys, view.landscape.n))
+    return RunHistory.from_view(view)
 
 
 def random_search(view: LandscapeView, budget: int, seed: int) -> RunHistory:
     """Evaluate ``budget`` distinct uniform-random nodes (rejection on repeats),
-    capped at the view's node count.
+    capped at the view's node count: ``run_budgeted`` with ``algo="random"``.
 
     Candidates are counter-based draws of the start key
     ``mix64(seed, _START_STREAM)``, so drawing past the last charged node
     changes nothing observed.
     """
-    budget = _random_budget(budget, view.landscape.n)
-    _random_rows(view._rows, budget, _view_keys(seed))
-    return RunHistory.from_view(view)
+    return _one_view(view, SearchConfig(budget, algo="random"), seed)
 
 
 def run_budgeted(view: LandscapeView, cfg: SearchConfig, seed: int) -> RunHistory:
-    """Budgeted local search with random initialization and optional restarts.
+    """The search ``cfg`` on one view; ``random_search`` is its ``random`` case.
 
-    Draws ``cfg.num_initial`` random starts, seeds local search from the best,
-    and (with ``restart_on_convergence``) keeps starting fresh runs while
-    budget remains.  Restarts share the view's observation cache, so nodes
-    re-encountered across runs cost nothing.  Starts are counter-based draws
-    of the start key ``mix64(seed, _START_STREAM)``.
+    A climb draws ``cfg.num_initial`` random starts, seeds local search from
+    the best, and (with ``restart_on_convergence``) keeps starting fresh runs
+    while budget remains.  Restarts share the view's observation cache, so
+    nodes re-encountered across runs cost nothing.
     """
-    _climb(view._rows, cfg, _Starts(_view_keys(seed), view.landscape.n))
-    return RunHistory.from_view(view)
+    return _one_view(view, cfg, seed)
 
 
 def _chunk_rows(n: int, limit: int) -> int:
@@ -375,22 +383,17 @@ def _chunk_rows(n: int, limit: int) -> int:
     return max(_MIN_ROWS, _CHUNK_BYTES // row)
 
 
-def _run_chunk(landscape, noise, budget, cfg, root_seed, lo, hi) -> list[RunHistory]:
-    """Trials ``lo`` to ``hi - 1`` in lock-step: local search under ``cfg``,
-    or random search if ``cfg`` is None.  Trial i's view seed is
-    ``mix64(mix64(root_seed, i), 0)`` and its start key
+def _run_chunk(landscape, noise, cfg, root_seed, lo, hi) -> list[RunHistory]:
+    """Trials ``lo`` to ``hi - 1`` of the search ``cfg``, the rows of one
+    batch that the kernel ``_KERNELS[cfg.algo]`` runs in lock-step.  Trial
+    i's view seed is ``mix64(mix64(root_seed, i), 0)`` and its start key
     ``mix64(mix64(mix64(root_seed, i), 1), _START_STREAM)``: its starts and
     random-search candidates are counter-based draws of that key, so no
-    trial builds a generator.  Random search charges each round's picks
-    into the batch directly (:func:`_random_rows`); local search observes
-    one sweep per lock-step step."""
+    trial builds a generator."""
     trial_seeds = mix64(root_seed, np.arange(lo, hi, dtype=np.uint64))
-    batch = ViewBatch(landscape, noise, mix64(trial_seeds, 0), limit=budget)
+    batch = ViewBatch(landscape, noise, mix64(trial_seeds, 0), limit=cfg.budget)
     keys = mix64(mix64(trial_seeds, 1), _START_STREAM)
-    if cfg is None:
-        _random_rows(batch, budget, keys)
-    else:
-        _climb(batch, cfg, _Starts(keys, landscape.n))
+    _KERNELS[cfg.algo](batch, cfg, _Starts(keys, landscape.n))
     del batch.mark  # the histories are views of the logs: free the marks first
     return [RunHistory._of(batch.log_ids[r, :c], batch.log_vals[r, :c], landscape.test_loss)
             for r, c in enumerate(batch.count.tolist())]
@@ -418,21 +421,16 @@ def run_trials(landscape: Landscape, noise: NoiseSpec, algo: str, budget: int,
     spread over worker processes; results are deterministic and independent
     of ``jobs`` and of the chunking.
     """
-    if algo not in _ALGOS:
-        raise ValueError(f"unknown algo {algo!r}; expected one of {_ALGOS}")
     trials, jobs, n = _count(trials, "trials"), _count(jobs, "jobs"), landscape.n
     root_seed = _seed(root_seed, "root_seed")
-    if algo == "random":
-        cfg, budget = None, _random_budget(budget, n)
-    else:  # checks before any work
-        cfg = SearchConfig(budget, num_initial, algo, restart)
-        budget = cfg.budget
-    size = _chunk_rows(n, min(budget, n))
+    cfg = SearchConfig(budget, num_initial, algo, restart)  # checks before any work
+    _warn_cap(cfg, n)
+    size = _chunk_rows(n, min(cfg.budget, n))
     if jobs > 1:
         size = min(size, -(-trials // jobs))
     size = -(-trials // -(-trials // size))  # equal chunks
     bounds = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-    args = [(budget, cfg, root_seed, lo, hi) for lo, hi in bounds]
+    args = [(cfg, root_seed, lo, hi) for lo, hi in bounds]
     if jobs == 1 or len(bounds) == 1:
         parts = [_run_chunk(landscape, noise, *a) for a in args]
     else:

@@ -249,6 +249,8 @@ def reference_trial(landscape, noise, algo, budget, num_initial, restart, root_s
             if not view.seen(v):
                 view.observe(v)
         return hs.RunHistory.from_view(view), traces
+    if algo not in ("local", "local-qul", "local-cam"):
+        raise ValueError(f"no per-node reference for algo {algo!r}")
     cfg = hs.SearchConfig(budget, num_initial, algo, restart)
     while True:
         starts = []

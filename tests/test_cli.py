@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hillscape as hs
-from hillscape import cli
+from hillscape import _ALGOS, cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -98,7 +98,7 @@ class TestSearch:
         assert (np.diff(summary["mean_best_val"]) <= 1e-15).all()
 
     def test_each_algo(self, small_landscape, tmp_path):
-        for algo in ("local", "local-qul", "local-cam", "random"):
+        for algo in _ALGOS:
             res = run_cli("search", "--landscape", str(small_landscape),
                           "--algo", algo, "--budget", "10", "--trials", "2",
                           "--seed", "2", "--out", str(tmp_path / algo))

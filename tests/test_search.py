@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hillscape as hs
-
-from hillscape import search
+from hillscape import _ALGOS, search
 from hillscape.landscape import ViewBatch
 
 from conftest import counter_draws, counter_node, cycle_topology, frozen_view, reference_trial
+
+_NOISES = pytest.mark.parametrize(
+    "noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.05),
+              hs.NoiseSpec.gaussian_fresh(0.05)], ids=["none", "frozen", "fresh"])
 
 
 @pytest.fixture
@@ -243,7 +246,8 @@ class TestRandomPicks:
         keys = hs.mix64(np.arange(len(prefixes), dtype=np.uint64), search._START_STREAM)
         want = _random_picks_by_row(batch, budget, keys)
         rounds = _count_rounds(monkeypatch)
-        search._random_rows(batch, budget, keys)
+        search._KERNELS["random"](batch, hs.SearchConfig(budget, algo="random"),
+                                  search._Starts(keys, scape.n))
         assert batch.count.tolist() == [budget] * len(prefixes)
         for r, c in enumerate(batch.count.tolist()):
             logged = batch.log_ids[r, :c]
@@ -290,7 +294,8 @@ class TestRandomPicks:
         full = copy.deepcopy(batch)
         keys = hs.mix64(np.arange(len(prefixes), dtype=np.uint64), search._START_STREAM)
         want = _random_picks_by_row(batch, 40, keys)
-        search._random_rows(batch, 40, keys)
+        search._random_rows(batch, hs.SearchConfig(40, algo="random"),
+                            search._Starts(keys, scape.n))
         assert batch.count.tolist() == [40, 40, 55, 40]
         for r in (1, 2):
             assert want[r] == []
@@ -316,7 +321,7 @@ def _count_rounds(monkeypatch):
         rounds[-1] += 1
         return nodes(*args)
 
-    monkeypatch.setattr(search, "_random_rows", counted_rows)
+    monkeypatch.setitem(search._KERNELS, "random", counted_rows)
     monkeypatch.setattr(search, "_nodes", counted_nodes)
     return rounds
 
@@ -354,10 +359,43 @@ class TestRunBudgeted:
         with pytest.raises(ValueError):
             hs.SearchConfig(budget=5, num_initial=6)
 
-    @pytest.mark.parametrize("algo", ["random", "", "local-qul+cam"])
+    @pytest.mark.parametrize("algo", ["", "local-qul+cam"])
     def test_config_rejects_unknown_algo(self, algo):
         with pytest.raises(ValueError, match="expected one of .*'local-cam'"):
             hs.SearchConfig(budget=10, algo=algo)
+
+    @pytest.mark.parametrize("restart", ["false", 0, None, math.nan])
+    def test_config_rejects_non_bool_restart(self, restart):
+        # "false" is truthy: read as a flag it restarts (30 queries a trial here, not 20)
+        with pytest.raises(ValueError, match="restart_on_convergence must be a bool"):
+            hs.SearchConfig(30, restart_on_convergence=restart)
+        scape = hs.sample_uniform(hs.make_clique_power(3, 4), 1)
+        with pytest.raises(ValueError, match="must be a bool"):
+            hs.run_trials(scape, hs.NoiseSpec.none(), "local", 30, 2, 1, restart=restart)
+
+    def test_config_accepts_numpy_bools(self, k56_uniform):
+        def run(restart):
+            view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=4)
+            cfg = hs.SearchConfig(300, restart_on_convergence=restart)
+            return _history_bytes([hs.run_budgeted(view, cfg, 4)])
+
+        assert run(np.True_) == run(True) != run(np.False_) == run(False)
+
+    def test_local_search_runs_only_climbs(self, k56_uniform):
+        view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=3)
+        with pytest.raises(ValueError, match="runs a climb, not 'random'"):
+            hs.local_search(view, 0, hs.SearchConfig(10, algo="random"))
+        assert view.query_count == 0
+
+    @_NOISES
+    @pytest.mark.parametrize("budget", [1, 40, 81])
+    def test_random_config_is_random_search(self, noise, budget):
+        scape = hs.sample_markov_truncnorm(hs.make_clique_power(3, 4), 0.35, 0.25, 0.18, seed=3)
+        for seed in range(3):
+            via_cfg = hs.run_budgeted(hs.LandscapeView(scape, noise, seed=seed),
+                                      hs.SearchConfig(budget, algo="random"), seed)
+            direct = hs.random_search(hs.LandscapeView(scape, noise, seed=seed), budget, seed)
+            assert _history_bytes([via_cfg]) == _history_bytes([direct])
 
     @pytest.mark.parametrize("kw", [
         {"budget": 2.5}, {"budget": math.nan}, {"budget": math.inf},
@@ -500,10 +538,24 @@ class TestRunTrials:
         hists = hs.run_trials(k56_uniform, hs.NoiseSpec.none(), "local", 10, 2.0, 0, jobs=1.0)
         assert len(hists) == 2
 
+    def test_random_cap_warns_once_per_call(self):
+        scape = hs.sample_uniform(hs.make_clique_power(3, 2), 1)
+        for jobs in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                hists = hs.run_trials(scape, hs.NoiseSpec.none(), "random", 50, 4, 3, jobs=jobs)
+            assert [str(w.message) for w in caught] == ["budget 50 exceeds node count 9; capped"]
+            assert [len(h) for h in hists] == [9] * 4
+
+    def test_random_budget_covers_num_initial(self, k56_uniform):
+        # random search reads only the budget, but its config is checked whole
+        with pytest.raises(ValueError, match="budget must cover the initial random draws"):
+            hs.run_trials(k56_uniform, hs.NoiseSpec.none(), "random", 2, 2, 0, num_initial=3)
+
     def test_all_variants_run(self):
         t = hs.make_clique_power(3, 2)
         scape = hs.sample_uniform(t, 1)
-        for algo in ("local", "local-qul", "local-cam", "random"):
+        for algo in _ALGOS:
             hists = hs.run_trials(scape, hs.NoiseSpec.none(), algo, 9, 3, 42)
             assert len(hists) == 3
             for h in hists:
@@ -531,12 +583,13 @@ def _matches_reference(scape, noise, algo, budgets, trials, monkeypatch):
     traces = []
     climb = search._climb
 
-    def traced(batch, cfg, draw, _=None):
+    def traced(batch, cfg, draw):
         rows = [[] for _ in range(batch.seeds.size)]  # each row's runs
         climb(batch, cfg, draw, rows)
         traces.extend(tr for row in rows for tr in row)
 
-    monkeypatch.setattr(search, "_climb", traced)
+    if search._KERNELS[algo] is climb:
+        monkeypatch.setitem(search._KERNELS, algo, traced)
     for restart, num_initial, budget in itertools.product((True, False), (1, 3), budgets):
         traces.clear()
         root = 7 * budget + num_initial
@@ -557,18 +610,13 @@ def _matches_reference(scape, noise, algo, budgets, trials, monkeypatch):
             assert traces
 
 
-_NOISES = pytest.mark.parametrize(
-    "noise", [hs.NoiseSpec.none(), hs.NoiseSpec.gaussian_frozen(0.05),
-              hs.NoiseSpec.gaussian_fresh(0.05)], ids=["none", "frozen", "fresh"])
-
-
 class TestMatchesPerNodeReference:
     """The lock-step search gives the histories and traces of the per-node
     loops in ``conftest``, byte for byte: 3 landscapes x 4 algorithms x 3
     noise modes x restart x num_initial x 5 budgets."""
 
     @_NOISES
-    @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam", "random"])
+    @pytest.mark.parametrize("algo", _ALGOS)
     @pytest.mark.parametrize("scape", ["distinct", "tied", "markov"])
     def test_run_trials(self, grid_scapes, scape, algo, noise, monkeypatch):
         scape = grid_scapes[scape]
@@ -631,7 +679,7 @@ class TestChunking:
     @pytest.mark.parametrize("noise", [hs.NoiseSpec.gaussian_frozen(0.05),
                                        hs.NoiseSpec.gaussian_fresh(0.05)],
                              ids=["frozen", "fresh"])
-    @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam", "random"])
+    @pytest.mark.parametrize("algo", _ALGOS)
     def test_alone_chunked_and_parallel(self, grid_scapes, algo, noise, monkeypatch):
         scape = grid_scapes["markov"]
         kw = dict(budget=20, trials=200, root_seed=17)
@@ -646,7 +694,7 @@ class TestChunking:
     @pytest.mark.parametrize("noise", [hs.NoiseSpec.gaussian_frozen(0.05),
                                        hs.NoiseSpec.gaussian_fresh(0.05)],
                              ids=["frozen", "fresh"])
-    @pytest.mark.parametrize("algo", ["local", "local-qul", "local-cam", "random"])
+    @pytest.mark.parametrize("algo", _ALGOS)
     def test_bench_shape_one_chunk_or_two(self, k56_markov, algo, noise, monkeypatch):
         # search-k56's 200 trials of budget 300 run as one chunk, and as the
         # two chunks of 100 that a 2 MiB cap gave, with the same histories
@@ -763,10 +811,16 @@ def test_search_builds_no_generator(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     monkeypatch.setattr(np.random, "Generator", no_generator)
-    for algo in ("local", "local-qul", "local-cam", "random"):
+    for algo in _ALGOS:
         hists = hs.run_trials(scape, hs.NoiseSpec.gaussian_fresh(0.05), algo, 30, 3, 5,
                               num_initial=2)
         assert [len(h) for h in hists] == [30] * 3
     cfg = hs.SearchConfig(30, num_initial=2, restart_on_convergence=True)
     assert len(hs.run_budgeted(hs.LandscapeView(scape, seed=1), cfg, 2)) == 30
     assert len(hs.random_search(hs.LandscapeView(scape, seed=1), 30, 2)) == 30
+
+
+def test_every_algo_has_a_kernel():
+    # SearchConfig and the CLI's --algo read _ALGOS, and every entry point
+    # calls the kernel of its name: a name without a kernel cannot run
+    assert set(search._KERNELS) == set(_ALGOS)
