@@ -29,8 +29,6 @@ _CHUNK_ENTRIES = 1 << 18
 # up to this clique size the (K_m)^d kernel takes a line minimum as m - 1
 # elementwise minima of slices, not as one reduction over the axis
 _SLICED_MIN_M = 16
-# ids and keys below 2^31 pack into one int64 word (key << bits) | id
-_PACK_BITS = 31
 
 
 def _index_dtype(n: int) -> type:
@@ -91,10 +89,9 @@ class SuccessorMap:
         """``(order, starts)``: the nodes u with ``succ[u] == v`` are
         ``order[starts[v]:starts[v + 1]]``, ascending; read-only."""
         if self._preds is None:
-            idx = _index_dtype(self.n)
-            starts = np.zeros(self.n + 1, dtype=idx)
+            starts = np.zeros(self.n + 1, dtype=_index_dtype(self.n))
             np.cumsum(_tally(starts[1:], self.succ), out=starts[1:])
-            order = _sort_by_key(self.succ, np.arange(self.n, dtype=idx))
+            order, _ = _packed_argsort(self.succ)
             self._preds = _read_only(order, starts)
         return self._preds
 
@@ -105,26 +102,6 @@ def _tally(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ``np.bincount`` would copy them to int64 first."""
     np.add.at(counts, ids, counts.dtype.type(1))  # a Python int 1 takes the slow loop
     return counts
-
-
-def _sort_by_key(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``ids`` in ascending ``(key, id)`` order, as the index type of n, for
-    int arrays ``keys`` and ``ids`` of n entries each in [0, n): the
-    predecessor index's sort, with ``succ`` as the keys.
-
-    With ``bits = (n - 1).bit_length()`` this is one sort of the int64 words
-    ``(key << bits) | id``, decoded with a mask.  The words fit int64 for
-    n <= 2^31 (``_PACK_BITS``); a larger n takes ``np.lexsort``.
-    """
-    idx = _index_dtype(ids.size)
-    bits = (ids.size - 1).bit_length()
-    if bits > _PACK_BITS:
-        return ids[np.lexsort((ids, keys))].astype(idx, copy=False)
-    words = np.left_shift(keys, bits, dtype=np.int64)
-    words |= ids
-    words.sort()
-    words &= (1 << bits) - 1
-    return words.astype(idx)
 
 
 @dataclass
@@ -171,54 +148,63 @@ def successor_map(view: LandscapeView) -> SuccessorMap:
     return view._successor_map
 
 
-def _rank_order(values: np.ndarray):
-    """``(order, tied)``: the node ids in ascending (value, id) order, as the
-    index type, and whether two nodes hold equal values (``-0.0`` equals
-    ``0.0``).
+def _packed_argsort(keys: np.ndarray):
+    """``(order, tied)``: the ids 0..n-1 in ascending (key, id) order, as
+    the index type of n = ``keys.size``, and whether two keys are equal
+    (``-0.0`` equals ``0.0``).  ``keys`` are floats or ints >= 0.
 
-    One in-place sort of int64 words ranks the nodes.  A word is the float's
-    order-preserving bits (``-0.0`` made ``+0.0``, the non-sign bits of a
-    negative flipped) with the low ``(n - 1).bit_length()`` bits replaced by
-    the node id, so distinct truncated keys are already in value order and
-    equal ones in id order.  The ids are decoded into the index type before
-    the words are shifted down to their truncated keys in place, so no third
-    n-length array is live.  Only the runs of equal truncated keys can hold
-    distinct values out of order; one ``np.lexsort`` by (value, id) of the
-    nodes in those runs puts them right, and every exact tie lies in such a
-    run, so that pass also finds the ties.
+    One in-place sort of int64 words orders the ids.  A word holds the key's
+    order-preserving bits at the top (a float's with ``-0.0`` made ``+0.0``
+    and the non-sign bits of a negative flipped; an int shifted up to bit
+    62) and the id in the low ``(n - 1).bit_length()`` bits, so distinct
+    high bits are in key order and equal ones in id order.  The ids are
+    decoded into the index type before the words are shifted down to their
+    high bits in place, so no third n-length array is live.  The high bits
+    are the whole key for ints of at most 63 - bits bits (``succ`` of up
+    to 2^31 nodes); otherwise only runs of equal high bits can hold distinct
+    keys out of order.  Each run is in id order, so one stable argsort by
+    key of the nodes in those runs puts them in (key, id) order.  Every tie
+    lies in such a run, so that pass also finds the ties.
     """
-    n = values.size
+    n = keys.size
     idx = _index_dtype(n)
     bits = (n - 1).bit_length()
-    words = np.add(values, 0.0, dtype=np.float64).view(np.int64)
-    np.bitwise_xor(words, np.int64(2**63 - 1), out=words, where=words < 0)
+    if keys.dtype.kind == "f":
+        exact = False
+        words = np.add(keys, 0.0, dtype=np.float64).view(np.int64)
+        np.bitwise_xor(words, np.int64(2**63 - 1), out=words, where=words < 0)
+    else:
+        top = int(keys.max()).bit_length()
+        exact = top + bits <= 63
+        words = np.left_shift(keys, 63 - top, dtype=np.int64)
     words &= -(1 << bits)
     words |= np.arange(n, dtype=idx)
     words.sort()
     order = np.empty(n, dtype=idx)
     np.bitwise_and(words, (1 << bits) - 1, out=order, casting="unsafe")  # ids fit idx
     words >>= bits
-    same = words[1:] == words[:-1]  # adjacent truncated keys collide
+    same = words[1:] == words[:-1]  # adjacent high bits collide
     del words
-    if not same.any():
-        return order, False
-    run = np.zeros(n, dtype=bool)  # in a run of colliding keys
+    tied = bool(same.any())
+    if exact or not tied:
+        return order, tied
+    run = np.zeros(n, dtype=bool)  # in a run of colliding high bits
     run[1:] = same
     run[:-1] |= same
     del same
     ids = order[run]
-    vals = values[ids]
-    by = np.lexsort((ids, vals))
+    runs = keys[ids]
+    by = np.argsort(runs, kind="stable")
     order[run] = ids.take(by)
-    vals = vals.take(by)
-    return order, bool((vals[1:] == vals[:-1]).any())
+    runs = runs.take(by)
+    return order, bool((runs[1:] == runs[:-1]).any())
 
 
 def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
     """Successor map of (K_m)^d from one minimum rank per line of the ``(m,)*d`` cube.
 
     The nodes are ranked once by (value, id), so that a tie goes to the
-    lower id (``-0.0`` ties ``0.0``): :func:`_rank_order`.  The d lines
+    lower id (``-0.0`` ties ``0.0``): :func:`_packed_argsort`.  The d lines
     through v hold v and all its neighbors, so the lowest rank on them
     names v's best closed-neighborhood node.  That node is v itself unless
     a neighbor is strictly lower, or, with ties, unless a lower-id neighbor
@@ -226,7 +212,7 @@ def _clique_power_successor(values: np.ndarray, m: int, d: int) -> np.ndarray:
     """
     n = values.size
     idx = _index_dtype(n)
-    order, tied = _rank_order(values)
+    order, tied = _packed_argsort(values)
     cube = np.empty((m,) * d, dtype=idx)
     cube.reshape(n)[order] = np.arange(n, dtype=idx)  # each node's rank
     best = None

@@ -332,6 +332,15 @@ def _finite_nonneg(value, what: str) -> np.ndarray:
     return a
 
 
+def _nonneg_float(value, what: str) -> float:
+    """``value`` as a float; ``LandscapeError`` unless it is one finite real
+    number >= 0: not a string, a bool or an array of other than 0 dimensions."""
+    a = np.asarray(value)
+    if a.ndim or a.dtype.kind not in "iuf":
+        raise LandscapeError(f"{what} must be one finite number >= 0, got {value!r}")
+    return float(_finite_nonneg(a, what))
+
+
 def _check_reach(base_abs: float, scale, what: str) -> None:
     """``LandscapeError`` unless ``base_abs + scale * _Z_MAX`` is finite: the
     largest observation a noise scale can produce from that base."""
@@ -376,15 +385,15 @@ class NoiseSpec:
 
     @classmethod
     def gaussian_frozen(cls, sigma):
-        return cls("frozen", float(_finite_nonneg(sigma, "sigma")))
+        return cls("frozen", _nonneg_float(sigma, "sigma"))
 
     @classmethod
     def gaussian_fresh(cls, sigma):
-        return cls("fresh", float(_finite_nonneg(sigma, "sigma")))
+        return cls("fresh", _nonneg_float(sigma, "sigma"))
 
     @classmethod
     def seed_average(cls, sigma, k):
-        sigma = float(_finite_nonneg(sigma, "sigma"))
+        sigma = _nonneg_float(sigma, "sigma")
         k = _count(k, "seed-average k", 1, LandscapeError)
         return cls("frozen", float(sigma / np.sqrt(k)))
 
@@ -395,7 +404,7 @@ class NoiseSpec:
     @classmethod
     def scaled(cls, sigma_base, x):
         base = _finite_nonneg(sigma_base, "sigma_base")
-        x = float(_finite_nonneg(x, "scale factor x"))
+        x = _nonneg_float(x, "scale factor x")
         with np.errstate(over="ignore"):  # an infinite product is rejected by __post_init__
             return cls("frozen", x * base)
 

@@ -54,7 +54,7 @@ import numpy as np
 from . import _ALGOS, _HOMES
 from .landscape import Landscape, LandscapeView, NoiseSpec, ViewBatch, _hashed_uniform
 from .seeding import _seed, mix64
-from .topology import _count
+from .topology import _count, _whole
 
 __all__ = list(_HOMES["search"])
 
@@ -284,8 +284,10 @@ def local_search(view: LandscapeView, start: int, cfg: SearchConfig) -> SearchTr
     t = view.landscape.topology
     if _KERNELS[cfg.algo] is not _climb:
         raise ValueError(f"local_search runs a climb, not {cfg.algo!r}")
-    if isinstance(start, bool) or not (float(start).is_integer() and 0 <= start < t.n):
-        raise ValueError(f"start node {start!r} is not a node id in [0, {t.n})")
+    try:
+        t._check_id(_whole(start, "start node"))
+    except ValueError:  # TopologyError is one
+        raise ValueError(f"start node {start!r} is not a node id in [0, {t.n})") from None
     traces = [[]]
     one_run = replace(cfg, num_initial=1, restart_on_convergence=False)
     _climb(view._rows, one_run, lambda rows: np.full(rows.size, int(start)), traces)

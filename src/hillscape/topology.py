@@ -473,6 +473,7 @@ def _clique_power_branching(d: int) -> np.ndarray:
 
 def branching_fractions(t: Topology, reference: int = 0) -> np.ndarray:
     """b_1..b_D from ``reference`` (D = eccentricity, closed forms where defined)."""
+    t._check_id(reference)
     if t.kind == "regular_tree" and reference == 0:
         return np.ones(t.depth)
     deg = t.degree_of(reference)

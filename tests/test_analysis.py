@@ -289,9 +289,10 @@ class TestKernelsMatchReference:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-class TestSortByKey:
-    """The packed-word sort equals the stable argsort, and so does its
-    ``np.lexsort`` branch for words that would not fit int64."""
+class TestPackedArgsort:
+    """The packed-word sort equals the stable argsort, for int keys whose
+    words are exact, for int keys truncated to their top bits, and for
+    float keys, whose words are always truncated."""
 
     @settings(max_examples=60, deadline=None)
     @given(keys=st.lists(st.integers(0, 3), min_size=1, max_size=200), permuted=st.booleans(),
@@ -301,14 +302,18 @@ class TestSortByKey:
     @example(keys=[0] * 200, permuted=True, seed=1)
     def test_equals_stable_argsort(self, keys, permuted, seed):
         n = len(keys)
+        rng = np.random.default_rng(seed)
         keys = np.minimum(np.asarray(keys, dtype=np.int64), n - 1)
-        ids = np.random.default_rng(seed).permutation(n) if permuted else np.arange(n)
-        by_id = np.argsort(ids)  # (key, id) order is the stable key order of the ids ascending
-        want = ids[by_id][np.argsort(keys[by_id], kind="stable")]
-        for pack_bits in (analysis._PACK_BITS, 0):
-            with mock.patch.object(analysis, "_PACK_BITS", pack_bits):
-                got = analysis._sort_by_key(keys, ids)
-            assert got.dtype == analysis._index_dtype(n) and np.array_equal(got, want)
+        if permuted:
+            keys = rng.permutation(keys)
+        low = rng.integers(0, 4, n)
+        # 2-bit keys in the top bits above 2 low bits, which the id field
+        # truncates from 3 nodes on; and floats that differ only in low bits
+        for case in (keys, (keys << 61) | low, (keys - 1.5) + low * np.spacing(2.0)):
+            order, tied = analysis._packed_argsort(case)
+            assert order.dtype == analysis._index_dtype(n)
+            assert np.array_equal(order, np.argsort(case, kind="stable"))
+            assert tied == (np.unique(case).size < n)
 
 
 class TestIndexType:
@@ -416,7 +421,7 @@ class TestOneWalkPerMap:
         view = hs.LandscapeView(k56_uniform, hs.NoiseSpec.none(), seed=0)
         smap = hs.successor_map(view)
         counts = {"sort": 0, "tally": 0}
-        sort, tally = analysis._sort_by_key, analysis._tally
+        sort, tally = analysis._packed_argsort, analysis._tally
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -424,7 +429,7 @@ class TestOneWalkPerMap:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(analysis, "_sort_by_key", counted("sort", sort))
+        monkeypatch.setattr(analysis, "_packed_argsort", counted("sort", sort))
         monkeypatch.setattr(analysis, "_tally", counted("tally", tally))
         minima, sizes, preds = smap.minima(), smap.basin_sizes(), smap.predecessors()
         for _ in range(2):

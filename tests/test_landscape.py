@@ -699,13 +699,17 @@ class TestNoiseSpec:
         with pytest.raises(LandscapeError):
             hs.NoiseSpec.parse("laplace:0.1")
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    # a list used to raise a bare TypeError, and "0.1" and True to build a scale
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), [0.1, 0.2], "0.1", True])
     def test_non_finite_rejected(self, bad):
-        for make in (hs.NoiseSpec.gaussian_frozen, hs.NoiseSpec.gaussian_fresh,
-                     lambda v: hs.NoiseSpec.seed_average(v, 2),
-                     lambda v: hs.NoiseSpec.scaled(0.1, v)):  # x
-            with pytest.raises(LandscapeError, match="finite"):
+        for make, name in ((hs.NoiseSpec.gaussian_frozen, "sigma"),
+                           (hs.NoiseSpec.gaussian_fresh, "sigma"),
+                           (lambda v: hs.NoiseSpec.seed_average(v, 2), "sigma"),
+                           (lambda v: hs.NoiseSpec.scaled(0.1, v), "scale factor x")):
+            with pytest.raises(LandscapeError, match=f"{name} must be .*finite"):
                 make(bad)
+        if not isinstance(bad, float):  # the specs below parse floats
+            return
         for text in (f"gaussian:{bad}", f"seed-average:{bad},2", f"scaled:{bad}"):
             with pytest.raises(LandscapeError, match="finite"):
                 hs.NoiseSpec.parse(text)

@@ -136,6 +136,15 @@ class TestRegularTree:
         t6 = hs.make_regular_tree(4, 6)
         assert hs.branching_fraction(t6, 3, reference=0) == 1.0
 
+    @pytest.mark.parametrize("reference", [False, 0.0])
+    def test_root_shortcut_checks_the_id(self, reference):
+        # False and 0.0 equal 0, and used to take the root's closed form
+        t = hs.make_regular_tree(3, 2)
+        with pytest.raises(TopologyError, match="is not an integer"):
+            hs.branching_fractions(t, reference)
+        with pytest.raises(TopologyError, match="is not an integer"):
+            hs.branching_fraction(t, 1, reference=reference)
+
     def test_shells_from_root(self):
         t = hs.make_regular_tree(4, 3)
         assert hs.shell_sizes(t, 0) == [1, 4, 12, 36]
